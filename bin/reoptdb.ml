@@ -2,38 +2,30 @@
 
      reoptdb queries                    list the workload
      reoptdb sql 16b                    print a query's SQL
-     reoptdb explain 6d [--mode ...]    plan + EXPLAIN with true cardinalities
-     reoptdb explain 6d --analyze       execute too: actual rows, Q-error,
-                                        adaptive switches, re-opt trigger
+     reoptdb explain 6d [--analyze]     EXPLAIN with true cardinalities; with
+                                        --analyze, execute (EXPLAIN ANALYZE)
      reoptdb run 6d [--reopt 32]        execute, optionally with re-optimization
-     reoptdb experiment fig2 [...]      regenerate a table/figure of the paper
-     reoptdb lint [--scale 0.1]         lint every workload query and plan
-     reoptdb verify [--scale 0.1]       prove every re-opt rewrite equivalent
+     reoptdb experiment NAME...|all     regenerate the paper's tables/figures
+     reoptdb lint [--source]            lint every workload query and plan
+     reoptdb verify                     prove every re-opt rewrite equivalent
                                         and every plan within sound bounds
-     reoptdb fragility [--json p.json]  interval-sensitivity sweep: which
-                                        estimates each plan's optimality and
-                                        re-opt trigger depend on
-     reoptdb feedback [--json b.json]   LEO-style feedback sweep: learn true
-                                        cardinalities, then measure naive vs
-                                        fragility-gated corrections against
-                                        default and perfect-(n)
-     reoptdb serve --port 7878          long-running query service: SQL over
-                                        a line-oriented socket, worker-domain
-                                        pool, CQNF-keyed plan cache
-     reoptdb bench-serve [--json ...]   closed-loop latency/QPS benchmark of
-                                        the service on a warmed mixed JOB
-                                        workload (p50/p95, hit rate)
-     reoptdb racecheck [--json ...]     source-level concurrency lint of the
-                                        repo's own .ml tree: guarded-by,
-                                        lock-order cycles, domain captures
-     reoptdb exnflow [--json ...]       source-level exception-flow lint:
-                                        leak-on-raise, spawn-escape,
-                                        designated-handler discipline
+     reoptdb resources [--budget S]     certify every plan's memory and work
+     reoptdb fragility                  which estimates each plan depends on
+     reoptdb feedback                   naive vs fragility-gated LEO feedback
+     reoptdb serve --port 7878          the query service, over a socket
+     reoptdb racecheck                  source-level concurrency lint
+     reoptdb exnflow                    source-level exception-flow lint
      reoptdb json-check report.json     strictly validate a JSON report
 
+   The common flags are defined once and mean the same on every command
+   that takes them: --scale, --seed, --json PATH, --reopt, --perfect,
+   --jobs. The serving benchmark is the ledger's serve-hot workload (see
+   ledger/README.md).
+
    Exit codes are uniform across the analysis commands (lint, verify,
-   fragility, feedback, racecheck, exnflow, json-check): 0 clean, 1
-   error-severity findings, 2 usage error.
+   resources, fragility, feedback, racecheck, exnflow, json-check): 0
+   clean, 1 error-severity findings, 2 usage error (a bad flag, an unknown
+   query or experiment name).
 
    Set RDB_TRACE=stderr (or =path for JSON-lines) to trace every pipeline
    phase as nested timed spans. *)
@@ -46,14 +38,96 @@ module Oracle = Rdb_card.Oracle
 module Executor = Rdb_exec.Executor
 module Reopt = Rdb_core.Reopt
 module Trigger = Rdb_core.Trigger
+module Finding = Rdb_analysis.Finding
+module Srclint = Rdb_srclint.Srclint
+module J = Rdb_obs.Json
 
-let scale_arg =
-  Arg.(value & opt float 0.3 & info [ "scale" ] ~docv:"FACTOR"
+(* ---- common flags ---- *)
+
+let scale_arg default =
+  Arg.(value & opt float default & info [ "scale" ] ~docv:"FACTOR"
          ~doc:"Database scale factor (1.0 = default benchmark size).")
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
          ~doc:"Data generator seed.")
+
+let json_arg =
+  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
+         ~doc:"Also write the command's full report as JSON to PATH.")
+
+(* Absent --reopt means "no re-optimization" on run and serve; every other
+   command sweeps or marks a trigger, at the paper's best threshold by
+   default. *)
+let reopt_opt =
+  Arg.(value & opt (some float) None & info [ "reopt" ] ~docv:"THRESHOLD"
+         ~doc:"Q-error threshold of the re-optimization trigger. On run and \
+               serve it enables re-optimization; elsewhere it defaults to \
+               32.")
+
+let reopt_arg = Term.(const (Option.value ~default:32.0) $ reopt_opt)
+
+let perfect_arg =
+  Arg.(value & opt int 4 & info [ "perfect" ] ~docv:"N"
+         ~doc:"Size of the perfect-(N) estimator configuration.")
+
+let jobs_arg default =
+  let resolve jobs = if jobs = 0 then Rdb_util.Pool.default_jobs () else jobs in
+  Term.(
+    const resolve
+    $ Arg.(value & opt int default & info [ "jobs"; "j" ] ~docv:"N"
+             ~doc:"Worker domains (0 = one per core). Deterministic \
+                   measurements are identical at any count."))
+
+(* ---- the report path of the analysis commands ---- *)
+
+let add_findings acc ctx findings =
+  List.iter (fun (f : Finding.t) -> acc := (ctx, f) :: !acc) findings
+
+(* Print the collected (context, finding) pairs as "ctx: finding" and
+   return the error and warning counts. With [key], a finding already
+   printed under the same key is dropped and the rest are sorted errors
+   first, then by context and text, so CI output diffs cleanly across runs;
+   without it they print in collection order. [shown] filters what is
+   printed, not what is counted. *)
+let print_findings ?key ?(shown = fun _ -> true) acc =
+  let fs = List.rev !acc in
+  let fs =
+    match key with
+    | None -> fs
+    | Some key ->
+      let seen = Hashtbl.create 256 in
+      List.filter
+        (fun (ctx, f) ->
+          let k = (key ctx, Finding.to_string f) in
+          if Hashtbl.mem seen k then false else (Hashtbl.add seen k (); true))
+        fs
+      |> List.stable_sort (fun (c1, f1) (c2, f2) ->
+             compare
+               (Finding.rank f1, c1, Finding.to_string f1)
+               (Finding.rank f2, c2, Finding.to_string f2))
+  in
+  List.iter
+    (fun (ctx, f) ->
+      if shown f then Printf.printf "%s: %s\n" ctx (Finding.to_string f))
+    fs;
+  let count sev =
+    List.length (List.filter (fun (_, (f : Finding.t)) -> f.severity = sev) fs)
+  in
+  (count Finding.Error, count Finding.Warning)
+
+let exit_code n_errors = if n_errors > 0 then 1 else 0
+
+let write_json path doc =
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (J.to_string doc);
+          output_char oc '\n');
+      Printf.eprintf "report written to %s\n%!" path)
+    path
+
+(* ---- sessions and estimation modes ---- *)
 
 let mode_arg =
   let doc =
@@ -126,45 +200,66 @@ let feedback_store_save fb = function
     Printf.eprintf "feedback store saved to %s (%d entries)\n%!" path
       (Rdb_core.Feedback.size fb)
 
-(* ---- queries ---- *)
+(* ---- queries, sql ---- *)
 
 let cmd_queries =
   let run () =
-    List.iter
-      (fun (name, sql) ->
-        let tables =
-          String.split_on_char ',' sql |> List.length
-        in
-        ignore tables;
-        Printf.printf "%s\n" name)
-      Rdb_imdb.Job_queries.sql;
+    List.iter (fun (name, _) -> print_endline name) Rdb_imdb.Job_queries.sql;
     0
   in
   Cmd.v (Cmd.info "queries" ~doc:"List the 113 workload queries.")
     Term.(const run $ const ())
 
-(* ---- sql ---- *)
-
+(* An unknown name is a usage error (exit 2), caught before the database
+   is generated. *)
 let query_pos =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY"
-         ~doc:"Workload query name, e.g. 6d or 16b.")
+  let parse name =
+    match Rdb_imdb.Job_queries.sql_of name with
+    | Some _ -> Ok name
+    | None -> Error (`Msg ("unknown query " ^ name))
+  in
+  Arg.(required
+       & pos 0 (some (conv (parse, Format.pp_print_string))) None
+       & info [] ~docv:"QUERY" ~doc:"Workload query name, e.g. 6d or 16b.")
 
 let cmd_sql =
   let run name =
-    match Rdb_imdb.Job_queries.sql_of name with
-    | Some sql -> print_endline sql; 0
-    | None -> Printf.eprintf "unknown query %s\n" name; 2
+    print_endline (Option.get (Rdb_imdb.Job_queries.sql_of name));
+    0
   in
   Cmd.v (Cmd.info "sql" ~doc:"Print a workload query's SQL text.")
     Term.(const run $ query_pos)
 
-(* ---- explain ---- *)
+(* ---- explain, run ---- *)
 
 let pessimistic_arg =
   Arg.(value & flag & info [ "pessimistic" ]
          ~doc:"Clamp every cardinality estimate to the symbolic verifier's \
                sound [lo, hi] interval before costing. Changes plan choice \
                only, never query results.")
+
+(* explain and run share their set-up: parse --mode, load the --feedback
+   store, build the database and prepare the query. Once [k] has printed
+   its result, the store is saved back. *)
+let with_query_arg =
+  let with_query name scale seed mode_str feedback_path k =
+    match parse_mode mode_str with
+    | Error e -> prerr_endline e; 2
+    | Ok mode ->
+      let fb = feedback_store_of feedback_path in
+      let catalog, session = make_session ~feedback:fb ~scale ~seed () in
+      let q = Rdb_imdb.Job_queries.find catalog name in
+      let prepared = Session.prepare session q in
+      k ~catalog ~session q prepared (resolve_mode ~feedback:fb prepared mode);
+      feedback_store_save fb feedback_path;
+      Rdb_obs.Trace.flush ();
+      0
+  in
+  Term.(const with_query $ query_pos $ scale_arg 0.3 $ seed_arg $ mode_arg
+        $ feedback_path_arg)
+
+let print_aggs aggs =
+  List.iter (fun v -> print_endline ("  " ^ Value.to_string v)) aggs
 
 let cmd_explain =
   let analyze_arg =
@@ -178,119 +273,85 @@ let cmd_explain =
            ~doc:"With --analyze: execute with Cuttlefish-style runtime \
                  operator switching, so demotions show in the output.")
   in
-  let trigger_arg =
-    Arg.(value & opt float 32.0 & info [ "reopt" ] ~docv:"THRESHOLD"
-           ~doc:"With --analyze: Q-error threshold of the trigger marker.")
-  in
   let bounds_arg =
     Arg.(value & flag & info [ "bounds" ]
            ~doc:"Print the symbolic verifier's sound cardinality interval \
                  next to each operator's estimated (and actual) rows.")
   in
-  let run name scale seed mode_str feedback_path analyze adaptive threshold
-      pessimistic bounds =
-    match parse_mode mode_str with
-    | Error e -> prerr_endline e; 2
-    | Ok mode ->
-      let fb = feedback_store_of feedback_path in
-      let catalog, session = make_session ~feedback:fb ~scale ~seed () in
-      let q = Rdb_imdb.Job_queries.find catalog name in
-      let prepared = Session.prepare session q in
-      let mode = resolve_mode ~feedback:fb prepared mode in
-      let plan, pstats, _ = Session.plan ~pessimistic prepared ~mode in
-      Printf.printf "planning: %d csg-cmp pairs, %.2fms\n\n"
-        pstats.Rdb_plan.Optimizer.pairs_considered
-        pstats.Rdb_plan.Optimizer.plan_ms;
-      if analyze then begin
-        let res = Session.execute ~adaptive prepared plan in
-        print_string
-          (Rdb_core.Explain_analyze.render ~bounds
-             ~trigger:(Trigger.create threshold) prepared plan res);
-        List.iter
-          (fun v -> print_endline ("  " ^ Value.to_string v))
-          res.Executor.aggs
-      end
-      else begin
-        let oracle = Session.oracle prepared in
-        let notes =
-          if not bounds then fun _ -> []
-          else begin
-            let ctx =
-              Rdb_verify.Card_bound.create ~catalog
-                ~stats:(Session.stats session) q
-            in
-            fun set ->
-              let lo, hi = Rdb_verify.Card_bound.interval ctx set in
-              [ Printf.sprintf "bounds=[%.0f, %.0f]" lo hi ]
-          end
-        in
-        print_string
-          (Rdb_plan.Explain.render
-             ~actuals:(fun set -> Some (Oracle.true_card oracle set))
-             ~notes q plan)
-      end;
-      feedback_store_save fb feedback_path;
-      Rdb_obs.Trace.flush ();
-      0
+  let run with_query analyze adaptive threshold pessimistic bounds =
+    with_query (fun ~catalog ~session q prepared mode ->
+        let plan, pstats, _ = Session.plan ~pessimistic prepared ~mode in
+        Printf.printf "planning: %d csg-cmp pairs, %.2fms\n\n"
+          pstats.Rdb_plan.Optimizer.pairs_considered
+          pstats.Rdb_plan.Optimizer.plan_ms;
+        if analyze then begin
+          let res = Session.execute ~adaptive prepared plan in
+          print_string
+            (Rdb_core.Explain_analyze.render ~bounds
+               ~trigger:(Trigger.create threshold) prepared plan res);
+          print_aggs res.Executor.aggs
+        end
+        else begin
+          let oracle = Session.oracle prepared in
+          let notes =
+            if not bounds then fun _ -> []
+            else begin
+              let ctx =
+                Rdb_verify.Card_bound.create ~catalog
+                  ~stats:(Session.stats session) q
+              in
+              fun set ->
+                let lo, hi = Rdb_verify.Card_bound.interval ctx set in
+                [ Printf.sprintf "bounds=[%.0f, %.0f]" lo hi ]
+            end
+          in
+          print_string
+            (Rdb_plan.Explain.render
+               ~actuals:(fun set -> Some (Oracle.true_card oracle set))
+               ~notes q plan)
+        end)
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:
          "Plan a query and print EXPLAIN with true cardinalities; with \
           --analyze, execute it and print EXPLAIN ANALYZE (actual rows, \
-          Q-error, work, adaptive switches, re-opt trigger); with --bounds, \
-          show the verifier's sound cardinality interval per operator. With \
-          --analyze and --feedback PATH, observed true cardinalities are \
-          persisted for later feedback-mode planning.")
-    Term.(const run $ query_pos $ scale_arg $ seed_arg $ mode_arg
-          $ feedback_path_arg $ analyze_arg $ adaptive_arg $ trigger_arg
+          Q-error, work, adaptive switches, the join the --reopt trigger \
+          would materialize); with --bounds, show the verifier's sound \
+          cardinality interval per operator. With --analyze and --feedback \
+          PATH, observed true cardinalities are persisted for later \
+          feedback-mode planning.")
+    Term.(const run $ with_query_arg $ analyze_arg $ adaptive_arg $ reopt_arg
           $ pessimistic_arg $ bounds_arg)
 
-(* ---- run ---- *)
-
-let reopt_arg =
-  Arg.(value & opt (some float) None & info [ "reopt" ] ~docv:"THRESHOLD"
-         ~doc:"Enable re-optimization at the given Q-error threshold.")
-
 let cmd_run =
-  let run name scale seed mode_str feedback_path reopt pessimistic =
-    match parse_mode mode_str with
-    | Error e -> prerr_endline e; 2
-    | Ok mode ->
-      let fb = feedback_store_of feedback_path in
-      let catalog, session = make_session ~feedback:fb ~scale ~seed () in
-      let q = Rdb_imdb.Job_queries.find catalog name in
-      let prepared = Session.prepare session q in
-      let mode = resolve_mode ~feedback:fb prepared mode in
-      (match reopt with
-       | None ->
-         let plan, pstats, _ = Session.plan ~pessimistic prepared ~mode in
-         let res = Session.execute prepared plan in
-         Printf.printf
-           "plan %.2fms | exec %.2fms | %d rows into aggregates | work %d\n"
-           pstats.Rdb_plan.Optimizer.plan_ms res.Executor.elapsed_ms
-           res.Executor.out_rows res.Executor.work;
-         List.iter (fun v -> print_endline ("  " ^ Value.to_string v)) res.Executor.aggs
-       | Some threshold ->
-         let outcome =
-           Reopt.run ~initial:prepared session
-             ~trigger:(Trigger.create threshold) ~mode q
-         in
-         Printf.printf
-           "reopt steps %d | plan %.2fms | exec %.2fms (materializations included)\n"
-           (List.length outcome.Reopt.steps)
-           outcome.Reopt.total_plan_ms outcome.Reopt.total_exec_ms;
-         List.iter
-           (fun (s : Reopt.step) ->
-             Printf.printf "  step: {%s} -> %s (%d rows, q-error %.0f)\n"
-               (String.concat "," s.Reopt.materialized_aliases)
-               s.Reopt.temp_name s.Reopt.temp_rows s.Reopt.trigger_q_error)
-           outcome.Reopt.steps;
-         List.iter
-           (fun v -> print_endline ("  " ^ Value.to_string v))
-           outcome.Reopt.final_exec.Executor.aggs);
-      feedback_store_save fb feedback_path;
-      0
+  let run with_query reopt pessimistic =
+    with_query (fun ~catalog:_ ~session q prepared mode ->
+        match reopt with
+        | None ->
+          let plan, pstats, _ = Session.plan ~pessimistic prepared ~mode in
+          let res = Session.execute prepared plan in
+          Printf.printf
+            "plan %.2fms | exec %.2fms | %d rows into aggregates | work %d\n"
+            pstats.Rdb_plan.Optimizer.plan_ms res.Executor.elapsed_ms
+            res.Executor.out_rows res.Executor.work;
+          print_aggs res.Executor.aggs
+        | Some threshold ->
+          let outcome =
+            Reopt.run ~initial:prepared session
+              ~trigger:(Trigger.create threshold) ~mode q
+          in
+          Printf.printf
+            "reopt steps %d | plan %.2fms | exec %.2fms (materializations included)\n"
+            (List.length outcome.Reopt.steps)
+            outcome.Reopt.total_plan_ms outcome.Reopt.total_exec_ms;
+          List.iter
+            (fun (s : Reopt.step) ->
+              Printf.printf "  step: {%s} -> %s (%d rows, q-error %.0f)\n"
+                (String.concat "," s.Reopt.materialized_aliases)
+                s.Reopt.temp_name s.Reopt.temp_rows s.Reopt.trigger_q_error)
+            outcome.Reopt.steps;
+          print_aggs outcome.Reopt.final_exec.Executor.aggs)
   in
   Cmd.v
     (Cmd.info "run"
@@ -299,85 +360,86 @@ let cmd_run =
           PATH, true cardinalities observed during execution (including \
           those paid for by re-optimization's materializations, re-keyed \
           to the original query) persist across invocations.")
-    Term.(const run $ query_pos $ scale_arg $ seed_arg $ mode_arg
-          $ feedback_path_arg $ reopt_arg $ pessimistic_arg)
+    Term.(const run $ with_query_arg $ reopt_opt $ pessimistic_arg)
 
 (* ---- experiment ---- *)
 
 let cmd_experiment =
-  let exp_pos =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"EXPERIMENT"
-           ~doc:(Printf.sprintf "One of: %s."
-                   (String.concat ", " Rdb_harness.Experiments.names)))
+  let module Experiments = Rdb_harness.Experiments in
+  let module Metrics = Rdb_obs.Metrics in
+  let names_arg =
+    let names = "all" :: Experiments.names in
+    Arg.(non_empty
+         & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+         & info [] ~docv:"NAME"
+             ~doc:(Printf.sprintf "Experiments to run, in order: %s; or all."
+                     (String.concat ", " Experiments.names)))
   in
-  let jobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Shard the experiment's (config, query) grid across N \
-                 domains (0 = one per core). Deterministic measurements \
-                 are identical to a sequential run.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Also dump the engine's metrics registry (plans built, DP \
-                 pairs, re-opt steps, work units, adaptive switches, …) \
-                 for this experiment as JSON to PATH.")
-  in
-  let run name scale seed jobs json_path =
-    let jobs = if jobs = 0 then Rdb_util.Pool.default_jobs () else jobs in
+  let run names scale seed jobs json_path =
+    let names = if List.mem "all" names then Experiments.names else names in
     let lab = Rdb_harness.Runner.create_lab ~seed ~scale () in
-    (try
-       let before = Rdb_obs.Metrics.snapshot () in
-       print_endline (Rdb_harness.Experiments.run ~jobs lab name);
-       (match json_path with
-        | None -> ()
-        | Some path ->
-          let after = Rdb_obs.Metrics.snapshot () in
-          let module J = Rdb_obs.Json in
-          let counters =
-            List.map
-              (fun (k, v) -> (k, J.Int v))
-              (Rdb_obs.Metrics.diff_counters ~after ~before)
+    (* Per-experiment engine counters (plans built, DP pairs, re-opt
+       steps, work, switches) plus run totals: deterministic at a fixed
+       scale and seed, so reports are comparable across commits. Only the
+       elapsed seconds are wall-clock. *)
+    let reports =
+      List.map
+        (fun name ->
+          let t0 = Unix.gettimeofday () and before = Metrics.snapshot () in
+          print_endline (Experiments.run ~jobs lab name);
+          let elapsed = Unix.gettimeofday () -. t0 in
+          Printf.eprintf "[%s done in %.1fs]\n%!" name elapsed;
+          let deltas =
+            Metrics.diff_counters ~after:(Metrics.snapshot ()) ~before
           in
-          let doc =
-            J.Obj
-              [ ("experiment", J.Str name);
-                ("scale", J.Float scale);
-                ("seed", J.Int seed);
-                ("jobs", J.Int jobs);
-                ("metrics", J.Obj counters);
-                ("totals", Rdb_obs.Metrics.to_json after) ]
-          in
-          let oc = open_out path in
-          output_string oc (J.to_string doc);
-          output_char oc '\n';
-          close_out oc;
-          Printf.eprintf "metrics written to %s\n%!" path);
-       0
-     with Invalid_argument e -> prerr_endline e; 1)
+          J.Obj
+            [ ("name", J.Str name);
+              ("elapsed_s", J.Float elapsed);
+              ("metrics", J.Obj (List.map (fun (k, v) -> (k, J.Int v)) deltas)) ])
+        names
+    in
+    write_json json_path
+      (J.Obj
+         [ ( "meta",
+             J.Obj
+               [ ("scale", J.Float scale);
+                 ("seed", J.Int seed);
+                 ("jobs", J.Int jobs) ] );
+           ("experiments", J.List reports);
+           ("totals", Metrics.to_json (Metrics.snapshot ())) ]);
+    0
   in
-  Cmd.v (Cmd.info "experiment" ~doc:"Regenerate one of the paper's tables/figures.")
-    Term.(const run $ exp_pos $ scale_arg $ seed_arg $ jobs_arg $ json_arg)
+  Cmd.v
+    (Cmd.info "experiment"
+       ~doc:
+         "Regenerate the paper's tables and figures (see DESIGN.md for the \
+          index). --jobs shards each experiment's (config, query) grid \
+          across domains; work units, caps and re-optimization steps are \
+          identical to a sequential run, only wall-clock figures move.")
+    Term.(const run $ names_arg $ scale_arg 0.3 $ seed_arg $ jobs_arg 1
+          $ json_arg)
 
-(* ---- lint ---- *)
+(* ---- lint, resources, verify ---- *)
+
+(* The re-optimization pass of the lint and verify sweeps: budgeted like
+   the experiments, with the temp tables kept in the catalog while [k]
+   inspects the outcome and dropped afterwards. *)
+let reopt_sweep ?lint ~threshold session prepared q k =
+  let outcome =
+    Reopt.run ?lint ~work_budget:60_000_000 ~deadline_ms:4000.0 ~cleanup:false
+      ~initial:prepared session ~trigger:(Trigger.create threshold)
+      ~mode:Estimator.Default q
+  in
+  k outcome;
+  List.iter
+    (fun (s : Reopt.step) ->
+      Catalog.drop_table (Session.catalog session) s.Reopt.temp_name;
+      Rdb_stats.Db_stats.drop (Session.stats session) ~table:s.Reopt.temp_name)
+    outcome.Reopt.steps
 
 let cmd_lint =
-  let module Finding = Rdb_analysis.Finding in
   let module Query_lint = Rdb_analysis.Query_lint in
   let module Plan_lint = Rdb_analysis.Plan_lint in
-  let lint_scale_arg =
-    Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"FACTOR"
-           ~doc:"Database scale factor. The lint sweep executes every \
-                 re-optimization materialization, so it defaults to a \
-                 smaller database than the experiment commands.")
-  in
-  let threshold_arg =
-    Arg.(value & opt float 32.0 & info [ "reopt" ] ~docv:"THRESHOLD"
-           ~doc:"Q-error threshold of the re-optimization sweep.")
-  in
-  let perfect_arg =
-    Arg.(value & opt int 4 & info [ "perfect" ] ~docv:"N"
-           ~doc:"The perfect-(N) estimator configuration to sweep.")
-  in
   let source_arg =
     Arg.(value & flag & info [ "source" ]
            ~doc:"Also run the source-level concurrency analyzer (racecheck) \
@@ -388,15 +450,8 @@ let cmd_lint =
     let catalog, session = make_session ~scale ~seed () in
     let queries = Rdb_imdb.Job_queries.all catalog in
     let n_plans = ref 0 and n_steps = ref 0 and n_capped = ref 0 in
-    (* Findings are collected, deduplicated and sorted before printing:
-       several hooks see the same artifact (Query_lint runs standalone and
-       inside every per-config plan check), and a stable
-       severity-then-query order keeps CI output diffable across runs. *)
-    let collected : (string * Finding.t) list ref = ref [] in
-    let report ctx findings =
-      List.iter (fun (f : Finding.t) -> collected := (ctx, f) :: !collected)
-        findings
-    in
+    let collected = ref [] in
+    let report = add_findings collected in
     List.iter
       (fun (q : Rdb_query.Query.t) ->
         let name = q.Rdb_query.Query.name in
@@ -435,7 +490,7 @@ let cmd_lint =
                   (Printf.sprintf "%s [%s]" name label)
                   (Rdb_analysis.Resource.findings q cert)
               end
-            (* With RDB_LINT=1 in the environment the in-loop hook raises
+            (* With RDB_LINT on in the environment the in-loop hook raises
                before we can report; keep sweeping the other configs. *)
             | exception Rdb_analysis.Debug.Lint_failed findings ->
               report (Printf.sprintf "%s [%s]" name label) findings)
@@ -447,105 +502,55 @@ let cmd_lint =
            itself (raising on error findings); on success, re-lint the
            rewrite steps here to surface warning-severity findings too. *)
         (match
-           Reopt.run ~lint:true ~work_budget:60_000_000 ~deadline_ms:4000.0
-             ~cleanup:false ~initial:prepared session
-             ~trigger:(Trigger.create threshold) ~mode:Estimator.Default q
-         with
-         | outcome ->
-           incr n_plans;
-           List.iter
-             (fun (s : Reopt.step) ->
-               incr n_steps;
+           reopt_sweep ~lint:true ~threshold session prepared q (fun outcome ->
+               incr n_plans;
+               List.iter
+                 (fun (s : Reopt.step) ->
+                   incr n_steps;
+                   report
+                     (Printf.sprintf "%s [reopt step %s]" name s.Reopt.temp_name)
+                     (Query_lint.check ~catalog s.Reopt.query_after))
+                 outcome.Reopt.steps;
                report
-                 (Printf.sprintf "%s [reopt step %s]" name s.Reopt.temp_name)
-                 (Query_lint.check ~catalog s.Reopt.query_after))
-             outcome.Reopt.steps;
-           report
-             (Printf.sprintf "%s [reopt final]" name)
-             (Plan_lint.check ~catalog outcome.Reopt.final_query
-                outcome.Reopt.final_plan);
-           List.iter
-             (fun (s : Reopt.step) ->
-               Catalog.drop_table catalog s.Reopt.temp_name;
-               Rdb_stats.Db_stats.drop (Session.stats session)
-                 ~table:s.Reopt.temp_name)
-             outcome.Reopt.steps
+                 (Printf.sprintf "%s [reopt final]" name)
+                 (Plan_lint.check ~catalog outcome.Reopt.final_query
+                    outcome.Reopt.final_plan))
+         with
+         | () -> ()
          | exception Executor.Work_budget_exceeded _ -> incr n_capped
          | exception Rdb_analysis.Debug.Lint_failed findings ->
            report (Printf.sprintf "%s [reopt]" name) findings))
       queries;
-    (* Fourth finding source, opt-in: the source-level concurrency
-       analyzer over the repository's own .ml tree. Context is the
-       space-free "file:line" so the shared dedupe key stays per-site. *)
+    (* Fifth and sixth finding sources, opt-in: the source-level
+       concurrency and exception-flow analyzers over the repository's own
+       .ml tree. Context is the space-free "file:line" so the dedupe key
+       stays per-site; annotation-hygiene findings appear in both reports
+       with identical site and message, so the key folds them. *)
     let n_source_files = ref 0 in
     if source then begin
-      match Rdb_srclint.Srclint.find_default_root () with
+      match Srclint.find_default_root () with
       | None ->
         report "source"
           [ Finding.warning ~code:"src-no-root"
               "cannot locate the repository's lib/ tree for --source" ]
       | Some root ->
-        let sr = Rdb_srclint.Srclint.analyze_tree ~root () in
-        n_source_files := List.length sr.Rdb_srclint.Srclint.files;
+        let races = Srclint.analyze_tree ~root () in
+        let flows = Srclint.analyze_exnflow_tree ~root () in
+        n_source_files := List.length races.Srclint.files;
         List.iter
-          (fun (i : Rdb_srclint.Srclint.item) ->
+          (fun (i : Srclint.item) ->
             report (Printf.sprintf "%s:%d" i.file i.line) [ i.finding ])
-          sr.Rdb_srclint.Srclint.items;
-        (* Sixth finding source: the exception-flow analyzer over the same
-           tree. Annotation-hygiene findings appear in both reports with
-           identical site and message, so the shared dedupe key folds
-           them. *)
-        let xr = Rdb_srclint.Srclint.analyze_exnflow_tree ~root () in
-        List.iter
-          (fun (i : Rdb_srclint.Srclint.item) ->
-            report (Printf.sprintf "%s:%d" i.file i.line) [ i.finding ])
-          xr.Rdb_srclint.Srclint.xitems
+          (races.Srclint.items @ flows.Srclint.items)
     end;
-    (* Dedupe: the same finding reported for the same query by several
-       hooks/configs (the config label in the context does not make it a
-       different finding) is printed once, under the first context that
-       produced it. *)
-    let seen = Hashtbl.create 256 in
-    let deduped =
-      List.filter
-        (fun (ctx, (f : Finding.t)) ->
-          let base =
-            match String.index_opt ctx ' ' with
-            | Some i -> String.sub ctx 0 i
-            | None -> ctx
-          in
-          let key = (base, Finding.to_string f) in
-          if Hashtbl.mem seen key then false
-          else (Hashtbl.add seen key (); true))
-        (List.rev !collected)
+    (* The same finding reported for the same query by several hooks or
+       configs is one finding: the config label after the first space of
+       the context does not make it a different one. *)
+    let base ctx =
+      match String.index_opt ctx ' ' with
+      | Some i -> String.sub ctx 0 i
+      | None -> ctx
     in
-    let sev_rank (f : Finding.t) =
-      match f.Finding.severity with
-      | Finding.Error -> 0
-      | Finding.Warning -> 1
-      | Finding.Info -> 2
-    in
-    let sorted =
-      List.stable_sort
-        (fun (c1, f1) (c2, f2) ->
-          match compare (sev_rank f1) (sev_rank f2) with
-          | 0 -> (
-            match compare c1 c2 with
-            | 0 -> compare (Finding.to_string f1) (Finding.to_string f2)
-            | c -> c)
-          | c -> c)
-        deduped
-    in
-    List.iter
-      (fun (ctx, f) -> Printf.printf "%s: %s\n" ctx (Finding.to_string f))
-      sorted;
-    let n_errors =
-      List.length
-        (List.filter (fun (_, f) -> sev_rank f = 0) sorted)
-    and n_warnings =
-      List.length
-        (List.filter (fun (_, f) -> sev_rank f = 1) sorted)
-    in
+    let n_errors, n_warnings = print_findings ~key:base collected in
     Printf.printf
       "lint: %d queries, %d plans, %d rewrite steps%s checked (%d runaway \
        cells capped); %d errors, %d warnings\n"
@@ -553,7 +558,7 @@ let cmd_lint =
       (if source then Printf.sprintf ", %d source files" !n_source_files
        else "")
       !n_capped n_errors n_warnings;
-    if n_errors > 0 then 1 else 0
+    exit_code n_errors
   in
   Cmd.v
     (Cmd.info "lint"
@@ -567,28 +572,14 @@ let cmd_lint =
           concurrency and exception-flow analyzers' findings on the \
           repository's own lib/ tree are merged in. Exits non-zero on \
           error-severity findings.")
-    Term.(const run $ lint_scale_arg $ seed_arg $ threshold_arg $ perfect_arg
+    Term.(const run $ scale_arg 0.1 $ seed_arg $ reopt_arg $ perfect_arg
           $ source_arg)
 
 (* ---- resources ---- *)
 
 let cmd_resources =
-  let module Finding = Rdb_analysis.Finding in
   let module Resource = Rdb_analysis.Resource in
   let module Interval = Rdb_cost.Interval in
-  let module J = Rdb_obs.Json in
-  let res_scale_arg =
-    Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"FACTOR"
-           ~doc:"Database scale factor. The sweep executes every query to \
-                 hold the certificates against observed peaks, so it \
-                 defaults to the lint-sized database.")
-  in
-  let threshold_arg =
-    Arg.(value & opt float 32.0 & info [ "reopt" ] ~docv:"THRESHOLD"
-           ~doc:"Q-error threshold of the certified re-opt transition \
-                 simulation (thrashing and useless-materialization \
-                 analysis).")
-  in
   let budget_arg =
     Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SLOTS"
            ~doc:"Report an error finding for every query whose certified \
@@ -596,21 +587,12 @@ let cmd_resources =
                  decision `reoptdb serve --mem-budget` would make, as an \
                  offline sweep.")
   in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write the sweep report — wall time plus every query's \
-                 certified intervals and observed peak/work — as JSON to \
-                 PATH (the BENCH_resources.json artifact).")
-  in
   let run scale seed threshold budget json_path =
     let catalog, session = make_session ~scale ~seed () in
     let queries = Rdb_imdb.Job_queries.all catalog in
     let t0 = Unix.gettimeofday () in
-    let collected : (string * Finding.t) list ref = ref [] in
-    let report ctx findings =
-      List.iter (fun (f : Finding.t) -> collected := (ctx, f) :: !collected)
-        findings
-    in
+    let collected = ref [] in
+    let report = add_findings collected in
     let n_capped = ref 0 and n_thrash = ref 0 and rows = ref [] in
     (* Tolerance for holding integer executor counters against float
        interval endpoints. *)
@@ -632,43 +614,36 @@ let cmd_resources =
            of the full execution, so hi-bounds apply; lo-bounds only
            constrain complete runs. *)
         let unsound what v (i : Interval.t) ~capped =
-          let out = ref [] in
-          if v > i.Interval.hi +. slack then
-            out :=
-              [ Finding.error ~code:"resource-cert-unsound"
-                  (Printf.sprintf
-                     "observed %s %.0f exceeds certified hi-bound %.1f" what v
-                     i.Interval.hi) ];
-          if (not capped) && v < i.Interval.lo -. slack then
-            out :=
-              Finding.error ~code:"resource-cert-unsound"
-                (Printf.sprintf
-                   "observed %s %.0f undercuts certified lo-bound %.1f" what v
-                   i.Interval.lo)
-              :: !out;
-          !out
+          let v = float_of_int v in
+          let escape verb side bound =
+            [ Finding.error ~code:"resource-cert-unsound"
+                (Printf.sprintf "observed %s %.0f %s certified %s-bound %.1f"
+                   what v verb side bound) ]
+          in
+          (if (not capped) && v < i.Interval.lo -. slack then
+             escape "undercuts" "lo" i.Interval.lo
+           else [])
+          @
+          if v > i.Interval.hi +. slack then escape "exceeds" "hi" i.Interval.hi
+          else []
         in
-        let observed =
+        let peak, work, capped =
           match
             Session.execute ~work_budget:60_000_000 ~deadline_ms:4000.0
               prepared plan
           with
           | res ->
-            let w = float_of_int res.Executor.work
-            and p = float_of_int res.Executor.peak_rows
-            and o = float_of_int res.Executor.out_rows in
-            report name (unsound "work" w cert.Resource.cert_work ~capped:false);
-            report name
-              (unsound "peak memory" p cert.Resource.cert_mem ~capped:false);
-            report name
-              (unsound "output rows" o cert.Resource.cert_out ~capped:false);
-            Some (res.Executor.peak_rows, res.Executor.work, false)
+            List.iter
+              (fun (what, v, i) -> report name (unsound what v i ~capped:false))
+              [ ("work", res.Executor.work, cert.Resource.cert_work);
+                ("peak memory", res.Executor.peak_rows, cert.Resource.cert_mem);
+                ("output rows", res.Executor.out_rows, cert.Resource.cert_out) ];
+            (res.Executor.peak_rows, res.Executor.work, false)
           | exception Executor.Work_budget_exceeded { spent; _ } ->
             incr n_capped;
             report name
-              (unsound "work" (float_of_int spent) cert.Resource.cert_work
-                 ~capped:true);
-            Some (0, spent, true)
+              (unsound "work" spent cert.Resource.cert_work ~capped:true);
+            (0, spent, true)
         in
         let iv_doc (i : Interval.t) =
           J.Obj [ ("lo", J.Float i.Interval.lo); ("hi", J.Float i.Interval.hi) ]
@@ -686,78 +661,30 @@ let cmd_resources =
                 | Some ro ->
                   [ ("predicted_replans", J.Int ro.Resource.ro_predicted_replans);
                     ("thrashing", J.Bool (ro.Resource.ro_thrashing <> None)) ])
-             @
-             match observed with
-             | None -> []
-             | Some (peak, work, capped) ->
-               [ ("observed_peak", J.Int peak);
+             @ [ ("observed_peak", J.Int peak);
                  ("observed_work", J.Int work);
                  ("capped", J.Bool capped) ])
           :: !rows)
       queries;
-    (* Same reporting discipline as lint: dedupe per query, severity-then-
-       query stable order, so CI output diffs cleanly. *)
-    let seen = Hashtbl.create 256 in
-    let deduped =
-      List.filter
-        (fun (ctx, (f : Finding.t)) ->
-          let key = (ctx, Finding.to_string f) in
-          if Hashtbl.mem seen key then false
-          else (Hashtbl.add seen key (); true))
-        (List.rev !collected)
-    in
-    let sev_rank (f : Finding.t) =
-      match f.Finding.severity with
-      | Finding.Error -> 0
-      | Finding.Warning -> 1
-      | Finding.Info -> 2
-    in
-    let sorted =
-      List.stable_sort
-        (fun (c1, f1) (c2, f2) ->
-          match compare (sev_rank f1) (sev_rank f2) with
-          | 0 -> (
-            match compare c1 c2 with
-            | 0 -> compare (Finding.to_string f1) (Finding.to_string f2)
-            | c -> c)
-          | c -> c)
-        deduped
-    in
-    List.iter
-      (fun (ctx, f) -> Printf.printf "%s: %s\n" ctx (Finding.to_string f))
-      sorted;
-    let n_errors =
-      List.length (List.filter (fun (_, f) -> sev_rank f = 0) sorted)
-    and n_warnings =
-      List.length (List.filter (fun (_, f) -> sev_rank f = 1) sorted)
-    in
+    (* Same reporting discipline as lint, deduplicated per query. *)
+    let n_errors, n_warnings = print_findings ~key:Fun.id collected in
     let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
     Printf.printf
       "resources: %d queries certified and executed (%d capped, %d \
        simulated thrashers) in %.0fms; %d errors, %d warnings\n"
       (List.length queries) !n_capped !n_thrash wall_ms n_errors n_warnings;
-    (match json_path with
-     | None -> ()
-     | Some path ->
-       let doc =
-         J.Obj
-           [ ("report", J.Str "resources");
-             ("scale", J.Float scale);
-             ("seed", J.Int seed);
-             ("threshold", J.Float threshold);
-             ( "budget",
-               match budget with Some b -> J.Float b | None -> J.Null );
-             ("wall_ms", J.Float wall_ms);
-             ("errors", J.Int n_errors);
-             ("warnings", J.Int n_warnings);
-             ("queries", J.List (List.rev !rows)) ]
-       in
-       let oc = open_out path in
-       output_string oc (J.to_string doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.eprintf "resources report written to %s\n%!" path);
-    if n_errors > 0 then 1 else 0
+    write_json json_path
+      (J.Obj
+         [ ("report", J.Str "resources");
+           ("scale", J.Float scale);
+           ("seed", J.Int seed);
+           ("threshold", J.Float threshold);
+           ("budget", match budget with Some b -> J.Float b | None -> J.Null);
+           ("wall_ms", J.Float wall_ms);
+           ("errors", J.Int n_errors);
+           ("warnings", J.Int n_warnings);
+           ("queries", J.List (List.rev !rows)) ]);
+    exit_code n_errors
   in
   Cmd.v
     (Cmd.info "resources"
@@ -765,34 +692,21 @@ let cmd_resources =
          "Certify every workload query's default plan — sound \
           [lo, hi] bounds on peak resident memory (row-slots), total \
           executor work and output rows, a structural worst-case replan \
-          count, and a simulated re-opt transition graph with thrashing \
-          and useless-materialization detection — then execute it and \
-          hold the certificate against the observed counters. Exits 1 on \
-          any unsound certificate, malformed interval, or (with --budget) \
-          over-budget query; 0 otherwise.")
-    Term.(const run $ res_scale_arg $ seed_arg $ threshold_arg $ budget_arg
+          count, and a simulated re-opt transition graph at the --reopt \
+          threshold with thrashing and useless-materialization detection \
+          — then execute it and hold the certificate against the observed \
+          counters. --json writes every query's certified intervals and \
+          observed peak/work (the BENCH_resources.json artifact). Exits 1 \
+          on any unsound certificate, malformed interval, or (with \
+          --budget) over-budget query; 0 otherwise.")
+    Term.(const run $ scale_arg 0.1 $ seed_arg $ reopt_arg $ budget_arg
           $ json_arg)
 
 (* ---- verify ---- *)
 
 let cmd_verify =
-  let module Finding = Rdb_analysis.Finding in
   let module Card_bound = Rdb_verify.Card_bound in
   let module Equiv = Rdb_verify.Equiv in
-  let verify_scale_arg =
-    Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"FACTOR"
-           ~doc:"Database scale factor. Like lint, the verify sweep \
-                 executes every re-optimization materialization, so it \
-                 defaults to a smaller database.")
-  in
-  let threshold_arg =
-    Arg.(value & opt float 32.0 & info [ "reopt" ] ~docv:"THRESHOLD"
-           ~doc:"Q-error threshold of the re-optimization sweep.")
-  in
-  let perfect_arg =
-    Arg.(value & opt int 4 & info [ "perfect" ] ~docv:"N"
-           ~doc:"The perfect-(N) estimator configuration to sweep.")
-  in
   let gen_arg =
     Arg.(value & opt int 20 & info [ "gen" ] ~docv:"N"
            ~doc:"Also bound-check the plans of N generated queries (random \
@@ -808,21 +722,9 @@ let cmd_verify =
     Printf.printf
       "verify: seed=%d scale=%g reopt-threshold=%g perfect=%d gen=%d\n" seed
       scale threshold perfect_n n_gen;
-    let n_errors = ref 0 and n_warnings = ref 0 in
-    let n_plans = ref 0 and n_proved = ref 0 and n_capped = ref 0 in
-    let report ctx findings =
-      List.iter
-        (fun (f : Finding.t) ->
-          (match f.Finding.severity with
-           | Finding.Error -> incr n_errors
-           | Finding.Warning -> incr n_warnings
-           | Finding.Info -> ());
-          if f.Finding.severity <> Finding.Info then
-            Printf.printf "%s: %s\n" ctx (Finding.to_string f))
-        findings;
-      n_proved := !n_proved
-        + List.length (Finding.by_code "rewrite-proved" findings)
-    in
+    let n_plans = ref 0 and n_capped = ref 0 in
+    let collected = ref [] in
+    let report = add_findings collected in
     (* The generated data must actually satisfy the schema's declared
        keys/FKs — they are what make the bounds sound. Checked once. *)
     report "constraints" (Card_bound.check_constraints catalog);
@@ -853,38 +755,31 @@ let cmd_verify =
            its pre-step query, and bound-check the final plan against the
            final query (temp tables still in the catalog). *)
         (match
-           Reopt.run ~work_budget:60_000_000 ~deadline_ms:4000.0
-             ~cleanup:false ~initial:prepared session
-             ~trigger:(Trigger.create threshold) ~mode:Estimator.Default q
+           reopt_sweep ~threshold session prepared q (fun outcome ->
+               let q_prev = ref q in
+               List.iter
+                 (fun (s : Reopt.step) ->
+                   let temp_cols =
+                     Reopt.needed_cols !q_prev s.Reopt.materialized_set
+                   in
+                   report
+                     (Printf.sprintf "%s [reopt step %s]" name s.Reopt.temp_name)
+                     (Equiv.check_step ~catalog ~original:!q_prev
+                        ~set:s.Reopt.materialized_set ~temp_cols
+                        ~temp_name:s.Reopt.temp_name s.Reopt.query_after);
+                   q_prev := s.Reopt.query_after)
+                 outcome.Reopt.steps;
+               if outcome.Reopt.steps <> [] then begin
+                 let fbounds =
+                   Card_bound.create ~catalog ~stats outcome.Reopt.final_query
+                 in
+                 incr n_plans;
+                 report
+                   (Printf.sprintf "%s [reopt final]" name)
+                   (Card_bound.check_plan fbounds outcome.Reopt.final_plan)
+               end)
          with
-         | outcome ->
-           let q_prev = ref q in
-           List.iter
-             (fun (s : Reopt.step) ->
-               let temp_cols =
-                 Reopt.needed_cols !q_prev s.Reopt.materialized_set
-               in
-               report
-                 (Printf.sprintf "%s [reopt step %s]" name s.Reopt.temp_name)
-                 (Equiv.check_step ~catalog ~original:!q_prev
-                    ~set:s.Reopt.materialized_set ~temp_cols
-                    ~temp_name:s.Reopt.temp_name s.Reopt.query_after);
-               q_prev := s.Reopt.query_after)
-             outcome.Reopt.steps;
-           (if outcome.Reopt.steps <> [] then begin
-              let fbounds =
-                Card_bound.create ~catalog ~stats outcome.Reopt.final_query
-              in
-              incr n_plans;
-              report
-                (Printf.sprintf "%s [reopt final]" name)
-                (Card_bound.check_plan fbounds outcome.Reopt.final_plan)
-            end);
-           List.iter
-             (fun (s : Reopt.step) ->
-               Catalog.drop_table catalog s.Reopt.temp_name;
-               Rdb_stats.Db_stats.drop stats ~table:s.Reopt.temp_name)
-             outcome.Reopt.steps
+         | () -> ()
          | exception Executor.Work_budget_exceeded _ -> incr n_capped
          | exception Rdb_verify.Debug.Verify_failed findings ->
            report (Printf.sprintf "%s [reopt]" name) findings
@@ -911,13 +806,22 @@ let cmd_verify =
            (Card_bound.check_plan bounds plan)
        done
      end);
+    (* Every finding in sweep order; the proofs are info-severity and only
+       counted. *)
+    let n_errors, n_warnings =
+      print_findings collected ~shown:(fun f -> f.Finding.severity <> Finding.Info)
+    in
+    let n_proved =
+      List.length
+        (List.filter (fun (_, f) -> f.Finding.code = "rewrite-proved") !collected)
+    in
     Printf.printf
       "verify: %d workload + %d generated queries, %d plans bound-checked, \
        %d rewrite steps proved equivalent (%d runaway cells capped); %d \
        errors, %d warnings\n"
-      (List.length queries) n_gen !n_plans !n_proved !n_capped !n_errors
-      !n_warnings;
-    if !n_errors > 0 then 1 else 0
+      (List.length queries) n_gen !n_plans n_proved !n_capped n_errors
+      n_warnings;
+    exit_code n_errors
   in
   Cmd.v
     (Cmd.info "verify"
@@ -930,21 +834,15 @@ let cmd_verify =
           query. A seeded generated-query sweep (--gen, --seed) adds fresh \
           join shapes beyond the fixed workload; the report header logs the \
           seed. Exits non-zero on error-severity findings.")
-    Term.(const run $ verify_scale_arg $ seed_arg $ threshold_arg
-          $ perfect_arg $ gen_arg)
+    Term.(const run $ scale_arg 0.1 $ seed_arg $ reopt_arg $ perfect_arg
+          $ gen_arg)
 
 (* ---- fragility ---- *)
 
 let cmd_fragility =
   let module Sensitivity = Rdb_analysis.Sensitivity in
   let module Card_bound = Rdb_verify.Card_bound in
-  let module J = Rdb_obs.Json in
   let thresholds = [ 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ] in
-  let frag_scale_arg =
-    Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"FACTOR"
-           ~doc:"Database scale factor. The sweep never executes queries; \
-                 scale only affects the statistics the estimates come from.")
-  in
   let envelope_arg =
     Arg.(value & opt float 64.0 & info [ "envelope" ] ~docv:"Q"
            ~doc:"Q-error envelope factor: each estimate's true value is \
@@ -965,10 +863,6 @@ let cmd_fragility =
   let queries_arg =
     Arg.(value & opt (some string) None & info [ "queries" ] ~docv:"LIST"
            ~doc:"Comma-separated query names to sweep (default: all 113).")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write the full per-query fragility report as JSON to PATH.")
   in
   let run scale seed env_factor no_bounds corner_limit queries_filter
       json_path =
@@ -992,7 +886,7 @@ let cmd_fragility =
       (String.concat ","
          (List.map (fun t -> Printf.sprintf "%g" t) thresholds));
     (* Per (threshold, metric) totals, accumulated query by query. *)
-    let n_finding_errors = ref 0 in
+    let collected = ref [] in
     let tally = Hashtbl.create 16 in
     let bump t key =
       let k = (t, key) in
@@ -1024,11 +918,10 @@ let cmd_fragility =
               ~space:(Session.space prepared) ~catalog ~estimator:est q plan
           in
           (* uniform exit-code contract: error-severity findings (interval
-             cost-model mismatches) make the sweep exit 1 like lint/verify *)
-          n_finding_errors :=
-            !n_finding_errors
-            + List.length
-                (Rdb_analysis.Finding.errors (Sensitivity.findings q report));
+             cost-model mismatches) make the sweep exit 1 like lint/verify;
+             the per-join findings are what the flip lines below report *)
+          add_findings collected name
+            (Finding.errors (Sensitivity.findings q report));
           let flips =
             List.filter
               (fun (f : Sensitivity.fragility) -> f.Sensitivity.frag_flips <> None)
@@ -1053,15 +946,10 @@ let cmd_fragility =
                 let predicted =
                   Sensitivity.predict_trigger ~envelope ~threshold:t q plan
                 in
-                let fragile =
-                  List.filter
+                let fragile, blind =
+                  List.partition
                     (fun (f : Sensitivity.fragility) ->
                       f.Sensitivity.frag_q_error >= t)
-                    flips
-                and blind =
-                  List.filter
-                    (fun (f : Sensitivity.fragility) ->
-                      f.Sensitivity.frag_q_error < t)
                     flips
                 in
                 let robust = predicted = None && flips = [] in
@@ -1112,29 +1000,19 @@ let cmd_fragility =
           t (count t "predicted") (count t "certain") (count t "fragile")
           (count t "blind") (count t "robust") (List.length queries))
       thresholds;
-    (match json_path with
-     | None -> ()
-     | Some path ->
-       let doc =
-         J.Obj
-           [ ("report", J.Str "fragility");
-             ("scale", J.Float scale);
-             ("seed", J.Int seed);
-             ("envelope", J.Float env_factor);
-             ("bounds", J.Bool (not no_bounds));
-             ("thresholds", J.List (List.map (fun t -> J.Float t) thresholds));
-             ("queries", J.List query_docs) ]
-       in
-       let oc = open_out path in
-       output_string oc (J.to_string doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.eprintf "fragility report written to %s\n%!" path);
-    if !n_finding_errors > 0 then begin
-      Printf.printf "fragility: %d error findings\n" !n_finding_errors;
-      1
-    end
-    else 0
+    let n_errors, _ = print_findings collected in
+    write_json json_path
+      (J.Obj
+         [ ("report", J.Str "fragility");
+           ("scale", J.Float scale);
+           ("seed", J.Int seed);
+           ("envelope", J.Float env_factor);
+           ("bounds", J.Bool (not no_bounds));
+           ("thresholds", J.List (List.map (fun t -> J.Float t) thresholds));
+           ("queries", J.List query_docs) ]);
+    if n_errors > 0 then
+      Printf.printf "fragility: %d error findings\n" n_errors;
+    exit_code n_errors
   in
   Cmd.v
     (Cmd.info "fragility"
@@ -1145,7 +1023,7 @@ let cmd_fragility =
           {2,4,8,16,32,64}, and corner-replan each join's envelope to find \
           the estimates the DP-optimal plan actually depends on. Never \
           executes a query.")
-    Term.(const run $ frag_scale_arg $ seed_arg $ envelope_arg
+    Term.(const run $ scale_arg 0.1 $ seed_arg $ envelope_arg
           $ no_bounds_arg $ corner_limit_arg $ queries_arg $ json_arg)
 
 (* ---- feedback ---- *)
@@ -1153,30 +1031,10 @@ let cmd_fragility =
 let cmd_feedback =
   let module Runner = Rdb_harness.Runner in
   let module FS = Rdb_harness.Feedback_sweep in
-  let module J = Rdb_obs.Json in
-  let fb_scale_arg =
-    Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"FACTOR"
-           ~doc:"Database scale factor of the sweep's lab.")
-  in
-  let jobs_arg =
-    Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N"
-           ~doc:"Shard the learning and measurement grids across N domains \
-                 (0 = one per core). Deterministic measurement fields are \
-                 identical to a sequential run.")
-  in
-  let perfect_arg =
-    Arg.(value & opt int 4 & info [ "perfect" ] ~docv:"N"
-           ~doc:"Size of the perfect-(N) yardstick configuration.")
-  in
   let reopt_learn_arg =
     Arg.(value & opt float 32.0 & info [ "reopt-learn" ] ~docv:"THRESHOLD"
            ~doc:"Q-error trigger of the re-optimizing learning pass whose \
                  materializations pay for true cardinalities.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write the full sweep report as JSON to PATH (the \
-                 BENCH_feedback.json artifact).")
   in
   let measurement_doc (m : Runner.measurement) =
     J.Obj
@@ -1190,7 +1048,6 @@ let cmd_feedback =
     J.Obj [ ("query", J.Str q); ("work_ratio", J.Float ratio) ]
   in
   let run scale seed jobs perfect_n reopt_learn json_path =
-    let jobs = if jobs = 0 then Rdb_util.Pool.default_jobs () else jobs in
     Printf.printf
       "feedback: seed=%d scale=%g jobs=%d perfect=%d reopt-learn=%g\n%!"
       seed scale jobs perfect_n reopt_learn;
@@ -1250,8 +1107,8 @@ let cmd_feedback =
     let gated_ok = r.FS.fr_gated_regressions = [] in
     let naive_hurts = r.FS.fr_naive_regressions <> [] in
     let check name ok detail =
-      Printf.printf "check %-32s %s%s\n" name (if ok then "ok" else "FAIL")
-        (if detail = "" then "" else " (" ^ detail ^ ")")
+      Printf.printf "check %-32s %s (%s)\n" name (if ok then "ok" else "FAIL")
+        detail
     in
     check "dp-pairs-identical" pairs_ok
       (Printf.sprintf "%d/%d/%d" r.FS.fr_default_pairs r.FS.fr_naive_pairs
@@ -1262,66 +1119,57 @@ let cmd_feedback =
       (Printf.sprintf "%d regressions" (List.length r.FS.fr_gated_regressions));
     check "naive-corrections-hurt-somewhere" naive_hurts
       (Printf.sprintf "%d regressions" (List.length r.FS.fr_naive_regressions));
-    (match json_path with
-     | None -> ()
-     | Some path ->
-       let doc =
-         J.Obj
-           [ ("report", J.Str "feedback");
-             ("scale", J.Float scale);
-             ("seed", J.Int seed);
-             ("perfect_n", J.Int r.FS.fr_perfect_n);
-             ("reopt_learn", J.Float r.FS.fr_reopt_learn);
-             ("store_size", J.Int r.FS.fr_store_size);
-             ( "planning",
-               J.Obj
-                 [ ("default_pairs", J.Int r.FS.fr_default_pairs);
-                   ("naive_pairs", J.Int r.FS.fr_naive_pairs);
-                   ("gated_pairs", J.Int r.FS.fr_gated_pairs);
-                   ("naive_lookups", J.Int r.FS.fr_naive_lookups);
-                   ("lookup_bound", J.Int r.FS.fr_lookup_bound) ] );
-             ( "totals",
-               J.Obj
-                 [ ("default_work", J.Int d_work);
-                   ("naive_work", J.Int n_work);
-                   ("gated_work", J.Int g_work);
-                   ("perfect_work", J.Int p_work);
-                   ("default_capped", J.Int d_capped);
-                   ("naive_capped", J.Int n_capped);
-                   ("gated_capped", J.Int g_capped);
-                   ("perfect_capped", J.Int p_capped) ] );
-             ( "naive_regressions",
-               J.List (List.map delta_doc r.FS.fr_naive_regressions) );
-             ( "naive_improvements",
-               J.List (List.map delta_doc r.FS.fr_naive_improvements) );
-             ( "gated_regressions",
-               J.List (List.map delta_doc r.FS.fr_gated_regressions) );
-             ( "gated_improvements",
-               J.List (List.map delta_doc r.FS.fr_gated_improvements) );
-             ( "checks",
-               J.Obj
-                 [ ("dp_pairs_identical", J.Bool pairs_ok);
-                   ("lookups_within_demand_bound", J.Bool lookups_ok);
-                   ("gated_never_materially_worse", J.Bool gated_ok);
-                   ("naive_corrections_hurt_somewhere", J.Bool naive_hurts) ] );
-             ( "queries",
-               J.List
-                 (List.map
-                    (fun (row : FS.row) ->
-                      J.Obj
-                        [ ("query", J.Str row.FS.fs_query);
-                          ("rels", J.Int row.FS.fs_rels);
-                          ("default", measurement_doc row.FS.fs_default);
-                          ("naive", measurement_doc row.FS.fs_naive);
-                          ("gated", measurement_doc row.FS.fs_gated);
-                          ("perfect", measurement_doc row.FS.fs_perfect) ])
-                    r.FS.fr_rows) ) ]
-       in
-       let oc = open_out path in
-       output_string oc (J.to_string doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.eprintf "feedback report written to %s\n%!" path);
+    write_json json_path
+      (J.Obj
+         [ ("report", J.Str "feedback");
+           ("scale", J.Float scale);
+           ("seed", J.Int seed);
+           ("perfect_n", J.Int r.FS.fr_perfect_n);
+           ("reopt_learn", J.Float r.FS.fr_reopt_learn);
+           ("store_size", J.Int r.FS.fr_store_size);
+           ( "planning",
+             J.Obj
+               [ ("default_pairs", J.Int r.FS.fr_default_pairs);
+                 ("naive_pairs", J.Int r.FS.fr_naive_pairs);
+                 ("gated_pairs", J.Int r.FS.fr_gated_pairs);
+                 ("naive_lookups", J.Int r.FS.fr_naive_lookups);
+                 ("lookup_bound", J.Int r.FS.fr_lookup_bound) ] );
+           ( "totals",
+             J.Obj
+               [ ("default_work", J.Int d_work);
+                 ("naive_work", J.Int n_work);
+                 ("gated_work", J.Int g_work);
+                 ("perfect_work", J.Int p_work);
+                 ("default_capped", J.Int d_capped);
+                 ("naive_capped", J.Int n_capped);
+                 ("gated_capped", J.Int g_capped);
+                 ("perfect_capped", J.Int p_capped) ] );
+           ( "naive_regressions",
+             J.List (List.map delta_doc r.FS.fr_naive_regressions) );
+           ( "naive_improvements",
+             J.List (List.map delta_doc r.FS.fr_naive_improvements) );
+           ( "gated_regressions",
+             J.List (List.map delta_doc r.FS.fr_gated_regressions) );
+           ( "gated_improvements",
+             J.List (List.map delta_doc r.FS.fr_gated_improvements) );
+           ( "checks",
+             J.Obj
+               [ ("dp_pairs_identical", J.Bool pairs_ok);
+                 ("lookups_within_demand_bound", J.Bool lookups_ok);
+                 ("gated_never_materially_worse", J.Bool gated_ok);
+                 ("naive_corrections_hurt_somewhere", J.Bool naive_hurts) ] );
+           ( "queries",
+             J.List
+               (List.map
+                  (fun (row : FS.row) ->
+                    J.Obj
+                      [ ("query", J.Str row.FS.fs_query);
+                        ("rels", J.Int row.FS.fs_rels);
+                        ("default", measurement_doc row.FS.fs_default);
+                        ("naive", measurement_doc row.FS.fs_naive);
+                        ("gated", measurement_doc row.FS.fs_gated);
+                        ("perfect", measurement_doc row.FS.fs_perfect) ])
+                  r.FS.fr_rows) ) ]);
     if pairs_ok && lookups_ok && gated_ok && naive_hurts then 0 else 1
   in
   Cmd.v
@@ -1332,69 +1180,39 @@ let cmd_feedback =
           whose materializations pay for true sub-join cardinalities) fill \
           the feedback store; the frozen store is then measured under \
           default, naive feedback, fragility-gated feedback, and \
-          perfect-(N). Exits 1 when gated corrections are materially worse \
-          than default anywhere, when feedback modes change the DPccp pair \
-          count, when store probes exceed the demand-driven bound, or when \
-          no query shows the paper's corrections-can-hurt effect.")
-    Term.(const run $ fb_scale_arg $ seed_arg $ jobs_arg $ perfect_arg
+          perfect-(N). --json writes the BENCH_feedback.json artifact. \
+          Exits 1 when gated corrections are materially worse than default \
+          anywhere, when feedback modes change the DPccp pair count, when \
+          store probes exceed the demand-driven bound, or when no query \
+          shows the paper's corrections-can-hurt effect.")
+    Term.(const run $ scale_arg 0.1 $ seed_arg $ jobs_arg 1 $ perfect_arg
           $ reopt_learn_arg $ json_arg)
 
 (* ---- serve ---- *)
 
-let serve_jobs_arg =
-  Arg.(value & opt int 0 & info [ "jobs"; "j" ] ~docv:"N"
-         ~doc:"Worker domains executing queries (0 = one per core).")
-
-let cache_arg =
-  Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N"
-         ~doc:"Plan cache capacity (LRU entries).")
-
-let serve_reopt_arg =
-  Arg.(value & opt (some float) None & info [ "reopt" ] ~docv:"THRESHOLD"
-         ~doc:"Enable mid-query re-optimization at the given Q-error \
-               threshold; improved plans are written back to the cache.")
-
-let revalidate_arg =
-  Arg.(value & flag & info [ "revalidate" ]
-         ~doc:"On stale cache entries, try proving the cached plan still \
-               inside the verifier's sound cardinality bounds before \
-               invalidating it.")
-
-let mem_budget_arg =
-  Arg.(value & opt (some float) None & info [ "mem-budget" ] ~docv:"SLOTS"
-         ~doc:"Admission control: reject any plan whose statically \
-               certified peak memory (row-slots) exceeds this budget. The \
-               certificate is a sound upper bound, so admitted queries \
-               provably stay within it.")
-
-let downgrade_arg =
-  Arg.(value & flag & info [ "downgrade" ]
-         ~doc:"With --mem-budget: run over-budget queries through the \
-               re-optimization loop instead of rejecting them.")
-
-let service_of ~scale ~seed ~jobs ~cache ~reopt ~revalidate ~mem_budget
-    ~downgrade =
-  let jobs = if jobs = 0 then Rdb_util.Pool.default_jobs () else jobs in
-  (* The serving session carries a feedback store: executions behind cache
-     hits and re-opt write-backs observe true cardinalities as a side
-     effect of serving, so replans after invalidation start corrected. *)
-  let catalog, session =
-    make_session ~feedback:(Rdb_core.Feedback.create ()) ~scale ~seed ()
-  in
-  let config =
-    {
-      Rdb_server.Service.default_config with
-      jobs;
-      cache_capacity = cache;
-      reopt;
-      revalidate;
-      mem_budget;
-      downgrade;
-    }
-  in
-  (jobs, catalog, Rdb_server.Service.create ~config session)
-
 let cmd_serve =
+  let cache_arg =
+    Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N"
+           ~doc:"Plan cache capacity (LRU entries).")
+  in
+  let revalidate_arg =
+    Arg.(value & flag & info [ "revalidate" ]
+           ~doc:"On stale cache entries, try proving the cached plan still \
+                 inside the verifier's sound cardinality bounds before \
+                 invalidating it.")
+  in
+  let mem_budget_arg =
+    Arg.(value & opt (some float) None & info [ "mem-budget" ] ~docv:"SLOTS"
+           ~doc:"Admission control: reject any plan whose statically \
+                 certified peak memory (row-slots) exceeds this budget. The \
+                 certificate is a sound upper bound, so admitted queries \
+                 provably stay within it.")
+  in
+  let downgrade_arg =
+    Arg.(value & flag & info [ "downgrade" ]
+           ~doc:"With --mem-budget: run over-budget queries through the \
+                 re-optimization loop instead of rejecting them.")
+  in
   let port_arg =
     Arg.(value & opt int 7878 & info [ "port" ] ~docv:"PORT"
            ~doc:"TCP port of the line-oriented SQL frontend.")
@@ -1405,10 +1223,24 @@ let cmd_serve =
   in
   let run scale seed jobs cache reopt revalidate mem_budget downgrade host
       port =
-    let jobs, _catalog, service =
-      service_of ~scale ~seed ~jobs ~cache ~reopt ~revalidate ~mem_budget
-        ~downgrade
+    (* The serving session carries a feedback store: executions behind cache
+       hits and re-opt write-backs observe true cardinalities as a side
+       effect of serving, so replans after invalidation start corrected. *)
+    let _catalog, session =
+      make_session ~feedback:(Rdb_core.Feedback.create ()) ~scale ~seed ()
     in
+    let config =
+      {
+        Rdb_server.Service.default_config with
+        jobs;
+        cache_capacity = cache;
+        reopt;
+        revalidate;
+        mem_budget;
+        downgrade;
+      }
+    in
+    let service = Rdb_server.Service.create ~config session in
     Printf.printf "reoptdb: listening on %s:%d (scale=%g jobs=%d cache=%d)\n%!"
       host port scale jobs cache;
     Rdb_server.Frontend.serve ~host ~port service;
@@ -1422,344 +1254,90 @@ let cmd_serve =
          "Run the long-running query service: SQL over a line-oriented \
           socket, a worker-domain pool with per-domain session snapshots, \
           and an LRU plan cache keyed on the CQNF canonical form (hits \
-          skip DPccp entirely). With --mem-budget, every plan's static \
-          resource certificate gates admission. Commands: \\\\cache, \
-          \\\\metrics, \\\\resources, \\\\refresh, \\\\quit, \
-          \\\\shutdown.")
-    Term.(const run $ scale_arg $ seed_arg $ serve_jobs_arg $ cache_arg
-          $ serve_reopt_arg $ revalidate_arg $ mem_budget_arg
-          $ downgrade_arg $ host_arg $ port_arg)
+          skip DPccp entirely). With --reopt, misses run mid-query \
+          re-optimization and improved plans are written back to the \
+          cache. With --mem-budget, every plan's static resource \
+          certificate gates admission. Commands: \\\\cache, \\\\metrics, \
+          \\\\resources, \\\\refresh, \\\\quit, \\\\shutdown.")
+    Term.(const run $ scale_arg 0.3 $ seed_arg $ jobs_arg 0 $ cache_arg
+          $ reopt_opt $ revalidate_arg $ mem_budget_arg $ downgrade_arg
+          $ host_arg $ port_arg)
 
-(* ---- bench-serve ---- *)
+(* ---- racecheck, exnflow ---- *)
 
-let cmd_bench_serve =
-  let module Service = Rdb_server.Service in
-  let module Metrics = Rdb_obs.Metrics in
-  let module Query_gen = Rdb_verify.Query_gen in
-  let module J = Rdb_obs.Json in
-  let requests_arg =
-    Arg.(value & opt int 500 & info [ "requests" ] ~docv:"N"
-           ~doc:"Measured requests (after the warm-up pass).")
+(* The two source analyzers share one command shape: roots, report, JSON,
+   exit code; only the analysis and its registry opt-out differ. *)
+let srclint_cmd name ~analyze ~no_registry_doc ~doc =
+  let roots_arg =
+    Arg.(value & opt_all string [] & info [ "root" ] ~docv:"DIR"
+           ~doc:"Directory tree of .ml sources to analyze (repeatable). \
+                 Default: the repository's lib/ directory, located by \
+                 walking up from the current directory.")
   in
-  let clients_arg =
-    Arg.(value & opt int 0 & info [ "clients" ] ~docv:"C"
-           ~doc:"Closed-loop client domains (0 = same as --jobs).")
+  let no_registry_arg =
+    Arg.(value & flag & info [ "no-registry" ] ~doc:no_registry_doc)
   in
-  let variants_arg =
-    Arg.(value & opt float 0.5 & info [ "variants" ] ~docv:"FRACTION"
-           ~doc:"Fraction of measured requests sent as alias-renamed \
-                 variants of their workload query (cache-equivalent but \
-                 syntactically different).")
+  let run roots json_path no_registry =
+    let roots =
+      if roots = [] then Option.to_list (Srclint.find_default_root ())
+      else roots
+    in
+    match List.concat_map Srclint.ml_files_under roots with
+    | _ when roots = [] ->
+      Printf.eprintf "%s: cannot locate the repository's lib/ (pass --root)\n"
+        name;
+      2
+    | [] ->
+      Printf.eprintf "%s: no .ml files under %s\n" name
+        (String.concat ", " roots);
+      2
+    | files ->
+      let report = analyze ~no_registry files in
+      print_string (Srclint.render report);
+      write_json json_path (Srclint.to_json report);
+      Srclint.exit_code report
   in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write the latency/QPS report as JSON to PATH \
-                 (the BENCH_serve.json perf-trajectory artifact).")
-  in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    if n = 0 then 0.0
-    else sorted.(min (n - 1) (max 0 (int_of_float (ceil (p *. float_of_int n)) - 1)))
-  in
-  let run scale seed jobs cache reopt revalidate requests clients variants
-      json_path =
-    let jobs, catalog, service =
-      service_of ~scale ~seed ~jobs ~cache ~reopt ~revalidate
-        ~mem_budget:None ~downgrade:false
-    in
-    let clients = if clients = 0 then jobs else clients in
-    let workload = Array.of_list (Rdb_imdb.Job_queries.all catalog) in
-    (* Warm pass: every workload query once, filling the cache. *)
-    let wt0 = Unix.gettimeofday () in
-    Array.iter
-      (fun q ->
-        match Service.query_bound service q with
-        | Ok _ -> ()
-        | Error e ->
-          Printf.eprintf "bench-serve: warm %s failed: %s\n%!"
-            q.Rdb_query.Query.name e)
-      workload;
-    let warm_ms = (Unix.gettimeofday () -. wt0) *. 1000.0 in
-    let before = Metrics.snapshot () in
-    (* Measured pass: [clients] closed-loop client domains, each drawing a
-       seeded stream of workload queries — a [variants] fraction of them
-       alias-renamed, so equivalent but syntactically different — and
-       awaiting each response before sending the next. *)
-    let per_client = max 1 (requests / max 1 clients) in
-    let mt0 = Unix.gettimeofday () in
-    let client c =
-      let prng = Rdb_util.Prng.create (seed + (1000 * (c + 1))) in
-      let lat = Array.make per_client 0.0 in
-      let errors = ref 0 in
-      for i = 0 to per_client - 1 do
-        let q = workload.(Rdb_util.Prng.int prng (Array.length workload)) in
-        let q =
-          if Rdb_util.Prng.float prng 1.0 < variants then
-            Query_gen.rename_aliases q
-          else q
-        in
-        let t0 = Unix.gettimeofday () in
-        (match Service.query_bound service q with
-         | Ok _ -> ()
-         | Error _ -> incr errors);
-        lat.(i) <- (Unix.gettimeofday () -. t0) *. 1000.0
-      done;
-      (lat, !errors)
-    in
-    let results =
-      if clients = 1 then [ client 0 ]
-      else
-        List.map Domain.join
-          (List.init clients (fun c -> Domain.spawn (fun () -> client c)))
-    in
-    let wall_ms = (Unix.gettimeofday () -. mt0) *. 1000.0 in
-    let after = Metrics.snapshot () in
-    Service.shutdown service;
-    let lats =
-      Array.concat (List.map fst results)
-    in
-    Array.sort compare lats;
-    let errors = List.fold_left (fun acc (_, e) -> acc + e) 0 results in
-    let measured = Array.length lats in
-    let dc key = Metrics.counter after key - Metrics.counter before key in
-    let hits = dc "cache.hits" and misses = dc "cache.misses" in
-    let hit_rate =
-      if hits + misses = 0 then 0.0
-      else float_of_int hits /. float_of_int (hits + misses)
-    in
-    let qps = float_of_int measured /. (wall_ms /. 1000.0) in
-    let mean =
-      if measured = 0 then 0.0
-      else Array.fold_left ( +. ) 0.0 lats /. float_of_int measured
-    in
-    let p50 = percentile lats 0.50
-    and p95 = percentile lats 0.95
-    and p99 = percentile lats 0.99 in
-    Printf.printf
-      "bench-serve: scale=%g seed=%d jobs=%d clients=%d cache=%d reopt=%s\n"
-      scale seed jobs clients cache
-      (match reopt with None -> "off" | Some t -> Printf.sprintf "%g" t);
-    Printf.printf "warm: %d queries in %.0fms\n" (Array.length workload)
-      warm_ms;
-    Printf.printf
-      "measured: %d requests | hit rate %.1f%% (%d hits, %d misses) | %d \
-       errors\n"
-      measured (100.0 *. hit_rate) hits misses errors;
-    Printf.printf
-      "latency: p50 %.2fms | p95 %.2fms | p99 %.2fms | mean %.2fms | %.0f \
-       qps\n"
-      p50 p95 p99 mean qps;
-    Printf.printf
-      "planning skipped on hits: dp_pairs +%d, plans built +%d (misses \
-       only)\n"
-      (dc "plan.dp_pairs") (dc "plan.built");
-    (match json_path with
-     | None -> ()
-     | Some path ->
-       let doc =
-         J.Obj
-           [ ("report", J.Str "bench-serve");
-             ("scale", J.Float scale);
-             ("seed", J.Int seed);
-             ("jobs", J.Int jobs);
-             ("clients", J.Int clients);
-             ("cache_capacity", J.Int cache);
-             ( "reopt",
-               match reopt with None -> J.Null | Some t -> J.Float t );
-             ("variants", J.Float variants);
-             ( "warm",
-               J.Obj
-                 [ ("queries", J.Int (Array.length workload));
-                   ("ms", J.Float warm_ms) ] );
-             ( "measured",
-               J.Obj
-                 [ ("requests", J.Int measured);
-                   ("errors", J.Int errors);
-                   ("hits", J.Int hits);
-                   ("misses", J.Int misses);
-                   ("hit_rate", J.Float hit_rate);
-                   ("p50_ms", J.Float p50);
-                   ("p95_ms", J.Float p95);
-                   ("p99_ms", J.Float p99);
-                   ("mean_ms", J.Float mean);
-                   ("wall_ms", J.Float wall_ms);
-                   ("qps", J.Float qps);
-                   ("dp_pairs", J.Int (dc "plan.dp_pairs"));
-                   ("plans_built", J.Int (dc "plan.built"));
-                   ("evictions", J.Int (dc "cache.evictions"));
-                   ("invalidations", J.Int (dc "cache.invalidations"));
-                   ("writebacks", J.Int (dc "cache.writebacks")) ] );
-             ("totals", Metrics.to_json after) ]
-       in
-       let oc = open_out path in
-       output_string oc (J.to_string doc);
-       output_char oc '\n';
-       close_out oc;
-       Printf.eprintf "bench-serve report written to %s\n%!" path);
-    if hit_rate < 0.9 && requests >= 100 then begin
-      Printf.eprintf
-        "bench-serve: warmed hit rate %.1f%% below the 90%% bar\n%!"
-        (100.0 *. hit_rate);
-      1
-    end
-    else 0
-  in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "Closed-loop benchmark of the query service: warm the plan cache \
-          with one pass over the 113-query JOB workload, then drive N \
-          mixed requests (repeats and alias-renamed variants) from C \
-          client domains and report p50/p95/p99 latency, QPS, cache hit \
-          rate, and the dp_pairs delta proving DPccp was skipped on hits. \
-          Exits non-zero when the warmed hit rate falls below 90%.")
-    Term.(const run $ scale_arg $ seed_arg $ serve_jobs_arg $ cache_arg
-          $ serve_reopt_arg $ revalidate_arg $ requests_arg $ clients_arg
-          $ variants_arg $ json_arg)
-
-(* ---- json-check ---- *)
-
-(* ---- racecheck ---- *)
+  Cmd.v (Cmd.info name ~doc)
+    Term.(const run $ roots_arg $ json_arg $ no_registry_arg)
 
 let cmd_racecheck =
-  let module Srclint = Rdb_srclint.Srclint in
-  let roots_arg =
-    Arg.(value & opt_all string [] & info [ "root" ] ~docv:"DIR"
-           ~doc:"Directory tree of .ml sources to analyze (repeatable). \
-                 Default: the repository's lib/ directory, located by \
-                 walking up from the current directory.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write the full report (locks, lock-order edges, findings) \
-                 as JSON to PATH.")
-  in
-  let no_registry_arg =
-    Arg.(value & flag & info [ "no-registry" ]
-           ~doc:"Skip the checked registry of the serving stack's known \
-                 shared state (for analyzing trees other than this \
-                 repository's lib/).")
-  in
-  let run roots json_path no_registry =
-    let roots =
-      match roots with
-      | [] -> (
-        match Srclint.find_default_root () with Some r -> [ r ] | None -> [])
-      | rs -> rs
-    in
-    if roots = [] then begin
-      Printf.eprintf
-        "racecheck: cannot locate the repository's lib/ (pass --root)\n";
-      2
-    end
-    else begin
-      let files = List.concat_map Srclint.ml_files_under roots in
-      if files = [] then begin
-        Printf.eprintf "racecheck: no .ml files under %s\n"
-          (String.concat ", " roots);
-        2
-      end
-      else begin
-        let registry = if no_registry then Some [] else None in
-        let report = Srclint.analyze_files ?registry files in
-        print_string (Srclint.render report);
-        (match json_path with
-        | None -> ()
-        | Some path ->
-          let oc = open_out path in
-          output_string oc (Rdb_obs.Json.to_string (Srclint.to_json report));
-          output_char oc '\n';
-          close_out oc;
-          Printf.eprintf "racecheck report written to %s\n%!" path);
-        Srclint.exit_code report
-      end
-    end
-  in
-  Cmd.v
-    (Cmd.info "racecheck"
-       ~doc:
-         "Source-level concurrency-safety lint of the repository's own .ml \
-          tree: checks every @guarded_by/@confined-annotated shared state \
-          for accesses outside its lock, closures passed to other domains \
-          that capture guarded state, blocking calls under a lock, \
-          lock-acquisition-order cycles across modules, and the checked \
-          registry of the serving stack's shared state. The static \
-          complement of the TSan CI job. Exits 1 on error findings, 2 on \
-          usage errors.")
-    Term.(const run $ roots_arg $ json_arg $ no_registry_arg)
-
-(* ---- exnflow ---- *)
+  srclint_cmd "racecheck"
+    ~analyze:(fun ~no_registry files ->
+      Srclint.analyze_files ?registry:(if no_registry then Some [] else None)
+        files)
+    ~no_registry_doc:
+      "Skip the checked registry of the serving stack's known shared state \
+       (for analyzing trees other than this repository's lib/)."
+    ~doc:
+      "Source-level concurrency-safety lint of the repository's own .ml \
+       tree: checks every @guarded_by/@confined-annotated shared state for \
+       accesses outside its lock, closures passed to other domains that \
+       capture guarded state, blocking calls under a lock, \
+       lock-acquisition-order cycles across modules, and the checked \
+       registry of the serving stack's shared state. The static complement \
+       of the TSan CI job. --json writes locks, lock-order edges and \
+       findings. Exits 1 on error findings, 2 on usage errors."
 
 let cmd_exnflow =
-  let module Srclint = Rdb_srclint.Srclint in
-  let roots_arg =
-    Arg.(value & opt_all string [] & info [ "root" ] ~docv:"DIR"
-           ~doc:"Directory tree of .ml sources to analyze (repeatable). \
-                 Default: the repository's lib/ directory, located by \
-                 walking up from the current directory.")
-  in
-  let json_arg =
-    Arg.(value & opt (some string) None & info [ "json" ] ~docv:"PATH"
-           ~doc:"Write the full report (summaries count, findings) as JSON \
-                 to PATH.")
-  in
-  let no_registry_arg =
-    Arg.(value & flag & info [ "no-registry" ]
-           ~doc:"Skip the designated-handler registry and the pinned \
-                 serving-stack file list (for analyzing trees other than \
-                 this repository's lib/).")
-  in
-  let run roots json_path no_registry =
-    let roots =
-      match roots with
-      | [] -> (
-        match Srclint.find_default_root () with Some r -> [ r ] | None -> [])
-      | rs -> rs
-    in
-    if roots = [] then begin
-      Printf.eprintf
-        "exnflow: cannot locate the repository's lib/ (pass --root)\n";
-      2
-    end
-    else begin
-      let files = List.concat_map Srclint.ml_files_under roots in
-      if files = [] then begin
-        Printf.eprintf "exnflow: no .ml files under %s\n"
-          (String.concat ", " roots);
-        2
-      end
-      else begin
-        let handlers = if no_registry then Some [] else None in
-        let pinned = if no_registry then Some [] else None in
-        let report = Srclint.analyze_exnflow_files ?handlers ?pinned files in
-        print_string (Srclint.render_exnflow report);
-        (match json_path with
-        | None -> ()
-        | Some path ->
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () ->
-              output_string oc
-                (Rdb_obs.Json.to_string (Srclint.exnflow_to_json report));
-              output_char oc '\n');
-          Printf.eprintf "exnflow report written to %s\n%!" path);
-        Srclint.exn_exit_code report
-      end
-    end
-  in
-  Cmd.v
-    (Cmd.info "exnflow"
-       ~doc:
-         "Source-level exception-flow lint of the repository's own .ml \
-          tree: proves resources acquired in a scope (fds, channels, held \
-          mutexes, pools, temp tables) are released on every raising path, \
-          that no exception can escape a Domain.spawn/Thread.create/\
-          Pool.submit closure, and that control exceptions \
-          (Work_budget_exceeded & co) are only caught at registry-pinned \
-          handler sites. The error-path complement of racecheck. Exits 1 \
-          on error findings, 2 on usage errors.")
-    Term.(const run $ roots_arg $ json_arg $ no_registry_arg)
+  srclint_cmd "exnflow"
+    ~analyze:(fun ~no_registry files ->
+      if no_registry then
+        Srclint.analyze_exnflow_files ~handlers:[] ~pinned:[] files
+      else Srclint.analyze_exnflow_files files)
+    ~no_registry_doc:
+      "Skip the designated-handler registry and the pinned serving-stack \
+       file list (for analyzing trees other than this repository's lib/)."
+    ~doc:
+      "Source-level exception-flow lint of the repository's own .ml tree: \
+       proves resources acquired in a scope (fds, channels, held mutexes, \
+       pools, temp tables) are released on every raising path, that no \
+       exception can escape a Domain.spawn/Thread.create/Pool.submit \
+       closure, and that control exceptions (Work_budget_exceeded & co) \
+       are only caught at registry-pinned handler sites. The error-path \
+       complement of racecheck. --json writes the summary counts and \
+       findings. Exits 1 on error findings, 2 on usage errors."
+
+(* ---- json-check ---- *)
 
 let cmd_json_check =
   let path_pos =
@@ -1767,12 +1345,7 @@ let cmd_json_check =
            ~doc:"JSON report to validate.")
   in
   let run path =
-    match
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    with
+    match In_channel.with_open_bin path In_channel.input_all with
     | exception Sys_error e -> Printf.eprintf "json-check: %s\n" e; 2
     | text ->
       (match Rdb_obs.Json.parse_opt text with
@@ -1812,8 +1385,7 @@ let () =
       (Cmd.group info
          [ cmd_queries; cmd_sql; cmd_explain; cmd_run; cmd_experiment;
            cmd_lint; cmd_resources; cmd_verify; cmd_fragility; cmd_feedback;
-           cmd_serve; cmd_bench_serve; cmd_racecheck; cmd_exnflow;
-           cmd_json_check ])
+           cmd_serve; cmd_racecheck; cmd_exnflow; cmd_json_check ])
   in
   (* cmdliner reports its own parse errors as 124; fold them into the
      uniform contract (2 = usage error) shared by every subcommand. *)

@@ -7,11 +7,6 @@ let () =
         (Printf.sprintf "Lint_failed:\n%s" (Finding.render fs))
     | _ -> None)
 
-let enabled () =
-  match Sys.getenv_opt "RDB_LINT" with
-  | Some ("1" | "true") -> true
-  | Some _ | None -> false
-
 let fail_on_errors findings =
   match Finding.errors findings with
   | [] -> ()
@@ -29,8 +24,8 @@ let check_plan_exn ~catalog ?estimator q plan =
    error model than the default 32). *)
 let sensitivity_threshold () =
   match Sys.getenv_opt "RDB_SENSITIVITY" with
-  | None | Some ("" | "0" | "false") -> None
-  | Some ("1" | "true") -> Some 32.0
+  | _ when not (Rdb_plan.Optimizer.env_switch "RDB_SENSITIVITY") -> None
+  | None | Some ("1" | "true") -> Some 32.0
   | Some s ->
     (match float_of_string_opt s with
     | Some t when t >= 1.0 -> Some t

@@ -15,6 +15,8 @@ let severity_name = function
   | Warning -> "warning"
   | Error -> "error"
 
+let rank f = match f.severity with Error -> 0 | Warning -> 1 | Info -> 2
+
 let errors fs = List.filter (fun f -> f.severity = Error) fs
 let has_errors fs = List.exists (fun f -> f.severity = Error) fs
 let by_code code fs = List.filter (fun f -> f.code = code) fs

@@ -19,6 +19,9 @@ val error : code:string -> string -> t
 
 val severity_name : severity -> string
 
+val rank : t -> int
+(** Report order of a finding's severity: errors 0, warnings 1, info 2. *)
+
 val errors : t list -> t list
 (** Only the error-severity findings. *)
 

@@ -203,12 +203,10 @@ let temp_schema session (q : Query.t) temp_cols =
 
 let run ?lint ?verify ?work_budget ?deadline_ms ?(cleanup = true)
     ?(max_steps = 32) ?initial ?feedback session ~trigger ~mode q0 =
-  let lint =
-    match lint with Some b -> b | None -> Rdb_analysis.Debug.enabled ()
+  let switch arg var =
+    match arg with Some b -> b | None -> Rdb_plan.Optimizer.env_switch var
   in
-  let verify =
-    match verify with Some b -> b | None -> Rdb_verify.Debug.enabled ()
-  in
+  let lint = switch lint "RDB_LINT" and verify = switch verify "RDB_VERIFY" in
   let feedback =
     match feedback with Some _ as fb -> fb | None -> Session.feedback session
   in

@@ -74,10 +74,10 @@ val run :
     *original* query: rewrites renumber relations and splice in temp
     tables, so the loop composes a per-relation origin map across steps
     and records every observation under a base-table signature.
-    [lint] (default: the [RDB_LINT=1] environment check) lints every plan
+    [lint] (default: the [RDB_LINT] environment switch) lints every plan
     and every rewritten query (with its temp table substituted); error
     findings raise [Rdb_analysis.Debug.Lint_failed].
-    [verify] (default: [RDB_VERIFY=1]) additionally proves each rewrite
+    [verify] (default: the [RDB_VERIFY] switch) additionally proves each rewrite
     step equivalent to its pre-step query — the temp table inlined back,
     both conjunctive normal forms isomorphic — and checks every plan's
     estimates against sound cardinality bounds; error findings raise

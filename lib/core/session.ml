@@ -20,7 +20,7 @@ type t = {
 }
 
 let create ?(cost_params = Rdb_cost.Cost_model.default) ?feedback catalog =
-  (* Make RDB_LINT=1 / RDB_VERIFY=1 effective for every session-driven
+  (* Make RDB_LINT / RDB_VERIFY effective for every session-driven
      pipeline: the optimizer's hooks are refs precisely so the plan layer
      need not depend on the libraries that check it. *)
   Rdb_analysis.Debug.install ();

@@ -69,9 +69,9 @@ val plan :
   mode:Estimator.mode ->
   Plan.t * Optimizer.stats * Estimator.t
 (** Optimize under the given estimation mode. [lint] (default: the
-    [RDB_LINT=1] environment check) runs the installed invariant checker on
+    [RDB_LINT] environment switch) runs the installed invariant checker on
     the chosen plan; error findings raise
-    [Rdb_analysis.Debug.Lint_failed]. [verify] (default: [RDB_VERIFY=1])
+    [Rdb_analysis.Debug.Lint_failed]. [verify] (default: [RDB_VERIFY])
     likewise checks the plan's estimates against the symbolic verifier's
     sound cardinality bounds and raises [Rdb_verify.Debug.Verify_failed].
     [sensitivity] (default: the [RDB_SENSITIVITY] environment check) runs

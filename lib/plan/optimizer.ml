@@ -17,64 +17,28 @@ type lint_hook =
   catalog:Catalog.t -> estimator:Estimator.t -> Query.t -> Plan.t -> unit
 
 let lint_hook : lint_hook option ref = ref None
-
-let lint_enabled ?lint () =
-  match lint with
-  | Some b -> b
-  | None -> (match Sys.getenv_opt "RDB_LINT" with
-             | Some ("1" | "true") -> true
-             | Some _ | None -> false)
-
-let run_lint_hook ~lint ~catalog ~estimator q plan =
-  if lint_enabled ?lint () then
-    match !lint_hook with
-    | Some hook -> hook ~catalog ~estimator q plan
-    | None -> ()
-
 let verify_hook : lint_hook option ref = ref None
-
-let verify_enabled ?verify () =
-  match verify with
-  | Some b -> b
-  | None -> (match Sys.getenv_opt "RDB_VERIFY" with
-             | Some ("1" | "true") -> true
-             | Some _ | None -> false)
-
-let run_verify_hook ~verify ~catalog ~estimator q plan =
-  if verify_enabled ?verify () then
-    match !verify_hook with
-    | Some hook -> hook ~catalog ~estimator q plan
-    | None -> ()
-
 let sensitivity_hook : lint_hook option ref = ref None
-
-let sensitivity_enabled ?sensitivity () =
-  match sensitivity with
-  | Some b -> b
-  | None -> (match Sys.getenv_opt "RDB_SENSITIVITY" with
-             | Some ("" | "0" | "false") | None -> false
-             | Some _ -> true)
-
-let run_sensitivity_hook ~sensitivity ~catalog ~estimator q plan =
-  if sensitivity_enabled ?sensitivity () then
-    match !sensitivity_hook with
-    | Some hook -> hook ~catalog ~estimator q plan
-    | None -> ()
-
 let resource_hook : lint_hook option ref = ref None
 
-let resource_enabled ?resource () =
-  match resource with
-  | Some b -> b
-  | None -> (match Sys.getenv_opt "RDB_RESOURCE" with
-             | Some ("" | "0" | "false") | None -> false
-             | Some _ -> true)
+let env_switch var =
+  match Sys.getenv_opt var with
+  | None | Some ("" | "0" | "false") -> false
+  | Some _ -> true
 
-let run_resource_hook ~resource ~catalog ~estimator q plan =
-  if resource_enabled ?resource () then
-    match !resource_hook with
-    | Some hook -> hook ~catalog ~estimator q plan
-    | None -> ()
+(* The installed checkers, in order; an explicit argument overrides the
+   environment switch. *)
+let run_hooks ~lint ~verify ~sensitivity ~resource ~catalog ~estimator q plan =
+  List.iter
+    (fun (arg, var, hook) ->
+      let on = match arg with Some b -> b | None -> env_switch var in
+      match !hook with
+      | Some hook when on -> hook ~catalog ~estimator q plan
+      | Some _ | None -> ())
+    [ (lint, "RDB_LINT", lint_hook);
+      (verify, "RDB_VERIFY", verify_hook);
+      (sensitivity, "RDB_SENSITIVITY", sensitivity_hook);
+      (resource, "RDB_RESOURCE", resource_hook) ]
 
 (* Cartesian products are unsupported (as in the paper's workload); a
    disconnected join graph is a query bug, so name the components to make
@@ -242,10 +206,7 @@ let plan ?lint ?verify ?sensitivity ?resource ?space ?cost_params ~catalog
   let best, stats = dp ?space ?cost_params ~catalog ~estimator q in
   match Hashtbl.find_opt best (Relset.full (Query.n_rels q)) with
   | Some p ->
-    run_lint_hook ~lint ~catalog ~estimator q p;
-    run_verify_hook ~verify ~catalog ~estimator q p;
-    run_sensitivity_hook ~sensitivity ~catalog ~estimator q p;
-    run_resource_hook ~resource ~catalog ~estimator q p;
+    run_hooks ~lint ~verify ~sensitivity ~resource ~catalog ~estimator q p;
     (p, stats)
   | None -> invalid_arg "Optimizer: no plan found for full relation set"
 
@@ -364,10 +325,7 @@ let plan_robust ?lint ?verify ?sensitivity ?resource ?space ?cost_params
   in
   match Hashtbl.find_opt best (Relset.full (Query.n_rels q)) with
   | Some (p, _) ->
-    run_lint_hook ~lint ~catalog ~estimator q p;
-    run_verify_hook ~verify ~catalog ~estimator q p;
-    run_sensitivity_hook ~sensitivity ~catalog ~estimator q p;
-    run_resource_hook ~resource ~catalog ~estimator q p;
+    run_hooks ~lint ~verify ~sensitivity ~resource ~catalog ~estimator q p;
     (p, stats)
   | None -> invalid_arg "Optimizer: no robust plan found"
 

@@ -17,10 +17,15 @@ type stats = {
 type lint_hook =
   catalog:Catalog.t -> estimator:Estimator.t -> Query.t -> Plan.t -> unit
 
+val env_switch : string -> bool
+(** The one rule for every [RDB_*] debug switch ([RDB_LINT], [RDB_VERIFY],
+    [RDB_SENSITIVITY], [RDB_RESOURCE]): off when the variable is unset,
+    empty, [0] or [false]; on for any other value. *)
+
 val lint_hook : lint_hook option ref
 (** Debug-mode invariant checker invoked on every plan {!plan} and
     {!plan_robust} return, when linting is enabled (the [?lint] argument,
-    or the [RDB_LINT=1] environment variable when the argument is absent).
+    or the [RDB_LINT] {!env_switch} when the argument is absent).
     Installed by [Rdb_analysis.Debug.install] — a hook rather than a direct
     call so the plan layer does not depend on the analysis library that
     checks it. The hook is expected to raise on error-severity findings. *)
@@ -28,7 +33,7 @@ val lint_hook : lint_hook option ref
 val verify_hook : lint_hook option ref
 (** Like {!lint_hook}, but for the symbolic plan verifier: checks the
     chosen plan's estimates against sound cardinality bounds. Enabled by
-    the [?verify] argument or [RDB_VERIFY=1]; installed by
+    the [?verify] argument or the [RDB_VERIFY] switch; installed by
     [Rdb_verify.Debug.install]. Runs after {!lint_hook}. *)
 
 val sensitivity_hook : lint_hook option ref
@@ -36,18 +41,17 @@ val sensitivity_hook : lint_hook option ref
     ([Rdb_analysis.Sensitivity]) — cardinality intervals propagated through
     the cost model, a static prediction of the re-optimization trigger, and
     a consistency recomputation of every node's cost. Enabled by the
-    [?sensitivity] argument, or by [RDB_SENSITIVITY] set to anything but
-    [0]/[false] (a numeric value is read as the Q-error envelope factor,
-    e.g. [RDB_SENSITIVITY=32]); installed by [Rdb_analysis.Debug.install].
+    [?sensitivity] argument or the [RDB_SENSITIVITY] switch (a numeric
+    value is read as the Q-error envelope factor, e.g.
+    [RDB_SENSITIVITY=32]); installed by [Rdb_analysis.Debug.install].
     Runs after {!verify_hook}. *)
 
 val resource_hook : lint_hook option ref
 (** Fifth analysis layer: the static resource certifier
     ([Rdb_analysis.Resource]) — sound peak-memory/work intervals and the
     re-plan transition analysis, run against every chosen plan. Enabled by
-    the [?resource] argument, or by [RDB_RESOURCE] set to anything but
-    [0]/[false]; installed by [Rdb_analysis.Debug.install]. Runs after
-    {!sensitivity_hook}. *)
+    the [?resource] argument or the [RDB_RESOURCE] switch; installed by
+    [Rdb_analysis.Debug.install]. Runs after {!sensitivity_hook}. *)
 
 val plan :
   ?lint:bool ->
@@ -65,9 +69,9 @@ val plan :
     configurations. Raises [Invalid_argument] if the join graph is
     disconnected (cartesian products are not supported, as in the paper's
     workload); the message names the disconnected components by alias.
-    [lint] (default: [RDB_LINT=1] in the environment) runs the installed
-    {!lint_hook} on the chosen plan before returning it; [verify]
-    (default: [RDB_VERIFY=1]) likewise runs the installed {!verify_hook}. *)
+    [lint] (default: the [RDB_LINT] {!env_switch}) runs the installed
+    {!lint_hook} on the chosen plan before returning it; [verify],
+    [sensitivity] and [resource] likewise run the other hooks. *)
 
 val plan_robust :
   ?lint:bool ->

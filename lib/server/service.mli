@@ -8,7 +8,8 @@
     stats refresh bumps the service generation. A cache hit replays the
     cached plan against the cached canonical query — no [prepare], no
     DPccp ([plan.dp_pairs] stays flat across hits, the property
-    bench-serve asserts).
+    [test/test_server.ml] asserts; the ledger's [serve-hot] workload
+    measures it, see [ledger/README.md]).
 
     Invalidation: cache entries carry the {!Catalog.mod_count} table
     modification counters they were planned against; {!refresh_stats}
@@ -102,7 +103,7 @@ val query : t -> ?deadline_ms:float -> string -> (response, string) result
 (** [Pool.await] of {!submit}. *)
 
 val submit_bound : t -> ?deadline_ms:float -> Query.t -> (response, string) result Pool.future
-(** {!submit} for an already-bound query (tests, bench-serve). *)
+(** {!submit} for an already-bound query (tests). *)
 
 val query_bound : t -> ?deadline_ms:float -> Query.t -> (response, string) result
 

@@ -3,28 +3,26 @@ module Json = Rdb_obs.Json
 
 type item = { file : string; line : int; finding : Finding.t }
 
-type report = {
-  files : string list;
-  locks : string list;
-  states : int;
-  edges : (string * string) list;
-  items : item list;
-}
+type inventory =
+  | Locks of { locks : string list; states : int; edges : (string * string) list }
+  | Flows of { resources : int; summaries : (string * Exnflow.sinfo) list }
 
-let sev_rank = function
-  | Finding.Error -> 0
-  | Finding.Warning -> 1
-  | Finding.Info -> 2
+type report = { files : string list; inventory : inventory; items : item list }
 
 let sort_items items =
   List.sort
     (fun a b ->
       compare
-        (sev_rank a.finding.Finding.severity, a.file, a.line,
+        (Finding.rank a.finding, a.file, a.line,
          a.finding.Finding.code, a.finding.Finding.message)
-        (sev_rank b.finding.Finding.severity, b.file, b.line,
+        (Finding.rank b.finding, b.file, b.line,
          b.finding.Finding.code, b.finding.Finding.message))
     items
+
+let load paths = List.map Model.load (List.sort compare paths)
+
+let sorted_paths (models : Model.file list) =
+  List.sort compare (List.map (fun (f : Model.file) -> f.path) models)
 
 let analyze_models ?(registry = Registry.default) (models : Model.file list) =
   let r = Lockcheck.check models in
@@ -50,16 +48,13 @@ let analyze_models ?(registry = Registry.default) (models : Model.file list) =
       (fun acc (f : Model.file) -> acc + Hashtbl.length f.states)
       0 models
   in
-  { files = List.sort compare (List.map (fun (f : Model.file) -> f.path) models);
-    locks;
-    states;
-    edges =
-      List.map (fun (e : Lockcheck.edge) -> (e.efrom, e.eto)) r.edges
-      |> List.sort_uniq compare;
-    items }
+  let edges =
+    List.map (fun (e : Lockcheck.edge) -> (e.efrom, e.eto)) r.edges
+    |> List.sort_uniq compare
+  in
+  { files = sorted_paths models; inventory = Locks { locks; states; edges }; items }
 
-let analyze_files ?registry paths =
-  analyze_models ?registry (List.map Model.load (List.sort compare paths))
+let analyze_files ?registry paths = analyze_models ?registry (load paths)
 
 let ml_files_under root =
   let out = ref [] in
@@ -93,40 +88,6 @@ let find_default_root () =
       if parent = dir then None else up parent (n + 1)
   in
   up (Sys.getcwd ()) 0
-
-let errors r =
-  List.filter (fun i -> i.finding.Finding.severity = Finding.Error) r.items
-
-let exit_code r = if errors r <> [] then 1 else 0
-
-let render r =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "racecheck: %d files, %d locks, %d states, %d lock-order edges\n"
-       (List.length r.files) (List.length r.locks) r.states
-       (List.length r.edges));
-  List.iter
-    (fun i ->
-      Buffer.add_string b
-        (Printf.sprintf "%s:%d: %s\n" i.file i.line
-           (Finding.to_string i.finding)))
-    r.items;
-  let errs = List.length (errors r) in
-  Buffer.add_string b
-    (Printf.sprintf "racecheck: %d findings (%d errors)\n"
-       (List.length r.items) errs);
-  Buffer.contents b
-
-(* ---- exception-flow report (reoptdb exnflow) ---- *)
-
-type exn_report = {
-  xfiles : string list;
-  xresources : int;
-  xfunctions : int;
-  xsummaries : (string * Exnflow.sinfo) list;
-  xitems : item list;
-}
 
 let analyze_exnflow_models ?handlers ?pinned (models : Model.file list) =
   let r = Exnflow.check ?handlers ?pinned models in
@@ -164,85 +125,76 @@ let analyze_exnflow_models ?handlers ?pinned (models : Model.file list) =
         r.items
     |> sort_items
   in
-  { xfiles =
-      List.sort compare (List.map (fun (f : Model.file) -> f.path) models);
-    xresources = r.resources;
-    xfunctions = List.length r.summaries;
-    xsummaries = r.summaries;
-    xitems = items }
+  { files = sorted_paths models;
+    inventory = Flows { resources = r.resources; summaries = r.summaries };
+    items }
 
 let analyze_exnflow_files ?handlers ?pinned paths =
-  analyze_exnflow_models ?handlers ?pinned
-    (List.map Model.load (List.sort compare paths))
+  analyze_exnflow_models ?handlers ?pinned (load paths)
 
 let analyze_exnflow_tree ?handlers ?pinned ~root () =
   analyze_exnflow_files ?handlers ?pinned (ml_files_under root)
 
-let exn_errors r =
-  List.filter (fun i -> i.finding.Finding.severity = Finding.Error) r.xitems
+let tool r = match r.inventory with Locks _ -> "racecheck" | Flows _ -> "exnflow"
 
-let exn_exit_code r = if exn_errors r <> [] then 1 else 0
+let errors r =
+  List.filter (fun i -> i.finding.Finding.severity = Finding.Error) r.items
 
-let render_exnflow r =
+let exit_code r = if errors r <> [] then 1 else 0
+
+let render r =
   let b = Buffer.create 1024 in
+  let nfiles = List.length r.files in
   Buffer.add_string b
-    (Printf.sprintf
-       "exnflow: %d files, %d functions summarized, %d tracked acquisitions\n"
-       (List.length r.xfiles) r.xfunctions r.xresources);
+    (match r.inventory with
+     | Locks { locks; states; edges } ->
+       Printf.sprintf
+         "racecheck: %d files, %d locks, %d states, %d lock-order edges\n"
+         nfiles (List.length locks) states (List.length edges)
+     | Flows { resources; summaries } ->
+       Printf.sprintf
+         "exnflow: %d files, %d functions summarized, %d tracked acquisitions\n"
+         nfiles (List.length summaries) resources);
   List.iter
     (fun i ->
       Buffer.add_string b
         (Printf.sprintf "%s:%d: %s\n" i.file i.line
            (Finding.to_string i.finding)))
-    r.xitems;
+    r.items;
   Buffer.add_string b
-    (Printf.sprintf "exnflow: %d findings (%d errors)\n"
-       (List.length r.xitems)
-       (List.length (exn_errors r)));
+    (Printf.sprintf "%s: %d findings (%d errors)\n" (tool r)
+       (List.length r.items) (List.length (errors r)));
   Buffer.contents b
 
-let exnflow_to_json r =
-  Json.Obj
-    [ ("files", Json.Int (List.length r.xfiles));
-      ("functions", Json.Int r.xfunctions);
-      ("resources", Json.Int r.xresources);
-      ( "findings",
-        Json.List
-          (List.map
-             (fun i ->
-               Json.Obj
-                 [ ("file", Json.Str i.file);
-                   ("line", Json.Int i.line);
-                   ( "severity",
-                     Json.Str
-                       (Finding.severity_name i.finding.Finding.severity) );
-                   ("code", Json.Str i.finding.Finding.code);
-                   ("message", Json.Str i.finding.Finding.message) ])
-             r.xitems) );
-      ("errors", Json.Int (List.length (exn_errors r))) ]
-
 let to_json r =
+  let inventory =
+    match r.inventory with
+    | Locks { locks; states; edges } ->
+      [ ("locks", Json.List (List.map (fun l -> Json.Str l) locks));
+        ("states", Json.Int states);
+        ( "edges",
+          Json.List
+            (List.map
+               (fun (a, b) ->
+                 Json.Obj [ ("from", Json.Str a); ("to", Json.Str b) ])
+               edges) ) ]
+    | Flows { resources; summaries } ->
+      [ ("functions", Json.Int (List.length summaries));
+        ("resources", Json.Int resources) ]
+  in
   Json.Obj
-    [ ("files", Json.Int (List.length r.files));
-      ("locks", Json.List (List.map (fun l -> Json.Str l) r.locks));
-      ("states", Json.Int r.states);
-      ( "edges",
-        Json.List
-          (List.map
-             (fun (a, b) ->
-               Json.Obj [ ("from", Json.Str a); ("to", Json.Str b) ])
-             r.edges) );
-      ( "findings",
-        Json.List
-          (List.map
-             (fun i ->
-               Json.Obj
-                 [ ("file", Json.Str i.file);
-                   ("line", Json.Int i.line);
-                   ( "severity",
-                     Json.Str
-                       (Finding.severity_name i.finding.Finding.severity) );
-                   ("code", Json.Str i.finding.Finding.code);
-                   ("message", Json.Str i.finding.Finding.message) ])
-             r.items) );
-      ("errors", Json.Int (List.length (errors r))) ]
+    ((("files", Json.Int (List.length r.files)) :: inventory)
+     @ [ ( "findings",
+           Json.List
+             (List.map
+                (fun i ->
+                  Json.Obj
+                    [ ("file", Json.Str i.file);
+                      ("line", Json.Int i.line);
+                      ( "severity",
+                        Json.Str
+                          (Finding.severity_name i.finding.Finding.severity) );
+                      ("code", Json.Str i.finding.Finding.code);
+                      ("message", Json.Str i.finding.Finding.message) ])
+                r.items) );
+         ("errors", Json.Int (List.length (errors r))) ])

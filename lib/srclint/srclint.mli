@@ -1,7 +1,9 @@
-(** Entry point of the source-level concurrency analyzer: the fourth
-    static-analysis layer (query -> plan -> sensitivity -> source). Loads
-    [.ml] files, runs {!Lockcheck} and {!Registry}, and renders a stable,
-    deterministically sorted report suitable for CI diffs. *)
+(** Entry point of the source-level analyzers: the fourth static-analysis
+    layer (query -> plan -> sensitivity -> source). Loads [.ml] files, runs
+    either the concurrency analyzer ({!Lockcheck} and {!Registry},
+    [reoptdb racecheck]) or the exception-flow analyzer ({!Exnflow},
+    [reoptdb exnflow]), and renders one stable, deterministically sorted
+    report shape for both, suitable for CI diffs. *)
 
 type item = {
   file : string;
@@ -9,21 +11,47 @@ type item = {
   finding : Rdb_analysis.Finding.t;
 }
 
+(** What the analyzer inventoried besides its findings. *)
+type inventory =
+  | Locks of {
+      locks : string list;  (** qualified lock names, sorted *)
+      states : int;  (** number of declared/detected shared-state names *)
+      edges : (string * string) list;  (** lock acquisition-order graph *)
+    }  (** racecheck *)
+  | Flows of {
+      resources : int;  (** tracked acquisition sites *)
+      summaries : (string * Exnflow.sinfo) list;  (** ["base.fn"], sorted *)
+    }  (** exnflow *)
+
 type report = {
   files : string list;  (** analyzed paths, sorted *)
-  locks : string list;  (** qualified lock names, sorted *)
-  states : int;  (** number of declared/detected shared-state names *)
-  edges : (string * string) list;  (** lock acquisition-order graph *)
+  inventory : inventory;
   items : item list;  (** findings: errors first, then file/line *)
 }
 
 val analyze_files :
   ?registry:Registry.entry list -> string list -> report
-(** Analyze exactly these files. [registry] defaults to
+(** Concurrency analysis of exactly these files. [registry] defaults to
     {!Registry.default}; pass [~registry:[]] for synthetic trees. *)
 
 val analyze_tree : ?registry:Registry.entry list -> root:string -> unit -> report
 (** Analyze every [.ml] under [root] (skips [_build]/[.git]). *)
+
+val analyze_exnflow_files :
+  ?handlers:Exnflow.handler_entry list ->
+  ?pinned:string list ->
+  string list ->
+  report
+(** Exception-flow analysis of exactly these files. Defaults to
+    {!Exnflow.default_handlers} / {!Exnflow.default_pinned}; pass
+    [~handlers:[] ~pinned:[]] for synthetic trees. *)
+
+val analyze_exnflow_tree :
+  ?handlers:Exnflow.handler_entry list ->
+  ?pinned:string list ->
+  root:string ->
+  unit ->
+  report
 
 val ml_files_under : string -> string list
 
@@ -39,36 +67,3 @@ val exit_code : report -> int
 val render : report -> string
 
 val to_json : report -> Rdb_obs.Json.t
-
-(** {1 Exception-flow report ([reoptdb exnflow])} *)
-
-type exn_report = {
-  xfiles : string list;  (** analyzed paths, sorted *)
-  xresources : int;  (** tracked acquisition sites *)
-  xfunctions : int;  (** functions with a summary *)
-  xsummaries : (string * Exnflow.sinfo) list;  (** ["base.fn"], sorted *)
-  xitems : item list;  (** findings: errors first, then file/line *)
-}
-
-val analyze_exnflow_files :
-  ?handlers:Exnflow.handler_entry list ->
-  ?pinned:string list ->
-  string list ->
-  exn_report
-(** Defaults to {!Exnflow.default_handlers} / {!Exnflow.default_pinned};
-    pass [~handlers:[] ~pinned:[]] for synthetic trees. *)
-
-val analyze_exnflow_tree :
-  ?handlers:Exnflow.handler_entry list ->
-  ?pinned:string list ->
-  root:string ->
-  unit ->
-  exn_report
-
-val exn_errors : exn_report -> item list
-
-val exn_exit_code : exn_report -> int
-
-val render_exnflow : exn_report -> string
-
-val exnflow_to_json : exn_report -> Rdb_obs.Json.t

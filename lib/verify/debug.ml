@@ -8,11 +8,6 @@ let () =
       Some (Printf.sprintf "Verify_failed:\n%s" (Finding.render fs))
     | _ -> None)
 
-let enabled () =
-  match Sys.getenv_opt "RDB_VERIFY" with
-  | Some ("1" | "true") -> true
-  | Some _ | None -> false
-
 let fail_on_errors findings =
   match Finding.errors findings with
   | [] -> ()

@@ -2,20 +2,18 @@
     checker inside the planning pipeline, mirroring
     [Rdb_analysis.Debug] / [RDB_LINT].
 
-    With [RDB_VERIFY=1] in the environment (or an explicit [~verify:true]
-    argument at the call sites that take one), every plan returned by
-    [Optimizer.plan]/[plan_robust] is checked against the sound cardinality
-    bounds, every re-optimization rewrite step is proved equivalent to its
-    original query, and error-severity findings raise {!Verify_failed}. *)
+    With the [RDB_VERIFY] switch on (see [Rdb_plan.Optimizer.env_switch]),
+    or an explicit [~verify:true] argument at the call sites that take one,
+    every plan returned by [Optimizer.plan]/[plan_robust] is checked
+    against the sound cardinality bounds, every re-optimization rewrite
+    step is proved equivalent to its original query, and error-severity
+    findings raise {!Verify_failed}. *)
 
 module Finding := Rdb_analysis.Finding
 
 exception Verify_failed of Finding.t list
 (** Carries the error-severity findings; the registered printer renders
     them one per line. *)
-
-val enabled : unit -> bool
-(** [RDB_VERIFY] is set to [1] or [true] in the environment. *)
 
 val install : unit -> unit
 (** Install the bound checker into [Rdb_plan.Optimizer.verify_hook].

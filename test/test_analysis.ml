@@ -348,7 +348,25 @@ let test_rdb_lint_env_enables_hook () =
       (* A clean plan passes through the installed hook without raising. *)
       let plan, _, _ = Session.plan prepared ~mode:Estimator.Default in
       check Alcotest.bool "planned under RDB_LINT=1" true
-        (Relset.equal (Plan.rel_set plan) (Relset.full 2)))
+        (Relset.equal (Plan.rel_set plan) (Relset.full 2));
+      (* Every RDB_* switch shares one rule: any value but unset, empty, 0
+         or false turns it on. *)
+      let calls = ref 0 in
+      let installed = !Rdb_plan.Optimizer.lint_hook in
+      Rdb_plan.Optimizer.lint_hook := Some (fun ~catalog:_ ~estimator:_ _ _ -> incr calls);
+      Fun.protect
+        ~finally:(fun () -> Rdb_plan.Optimizer.lint_hook := installed)
+        (fun () ->
+          List.iter
+            (fun (v, on) ->
+              Unix.putenv "RDB_LINT" v;
+              let before = !calls in
+              ignore (Session.plan prepared ~mode:Estimator.Default);
+              check Alcotest.bool
+                (Printf.sprintf "RDB_LINT=%S enables the hook" v)
+                on (!calls > before))
+            [ ("yes", true); ("true", true); ("0", false); ("false", false);
+              ("", false) ]))
 
 (* ---- Sensitivity: interval abstract interpretation of the cost model ---- *)
 

@@ -45,12 +45,12 @@ let analyze ?(handlers = []) sources =
   Srclint.analyze_exnflow_files ~handlers ~pinned:[] (write_tree sources)
 
 let codes r =
-  List.map (fun (i : Srclint.item) -> i.finding.Finding.code) r.Srclint.xitems
+  List.map (fun (i : Srclint.item) -> i.finding.Finding.code) r.Srclint.items
 
 let error_codes r =
   List.map
     (fun (i : Srclint.item) -> i.finding.Finding.code)
-    (Srclint.exn_errors r)
+    (Srclint.errors r)
 
 let has code r = List.mem code (codes r)
 
@@ -60,7 +60,7 @@ let assert_flags ?handlers name code sources =
     (Printf.sprintf "%s: %s flagged (got: %s)" name code
        (String.concat ", " (codes r)))
     true (has code r);
-  check Alcotest.int (name ^ ": exit code") 1 (Srclint.exn_exit_code r)
+  check Alcotest.int (name ^ ": exit code") 1 (Srclint.exit_code r)
 
 (* ---- seeded mutants ---- *)
 
@@ -226,7 +226,7 @@ let swallowed f = try f () with _ -> ()
     (Printf.sprintf "no errors on sound shapes (got: %s)"
        (String.concat ", " (error_codes r)))
     [] (error_codes r);
-  check Alcotest.int "clean exit code" 0 (Srclint.exn_exit_code r)
+  check Alcotest.int "clean exit code" 0 (Srclint.exit_code r)
 
 let clean_releases_annotation () =
   (* the helper's release is invisible to the heuristics: only the
@@ -262,15 +262,20 @@ let real_tree_is_clean () =
     List.map
       (fun (i : Srclint.item) ->
         Printf.sprintf "%s:%d %s" i.file i.line (Finding.to_string i.finding))
-      (Srclint.exn_errors r)
+      (Srclint.errors r)
   in
   check Alcotest.(list string) "zero errors on the annotated tree" [] errs;
-  check Alcotest.int "clean tree exit code" 0 (Srclint.exn_exit_code r)
+  check Alcotest.int "clean tree exit code" 0 (Srclint.exit_code r)
 
 let real_tree_inventory () =
   let r = Srclint.analyze_exnflow_tree ~root:(real_tree_root ()) () in
+  let summaries =
+    match r.Srclint.inventory with
+    | Srclint.Flows { summaries; _ } -> summaries
+    | Srclint.Locks _ -> Alcotest.fail "exnflow report without summaries"
+  in
   let find name =
-    match List.assoc_opt name r.Srclint.xsummaries with
+    match List.assoc_opt name summaries with
     | Some s -> s
     | None -> Alcotest.failf "no summary for %s" name
   in
