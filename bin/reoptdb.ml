@@ -534,8 +534,8 @@ let cmd_lint =
           [ Finding.warning ~code:"src-no-root"
               "cannot locate the repository's lib/ tree for --source" ]
       | Some root ->
-        let races = Srclint.analyze_tree ~root () in
-        let flows = Srclint.analyze_exnflow_tree ~root () in
+        let races = Srclint.analyze_tree Srclint.Racecheck ~root () in
+        let flows = Srclint.analyze_tree Srclint.Exnflow ~root () in
         n_source_files := List.length races.Srclint.files;
         List.iter
           (fun (i : Srclint.item) ->
@@ -1265,9 +1265,9 @@ let cmd_serve =
 
 (* ---- racecheck, exnflow ---- *)
 
-(* The two source analyzers share one command shape: roots, report, JSON,
-   exit code; only the analysis and its registry opt-out differ. *)
-let srclint_cmd name ~analyze ~no_registry_doc ~doc =
+(* The two source analyzers share one command shape: roots, registry
+   opt-out, report, JSON, exit code; only the analyzer differs. *)
+let srclint_cmd name analyzer ~no_registry_doc ~doc =
   let roots_arg =
     Arg.(value & opt_all string [] & info [ "root" ] ~docv:"DIR"
            ~doc:"Directory tree of .ml sources to analyze (repeatable). \
@@ -1292,7 +1292,11 @@ let srclint_cmd name ~analyze ~no_registry_doc ~doc =
         (String.concat ", " roots);
       2
     | files ->
-      let report = analyze ~no_registry files in
+      let registry =
+        if no_registry then Rdb_srclint.Registry.none
+        else Rdb_srclint.Registry.default
+      in
+      let report = Srclint.analyze ~registry analyzer files in
       print_string (Srclint.render report);
       write_json json_path (Srclint.to_json report);
       Srclint.exit_code report
@@ -1301,10 +1305,7 @@ let srclint_cmd name ~analyze ~no_registry_doc ~doc =
     Term.(const run $ roots_arg $ json_arg $ no_registry_arg)
 
 let cmd_racecheck =
-  srclint_cmd "racecheck"
-    ~analyze:(fun ~no_registry files ->
-      Srclint.analyze_files ?registry:(if no_registry then Some [] else None)
-        files)
+  srclint_cmd "racecheck" Srclint.Racecheck
     ~no_registry_doc:
       "Skip the checked registry of the serving stack's known shared state \
        (for analyzing trees other than this repository's lib/)."
@@ -1319,11 +1320,7 @@ let cmd_racecheck =
        findings. Exits 1 on error findings, 2 on usage errors."
 
 let cmd_exnflow =
-  srclint_cmd "exnflow"
-    ~analyze:(fun ~no_registry files ->
-      if no_registry then
-        Srclint.analyze_exnflow_files ~handlers:[] ~pinned:[] files
-      else Srclint.analyze_exnflow_files files)
+  srclint_cmd "exnflow" Srclint.Exnflow
     ~no_registry_doc:
       "Skip the designated-handler registry and the pinned serving-stack \
        file list (for analyzing trees other than this repository's lib/)."

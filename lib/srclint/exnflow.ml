@@ -1,10 +1,10 @@
-(* Exception-flow analysis over the parsetree: the error-path twin of
-   Lockcheck.
+(* The escape-set domain over the shared walker (Walk): the error-path twin
+   of Lockcheck.
 
-   A facts pass computes per-function summaries {raises; handles; releases}
-   iterated to fixpoint over the name-based call graph; the walker then
-   threads {live resources; protected resources; enclosing catch masks}
-   through each function body in evaluation order and checks that
+   Per-function summaries {raises; handles; releases} are iterated to
+   fixpoint over the name-based call graph; the walker then tracks the live
+   resources through each function body, with the protected subset and the
+   enclosing catch masks as its domain state, and checks that
 
    (1) no resource acquired in a scope (fd, channel, held mutex, pool,
        registered temp table) is live and unprotected at a point where an
@@ -23,14 +23,7 @@
    functions from a fresh context. *)
 
 open Ppxlib
-module Finding = Rdb_analysis.Finding
-module SS = Set.Make (String)
-
-type located = Lockcheck.located = {
-  lfile : string;
-  lline : int;
-  lfinding : Finding.t;
-}
+module SS = Walk.SS
 
 (* ---- escape sets and catch masks ---- *)
 
@@ -67,68 +60,6 @@ let apply_mask m e =
 
 let apply_masks masks e = List.fold_left (fun acc m -> apply_mask m acc) e masks
 
-(* ---- syntactic helpers (shared shapes with Lockcheck) ---- *)
-
-let rec lid_last = function
-  | Lident s -> s
-  | Ldot (_, s) -> s
-  | Lapply (_, l) -> lid_last l
-
-let last2 = function
-  | Lident f -> ("", f)
-  | Ldot (p, f) -> (lid_last p, f)
-  | Lapply (_, l) -> ("", lid_last l)
-
-let rec unconstrain (e : expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e', _) -> unconstrain e'
-  | _ -> e
-
-let is_closure e =
-  match (unconstrain e).pexp_desc with Pexp_function _ -> true | _ -> false
-
-let pat_name (p : pattern) =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
-  | _ -> None
-
-let children (e : expression) : expression list =
-  let acc = ref [] in
-  let depth = ref 0 in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression x =
-        if !depth = 0 then begin
-          incr depth;
-          super#expression x;
-          decr depth
-        end
-        else acc := x :: !acc
-    end
-  in
-  it#expression e;
-  List.rev !acc
-
-let pat_vars (p : pattern) =
-  let acc = ref SS.empty in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! pattern p =
-        (match p.ppat_desc with
-        | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-          acc := SS.add txt !acc
-        | _ -> ());
-        super#pattern p
-    end
-  in
-  it#pattern p;
-  !acc
-
 (* constructor names a handler pattern can catch *)
 let rec pat_catches (p : pattern) : mask =
   match p.ppat_desc with
@@ -140,7 +71,7 @@ let rec pat_catches (p : pattern) : mask =
     let ma = pat_catches a and mb = pat_catches b in
     { m_all = ma.m_all || mb.m_all; m_named = SS.union ma.m_named mb.m_named }
   | Ppat_construct ({ txt; _ }, _) ->
-    { m_all = false; m_named = SS.singleton (lid_last txt) }
+    { m_all = false; m_named = SS.singleton (Walk.lid_last txt) }
   | _ -> m_none
 
 (* a catch-all whose top-level shape is [_]: a var at least records the
@@ -178,13 +109,9 @@ let reraises (e : expression) =
 
       method! expression x =
         (match x.pexp_desc with
-        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-          match last2 txt with
-          | ( ("" | "Stdlib"),
-              ("raise" | "raise_notrace" | "failwith" | "invalid_arg") )
-          | "Printexc", "raise_with_backtrace" ->
-            found := true
-          | _ -> ())
+        | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _)
+          when Walk.is_divergent (Walk.last2 txt) ->
+          found := true
         | _ -> ());
         super#expression x
     end
@@ -234,26 +161,12 @@ let prim_raises = function
 let raise_arg_eset args =
   match args with
   | (_, a) :: _ -> (
-    match (unconstrain a).pexp_desc with
-    | Pexp_construct ({ txt; _ }, _) -> e_known [ lid_last txt ]
+    match (Walk.unconstrain a).pexp_desc with
+    | Pexp_construct ({ txt; _ }, _) -> e_known [ Walk.lid_last txt ]
     | _ -> e_any)
   | [] -> e_any
 
-let is_raise_head = function
-  | ("" | "Stdlib"), ("raise" | "raise_notrace") -> true
-  | "Printexc", "raise_with_backtrace" -> true
-  | _ -> false
-
-(* ---- acquisition / release / spawn heads ---- *)
-
-(* Spawn heads: closures handed to another domain/thread, plus the pool
-   entry points (a pool task's escape surfaces at [await] on a different
-   domain — by design it must be recorded into the future, not thrown). *)
-let spawn_heads =
-  [ ("Domain", "spawn"); ("Thread", "create"); ("Pool", "submit");
-    ("Pool", "map"); ("Pool", "run") ]
-
-let is_spawn p = List.mem p spawn_heads
+(* ---- acquisition / release heads ---- *)
 
 type rkind = Rfd | Rchan | Rlock | Rpool | Rtable
 
@@ -288,7 +201,7 @@ let rel_head = function
   | _ -> false
 
 let ident_arg (e : expression) =
-  match (unconstrain e).pexp_desc with
+  match (Walk.unconstrain e).pexp_desc with
   | Pexp_ident { txt = Lident n; _ } -> Some n
   | _ -> None
 
@@ -302,53 +215,30 @@ let released_of p args =
   in
   match arg with Some re -> ident_arg re | None -> None
 
-let lock_id (f : Model.file) me =
-  match (unconstrain me).pexp_desc with
-  | Pexp_field (_, { txt; _ }) | Pexp_ident { txt; _ } ->
-    let n = lid_last txt in
-    if Hashtbl.mem f.Model.locks n then
-      Some ("lock:" ^ Model.qualify f.Model.base n)
-    else None
-  | _ -> None
+(* held mutexes are tracked as resources named [lock:<qualified lock>] *)
+let lock_id f me = Option.map (fun l -> "lock:" ^ l) (Model.lock_of f me)
 
 let pretty_res r =
   if String.length r > 5 && String.sub r 0 5 = "lock:" then
     String.sub r 5 (String.length r - 5)
   else r
 
-(* ---- control exceptions and the designated-handler registry ---- *)
-
 let control_exns =
   [ "Work_budget_exceeded"; "Deadline_exceeded"; "Over_budget";
     "Verify_failed" ]
 
-type handler_entry = { hsuffix : string; hexns : string list }
-
-(* The only places allowed to consume a control exception: the harness
-   catches budget/deadline aborts to record a capped cell. The serving
-   stack converts aborts into responses via result types, not handlers. *)
-let default_handlers =
-  [ { hsuffix = "harness/runner.ml"; hexns = [ "Work_budget_exceeded" ] };
-    { hsuffix = "harness/experiments.ml"; hexns = [ "Work_budget_exceeded" ] }
-  ]
-
-(* Serving-stack files that must be present (and hence analyzed to zero
-   errors) for the gate to mean anything. *)
-let default_pinned =
-  [ "util/pool.ml"; "server/service.ml"; "server/frontend.ml";
-    "server/plan_cache.ml"; "core/feedback.ml"; "obs/trace.ml";
-    "obs/metrics.ml"; "exec/executor.ml"; "core/reopt.ml" ]
-
-let norm p = String.map (fun c -> if c = '\\' then '/' else c) p
-
-(* ---- interprocedural summaries ---- *)
+(* ---- interprocedural summaries: raises, handles, releases ---- *)
 
 type summary = {
   mutable s_raises : eset;  (* may escape a call, after own handlers *)
   mutable s_handles : SS.t;  (* constructors named by its handlers *)
   mutable s_releases : SS.t;  (* caller resources it releases on all paths *)
-  mutable s_calls : ((string * string) * mask list) list;
+  mutable s_calls : (Walk.key * mask list) list;
 }
+
+let fresh () =
+  { s_raises = e_empty; s_handles = SS.empty; s_releases = SS.empty;
+    s_calls = [] }
 
 type sinfo = {
   si_raises : string list;
@@ -356,11 +246,6 @@ type sinfo = {
   si_handles : string list;
   si_releases : string list;
 }
-
-let resolve (f : Model.file) txt =
-  match last2 txt with
-  | "", n -> (f.Model.base, n)
-  | m, n -> (String.lowercase_ascii m, n)
 
 (* The facts pass: one traversal per function body recording direct raises
    (filtered through the masks enclosing each site), handled constructor
@@ -395,15 +280,16 @@ let rec facts (f : Model.file) sm masks (e : expression) =
     sm.s_raises <-
       e_union sm.s_raises (apply_masks masks (e_known [ "Assert_failure" ]))
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
-    let p = last2 txt in
-    if is_raise_head p then
+    let p = Walk.last2 txt in
+    if Walk.is_raise_head p then
       sm.s_raises <-
         e_union sm.s_raises (apply_masks masks (raise_arg_eset args))
-    else if is_spawn p then
+    else if Walk.is_spawn p then
       (* function-position arguments run on another domain *)
       List.iter
         (fun (_, a) ->
-          if not (is_closure a || ident_arg a <> None) then facts f sm masks a)
+          if not (Walk.is_closure a || ident_arg a <> None) then
+            facts f sm masks a)
         args
     else begin
       (match args with
@@ -420,119 +306,56 @@ let rec facts (f : Model.file) sm masks (e : expression) =
       if not (e_is_empty pr) then
         sm.s_raises <- e_union sm.s_raises (apply_masks masks pr)
       else if p <> ("Mutex", "unlock") && not (rel_head p) then
-        sm.s_calls <- (resolve f txt, masks) :: sm.s_calls;
+        sm.s_calls <- (Walk.key f.base p, masks) :: sm.s_calls;
       List.iter (fun (_, a) -> facts_arg f sm masks a) args
     end
   | Pexp_function _ ->
     (* a closure literal outside argument position (bound, stored): its
        body runs later, in an unknown context — not at this site *)
     ()
-  | _ -> List.iter (facts f sm masks) (children e)
+  | _ -> List.iter (facts f sm masks) (Walk.children e)
 
 and facts_arg f sm masks a =
-  if is_closure a then facts_fn f sm masks a else facts f sm masks a
+  if Walk.is_closure a then facts_fn f sm masks a else facts f sm masks a
 
 (* descend through a function literal's parameter spine into its body *)
 and facts_fn f sm masks (e : expression) =
-  match (unconstrain e).pexp_desc with
+  match (Walk.unconstrain e).pexp_desc with
   | Pexp_function (_, _, Pfunction_body b) -> facts_fn f sm masks b
   | Pexp_function (_, _, Pfunction_cases (cases, _, _)) ->
     List.iter (fun c -> facts f sm masks c.pc_rhs) cases
   | _ -> facts f sm masks e
 
-let bindings_of (f : Model.file) : (string * expression) list =
-  let out = ref [] in
-  let add vb =
-    match pat_name vb.pvb_pat with
-    | Some txt -> out := (txt, vb.pvb_expr) :: !out
-    | None -> ()
-  in
-  let rec item (it : structure_item) =
-    match it.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter add vbs
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure sub; _ }; _ } ->
-      List.iter item sub
-    | _ -> ()
-  in
-  List.iter item f.Model.structure;
-  let locals =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e =
-        (match e.pexp_desc with
-        | Pexp_let (_, vbs, _) ->
-          List.iter (fun vb -> if is_closure vb.pvb_expr then add vb) vbs
-        | _ -> ());
-        super#expression e
-    end
-  in
-  locals#structure f.Model.structure;
-  List.rev !out
-
 let build_summaries (files : Model.file list) =
-  let tbl : (string * string, summary) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Model.file) ->
-      List.iter
-        (fun (name, body) ->
-          let sm =
-            match Hashtbl.find_opt tbl (f.base, name) with
-            | Some sm -> sm
-            | None ->
-              let sm =
-                { s_raises = e_empty; s_handles = SS.empty;
-                  s_releases = SS.empty; s_calls = [] }
-              in
-              Hashtbl.replace tbl (f.base, name) sm;
-              sm
-          in
-          facts_fn f sm [] body;
-          match Hashtbl.find_opt f.funs name with
-          | Some fa ->
-            List.iter
-              (fun r ->
-                let r =
-                  if Hashtbl.mem f.locks r then
-                    "lock:" ^ Model.qualify f.base r
-                  else r
-                in
-                sm.s_releases <- SS.add r sm.s_releases)
-              fa.Model.freleases
-          | None -> ())
-        (bindings_of f))
-    files;
-  (* fixpoint: a call's contribution is the callee's escape set filtered
-     through the masks enclosing the call site *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun _ sm ->
+  Walk.summarize
+    (List.map (fun (f : Model.file) -> (f, f.base, f.structure)) files)
+    ~fresh
+    ~facts:(fun (f : Model.file) name sm body ->
+      facts_fn f sm [] body;
+      match Hashtbl.find_opt f.funs name with
+      | Some fa ->
         List.iter
-          (fun (key, masks) ->
-            List.iter
-              (fun c ->
-                if c != sm then begin
-                  let contrib = apply_masks masks c.s_raises in
-                  if not (e_subset contrib sm.s_raises) then begin
-                    sm.s_raises <- e_union sm.s_raises contrib;
-                    changed := true
-                  end
-                end)
-              (Hashtbl.find_all tbl key))
-          sm.s_calls)
-      tbl
-  done;
-  tbl
+          (fun r ->
+            let r =
+              if Hashtbl.mem f.locks r then "lock:" ^ Model.qualify f.base r
+              else r
+            in
+            sm.s_releases <- SS.add r sm.s_releases)
+          fa.Model.freleases
+      | None -> ())
+    ~calls:(fun sm -> sm.s_calls)
+    (* a call's contribution is the callee's escape set filtered through
+       the masks enclosing the call site *)
+    ~grow:(fun sm masks c ->
+      let contrib = apply_masks masks c.s_raises in
+      let grew = not (e_subset contrib sm.s_raises) in
+      if grew then sm.s_raises <- e_union sm.s_raises contrib;
+      grew)
 
 (* may-escape of a closure literal handed to a spawn head, through the
    fixpointed summaries *)
 let may_escape tbl (f : Model.file) (e : expression) : eset =
-  let sm =
-    { s_raises = e_empty; s_handles = SS.empty; s_releases = SS.empty;
-      s_calls = [] }
-  in
+  let sm = fresh () in
   facts_fn f sm [] e;
   List.fold_left
     (fun acc (key, masks) ->
@@ -541,73 +364,66 @@ let may_escape tbl (f : Model.file) (e : expression) : eset =
         acc (Hashtbl.find_all tbl key))
     sm.s_raises sm.s_calls
 
-(* ---- the walker ---- *)
+(* ---- the walker: tracked = live resources ---- *)
 
 type rinfo = { rline : int; rkind : rkind }
 
-type run = { mutable items : located list; mutable nres : int }
+(* prot: live resources covered by an enclosing Fun.protect/@releases
+   shape; masks: the enclosing handler sets *)
+type dom = { prot : SS.t; masks : mask list }
+
+type env = dom Walk.env
 
 type ctx = {
   cfile : Model.file;
-  summaries : (string * string, summary) Hashtbl.t;
+  summaries : (Walk.key, summary) Hashtbl.t;
   allowed : SS.t;  (* control exns this file may catch *)
-  run : run;
+  sink : Walk.item list ref;
+  nres : int ref;
   rtbl : (string, rinfo) Hashtbl.t;  (* live resource ident -> info *)
   reported : (string * int, unit) Hashtbl.t;
   handled : SS.t ref;  (* constructors this file's handlers name *)
 }
 
-(* res: live resource ids; prot: subset covered by an enclosing
-   Fun.protect/@releases shape; masks: enclosing handler sets *)
-type env = { res : SS.t; prot : SS.t; masks : mask list; shadow : SS.t }
+let fresh_env shadow =
+  { Walk.tracked = SS.empty; shadow; dom = { prot = SS.empty; masks = [] } }
 
-let emit ctx line sev code fmt =
-  Printf.ksprintf
-    (fun msg ->
-      let f =
-        match sev with
-        | `E -> Finding.error ~code msg
-        | `W -> Finding.warning ~code msg
-      in
-      ctx.run.items <-
-        { lfile = ctx.cfile.Model.path; lline = line; lfinding = f }
-        :: ctx.run.items)
-    fmt
+let with_masks (env : env) masks = { env with dom = { env.dom with masks } }
 
-let summaries_of ctx txt =
-  Hashtbl.find_all ctx.summaries (resolve ctx.cfile txt)
+(* an error finding at [line] of the file being walked *)
+let err ctx line = Walk.emit ctx.sink ctx.cfile.Model.path line `E
 
 (* An exception can escape at [line] carrying [es]: every live, unprotected
    resource leaks. Reported once, at the acquisition site, so a single
    @cleanup_ok there covers all raise points of the scope. *)
-let leak_check ctx env line es =
-  let esc = apply_masks env.masks es in
+let leak_check ctx (env : env) line es =
+  let esc = apply_masks env.dom.masks es in
   if not (e_is_empty esc) then
     SS.iter
       (fun r ->
-        if not (SS.mem r env.prot) then
+        if not (SS.mem r env.dom.prot) then
           match Hashtbl.find_opt ctx.rtbl r with
           | None -> ()
           | Some info ->
             if
-              (not (Model.cleanup_suppressed ctx.cfile info.rline))
+              (not (Model.suppressed ctx.cfile Model.Cleanup_ok info.rline))
               && not (Hashtbl.mem ctx.reported (r, info.rline))
             then begin
               Hashtbl.replace ctx.reported (r, info.rline) ();
-              emit ctx info.rline `E "src-exn-leak"
+              err ctx info.rline "src-exn-leak"
                 "%s %s acquired here may leak: %s can escape at line %d \
                  before it is released (use Fun.protect/Mutex.protect, \
                  release in every handler, or annotate @cleanup_ok)"
                 (kind_str info.rkind) (pretty_res r) (e_str esc) line
             end)
-      env.res
+      env.tracked
 
-let acquire ctx env name kind line =
-  ctx.run.nres <- ctx.run.nres + 1;
+let acquire ctx (env : env) name kind line =
+  incr ctx.nres;
   Hashtbl.replace ctx.rtbl name { rline = line; rkind = kind };
-  { env with res = SS.add name env.res }
+  { env with tracked = SS.add name env.tracked }
 
-let release env name = { env with res = SS.remove name env.res }
+let release (env : env) name = { env with tracked = SS.remove name env.tracked }
 
 (* handler-discipline checks for one try/match-exception case *)
 let case_checks ctx c =
@@ -617,7 +433,7 @@ let case_checks ctx c =
   SS.iter
     (fun name ->
       if List.mem name control_exns && not (SS.mem name ctx.allowed) then
-        emit ctx line `E "src-control-exn-handler"
+        err ctx line "src-control-exn-handler"
           "control exception %s caught outside its registry-pinned handler \
            sites (it must reach the designated layer to keep abort \
            semantics observable)"
@@ -627,9 +443,9 @@ let case_checks ctx c =
     pat_is_wildcard c.pc_lhs
     && c.pc_guard = None
     && (not (reraises c.pc_rhs))
-    && not (Model.swallow_suppressed ctx.cfile line)
+    && not (Model.suppressed ctx.cfile Model.Swallow_ok line)
   then
-    emit ctx line `E "src-bare-swallow"
+    err ctx line "src-bare-swallow"
       "catch-all [_] swallows every exception (including control \
        exceptions); name the expected ones, re-raise, or annotate \
        @swallow_ok"
@@ -638,11 +454,13 @@ let case_checks ctx c =
    scanned for release heads; a named local function contributes its
    summary, which includes any @releases annotation) *)
 let finally_releases ctx fin =
-  match ident_arg fin with
-  | Some n -> (
+  let local_releases n =
     match Hashtbl.find_opt ctx.summaries (ctx.cfile.Model.base, n) with
     | Some sm -> sm.s_releases
-    | None -> SS.empty)
+    | None -> SS.empty
+  in
+  match ident_arg fin with
+  | Some n -> local_releases n
   | None ->
     let acc = ref SS.empty in
     let it =
@@ -652,7 +470,7 @@ let finally_releases ctx fin =
         method! expression x =
           (match x.pexp_desc with
           | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-            let p = last2 txt in
+            let p = Walk.last2 txt in
             match args with
             | (_, me) :: _ when p = ("Mutex", "unlock") -> (
               match lock_id ctx.cfile me with
@@ -663,14 +481,9 @@ let finally_releases ctx fin =
               | Some n -> acc := SS.add n !acc
               | None -> ())
             | _ -> (
+              (* calling a local helper releases what it releases *)
               match p with
-              | "", n -> (
-                (* calling a local helper releases what it releases *)
-                match
-                  Hashtbl.find_opt ctx.summaries (ctx.cfile.Model.base, n)
-                with
-                | Some sm -> acc := SS.union !acc sm.s_releases
-                | None -> ())
+              | "", n -> acc := SS.union !acc (local_releases n)
               | _ -> ()))
           | _ -> ());
           super#expression x
@@ -679,21 +492,20 @@ let finally_releases ctx fin =
     it#expression fin;
     !acc
 
-let rec walk ctx env (e : expression) : env =
+let rec walk ctx (env : env) (e : expression) : env =
   let line = e.pexp_loc.loc_start.pos_lnum in
   match e.pexp_desc with
-  | Pexp_sequence (a, b) -> walk ctx (walk ctx env a) b
   | Pexp_let (_, vbs, body) ->
     let env =
       List.fold_left
         (fun acc vb ->
-          let rhs = unconstrain vb.pvb_expr in
-          match (pat_name vb.pvb_pat, rhs.pexp_desc) with
+          let rhs = Walk.unconstrain vb.pvb_expr in
+          match (Walk.pat_name vb.pvb_pat, rhs.pexp_desc) with
           | ( Some n,
               Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) )
-            when acq_head (last2 txt) <> None ->
+            when acq_head (Walk.last2 txt) <> None ->
             let kind =
-              match acq_head (last2 txt) with Some k -> k | None -> Rfd
+              match acq_head (Walk.last2 txt) with Some k -> k | None -> Rfd
             in
             let acc =
               List.fold_left (fun a (_, x) -> walk_arg ctx a x) acc args
@@ -705,164 +517,63 @@ let rec walk ctx env (e : expression) : env =
           | _ -> walk ctx acc vb.pvb_expr)
         env vbs
     in
-    let shadow =
-      List.fold_left
-        (fun acc vb -> SS.union acc (pat_vars vb.pvb_pat))
-        env.shadow vbs
-    in
-    walk ctx { env with shadow } body
-  | Pexp_ifthenelse (c, t, f) ->
-    let envc = walk ctx env c in
-    let et = walk ctx envc t in
-    let ef = match f with Some f -> walk ctx envc f | None -> envc in
-    let exits =
-      (if Lockcheck.diverges t then [] else [ et.res ])
-      @
-      match f with
-      | Some f when Lockcheck.diverges f -> []
-      | _ -> [ ef.res ]
-    in
-    (match exits with
-    | [] -> et
-    | h :: rest -> { envc with res = List.fold_left SS.inter h rest })
+    Walk.let_body ~walk:(walk ctx) env vbs body
   | Pexp_match (s, cases) ->
-    let exn_cases, val_cases = List.partition is_exception_case cases in
-    ignore val_cases;
+    let exn_cases = List.filter is_exception_case cases in
     let env0 =
       walk ctx
         (if exn_cases = [] then env
-         else { env with masks = mask_of_cases exn_cases :: env.masks })
+         else with_masks env (mask_of_cases exn_cases :: env.dom.masks))
         s
     in
-    let env0 = { env0 with masks = env.masks } in
+    let env0 = with_masks env0 env.dom.masks in
     List.iter (case_checks ctx) exn_cases;
     (* a scrutinee that is an acquisition head binds its resource in the
        value cases: [match Unix.accept l with fd, _ -> ...] *)
     let acq =
-      match (unconstrain s).pexp_desc with
+      match (Walk.unconstrain s).pexp_desc with
       | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-        acq_head (last2 txt)
+        acq_head (Walk.last2 txt)
       | _ -> None
     in
-    let exits =
-      List.filter_map
-        (fun c ->
-          let vars = pat_vars c.pc_lhs in
-          let entry =
-            if is_exception_case c then
-              { env with shadow = SS.union env.shadow vars }
-            else
-              let e0 = { env0 with shadow = SS.union env0.shadow vars } in
-              match (acq, SS.min_elt_opt vars) with
-              | Some k, Some v -> acquire ctx e0 v k (case_line c)
-              | _ -> e0
-          in
-          let e1 =
-            match c.pc_guard with Some g -> walk ctx entry g | None -> entry
-          in
-          let ex = walk ctx e1 c.pc_rhs in
-          if Lockcheck.diverges c.pc_rhs then None else Some ex.res)
-        cases
+    let entry c =
+      if is_exception_case c then env
+      else
+        match (acq, SS.min_elt_opt (Walk.pat_vars c.pc_lhs)) with
+        | Some k, Some v -> acquire ctx env0 v k (case_line c)
+        | _ -> env0
     in
-    (match exits with
-    | [] -> env0
-    | h :: rest -> { env0 with res = List.fold_left SS.inter h rest })
+    Walk.join env0
+      (List.filter_map (fun c -> Walk.case ~walk:(walk ctx) (entry c) c) cases)
   | Pexp_try (b, cases) ->
-    let envb = walk ctx { env with masks = mask_of_cases cases :: env.masks } b in
+    let envb =
+      walk ctx (with_masks env (mask_of_cases cases :: env.dom.masks)) b
+    in
     List.iter (case_checks ctx) cases;
     (* handlers run with the environment at try entry: a resource acquired
        and leaked inside the body is already reported at its raise site *)
-    let exits =
-      List.filter_map
-        (fun c ->
-          let entry =
-            { env with shadow = SS.union env.shadow (pat_vars c.pc_lhs) }
-          in
-          let e1 =
-            match c.pc_guard with Some g -> walk ctx entry g | None -> entry
-          in
-          let ex = walk ctx e1 c.pc_rhs in
-          if Lockcheck.diverges c.pc_rhs then None else Some ex.res)
-        cases
-    in
-    let body_exit = { envb with masks = env.masks } in
-    (match exits with
-    | [] -> body_exit
-    | h :: rest ->
-      { body_exit with
-        res = List.fold_left SS.inter (SS.inter body_exit.res h) rest })
-  | Pexp_while (c, b) ->
-    let env' = walk ctx env c in
-    ignore (walk ctx env' b);
-    env
-  | Pexp_for (pat, a, b, _, body) ->
-    let env' = walk ctx (walk ctx env a) b in
-    ignore
-      (walk ctx
-         { env' with shadow = SS.union env'.shadow (pat_vars pat) }
-         body);
-    env'
+    Walk.join_try ~walk:(walk ctx) env envb cases
   | Pexp_assert _ ->
     leak_check ctx env line (e_known [ "Assert_failure" ]);
     env
   | Pexp_function _ ->
     (* stray closure literal (stored in a record, returned): its body runs
        later, from a fresh context *)
-    walk_fn ctx
-      { res = SS.empty; prot = SS.empty; masks = []; shadow = env.shadow }
-      e;
+    walk_fn ctx (fresh_env env.shadow) e;
     env
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) ->
     apply ctx env ~line txt args
-  | Pexp_apply (head, args) ->
-    let env = walk ctx env head in
-    List.fold_left (fun acc (_, a) -> walk_arg ctx acc a) env args
-  | _ -> List.fold_left (walk ctx) env (children e)
+  | _ -> Walk.step ~walk:(walk ctx) env e
 
-(* a closure literal in argument position runs during the call: walk its
-   body with the caller's live resources and masks *)
-and walk_arg ctx env a =
-  if is_closure a then begin
-    walk_fn ctx env a;
-    env
-  end
-  else walk ctx env a
+and walk_arg ctx env a = Walk.arg ~walk:(walk ctx) env a
 
-(* walk the body of a function literal (possibly nested / cases form) *)
-and walk_fn ctx env (e : expression) =
-  match (unconstrain e).pexp_desc with
-  | Pexp_function (params, _, body) ->
-    let shadow =
-      List.fold_left
-        (fun acc p ->
-          match p.pparam_desc with
-          | Pparam_val (_, d, pat) ->
-            (match d with Some d -> ignore (walk ctx env d) | None -> ());
-            SS.union acc (pat_vars pat)
-          | Pparam_newtype _ -> acc)
-        env.shadow params
-    in
-    let benv = { env with shadow } in
-    (match body with
-    | Pfunction_body b -> walk_fn ctx benv b
-    | Pfunction_cases (cases, _, _) ->
-      List.iter
-        (fun c ->
-          let entry =
-            { benv with shadow = SS.union benv.shadow (pat_vars c.pc_lhs) }
-          in
-          let e1 =
-            match c.pc_guard with Some g -> walk ctx entry g | None -> entry
-          in
-          ignore (walk ctx e1 c.pc_rhs))
-        cases)
-  | _ -> ignore (walk ctx env e)
+and walk_fn ctx env e = Walk.fn ~walk:(walk ctx) env e
 
-and apply ctx env ~line txt args =
+and apply ctx (env : env) ~line txt args =
   let walk_args env =
     List.fold_left (fun acc (_, a) -> walk_arg ctx acc a) env args
   in
-  let p = last2 txt in
+  let p = Walk.last2 txt in
   match (p, args) with
   | ("Mutex", "lock"), (_, me) :: _ -> (
     let env = walk_args env in
@@ -889,18 +600,20 @@ and apply ctx env ~line txt args =
       match fin with Some f -> finally_releases ctx f | None -> SS.empty
     in
     (match fin with Some f -> ignore (walk_arg ctx env f) | None -> ());
-    let inner = { env with prot = SS.union env.prot rel } in
+    let inner =
+      { env with dom = { env.dom with prot = SS.union env.dom.prot rel } }
+    in
     List.iter
       (fun (lbl, a) ->
         match lbl with Nolabel -> ignore (walk_arg ctx inner a) | _ -> ())
       args;
-    { env with res = SS.diff env.res rel }
-  | p, _ when is_spawn p ->
+    { env with tracked = SS.diff env.tracked rel }
+  | p, _ when Walk.is_spawn p ->
     (* nothing may escape the spawned closure *)
     List.iter
       (fun (_, a) ->
         let es =
-          if is_closure a then may_escape ctx.summaries ctx.cfile a
+          if Walk.is_closure a then may_escape ctx.summaries ctx.cfile a
           else
             match ident_arg a with
             | Some n -> (
@@ -913,23 +626,20 @@ and apply ctx env ~line txt args =
         in
         if
           (not (e_is_empty es))
-          && not (Model.swallow_suppressed ctx.cfile line)
+          && not (Model.suppressed ctx.cfile Model.Swallow_ok line)
         then
-          emit ctx line `E "src-spawn-escape"
+          err ctx line "src-spawn-escape"
             "%s.%s closure may raise %s uncaught: an escaping exception \
              aborts the domain/thread (catch inside the closure, or \
              annotate @swallow_ok where the head records it)"
             (fst p) (snd p) (e_str es);
         (* leaks inside the closure are checked from a fresh context *)
-        if is_closure a then
-          walk_fn ctx
-            { res = SS.empty; prot = SS.empty; masks = [];
-              shadow = env.shadow }
-            a)
+        if Walk.is_closure a then walk_fn ctx (fresh_env env.shadow) a)
       args;
     List.fold_left
       (fun acc (_, a) ->
-        if is_closure a || ident_arg a <> None then acc else walk ctx acc a)
+        if Walk.is_closure a || ident_arg a <> None then acc
+        else walk ctx acc a)
       env args
   | _ ->
     let env = walk_args env in
@@ -941,14 +651,14 @@ and apply ctx env ~line txt args =
         | None -> env
       else env
     in
-    let sums = summaries_of ctx txt in
+    let sums = Walk.summaries_of ctx.summaries ctx.cfile.Model.base txt in
     (* releases by callee summary are optimistic: a releasing callee is
        assumed to release on its raising paths too (that is what @releases
        asserts; [Pool.await] genuinely does) *)
     let srel =
       List.fold_left (fun acc s -> SS.union acc s.s_releases) SS.empty sums
     in
-    let env = { env with res = SS.diff env.res srel } in
+    let env = { env with tracked = SS.diff env.tracked srel } in
     (* temp-table registration: [Catalog.add_table cat t] makes [t] live *)
     let env =
       match (p, args) with
@@ -964,7 +674,7 @@ and apply ctx env ~line txt args =
         (prim_raises p) sums
     in
     let es =
-      if is_raise_head p then e_union es (raise_arg_eset args) else es
+      if Walk.is_raise_head p then e_union es (raise_arg_eset args) else es
     in
     if not (e_is_empty es) then leak_check ctx env line es;
     env
@@ -973,100 +683,50 @@ let walk_file ctx =
   List.iter
     (fun (_name, body) ->
       Hashtbl.reset ctx.rtbl;
-      let env0 =
-        { res = SS.empty; prot = SS.empty; masks = []; shadow = SS.empty }
-      in
-      if is_closure body then walk_fn ctx env0 body
-      else ignore (walk ctx env0 body))
-    (bindings_of ctx.cfile)
+      walk_fn ctx (fresh_env SS.empty) body)
+    (Walk.bindings_of ctx.cfile.Model.structure)
 
-(* ---- registry + entry point ---- *)
+(* ---- entry point ---- *)
 
-type result = {
-  items : located list;
-  summaries : (string * sinfo) list;
-  resources : int;
-}
+type result = { summaries : (string * sinfo) list; resources : int }
 
-let registry_findings handlers pinned (files : Model.file list) =
-  let items = ref [] in
-  let emit file line code msg =
-    items :=
-      { lfile = file; lline = line; lfinding = Finding.error ~code msg }
-      :: !items
-  in
-  let present suffix =
-    List.exists
-      (fun (f : Model.file) -> String.ends_with ~suffix (norm f.path))
-      files
-  in
-  List.iter
-    (fun suffix ->
-      if not (present suffix) then
-        emit suffix 0 "src-registry-missing-file"
-          (Printf.sprintf
-             "pinned serving-stack file %s not found in analyzed tree" suffix))
-    pinned;
-  List.iter
-    (fun h ->
-      if not (present h.hsuffix) then
-        emit h.hsuffix 0 "src-registry-missing-file"
-          (Printf.sprintf
-             "designated-handler file %s not found in analyzed tree"
-             h.hsuffix))
-    handlers;
-  !items
-
-let check ?(handlers = default_handlers) ?(pinned = default_pinned)
-    (files : Model.file list) : result =
-  let run = { items = []; nres = 0 } in
+let check (handlers : Registry.handler list) sink (files : Model.file list) =
   let summaries = build_summaries files in
+  let nres = ref 0 in
   let handled_tbl : (string, SS.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (f : Model.file) ->
       let allowed =
         List.fold_left
-          (fun acc h ->
-            if String.ends_with ~suffix:h.hsuffix (norm f.Model.path) then
+          (fun acc (h : Registry.handler) ->
+            if Registry.matches h.hsuffix f.path then
               SS.union acc (SS.of_list h.hexns)
             else acc)
           SS.empty handlers
       in
       let handled = ref SS.empty in
-      let ctx =
-        { cfile = f; summaries; allowed; run; rtbl = Hashtbl.create 8;
-          reported = Hashtbl.create 8; handled }
-      in
-      walk_file ctx;
-      Hashtbl.replace handled_tbl (norm f.Model.path) !handled)
+      walk_file
+        { cfile = f; summaries; allowed; sink; nres; rtbl = Hashtbl.create 8;
+          reported = Hashtbl.create 8; handled };
+      Hashtbl.replace handled_tbl f.path !handled)
     files;
   (* a registered handler entry that no longer catches its exception is
      stale: the abort would sail past the layer the registry promises *)
-  let stale =
-    List.concat_map
-      (fun h ->
-        Hashtbl.fold
-          (fun path handled acc ->
-            if String.ends_with ~suffix:h.hsuffix path then
-              List.filter_map
-                (fun x ->
-                  if SS.mem x handled then None
-                  else
-                    Some
-                      { lfile = path; lline = 0;
-                        lfinding =
-                          Finding.warning ~code:"src-stale-handler"
-                            (Printf.sprintf
-                               "registry expects %s to be caught in %s but \
-                                no handler names it"
-                               x h.hsuffix) })
-                h.hexns
-              @ acc
-            else acc)
-          handled_tbl [])
-      handlers
-  in
-  run.items <- stale @ registry_findings handlers pinned files @ run.items;
+  List.iter
+    (fun (h : Registry.handler) ->
+      Hashtbl.iter
+        (fun path handled ->
+          if Registry.matches h.hsuffix path then
+            List.iter
+              (fun x ->
+                if not (SS.mem x handled) then
+                  Walk.emit sink path 0 `W "src-stale-handler"
+                    "registry expects %s to be caught in %s but no handler \
+                     names it"
+                    x h.hsuffix)
+              h.hexns)
+        handled_tbl)
+    handlers;
   let sinfos =
     Hashtbl.fold
       (fun (base, name) sm acc ->
@@ -1079,4 +739,4 @@ let check ?(handlers = default_handlers) ?(pinned = default_pinned)
       summaries []
     |> List.sort compare
   in
-  { items = run.items; summaries = sinfos; resources = run.nres }
+  { summaries = sinfos; resources = !nres }

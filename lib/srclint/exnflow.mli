@@ -1,20 +1,20 @@
-(** Exception-flow analysis: the error-path twin of {!Lockcheck}.
+(** The escape-set domain of exnflow, over the shared walker {!Walk}: the
+    error-path twin of {!Lockcheck}.
 
-    Per-function summaries [{raises; handles; releases}] are computed by a
-    syntactic facts pass and iterated to fixpoint over the name-based call
-    graph; an intraprocedural walker then threads live/protected resource
-    sets and enclosing catch masks through every function body and checks
-    leak-on-raise, spawn-escape, and designated-handler discipline.
+    Summaries record which exception constructors may escape a function
+    (after its own handlers' catch masks), which its handlers name, and
+    which caller resources it releases. The tracked set is the live
+    resources (fds, channels, held mutexes, pools, temp tables), with the
+    subset protected by [Fun.protect]/[@releases] and the enclosing catch
+    masks as domain state. The walker checks leak-on-raise, that nothing
+    escapes a spawned closure, and handler discipline: control exceptions
+    ([Work_budget_exceeded], [Deadline_exceeded], [Over_budget],
+    [Verify_failed]) are caught only at {!Registry} handler sites, and bare
+    [with _ ->] swallows are annotated.
 
     Calibration: unknown calls are assumed non-raising, a short primitive
     table is assumed raising, and [Fun.protect]/[Mutex.protect]/[@releases]
     are the recognized sound release shapes. *)
-
-type located = Lockcheck.located = {
-  lfile : string;
-  lline : int;
-  lfinding : Rdb_analysis.Finding.t;
-}
 
 type sinfo = {
   si_raises : string list;  (** named constructors that may escape *)
@@ -23,30 +23,11 @@ type sinfo = {
   si_releases : string list;  (** caller resources released on all paths *)
 }
 
-type handler_entry = { hsuffix : string; hexns : string list }
-(** [hexns] may only be caught in files whose path ends with [hsuffix]. *)
-
-val control_exns : string list
-(** Control exceptions under designated-handler discipline:
-    [Work_budget_exceeded], [Deadline_exceeded], [Over_budget],
-    [Verify_failed]. *)
-
-val default_handlers : handler_entry list
-(** The registry-pinned handler sites (the harness layers that record
-    capped cells). *)
-
-val default_pinned : string list
-(** Serving-stack files that must be present in the analyzed tree. *)
-
 type result = {
-  items : located list;
   summaries : (string * sinfo) list;  (** ["base.fn"] -> summary, sorted *)
   resources : int;  (** tracked acquisition sites *)
 }
 
 val check :
-  ?handlers:handler_entry list ->
-  ?pinned:string list ->
-  Model.file list ->
-  result
-(** Pass [~handlers:[] ~pinned:[]] for synthetic trees. *)
+  Registry.handler list -> Walk.item list ref -> Model.file list -> result
+(** Adds the findings to the sink, with the given designated handlers. *)

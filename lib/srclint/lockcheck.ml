@@ -1,51 +1,19 @@
-(* Held-lock-set abstract interpretation over the parsetree.
+(* The held-lock-set domain over the shared walker (Walk).
 
-   The walker threads an environment (set of qualified locks known held +
-   are-we-inside-a-spawned-closure flag) through each expression in
-   evaluation order; branches are merged by intersection (a lock is held
-   after [if]/[match] only if every branch exits holding it), loops are
-   assumed lock-balanced, and closures are analyzed at their definition
-   site with the definition-time held set — except closures passed to
-   spawn points, which start from the empty set on a fresh domain/thread. *)
+   The tracked set is the qualified locks known held; the domain flag is
+   "inside a closure spawned on another domain/thread". Branches join by
+   the core's rule (a lock is held after [if]/[match]/[try] only if every
+   non-diverging exit holds it), loops are assumed lock-balanced, and
+   closures are analyzed at their definition site with the definition-time
+   held set — except closures passed to spawn points, which start from the
+   empty set on a fresh domain/thread. *)
 
 open Ppxlib
-module Finding = Rdb_analysis.Finding
-module SS = Set.Make (String)
+module SS = Walk.SS
 
 type edge = { efrom : string; eto : string; efile : string; eline : int }
 
-type located = { lfile : string; lline : int; lfinding : Finding.t }
-
-type result = { items : located list; edges : edge list }
-
-(* ---- small syntactic helpers ---- *)
-
-let rec lid_last = function
-  | Lident s -> s
-  | Ldot (_, s) -> s
-  | Lapply (_, l) -> lid_last l
-
-(* last module component + value name: [Rdb_util.Pool.submit] -> (Pool, submit) *)
-let last2 = function
-  | Lident f -> ("", f)
-  | Ldot (p, f) -> (lid_last p, f)
-  | Lapply (_, l) -> ("", lid_last l)
-
-let rec unconstrain (e : expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e', _) -> unconstrain e'
-  | _ -> e
-
-let is_closure e =
-  match (unconstrain e).pexp_desc with Pexp_function _ -> true | _ -> false
-
-(* Calls that hand a closure to another domain/thread. Name-based so the
-   check also fires on sources analyzed without their Pool counterpart. *)
-let spawn_heads =
-  [ ("Domain", "spawn"); ("Thread", "create"); ("Pool", "submit");
-    ("Pool", "map"); ("Pool", "run") ]
-
-let is_spawn p = List.mem p spawn_heads
+type result = { locks : string list; edges : edge list }
 
 (* Primitives that can block the calling domain. [Mutex.lock] is excluded —
    it feeds the lock-order graph instead. Channel *output* is excluded by
@@ -70,40 +38,12 @@ let is_summary_blocking p = is_blocking p && p <> ("Condition", "wait")
 
 let blocking_name (m, f) = if m = "" then f else m ^ "." ^ f
 
-(* Depth-1 child expressions, for AST constructors with no special rule. *)
-let children (e : expression) : expression list =
-  let acc = ref [] in
-  let depth = ref 0 in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression x =
-        if !depth = 0 then begin
-          incr depth;
-          super#expression x;
-          decr depth
-        end
-        else acc := x :: !acc
-    end
-  in
-  it#expression e;
-  List.rev !acc
-
-let lock_of_expr (f : Model.file) e =
-  match (unconstrain e).pexp_desc with
-  | Pexp_field (_, { txt; _ }) | Pexp_ident { txt; _ } ->
-    let n = lid_last txt in
-    if Hashtbl.mem f.Model.locks n then Some (Model.qualify f.Model.base n)
-    else None
-  | _ -> None
-
-(* ---- interprocedural summaries ---- *)
+(* ---- interprocedural summaries: may-block, may-acquire ---- *)
 
 type summary = {
   mutable s_block : bool;
   mutable s_acq : SS.t;
-  mutable s_callees : (string * string) list;  (* resolved (file base, name) *)
+  mutable s_callees : Walk.key list;
 }
 
 (* Syntactic facts of one function body: blocking-primitive occurrences,
@@ -112,141 +52,61 @@ type summary = {
 let rec facts (f : Model.file) sm (e : expression) =
   match e.pexp_desc with
   | Pexp_ident { txt; _ } ->
-    let m, n = last2 txt in
-    if is_summary_blocking (m, n) then sm.s_block <- true;
-    let b = if m = "" then f.Model.base else String.lowercase_ascii m in
-    sm.s_callees <- (b, n) :: sm.s_callees
+    let p = Walk.last2 txt in
+    if is_summary_blocking p then sm.s_block <- true;
+    sm.s_callees <- Walk.key f.base p :: sm.s_callees
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, args) -> (
-    match last2 txt with
+    match Walk.last2 txt with
     | ("Mutex", "lock") | ("Mutex", "protect") ->
       (match args with
       | (_, me) :: rest ->
-        (match lock_of_expr f me with
+        (match Model.lock_of f me with
         | Some l -> sm.s_acq <- SS.add l sm.s_acq
         | None -> ());
         List.iter (fun (_, a) -> facts f sm a) rest
       | [] -> ())
-    | p when is_spawn p -> if is_summary_blocking p then sm.s_block <- true
+    | p when Walk.is_spawn p -> if is_summary_blocking p then sm.s_block <- true
     | p ->
       if is_summary_blocking p then sm.s_block <- true
-      else begin
-        let m, n = p in
-        let b = if m = "" then f.Model.base else String.lowercase_ascii m in
-        sm.s_callees <- (b, n) :: sm.s_callees
-      end;
+      else sm.s_callees <- Walk.key f.base p :: sm.s_callees;
       List.iter (fun (_, a) -> facts f sm a) args)
-  | _ -> List.iter (facts f sm) (children e)
-
-(* Every named binding whose body we can summarize: toplevel and local. *)
-let bindings_of (f : Model.file) : (string * expression) list =
-  let out = ref [] in
-  let add vb =
-    match vb.pvb_pat.ppat_desc with
-    | Ppat_var { txt; _ } -> out := (txt, vb.pvb_expr) :: !out
-    | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) ->
-      out := (txt, vb.pvb_expr) :: !out
-    | _ -> ()
-  in
-  let rec item (it : structure_item) =
-    match it.pstr_desc with
-    | Pstr_value (_, vbs) -> List.iter add vbs
-    | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure sub; _ }; _ } ->
-      List.iter item sub
-    | _ -> ()
-  in
-  List.iter item f.Model.structure;
-  let locals =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! expression e =
-        (match e.pexp_desc with
-        | Pexp_let (_, vbs, _) ->
-          List.iter (fun vb -> if is_closure vb.pvb_expr then add vb) vbs
-        | _ -> ());
-        super#expression e
-    end
-  in
-  locals#structure f.Model.structure;
-  List.rev !out
+  | _ -> List.iter (facts f sm) (Walk.children e)
 
 let build_summaries (files : Model.file list) =
-  let tbl : (string * string, summary) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (f : Model.file) ->
-      List.iter
-        (fun (name, body) ->
-          let sm =
-            match Hashtbl.find_opt tbl (f.base, name) with
-            | Some sm -> sm
-            | None ->
-              let sm = { s_block = false; s_acq = SS.empty; s_callees = [] } in
-              Hashtbl.replace tbl (f.base, name) sm;
-              sm
-          in
-          facts f sm body;
-          (match Hashtbl.find_opt f.funs name with
-          | Some fa ->
-            sm.s_acq <- SS.union sm.s_acq (SS.of_list fa.facquires);
-            sm.s_acq <- SS.union sm.s_acq (SS.of_list fa.fwith_lock)
-          | None -> ());
-          sm.s_callees <- List.sort_uniq compare sm.s_callees)
-        (bindings_of f))
-    files;
-  (* fixpoint: propagate may-block / may-acquire over the call graph *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Hashtbl.iter
-      (fun _ sm ->
-        List.iter
-          (fun key ->
-            List.iter
-              (fun c ->
-                if c != sm then begin
-                  if c.s_block && not sm.s_block then begin
-                    sm.s_block <- true;
-                    changed := true
-                  end;
-                  if not (SS.subset c.s_acq sm.s_acq) then begin
-                    sm.s_acq <- SS.union sm.s_acq c.s_acq;
-                    changed := true
-                  end
-                end)
-              (Hashtbl.find_all tbl key))
-          sm.s_callees)
-      tbl
-  done;
-  tbl
+  Walk.summarize
+    (List.map (fun (f : Model.file) -> (f, f.base, f.structure)) files)
+    ~fresh:(fun () -> { s_block = false; s_acq = SS.empty; s_callees = [] })
+    ~facts:(fun (f : Model.file) name sm body ->
+      facts f sm body;
+      (match Hashtbl.find_opt f.funs name with
+      | Some fa ->
+        sm.s_acq <- SS.union sm.s_acq (SS.of_list fa.facquires);
+        sm.s_acq <- SS.union sm.s_acq (SS.of_list fa.fwith_lock)
+      | None -> ());
+      sm.s_callees <- List.sort_uniq compare sm.s_callees)
+    ~calls:(fun sm -> List.map (fun k -> (k, ())) sm.s_callees)
+    ~grow:(fun sm () c ->
+      let grew =
+        (c.s_block && not sm.s_block) || not (SS.subset c.s_acq sm.s_acq)
+      in
+      sm.s_block <- sm.s_block || c.s_block;
+      sm.s_acq <- SS.union sm.s_acq c.s_acq;
+      grew)
 
-(* ---- the walker ---- *)
+(* ---- the walker: tracked = held locks, dom = inside a spawned closure ---- *)
 
-(* [shadow] holds names rebound by enclosing lets / parameters / case
-   patterns: a bare identifier that is shadowed can no longer denote a
-   shared-state binding, so it is exempt from guarded-access checks. *)
-type env = { held : SS.t; spawn : bool; shadow : SS.t }
-
-type run = { mutable items : located list; mutable raw_edges : edge list }
+type env = bool Walk.env
 
 type ctx = {
   cfile : Model.file;
   models : (string, Model.file) Hashtbl.t;  (* base -> file(s) *)
-  summaries : (string * string, summary) Hashtbl.t;
-  run : run;
+  summaries : (Walk.key, summary) Hashtbl.t;
+  sink : Walk.item list ref;
+  raw_edges : edge list ref;
 }
 
-let emit ctx line sev code fmt =
-  Printf.ksprintf
-    (fun msg ->
-      let f =
-        match sev with
-        | `E -> Finding.error ~code msg
-        | `W -> Finding.warning ~code msg
-      in
-      ctx.run.items <-
-        { lfile = ctx.cfile.Model.path; lline = line; lfinding = f }
-        :: ctx.run.items)
-    fmt
+(* an error finding at [line] of the file being walked *)
+let err ctx line = Walk.emit ctx.sink ctx.cfile.Model.path line `E
 
 let held_str held = String.concat ", " (SS.elements held)
 
@@ -254,18 +114,13 @@ let add_edges ctx line held ~to_:l =
   SS.iter
     (fun h ->
       if h <> l then
-        ctx.run.raw_edges <-
+        ctx.raw_edges :=
           { efrom = h; eto = l; efile = ctx.cfile.Model.path; eline = line }
-          :: ctx.run.raw_edges)
+          :: !(ctx.raw_edges))
     held
 
-let resolve_key ctx txt =
-  match last2 txt with
-  | "", n -> (ctx.cfile.Model.base, n)
-  | m, n -> (String.lowercase_ascii m, n)
-
 let fannots_of ctx txt : Model.fannot list =
-  match last2 txt with
+  match Walk.last2 txt with
   | "", n -> (
     match Hashtbl.find_opt ctx.cfile.Model.funs n with
     | Some fa -> [ fa ]
@@ -275,28 +130,11 @@ let fannots_of ctx txt : Model.fannot list =
     |> List.filter_map (fun (f : Model.file) -> Hashtbl.find_opt f.funs n)
 
 let summaries_of ctx txt =
-  Hashtbl.find_all ctx.summaries (resolve_key ctx txt)
-
-let pat_vars (p : pattern) =
-  let acc = ref SS.empty in
-  let it =
-    object
-      inherit Ast_traverse.iter as super
-
-      method! pattern p =
-        (match p.ppat_desc with
-        | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) ->
-          acc := SS.add txt !acc
-        | _ -> ());
-        super#pattern p
-    end
-  in
-  it#pattern p;
-  !acc
+  Walk.summaries_of ctx.summaries ctx.cfile.Model.base txt
 
 (* [ident] marks a bare-identifier mention: those cannot denote record
    fields and are exempt when the name is shadowed by a local binding. *)
-let check_state_access ?(ident = false) ctx env ~line ~write name =
+let check_state_access ?(ident = false) ctx (env : env) ~line ~write name =
   match Hashtbl.find_opt ctx.cfile.Model.states name with
   | Some st when ident && (SS.mem name env.shadow || st.Model.skind = Model.Field)
     ->
@@ -306,56 +144,34 @@ let check_state_access ?(ident = false) ctx env ~line ~write name =
     match st.Model.sguard with
     | Model.Confined | Model.Unannotated -> ()
     | Model.Guarded l ->
-      if not (SS.mem l env.held) then
-        if Model.suppressed ctx.cfile line then ()
-        else if env.spawn then
-          emit ctx line `E "src-domain-capture"
+      if not (SS.mem l env.tracked) then
+        if Model.suppressed ctx.cfile Model.Race_ok line then ()
+        else if env.dom then
+          err ctx line "src-domain-capture"
             "closure passed to another domain captures %s (guarded by %s) \
              without acquiring it"
             name l
         else
-          emit ctx line `E "src-unguarded-access"
+          err ctx line "src-unguarded-access"
             "%s to %s (guarded by %s) without holding %s"
             (if write then "write" else "access")
             name l l)
 
 (* blocking checks for any mention of a name while locks are held *)
-let check_blocking ctx env ~line txt =
-  if not (SS.is_empty env.held) then begin
-    let p = last2 txt in
+let check_blocking ctx (env : env) ~line txt =
+  if not (SS.is_empty env.tracked) then begin
+    let p = Walk.last2 txt in
     if is_blocking p then
-      emit ctx line `E "src-blocking-under-lock"
+      err ctx line "src-blocking-under-lock"
         "blocking call %s while holding %s" (blocking_name p)
-        (held_str env.held)
+        (held_str env.tracked)
     else if List.exists (fun s -> s.s_block) (summaries_of ctx txt) then
-      emit ctx line `E "src-blocking-under-lock"
+      err ctx line "src-blocking-under-lock"
         "call to %s may block (transitively) while holding %s"
-        (blocking_name p) (held_str env.held)
+        (blocking_name p) (held_str env.tracked)
   end
 
-(* Branches that cannot return normally (raise, failwith, assert false)
-   must not participate in the held-set merge: [if bad then (unlock; fail)]
-   still holds the lock on the fall-through path. *)
-let divergent_heads =
-  [ ("", "raise"); ("", "raise_notrace"); ("", "failwith");
-    ("", "invalid_arg"); ("Stdlib", "raise"); ("Stdlib", "failwith");
-    ("Stdlib", "invalid_arg"); ("Printexc", "raise_with_backtrace") ]
-
-let rec diverges (e : expression) =
-  match e.pexp_desc with
-  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
-    List.mem (last2 txt) divergent_heads
-  | Pexp_assert
-      { pexp_desc = Pexp_construct ({ txt = Lident "false"; _ }, None); _ } ->
-    true
-  | Pexp_sequence (_, b) | Pexp_let (_, _, b) -> diverges b
-  | Pexp_constraint (b, _) -> diverges b
-  | Pexp_ifthenelse (_, t, Some f) -> diverges t && diverges f
-  | Pexp_match (_, cases) ->
-    cases <> [] && List.for_all (fun c -> diverges c.pc_rhs) cases
-  | _ -> false
-
-let rec walk ctx env (e : expression) : env =
+let rec walk ctx (env : env) (e : expression) : env =
   let line = e.pexp_loc.loc_start.pos_lnum in
   match e.pexp_desc with
   | Pexp_ident { txt; _ } ->
@@ -366,87 +182,36 @@ let rec walk ctx env (e : expression) : env =
     env
   | Pexp_field (b, { txt; _ }) ->
     let env = walk ctx env b in
-    check_state_access ctx env ~line ~write:false (lid_last txt);
+    check_state_access ctx env ~line ~write:false (Walk.lid_last txt);
     env
   | Pexp_setfield (b, { txt; _ }, v) ->
     let env = walk ctx env b in
     let env = walk ctx env v in
-    check_state_access ctx env ~line ~write:true (lid_last txt);
+    check_state_access ctx env ~line ~write:true (Walk.lid_last txt);
     env
-  | Pexp_sequence (a, b) -> walk ctx (walk ctx env a) b
   | Pexp_let (_, vbs, body) ->
-    let env =
-      List.fold_left
-        (fun acc vb ->
-          (* a local function carrying a lock precondition (@requires) is
-             analyzed with that precondition held *)
-          let acc' =
-            match vb.pvb_pat.ppat_desc with
-            | Ppat_var { txt = n; _ } when is_closure vb.pvb_expr -> (
-              match Hashtbl.find_opt ctx.cfile.Model.funs n with
-              | Some fa ->
-                { acc with held = SS.union acc.held (SS.of_list fa.frequires) }
-              | None -> acc)
-            | _ -> acc
-          in
-          ignore (walk ctx acc' vb.pvb_expr);
-          acc)
-        env vbs
-    in
-    let shadow =
-      List.fold_left
-        (fun acc vb -> SS.union acc (pat_vars vb.pvb_pat))
-        env.shadow vbs
-    in
-    walk ctx { env with shadow } body
-  | Pexp_ifthenelse (c, t, f) ->
-    let envc = walk ctx env c in
-    let et = walk ctx envc t in
-    let ef = match f with Some f -> walk ctx envc f | None -> envc in
-    let exits =
-      (if diverges t then [] else [ et.held ])
-      @
-      match f with
-      | Some f when diverges f -> []
-      | _ -> [ ef.held ]
-    in
-    (match exits with
-    | [] -> et (* both branches diverge: the join is unreachable *)
-    | h :: rest -> { envc with held = List.fold_left SS.inter h rest })
+    List.iter
+      (fun vb ->
+        (* a local function carrying a lock precondition (@requires) is
+           analyzed with that precondition held *)
+        let env' =
+          match vb.pvb_pat.ppat_desc with
+          | Ppat_var { txt = n; _ } when Walk.is_closure vb.pvb_expr -> (
+            match Hashtbl.find_opt ctx.cfile.Model.funs n with
+            | Some fa ->
+              { env with
+                tracked = SS.union env.tracked (SS.of_list fa.frequires) }
+            | None -> env)
+          | _ -> env
+        in
+        ignore (walk ctx env' vb.pvb_expr))
+      vbs;
+    Walk.let_body ~walk:(walk ctx) env vbs body
   | Pexp_match (s, cases) ->
     let env0 = walk ctx env s in
-    merge_cases ctx env0 cases
+    Walk.join env0 (List.filter_map (Walk.case ~walk:(walk ctx) env0) cases)
   | Pexp_try (s, cases) ->
-    let envb = walk ctx env s in
-    let envh = merge_cases ctx env cases in
-    { env with held = SS.inter envb.held envh.held }
-  | Pexp_while (c, b) ->
-    let env' = walk ctx env c in
-    ignore (walk ctx env' b);
-    env
-  | Pexp_for (pat, a, b, _, body) ->
-    let env' = walk ctx (walk ctx env a) b in
-    ignore
-      (walk ctx
-         { env' with shadow = SS.union env'.shadow (pat_vars pat) }
-         body);
-    env'
-  | Pexp_function (params, _, body) ->
-    let shadow =
-      List.fold_left
-        (fun acc p ->
-          match p.pparam_desc with
-          | Pparam_val (_, d, pat) ->
-            (match d with Some d -> ignore (walk ctx env d) | None -> ());
-            SS.union acc (pat_vars pat)
-          | Pparam_newtype _ -> acc)
-        env.shadow params
-    in
-    let benv = { env with shadow } in
-    (match body with
-    | Pfunction_body b -> ignore (walk ctx benv b)
-    | Pfunction_cases (cases, _, _) -> ignore (merge_cases ctx benv cases));
-    env
+    Walk.join_try ~walk:(walk ctx) env (walk ctx env s) cases
   | Pexp_record (fields, base) ->
     (* building a record is not an access to the (new) fields; [{ b with .. }]
        reads of unnamed fields of [b] are not modeled *)
@@ -454,87 +219,63 @@ let rec walk ctx env (e : expression) : env =
     List.fold_left (fun acc (_, fe) -> walk ctx acc fe) env fields
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; pexp_loc; _ }, args) ->
     apply ctx env ~line ~head_line:pexp_loc.loc_start.pos_lnum txt args
-  | Pexp_apply (head, args) ->
-    let env = walk ctx env head in
-    List.fold_left (fun acc (_, a) -> walk ctx acc a) env args
-  | _ -> List.fold_left (walk ctx) env (children e)
+  | _ -> Walk.step ~walk:(walk ctx) env e
 
-and merge_cases ctx env0 cases =
-  let exits =
-    List.filter_map
-      (fun c ->
-        let envp =
-          { env0 with shadow = SS.union env0.shadow (pat_vars c.pc_lhs) }
-        in
-        let e1 =
-          match c.pc_guard with Some g -> walk ctx envp g | None -> envp
-        in
-        let ex = walk ctx e1 c.pc_rhs in
-        if diverges c.pc_rhs then None else Some ex)
-      cases
-  in
-  match exits with
-  | [] -> env0
-  | first :: rest ->
-    { env0 with
-      held = List.fold_left (fun acc e -> SS.inter acc e.held) first.held rest
-    }
-
-and apply ctx env ~line ~head_line txt args =
+and apply ctx (env : env) ~line ~head_line txt args =
   let walk_args env =
     List.fold_left (fun acc (_, a) -> walk ctx acc a) env args
   in
-  match (last2 txt, args) with
+  let held = env.tracked in
+  match (Walk.last2 txt, args) with
   | ("Mutex", "lock"), (_, me) :: _ -> (
     let env = walk_args env in
-    match lock_of_expr ctx.cfile me with
+    match Model.lock_of ctx.cfile me with
     | None -> env
     | Some l ->
-      if SS.mem l env.held then begin
-        emit ctx line `E "src-recursive-lock"
+      if SS.mem l env.tracked then begin
+        err ctx line "src-recursive-lock"
           "Mutex.lock on %s which is already held" l;
         env
       end
       else begin
-        add_edges ctx line env.held ~to_:l;
-        { env with held = SS.add l env.held }
+        add_edges ctx line env.tracked ~to_:l;
+        { env with tracked = SS.add l env.tracked }
       end)
   | ("Mutex", "unlock"), (_, me) :: _ -> (
     let env = walk_args env in
-    match lock_of_expr ctx.cfile me with
+    match Model.lock_of ctx.cfile me with
     | None -> env
-    | Some l -> { env with held = SS.remove l env.held })
+    | Some l -> { env with tracked = SS.remove l env.tracked })
   | ("Mutex", "try_lock"), (_, me) :: _ -> (
     (* records the ordering edge but conservatively does not assume held *)
     let env = walk_args env in
-    match lock_of_expr ctx.cfile me with
+    match Model.lock_of ctx.cfile me with
     | None -> env
     | Some l ->
-      add_edges ctx line env.held ~to_:l;
+      add_edges ctx line env.tracked ~to_:l;
       env)
   | ("Mutex", "protect"), (_, me) :: rest -> (
     let env = walk ctx env me in
-    match lock_of_expr ctx.cfile me with
+    match Model.lock_of ctx.cfile me with
     | None -> List.fold_left (fun acc (_, a) -> walk ctx acc a) env rest
     | Some l ->
-      if SS.mem l env.held then
-        emit ctx line `E "src-recursive-lock"
+      if SS.mem l env.tracked then
+        err ctx line "src-recursive-lock"
           "Mutex.protect on %s which is already held" l;
-      add_edges ctx line env.held ~to_:l;
-      let inner = { env with held = SS.add l env.held } in
+      add_edges ctx line env.tracked ~to_:l;
+      let inner = { env with tracked = SS.add l env.tracked } in
       List.iter (fun (_, a) -> ignore (walk ctx inner a)) rest;
       env)
   | ("Condition", "wait"), [ (_, ce); (_, me) ] -> (
     let env = walk ctx (walk ctx env ce) me in
-    match lock_of_expr ctx.cfile me with
+    match Model.lock_of ctx.cfile me with
     | None -> env
     | Some l ->
-      if not (SS.mem l env.held) then
-        emit ctx line `E "src-condition-wait"
-          "Condition.wait with %s not held" l;
-      let others = SS.remove l env.held in
+      if not (SS.mem l env.tracked) then
+        err ctx line "src-condition-wait" "Condition.wait with %s not held" l;
+      let others = SS.remove l env.tracked in
       if not (SS.is_empty others) then
-        emit ctx line `E "src-blocking-under-lock"
+        err ctx line "src-blocking-under-lock"
           "Condition.wait releases only %s while still holding %s" l
           (held_str others);
       env)
@@ -560,8 +301,8 @@ and apply ctx env ~line ~head_line txt args =
               (match x.pexp_desc with
               | Pexp_apply
                   ({ pexp_desc = Pexp_ident { txt; _ }; _ }, (_, me) :: _)
-                when last2 txt = ("Mutex", "unlock") -> (
-                match lock_of_expr ctx.cfile me with
+                when Walk.last2 txt = ("Mutex", "unlock") -> (
+                match Model.lock_of ctx.cfile me with
                 | Some l -> acc := SS.add l !acc
                 | None -> ())
               | _ -> ());
@@ -580,34 +321,32 @@ and apply ctx env ~line ~head_line txt args =
     | Some fin -> ignore (walk ctx env fin)
     | None -> ());
     match body with
-    | None -> { env with held = SS.diff env.held unlocked }
+    | None -> { env with tracked = SS.diff held unlocked }
     | Some b ->
       let eb = walk ctx env b in
-      { env with held = SS.diff eb.held unlocked })
-  | (p, _) when is_spawn p ->
+      { env with tracked = SS.diff eb.tracked unlocked })
+  | (p, _) when Walk.is_spawn p ->
     (* closure literals run on another domain: empty held set, capture
        checks on; other arguments are evaluated here *)
     let env' =
       List.fold_left
         (fun acc (_, a) ->
-          if is_closure a then begin
-            ignore (walk ctx { env with held = SS.empty; spawn = true } a);
+          if Walk.is_closure a then begin
+            ignore (walk ctx { env with tracked = SS.empty; dom = true } a);
             acc
           end
           else walk ctx acc a)
         env args
     in
-    if is_blocking p && not (SS.is_empty env.held) then
-      emit ctx line `E "src-blocking-under-lock"
-        "blocking call %s while holding %s" (blocking_name p)
-        (held_str env.held);
+    if is_blocking p && not (SS.is_empty held) then
+      err ctx line "src-blocking-under-lock"
+        "blocking call %s while holding %s" (blocking_name p) (held_str held);
     (* the spawn primitive itself may take locks on the calling thread
        (Pool.submit enqueues under the pool mutex) *)
     List.iter
       (fun s ->
         SS.iter
-          (fun a ->
-            if not (SS.mem a env.held) then add_edges ctx line env.held ~to_:a)
+          (fun a -> if not (SS.mem a held) then add_edges ctx line held ~to_:a)
           s.s_acq)
       (summaries_of ctx txt);
     env'
@@ -633,8 +372,8 @@ and apply ctx env ~line ~head_line txt args =
       (fun (fa : Model.fannot) ->
         List.iter
           (fun l ->
-            if not (SS.mem l env.held) then
-              emit ctx line `E "src-requires-violation"
+            if not (SS.mem l held) then
+              err ctx line "src-requires-violation"
                 "call to %s requires %s which is not held" fname l)
           fa.frequires)
       fas;
@@ -646,13 +385,13 @@ and apply ctx env ~line ~head_line txt args =
         List.fold_left (fun acc (_, a) -> walk ctx acc a) env args
       else begin
         (* a @with_lock wrapper: closure arguments run with the lock held *)
-        List.iter (fun l -> add_edges ctx line env.held ~to_:l) with_locks;
+        List.iter (fun l -> add_edges ctx line held ~to_:l) with_locks;
         let inner =
-          { env with held = SS.union env.held (SS.of_list with_locks) }
+          { env with tracked = SS.union held (SS.of_list with_locks) }
         in
         List.fold_left
           (fun acc (_, a) ->
-            if is_closure a then begin
+            if Walk.is_closure a then begin
               ignore (walk ctx inner a);
               acc
             end
@@ -665,13 +404,14 @@ and apply ctx env ~line ~head_line txt args =
       (fun s ->
         SS.iter
           (fun a ->
-            if not (SS.mem a env'.held) then
-              add_edges ctx line env'.held ~to_:a)
+            if not (SS.mem a env'.tracked) then
+              add_edges ctx line env'.tracked ~to_:a)
           s.s_acq)
       (summaries_of ctx txt);
     env'
 
 let walk_file ctx =
+  let start held = { Walk.tracked = held; shadow = SS.empty; dom = false } in
   let rec item (it : structure_item) =
     match it.pstr_desc with
     | Pstr_value (_, vbs) ->
@@ -685,14 +425,9 @@ let walk_file ctx =
               | None -> SS.empty)
             | _ -> SS.empty
           in
-          ignore
-            (walk ctx
-               { held = held0; spawn = false; shadow = SS.empty }
-               vb.pvb_expr))
+          ignore (walk ctx (start held0) vb.pvb_expr))
         vbs
-    | Pstr_eval (e, _) ->
-      ignore
-        (walk ctx { held = SS.empty; spawn = false; shadow = SS.empty } e)
+    | Pstr_eval (e, _) -> ignore (walk ctx (start SS.empty) e)
     | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure sub; _ }; _ } ->
       List.iter item sub
     | _ -> ()
@@ -753,16 +488,8 @@ let sccs nodes adj =
   List.iter (fun v -> if not (Hashtbl.mem index v) then strong v) nodes;
   List.rev !out
 
-let order_findings run (files : Model.file list) edges =
-  let items = ref [] in
-  let emit_at file line sev code msg =
-    let f =
-      match sev with
-      | `E -> Finding.error ~code msg
-      | `W -> Finding.warning ~code msg
-    in
-    items := { lfile = file; lline = line; lfinding = f } :: !items
-  in
+let order_findings sink (files : Model.file list) edges =
+  let emit_at file line = Walk.emit sink file line `E in
   (* observed-cycle detection *)
   let adj = Hashtbl.create 16 in
   let nodes = ref SS.empty in
@@ -795,10 +522,9 @@ let order_findings run (files : Model.file list) edges =
         let file, line =
           match site with Some e -> (e.efile, e.eline) | None -> ("", 0)
         in
-        emit_at file line `E "src-lock-order-cycle"
-          (Printf.sprintf
-             "potential deadlock: lock acquisition cycle between %s"
-             (String.concat " <-> " comp)))
+        emit_at file line "src-lock-order-cycle"
+          "potential deadlock: lock acquisition cycle between %s"
+          (String.concat " <-> " comp))
     (sccs (SS.elements !nodes) adj);
   (* declared-order transitive closure *)
   let declared = Hashtbl.create 16 in
@@ -842,34 +568,26 @@ let order_findings run (files : Model.file list) edges =
           | Some loc -> loc
           | None -> ("", 0)
         in
-        emit_at file line `E "src-lock-order-contradiction"
-          (Printf.sprintf
-             "@lock_order declarations order %s and %s both ways" a b)
+        emit_at file line "src-lock-order-contradiction"
+          "@lock_order declarations order %s and %s both ways" a b
       end)
     declared;
   (* observed edges against declared order *)
   List.iter
     (fun e ->
       if Hashtbl.mem declared (e.eto, e.efrom) then
-        emit_at e.efile e.eline `E "src-lock-order-violation"
-          (Printf.sprintf
-             "acquired %s while holding %s, but @lock_order declares %s < %s"
-             e.eto e.efrom e.eto e.efrom))
-    edges;
-  run.items <- !items @ run.items
+        emit_at e.efile e.eline "src-lock-order-violation"
+          "acquired %s while holding %s, but @lock_order declares %s < %s"
+          e.eto e.efrom e.eto e.efrom)
+    edges
 
 (* ---- annotation hygiene across the whole set ---- *)
 
-let stale_findings run (files : Model.file list) all_locks =
-  let items = ref [] in
+let stale_findings sink (files : Model.file list) all_locks =
   let stale (f : Model.file) line l =
     if not (SS.mem l all_locks) then
-      items :=
-        { lfile = f.path; lline = line;
-          lfinding =
-            Finding.error ~code:"src-stale-annotation"
-              (Printf.sprintf "annotation names unknown lock %s" l) }
-        :: !items
+      Walk.emit sink f.path line `E "src-stale-annotation"
+        "annotation names unknown lock %s" l
   in
   List.iter
     (fun (f : Model.file) ->
@@ -889,13 +607,11 @@ let stale_findings run (files : Model.file list) all_locks =
           stale f line a;
           stale f line b)
         f.orders)
-    files;
-  run.items <- !items @ run.items
+    files
 
 (* ---- entry point ---- *)
 
-let check (files : Model.file list) : result =
-  let run = { items = []; raw_edges = [] } in
+let check sink (files : Model.file list) =
   let models = Hashtbl.create 16 in
   List.iter (fun (f : Model.file) -> Hashtbl.add models f.Model.base f) files;
   let all_locks =
@@ -907,34 +623,12 @@ let check (files : Model.file list) : result =
       SS.empty files
   in
   let summaries = build_summaries files in
+  stale_findings sink files all_locks;
+  let raw_edges = ref [] in
   List.iter
     (fun (f : Model.file) ->
-      (match f.parse_error with
-      | Some msg ->
-        run.items <-
-          { lfile = f.path; lline = 1;
-            lfinding =
-              Finding.error ~code:"src-parse-error"
-                (Printf.sprintf "could not parse: %s" msg) }
-          :: run.items
-      | None -> ());
-      List.iter
-        (fun (i : Model.issue) ->
-          let mk =
-            match i.isev with
-            | `Error -> Finding.error ~code:"src-bad-annotation"
-            | `Warning -> Finding.warning ~code:"src-dangling-annotation"
-          in
-          run.items <-
-            { lfile = f.path; lline = i.iline; lfinding = mk i.itext }
-            :: run.items)
-        f.issues)
+      walk_file { cfile = f; models; summaries; sink; raw_edges })
     files;
-  stale_findings run files all_locks;
-  List.iter
-    (fun (f : Model.file) ->
-      walk_file { cfile = f; models; summaries; run })
-    files;
-  let edges = dedup_edges run.raw_edges in
-  order_findings run files edges;
-  { items = run.items; edges }
+  let edges = dedup_edges !raw_edges in
+  order_findings sink files edges;
+  { locks = SS.elements all_locks; edges }

@@ -1,26 +1,23 @@
-(** The concurrency checker proper: walks every function body of every file
-    with an abstract held-lock set, checks guarded-state accesses, spawn
-    captures, blocking-under-lock and lock contracts, and builds the global
-    lock-acquisition-order graph for cycle / declared-order analysis.
+(** The held-lock-set domain of racecheck, over the shared walker {!Walk}.
 
-    Interprocedural reasoning is by name-based summaries (may-acquire /
-    may-block) computed to a fixpoint over the call graph; everything else is
-    intraprocedural over the parsetree. *)
+    The tracked set is the qualified locks held at each point: [Mutex.lock]
+    adds, [Mutex.unlock] removes, [Mutex.protect], [@with_lock] wrappers
+    and [@requires] preconditions hold a lock for a closure or a body,
+    [Condition.wait] must be given a held lock, and closures handed to a
+    spawn head start from the empty set. With it the walker checks
+    guarded-state accesses, spawn captures, blocking calls under a lock and
+    [@requires] contracts, and records every acquisition edge. Callees
+    contribute may-block and may-acquire summaries. The edges then form the
+    global lock-order graph, checked for cycles and against the declared
+    [@lock_order]. *)
 
 type edge = { efrom : string; eto : string; efile : string; eline : int }
 (** [efrom] was held at [efile:eline] when [eto] was acquired. *)
 
-type located = {
-  lfile : string;
-  lline : int;
-  lfinding : Rdb_analysis.Finding.t;
+type result = {
+  locks : string list;  (** every qualified lock, sorted *)
+  edges : edge list;  (** the acquisition-order graph, first site wins *)
 }
 
-type result = { items : located list; edges : edge list }
-(** [edges] is the deduplicated acquisition-order graph (first site wins). *)
-
-val diverges : Ppxlib.expression -> bool
-(** Does this expression always raise/fail (so its branch never merges)?
-    Shared with {!Exnflow}'s branch-merge logic. *)
-
-val check : Model.file list -> result
+val check : Walk.item list ref -> Model.file list -> result
+(** Adds the findings to the sink. *)

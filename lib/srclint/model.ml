@@ -27,6 +27,8 @@ type fannot = {
   mutable freleases : string list;
 }
 
+type waiver = Race_ok | Cleanup_ok | Swallow_ok
+
 type issue = { iline : int; itext : string; isev : [ `Error | `Warning ] }
 
 type file = {
@@ -36,20 +38,13 @@ type file = {
   locks : (string, lock) Hashtbl.t;
   states : (string, state) Hashtbl.t;
   funs : (string, fannot) Hashtbl.t;
-  race_ok : (int, unit) Hashtbl.t;
-  cleanup_ok : (int, unit) Hashtbl.t;
-  swallow_ok : (int, unit) Hashtbl.t;
+  waivers : (waiver * int, unit) Hashtbl.t;
   orders : (string * string * int) list;
   issues : issue list;
   parse_error : string option;
 }
 
 let qualify base name = if String.contains name '.' then name else base ^ "." ^ name
-
-let rec lid_last = function
-  | Lident s -> s
-  | Ldot (_, s) -> s
-  | Lapply (_, l) -> lid_last l
 
 let rec lid_str = function
   | Lident s -> s
@@ -68,7 +63,7 @@ type tyclass = Tmutex | Texempt | Tcontainer | Tother
 let classify_type (ct : core_type) =
   match ct.ptyp_desc with
   | Ptyp_constr ({ txt; _ }, _) ->
-    let full = lid_str txt and last = lid_last txt in
+    let full = lid_str txt and last = Walk.lid_last txt in
     if String.ends_with ~suffix:"Mutex.t" full then Tmutex
     else if
       String.ends_with ~suffix:"Atomic.t" full
@@ -93,21 +88,10 @@ type decl = {
   dfun : bool;  (* can carry @requires/@acquires/@with_lock *)
 }
 
-let pat_name (p : pattern) =
-  match p.ppat_desc with
-  | Ppat_var { txt; _ } -> Some txt
-  | Ppat_constraint ({ ppat_desc = Ppat_var { txt; _ }; _ }, _) -> Some txt
-  | _ -> None
-
-let rec unconstrain (e : expression) =
-  match e.pexp_desc with
-  | Pexp_constraint (e', _) -> unconstrain e'
-  | _ -> e
-
 type bindclass = Bmutex | Bref | Bplain
 
 let classify_bind (e : expression) =
-  match (unconstrain e).pexp_desc with
+  match (Walk.unconstrain e).pexp_desc with
   | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
     let full = lid_str txt in
     if String.ends_with ~suffix:"Mutex.create" full then Bmutex
@@ -124,9 +108,7 @@ let of_source ~path src =
   let locks = Hashtbl.create 8 in
   let states = Hashtbl.create 16 in
   let funs = Hashtbl.create 8 in
-  let race_ok = Hashtbl.create 4 in
-  let cleanup_ok = Hashtbl.create 4 in
-  let swallow_ok = Hashtbl.create 4 in
+  let waivers = Hashtbl.create 4 in
   let orders = ref [] in
   let issues = ref [] in
   let issue sev line fmt =
@@ -157,7 +139,7 @@ let of_source ~path src =
         { sname = name; skind = kind; sline = line; sguard = Unannotated }
   in
   let add_bind ~top (vb : value_binding) =
-    match pat_name vb.pvb_pat with
+    match Walk.pat_name vb.pvb_pat with
     | None -> ()
     | Some name ->
       let line = vb.pvb_loc.loc_start.pos_lnum in
@@ -259,6 +241,7 @@ let of_source ~path src =
   List.iter
     (fun (d : Directive.t) ->
       let q n = qualify base n in
+      let waive w = Hashtbl.replace waivers (w, d.line) () in
       match d.directive with
       | Directive.Guarded_by l -> attach_state d.line (Guarded (q l)) "@guarded_by"
       | Directive.Confined _ -> attach_state d.line Confined "@confined"
@@ -281,15 +264,15 @@ let of_source ~path src =
         match fannot_of d.line "@releases" with
         | Some fa -> fa.freleases <- l :: fa.freleases
         | None -> ())
-      | Directive.Race_ok _ -> Hashtbl.replace race_ok d.line ()
-      | Directive.Cleanup_ok _ -> Hashtbl.replace cleanup_ok d.line ()
-      | Directive.Swallow_ok _ -> Hashtbl.replace swallow_ok d.line ()
+      | Directive.Race_ok _ -> waive Race_ok
+      | Directive.Cleanup_ok _ -> waive Cleanup_ok
+      | Directive.Swallow_ok _ -> waive Swallow_ok
       | Directive.Lock_order (a, b) ->
         if a = b then issue `Error d.line "@lock_order %s < %s is circular" a b
         else orders := (q a, q b, d.line) :: !orders)
     dirs;
-  { path; base; structure; locks; states; funs; race_ok; cleanup_ok;
-    swallow_ok; orders = List.rev !orders; issues = List.rev !issues;
+  { path; base; structure; locks; states; funs; waivers;
+    orders = List.rev !orders; issues = List.rev !issues;
     parse_error }
 
 let load path =
@@ -300,10 +283,12 @@ let load path =
       let n = in_channel_length ic in
       of_source ~path (really_input_string ic n))
 
-let near tbl line = Hashtbl.mem tbl line || Hashtbl.mem tbl (line - 1)
+let suppressed f w line =
+  Hashtbl.mem f.waivers (w, line) || Hashtbl.mem f.waivers (w, line - 1)
 
-let suppressed f line = near f.race_ok line
-
-let cleanup_suppressed f line = near f.cleanup_ok line
-
-let swallow_suppressed f line = near f.swallow_ok line
+let lock_of f (e : expression) =
+  match (Walk.unconstrain e).pexp_desc with
+  | Pexp_field (_, { txt; _ }) | Pexp_ident { txt; _ } ->
+    let n = Walk.lid_last txt in
+    if Hashtbl.mem f.locks n then Some (qualify f.base n) else None
+  | _ -> None

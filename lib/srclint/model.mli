@@ -26,6 +26,9 @@ type fannot = {
   mutable freleases : string list;  (** raw: resource idents or lock names *)
 }
 
+(** The suppression directives, each covering its own and the next line. *)
+type waiver = Race_ok | Cleanup_ok | Swallow_ok
+
 type issue = { iline : int; itext : string; isev : [ `Error | `Warning ] }
 
 type file = {
@@ -35,9 +38,7 @@ type file = {
   locks : (string, lock) Hashtbl.t;  (** short name -> lock *)
   states : (string, state) Hashtbl.t;
   funs : (string, fannot) Hashtbl.t;
-  race_ok : (int, unit) Hashtbl.t;  (** lines carrying @race_ok *)
-  cleanup_ok : (int, unit) Hashtbl.t;  (** lines carrying @cleanup_ok *)
-  swallow_ok : (int, unit) Hashtbl.t;  (** lines carrying @swallow_ok *)
+  waivers : (waiver * int, unit) Hashtbl.t;  (** (directive, line) *)
   orders : (string * string * int) list;  (** qualified a-before-b + line *)
   issues : issue list;  (** bad/dangling annotations *)
   parse_error : string option;
@@ -52,11 +53,9 @@ val of_source : path:string -> string -> file
 val load : string -> file
 (** [of_source] over the contents of a file on disk. *)
 
-val suppressed : file -> int -> bool
-(** Is line [n] covered by a [@race_ok] on the same or previous line? *)
+val suppressed : file -> waiver -> int -> bool
+(** Is line [n] covered by waiver [w] on the same or previous line? *)
 
-val cleanup_suppressed : file -> int -> bool
-(** Is line [n] covered by a [@cleanup_ok] on the same or previous line? *)
-
-val swallow_suppressed : file -> int -> bool
-(** Is line [n] covered by a [@swallow_ok] on the same or previous line? *)
+val lock_of : file -> Ppxlib.expression -> string option
+(** The qualified lock a [mu] / [t.mu] expression names, if it is one of
+    this file's locks. *)

@@ -1,7 +1,9 @@
 module Finding = Rdb_analysis.Finding
 module Json = Rdb_obs.Json
 
-type item = { file : string; line : int; finding : Finding.t }
+type item = Walk.item = { file : string; line : int; finding : Finding.t }
+
+type analyzer = Racecheck | Exnflow
 
 type inventory =
   | Locks of { locks : string list; states : int; edges : (string * string) list }
@@ -19,42 +21,49 @@ let sort_items items =
          b.finding.Finding.code, b.finding.Finding.message))
     items
 
-let load paths = List.map Model.load (List.sort compare paths)
+(* Parse and annotation problems fail both analyzers: they share the
+   directive grammar, so a bad @cleanup_ok must fail racecheck too. *)
+let hygiene sink (f : Model.file) =
+  Option.iter
+    (Walk.emit sink f.path 1 `E "src-parse-error" "could not parse: %s")
+    f.parse_error;
+  List.iter
+    (fun (i : Model.issue) ->
+      match i.isev with
+      | `Error ->
+        Walk.emit sink f.path i.iline `E "src-bad-annotation" "%s" i.itext
+      | `Warning ->
+        Walk.emit sink f.path i.iline `W "src-dangling-annotation" "%s" i.itext)
+    f.issues
 
-let sorted_paths (models : Model.file list) =
-  List.sort compare (List.map (fun (f : Model.file) -> f.path) models)
-
-let analyze_models ?(registry = Registry.default) (models : Model.file list) =
-  let r = Lockcheck.check models in
-  let reg = Registry.check registry models in
-  let items =
-    List.map
-      (fun (l : Lockcheck.located) ->
-        { file = l.lfile; line = l.lline; finding = l.lfinding })
-      (reg @ r.items)
-    |> sort_items
+let analyze ?(registry = Registry.default) analyzer paths =
+  let models = List.map Model.load (List.sort compare paths) in
+  let sink = ref [] in
+  List.iter (hygiene sink) models;
+  let inventory =
+    match analyzer with
+    | Racecheck ->
+      Registry.check_states registry sink models;
+      let r = Lockcheck.check sink models in
+      let states =
+        List.fold_left
+          (fun acc (f : Model.file) -> acc + Hashtbl.length f.states)
+          0 models
+      in
+      let edges =
+        List.map (fun (e : Lockcheck.edge) -> (e.efrom, e.eto)) r.edges
+        |> List.sort_uniq compare
+      in
+      Locks { locks = r.locks; states; edges }
+    | Exnflow ->
+      Registry.check_files registry sink models;
+      let r = Exnflow.check registry.handlers sink models in
+      Flows { resources = r.resources; summaries = r.summaries }
   in
-  let locks =
-    List.concat_map
-      (fun (f : Model.file) ->
-        Hashtbl.fold
-          (fun short _ acc -> Model.qualify f.base short :: acc)
-          f.locks [])
-      models
-    |> List.sort_uniq compare
-  in
-  let states =
-    List.fold_left
-      (fun acc (f : Model.file) -> acc + Hashtbl.length f.states)
-      0 models
-  in
-  let edges =
-    List.map (fun (e : Lockcheck.edge) -> (e.efrom, e.eto)) r.edges
-    |> List.sort_uniq compare
-  in
-  { files = sorted_paths models; inventory = Locks { locks; states; edges }; items }
-
-let analyze_files ?registry paths = analyze_models ?registry (load paths)
+  { files =
+      List.sort compare (List.map (fun (f : Model.file) -> f.path) models);
+    inventory;
+    items = sort_items !sink }
 
 let ml_files_under root =
   let out = ref [] in
@@ -75,8 +84,8 @@ let ml_files_under root =
   if Sys.file_exists root && Sys.is_directory root then go root;
   List.rev !out
 
-let analyze_tree ?registry ~root () =
-  analyze_files ?registry (ml_files_under root)
+let analyze_tree ?registry analyzer ~root () =
+  analyze ?registry analyzer (ml_files_under root)
 
 let find_default_root () =
   let rec up dir n =
@@ -88,52 +97,6 @@ let find_default_root () =
       if parent = dir then None else up parent (n + 1)
   in
   up (Sys.getcwd ()) 0
-
-let analyze_exnflow_models ?handlers ?pinned (models : Model.file list) =
-  let r = Exnflow.check ?handlers ?pinned models in
-  (* parse / annotation problems surface here too: exnflow shares the
-     directive grammar with racecheck, so a bad @cleanup_ok must fail both *)
-  let hygiene =
-    List.concat_map
-      (fun (f : Model.file) ->
-        let parse =
-          match f.parse_error with
-          | Some msg ->
-            [ { file = f.path; line = 1;
-                finding =
-                  Finding.error ~code:"src-parse-error"
-                    (Printf.sprintf "could not parse: %s" msg) } ]
-          | None -> []
-        in
-        parse
-        @ List.map
-            (fun (i : Model.issue) ->
-              let mk =
-                match i.isev with
-                | `Error -> Finding.error ~code:"src-bad-annotation"
-                | `Warning -> Finding.warning ~code:"src-dangling-annotation"
-              in
-              { file = f.path; line = i.iline; finding = mk i.itext })
-            f.issues)
-      models
-  in
-  let items =
-    hygiene
-    @ List.map
-        (fun (l : Exnflow.located) ->
-          { file = l.lfile; line = l.lline; finding = l.lfinding })
-        r.items
-    |> sort_items
-  in
-  { files = sorted_paths models;
-    inventory = Flows { resources = r.resources; summaries = r.summaries };
-    items }
-
-let analyze_exnflow_files ?handlers ?pinned paths =
-  analyze_exnflow_models ?handlers ?pinned (load paths)
-
-let analyze_exnflow_tree ?handlers ?pinned ~root () =
-  analyze_exnflow_files ?handlers ?pinned (ml_files_under root)
 
 let tool r = match r.inventory with Locks _ -> "racecheck" | Flows _ -> "exnflow"
 

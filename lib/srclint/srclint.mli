@@ -1,15 +1,20 @@
 (** Entry point of the source-level analyzers: the fourth static-analysis
     layer (query -> plan -> sensitivity -> source). Loads [.ml] files, runs
-    either the concurrency analyzer ({!Lockcheck} and {!Registry},
-    [reoptdb racecheck]) or the exception-flow analyzer ({!Exnflow},
-    [reoptdb exnflow]), and renders one stable, deterministically sorted
+    one analyzer — the concurrency domain ({!Lockcheck},
+    [reoptdb racecheck]) or the exception-flow domain ({!Exnflow},
+    [reoptdb exnflow]), both over the core {!Walk} and checked against the
+    one {!Registry} — and renders one stable, deterministically sorted
     report shape for both, suitable for CI diffs. *)
 
-type item = {
+type item = Walk.item = {
   file : string;
   line : int;
   finding : Rdb_analysis.Finding.t;
 }
+
+type analyzer =
+  | Racecheck  (** {!Lockcheck}: the held-lock-set domain *)
+  | Exnflow  (** {!Exnflow}: the escape-set domain *)
 
 (** What the analyzer inventoried besides its findings. *)
 type inventory =
@@ -29,29 +34,13 @@ type report = {
   items : item list;  (** findings: errors first, then file/line *)
 }
 
-val analyze_files :
-  ?registry:Registry.entry list -> string list -> report
-(** Concurrency analysis of exactly these files. [registry] defaults to
-    {!Registry.default}; pass [~registry:[]] for synthetic trees. *)
+val analyze : ?registry:Registry.t -> analyzer -> string list -> report
+(** Run one analyzer over exactly these files. [registry] defaults to
+    {!Registry.default}; pass {!Registry.none} for other trees. *)
 
-val analyze_tree : ?registry:Registry.entry list -> root:string -> unit -> report
+val analyze_tree :
+  ?registry:Registry.t -> analyzer -> root:string -> unit -> report
 (** Analyze every [.ml] under [root] (skips [_build]/[.git]). *)
-
-val analyze_exnflow_files :
-  ?handlers:Exnflow.handler_entry list ->
-  ?pinned:string list ->
-  string list ->
-  report
-(** Exception-flow analysis of exactly these files. Defaults to
-    {!Exnflow.default_handlers} / {!Exnflow.default_pinned}; pass
-    [~handlers:[] ~pinned:[]] for synthetic trees. *)
-
-val analyze_exnflow_tree :
-  ?handlers:Exnflow.handler_entry list ->
-  ?pinned:string list ->
-  root:string ->
-  unit ->
-  report
 
 val ml_files_under : string -> string list
 

@@ -8,6 +8,7 @@
 
 module Srclint = Rdb_srclint.Srclint
 module Exnflow = Rdb_srclint.Exnflow
+module Registry = Rdb_srclint.Registry
 module Finding = Rdb_analysis.Finding
 module Session = Rdb_core.Session
 module Reopt = Rdb_core.Reopt
@@ -42,7 +43,8 @@ let write_tree sources =
     sources
 
 let analyze ?(handlers = []) sources =
-  Srclint.analyze_exnflow_files ~handlers ~pinned:[] (write_tree sources)
+  Srclint.analyze ~registry:{ Registry.none with handlers } Srclint.Exnflow
+    (write_tree sources)
 
 let codes r =
   List.map (fun (i : Srclint.item) -> i.finding.Finding.code) r.Srclint.items
@@ -125,7 +127,8 @@ let mutant_control_exn_handler_registered () =
   (* the same handler is legal at its registry-pinned site *)
   let r =
     analyze
-      ~handlers:[ { Exnflow.hsuffix = "ok.ml"; hexns = [ "Work_budget_exceeded" ] } ]
+      ~handlers:
+        [ { Registry.hsuffix = "ok.ml"; hexns = [ "Work_budget_exceeded" ] } ]
       [ ( "ok.ml",
           {|
 let quiet f =
@@ -257,7 +260,7 @@ let real_tree_root () =
   | None -> Alcotest.fail "cannot locate lib/ from the test runtime dir"
 
 let real_tree_is_clean () =
-  let r = Srclint.analyze_exnflow_tree ~root:(real_tree_root ()) () in
+  let r = Srclint.analyze_tree Srclint.Exnflow ~root:(real_tree_root ()) () in
   let errs =
     List.map
       (fun (i : Srclint.item) ->
@@ -268,7 +271,7 @@ let real_tree_is_clean () =
   check Alcotest.int "clean tree exit code" 0 (Srclint.exit_code r)
 
 let real_tree_inventory () =
-  let r = Srclint.analyze_exnflow_tree ~root:(real_tree_root ()) () in
+  let r = Srclint.analyze_tree Srclint.Exnflow ~root:(real_tree_root ()) () in
   let summaries =
     match r.Srclint.inventory with
     | Srclint.Flows { summaries; _ } -> summaries

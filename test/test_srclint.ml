@@ -31,7 +31,8 @@ let write_tree sources =
     sources
 
 let analyze sources =
-  Srclint.analyze_files ~registry:[] (write_tree sources)
+  Srclint.analyze ~registry:Rdb_srclint.Registry.none Srclint.Racecheck
+    (write_tree sources)
 
 let codes report =
   List.map (fun (i : Srclint.item) -> i.finding.Finding.code) report.Srclint.items
@@ -250,6 +251,30 @@ let shadowed () =
     [] (error_codes r);
   check Alcotest.int "clean exit code" 0 (Srclint.exit_code r)
 
+let try_with_diverging_handler () =
+  (* every handler re-raises, so only the body exit reaches the join: the
+     lock taken inside the try is still held at the [incr] *)
+  let r =
+    analyze
+      [ ( "m.ml",
+          {|
+let mu = Mutex.create ()
+
+(* @guarded_by mu *)
+let counter = ref 0
+
+let bump () =
+  (try Mutex.lock mu with e -> raise e);
+  incr counter;
+  Mutex.unlock mu
+|} ) ]
+  in
+  check
+    Alcotest.(list string)
+    (Printf.sprintf "lock held after a try whose handlers diverge (got: %s)"
+       (String.concat ", " (error_codes r)))
+    [] (error_codes r)
+
 let race_ok_is_scoped () =
   (* the suppression covers its own and the next line only *)
   let r =
@@ -282,7 +307,7 @@ let real_tree_root () =
   | None -> Alcotest.fail "cannot locate lib/ from the test runtime dir"
 
 let real_tree_is_clean () =
-  let r = Srclint.analyze_tree ~root:(real_tree_root ()) () in
+  let r = Srclint.analyze_tree Srclint.Racecheck ~root:(real_tree_root ()) () in
   let errs =
     List.map
       (fun (i : Srclint.item) ->
@@ -293,7 +318,7 @@ let real_tree_is_clean () =
   check Alcotest.int "clean tree exit code" 0 (Srclint.exit_code r)
 
 let real_tree_inventory () =
-  let r = Srclint.analyze_tree ~root:(real_tree_root ()) () in
+  let r = Srclint.analyze_tree Srclint.Racecheck ~root:(real_tree_root ()) () in
   let locks, edges =
     match r.Srclint.inventory with
     | Srclint.Locks { locks; edges; _ } -> (locks, edges)
@@ -337,6 +362,8 @@ let () =
         [
           Alcotest.test_case "sound patterns" `Quick clean_patterns;
           Alcotest.test_case "race_ok scope" `Quick race_ok_is_scoped;
+          Alcotest.test_case "try with diverging handler" `Quick
+            try_with_diverging_handler;
         ] );
       ( "tree",
         [
