@@ -41,6 +41,7 @@ module Trigger = Rdb_core.Trigger
 module Finding = Rdb_analysis.Finding
 module Srclint = Rdb_srclint.Srclint
 module J = Rdb_obs.Json
+module Clock = Rdb_obs.Clock
 
 (* ---- common flags ---- *)
 
@@ -385,9 +386,9 @@ let cmd_experiment =
     let reports =
       List.map
         (fun name ->
-          let t0 = Unix.gettimeofday () and before = Metrics.snapshot () in
+          let t0 = Clock.now_ms () and before = Metrics.snapshot () in
           print_endline (Experiments.run ~jobs lab name);
-          let elapsed = Unix.gettimeofday () -. t0 in
+          let elapsed = Clock.ms_since t0 /. 1000.0 in
           Printf.eprintf "[%s done in %.1fs]\n%!" name elapsed;
           let deltas =
             Metrics.diff_counters ~after:(Metrics.snapshot ()) ~before
@@ -590,7 +591,7 @@ let cmd_resources =
   let run scale seed threshold budget json_path =
     let catalog, session = make_session ~scale ~seed () in
     let queries = Rdb_imdb.Job_queries.all catalog in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now_ms () in
     let collected = ref [] in
     let report = add_findings collected in
     let n_capped = ref 0 and n_thrash = ref 0 and rows = ref [] in
@@ -668,7 +669,7 @@ let cmd_resources =
       queries;
     (* Same reporting discipline as lint, deduplicated per query. *)
     let n_errors, n_warnings = print_findings ~key:Fun.id collected in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+    let wall_ms = Clock.ms_since t0 in
     Printf.printf
       "resources: %d queries certified and executed (%d capped, %d \
        simulated thrashers) in %.0fms; %d errors, %d warnings\n"

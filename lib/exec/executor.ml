@@ -4,6 +4,7 @@ module Query = Rdb_query.Query
 module Predicate = Rdb_query.Predicate
 module Plan = Rdb_plan.Plan
 module Metrics = Rdb_obs.Metrics
+module Clock = Rdb_obs.Clock
 
 type node_obs = {
   obs_set : Relset.t;
@@ -32,6 +33,7 @@ type ctx = {
   catalog : Catalog.t;
   q : Query.t;
   tables : Table.t array;
+  filters : (int -> bool) array;  (* per relation, see [compile_filter] *)
   mutable work : int;
   budget : int option;
   deadline_ms : float option;
@@ -53,14 +55,12 @@ type ctx = {
 (* The deadline clock is read on a geometric schedule: the first check
    fires after [initial_deadline_stride] work units so that millisecond
    deadlines bite even on cheap plans, then the stride doubles up to
-   [max_deadline_stride] so the gettimeofday call stays negligible on the
+   [max_deadline_stride] so the clock read stays negligible on the
    plans the budget actually exists for. *)
 let initial_deadline_stride = 1_024
 let max_deadline_stride = 4_000_000
 
-let now () = Unix.gettimeofday ()
-
-let elapsed_ms ctx = (now () -. ctx.start) *. 1000.0
+let elapsed_ms ctx = Clock.ms_since ctx.start
 
 let spend ctx n =
   ctx.work <- ctx.work + n;
@@ -106,26 +106,33 @@ let observe ctx node inter label =
     }
     :: ctx.obs
 
-(* Predicate evaluation against one base-table row. *)
-let row_satisfies ctx rel row =
-  let tbl = ctx.tables.(rel) in
-  List.for_all
-    (fun (col, p) ->
-      match Table.column tbl col with
-      | Column.Ints cells -> Predicate.eval_int p cells.(row)
-      | Column.Strs cells -> Predicate.eval_str p cells.(row))
-    (Query.preds_of_cols ctx.q rel)
+(* A relation's predicates compiled once per query against its typed
+   columns: the per-row test neither re-matches the column type nor
+   re-filters the query's predicate list. *)
+let compile_filter tbl preds =
+  let test (col, p) =
+    match Table.column tbl col with
+    | Column.Ints cells -> fun row -> Predicate.eval_int p cells.(row)
+    | Column.Strs cells -> fun row -> Predicate.eval_str p cells.(row)
+  in
+  match List.map test preds with
+  | [] -> fun _ -> true
+  | [ t ] -> t
+  | tests ->
+    let rec all row = function [] -> true | t :: rest -> t row && all row rest in
+    fun row -> all row tests
 
 let scan_node ctx (s : Plan.scan) =
   let rel = s.Plan.scan_rel in
   let tbl = ctx.tables.(rel) in
+  let keep = ctx.filters.(rel) in
   let out = Int_vec.create ~capacity:1024 () in
   (match s.Plan.access with
    | Plan.Seq_scan ->
      let n = Table.nrows tbl in
      spend ctx n;
      for row = 0 to n - 1 do
-       if row_satisfies ctx rel row then Int_vec.push out row
+       if keep row then Int_vec.push out row
      done
    | Plan.Index_scan { col; key } ->
      (match Catalog.index ctx.catalog ~table:(Table.name tbl) ~col with
@@ -133,9 +140,9 @@ let scan_node ctx (s : Plan.scan) =
       | Some index ->
         let candidates = Hash_index.lookup index key in
         spend ctx (Array.length candidates);
-        Array.iter
-          (fun row -> if row_satisfies ctx rel row then Int_vec.push out row)
-          candidates));
+        for c = 0 to Array.length candidates - 1 do
+          if keep candidates.(c) then Int_vec.push out candidates.(c)
+        done));
   let data = Int_vec.to_array out in
   { rels = [| rel |]; width = 1; data; nrows = Array.length data }
 
@@ -144,80 +151,100 @@ let cell ctx inter pos col i =
   let rowid = inter.data.((i * inter.width) + pos) in
   Table.int_cell ctx.tables.(inter.rels.(pos)) ~row:rowid ~col
 
-let concat_rels a b = Array.append a.rels b.rels
+(* A join's probe phase records its matches as pairs, in emission order:
+   pair [k] joins outer tuple [outer_of.(k)] with inner tuple
+   [inner_of.(k)] — for index NL, with inner base-table rowid
+   [inner_of.(k)]. Two int pushes per match, whatever the tuple width. *)
+type pairs = { outer_of : Int_vec.t; inner_of : Int_vec.t }
+
+let new_pairs () =
+  { outer_of = Int_vec.create ~capacity:1024 (); inner_of = Int_vec.create ~capacity:1024 () }
+
+let record pairs o i =
+  Int_vec.push pairs.outer_of o;
+  Int_vec.push pairs.inner_of i
+
+(* The inner side of a join output: the tuples of an intermediate, or the
+   rowids of one base relation probed through its index. *)
+type inner = Tuples of inter | Rowids of int
+
+(* The join output, allocated at its exact size and filled pair by pair:
+   the outer tuple, then the inner tuple. The copies are plain loops over
+   [int array]s, which compile to bare stores; [Array.blit] into a
+   major-heap array would take the write barrier per cell. *)
+let gather outer inner pairs =
+  let n = Int_vec.length pairs.outer_of in
+  let os = Int_vec.unsafe_data pairs.outer_of and is = Int_vec.unsafe_data pairs.inner_of in
+  let ow = outer.width in
+  (* a rowid pair's inner "tuple" is its own cell of [is]: width 1 at [k] *)
+  let rels, iw, idata, rowids =
+    match inner with
+    | Tuples t -> (Array.append outer.rels t.rels, t.width, t.data, false)
+    | Rowids rel -> (Array.append outer.rels [| rel |], 1, is, true)
+  in
+  let width = ow + iw in
+  let data = Array.make (n * width) 0 in
+  let odata = outer.data in
+  for k = 0 to n - 1 do
+    let dst = k * width in
+    let osrc = os.(k) * ow in
+    for c = 0 to ow - 1 do data.(dst + c) <- odata.(osrc + c) done;
+    let isrc = if rowids then k else is.(k) * iw in
+    for c = 0 to iw - 1 do data.(dst + ow + c) <- idata.(isrc + c) done
+  done;
+  { rels; width; data; nrows = n }
+
+let key_positions inter side edges =
+  Array.of_list
+    (List.map
+       (fun e ->
+         let (c : Query.colref) = side e in
+         (pos_of_rel inter c.Query.rel, c.Query.col))
+       edges)
 
 let hash_join ctx (j : Plan.join) outer inner =
   let edges = j.Plan.join_edges in
-  let okeys =
-    Array.of_list
-      (List.map (fun e -> (pos_of_rel outer e.Query.l.Query.rel, e.Query.l.Query.col)) edges)
+  let okeys = key_positions outer (fun e -> e.Query.l) edges in
+  let ikeys = key_positions inner (fun e -> e.Query.r) edges in
+  let pairs = new_pairs () in
+  (* bucket lists hold inner tuple indexes, newest first *)
+  let rec emit_all i = function
+    | [] -> ()
+    | k :: rest ->
+      record pairs i k;
+      emit_all i rest
   in
-  let ikeys =
-    Array.of_list
-      (List.map (fun e -> (pos_of_rel inner e.Query.r.Query.rel, e.Query.r.Query.col)) edges)
-  in
-  let out = Int_vec.create ~capacity:4096 () in
-  let emitted = ref 0 in
-  let emit obase ibase =
-    for c = 0 to outer.width - 1 do
-      Int_vec.push out outer.data.(obase + c)
+  (* build on the inner side, probe with the outer; NULL keys never match *)
+  let join_on key_of has_null =
+    let index = Hashtbl.create (Int.max 16 inner.nrows) in
+    spend ctx inner.nrows;
+    for i = 0 to inner.nrows - 1 do
+      let key = key_of inner ikeys i in
+      if not (has_null key) then
+        Hashtbl.replace index key
+          (i :: Option.value ~default:[] (Hashtbl.find_opt index key))
     done;
-    for c = 0 to inner.width - 1 do
-      Int_vec.push out inner.data.(ibase + c)
-    done;
-    incr emitted
+    spend ctx outer.nrows;
+    for i = 0 to outer.nrows - 1 do
+      let key = key_of outer okeys i in
+      if not (has_null key) then
+        match Hashtbl.find_opt index key with
+        | Some ks ->
+          spend ctx (List.length ks);
+          emit_all i ks
+        | None -> ()
+    done
   in
-  (match okeys, ikeys with
-   | [| (opos, ocol) |], [| (ipos, icol) |] ->
-     let index = Hashtbl.create (Int.max 16 inner.nrows) in
-     spend ctx inner.nrows;
-     for i = 0 to inner.nrows - 1 do
-       let key = cell ctx inner ipos icol i in
-       if key <> Column.null_int then
-         Hashtbl.replace index key
-           ((i * inner.width)
-            :: Option.value ~default:[] (Hashtbl.find_opt index key))
-     done;
-     spend ctx outer.nrows;
-     for i = 0 to outer.nrows - 1 do
-       let key = cell ctx outer opos ocol i in
-       if key <> Column.null_int then
-         match Hashtbl.find_opt index key with
-         | Some bases ->
-           spend ctx (List.length bases);
-           List.iter (fun ibase -> emit (i * outer.width) ibase) bases
-         | None -> ()
-     done
+  (match okeys with
+   | [| _ |] ->
+     join_on
+       (fun inter keys i -> cell ctx inter (fst keys.(0)) (snd keys.(0)) i)
+       (fun key -> key = Column.null_int)
    | _ ->
-     let keys_of inter keys i =
-       Array.map (fun (pos, col) -> cell ctx inter pos col i) keys
-     in
-     let index = Hashtbl.create (Int.max 16 inner.nrows) in
-     spend ctx inner.nrows;
-     for i = 0 to inner.nrows - 1 do
-       let key = keys_of inner ikeys i in
-       if not (Array.exists (fun v -> v = Column.null_int) key) then
-         Hashtbl.replace index key
-           ((i * inner.width)
-            :: Option.value ~default:[] (Hashtbl.find_opt index key))
-     done;
-     spend ctx outer.nrows;
-     for i = 0 to outer.nrows - 1 do
-       let key = keys_of outer okeys i in
-       if not (Array.exists (fun v -> v = Column.null_int) key) then
-         match Hashtbl.find_opt index key with
-         | Some bases ->
-           spend ctx (List.length bases);
-           List.iter (fun ibase -> emit (i * outer.width) ibase) bases
-         | None -> ()
-     done);
-  let data = Int_vec.to_array out in
-  {
-    rels = concat_rels outer inner;
-    width = outer.width + inner.width;
-    data;
-    nrows = !emitted;
-  }
+     join_on
+       (fun inter keys i -> Array.map (fun (pos, col) -> cell ctx inter pos col i) keys)
+       (Array.exists (fun v -> v = Column.null_int)));
+  gather outer (Tuples inner) pairs
 
 let index_nl ctx (j : Plan.join) outer inner_rel inner_col =
   let edges = j.Plan.join_edges in
@@ -234,6 +261,7 @@ let index_nl ctx (j : Plan.join) outer inner_rel inner_col =
     | Some i -> i
     | None -> invalid_arg "Executor: index NL without index"
   in
+  let keep = ctx.filters.(inner_rel) in
   let opos_key = pos_of_rel outer key_edge.Query.l.Query.rel in
   let ocol_key = key_edge.Query.l.Query.col in
   let others =
@@ -243,52 +271,35 @@ let index_nl ctx (j : Plan.join) outer inner_rel inner_col =
            (pos_of_rel outer e.Query.l.Query.rel, e.Query.l.Query.col, e.Query.r.Query.col))
          other_edges)
   in
-  let out = Int_vec.create ~capacity:4096 () in
-  let emitted = ref 0 in
+  (* outer tuple [i] and inner row [row] agree on every non-key edge *)
+  let rec others_hold e i row =
+    e >= Array.length others
+    ||
+    let opos, ocol, icol = others.(e) in
+    let ov = cell ctx outer opos ocol i in
+    ov <> Column.null_int
+    && ov = Table.int_cell tbl ~row ~col:icol
+    && others_hold (e + 1) i row
+  in
+  let pairs = new_pairs () in
   spend ctx outer.nrows;
   for i = 0 to outer.nrows - 1 do
     let key = cell ctx outer opos_key ocol_key i in
     if key <> Column.null_int then begin
       let candidates = Hash_index.lookup index key in
       spend ctx (Array.length candidates);
-      Array.iter
-        (fun row ->
-          let edges_ok =
-            Array.for_all
-              (fun (opos, ocol, icol) ->
-                let ov = cell ctx outer opos ocol i in
-                let iv = Table.int_cell tbl ~row ~col:icol in
-                ov <> Column.null_int && ov = iv)
-              others
-          in
-          if edges_ok && row_satisfies ctx inner_rel row then begin
-            for c = 0 to outer.width - 1 do
-              Int_vec.push out outer.data.((i * outer.width) + c)
-            done;
-            Int_vec.push out row;
-            incr emitted
-          end)
-        candidates
+      for c = 0 to Array.length candidates - 1 do
+        let row = candidates.(c) in
+        if others_hold 0 i row && keep row then record pairs i row
+      done
     end
   done;
-  let data = Int_vec.to_array out in
-  {
-    rels = Array.append outer.rels [| inner_rel |];
-    width = outer.width + 1;
-    data;
-    nrows = !emitted;
-  }
+  gather outer (Rowids inner_rel) pairs
 
 let merge_join ctx (j : Plan.join) outer inner =
   let edges = j.Plan.join_edges in
-  let okeys =
-    Array.of_list
-      (List.map (fun e -> (pos_of_rel outer e.Query.l.Query.rel, e.Query.l.Query.col)) edges)
-  in
-  let ikeys =
-    Array.of_list
-      (List.map (fun e -> (pos_of_rel inner e.Query.r.Query.rel, e.Query.r.Query.col)) edges)
-  in
+  let okeys = key_positions outer (fun e -> e.Query.l) edges in
+  let ikeys = key_positions inner (fun e -> e.Query.r) edges in
   let extract inter keys =
     spend ctx inter.nrows;
     Array.init inter.nrows (fun i ->
@@ -321,17 +332,7 @@ let merge_join ctx (j : Plan.join) outer inner =
   spend ctx (sort_cost (Array.length iidx));
   Array.sort (fun a b -> cmp_key okey.(a) okey.(b)) oidx;
   Array.sort (fun a b -> cmp_key ikey.(a) ikey.(b)) iidx;
-  let out = Int_vec.create ~capacity:4096 () in
-  let emitted = ref 0 in
-  let emit oi ii =
-    for c = 0 to outer.width - 1 do
-      Int_vec.push out outer.data.((oi * outer.width) + c)
-    done;
-    for c = 0 to inner.width - 1 do
-      Int_vec.push out inner.data.((ii * inner.width) + c)
-    done;
-    incr emitted
-  in
+  let pairs = new_pairs () in
   let no = Array.length oidx and ni = Array.length iidx in
   let i = ref 0 and k = ref 0 in
   while !i < no && !k < ni do
@@ -348,20 +349,14 @@ let merge_join ctx (j : Plan.join) outer inner =
       spend ctx ((!i_end - !i) * (!k_end - !k));
       for a = !i to !i_end - 1 do
         for b = !k to !k_end - 1 do
-          emit oidx.(a) iidx.(b)
+          record pairs oidx.(a) iidx.(b)
         done
       done;
       i := !i_end;
       k := !k_end
     end
   done;
-  let data = Int_vec.to_array out in
-  {
-    rels = concat_rels outer inner;
-    width = outer.width + inner.width;
-    data;
-    nrows = !emitted;
-  }
+  gather outer (Tuples inner) pairs
 
 let nested_loop ctx (j : Plan.join) outer inner =
   let edges = j.Plan.join_edges in
@@ -375,36 +370,23 @@ let nested_loop ctx (j : Plan.join) outer inner =
              e.Query.r.Query.col ))
          edges)
   in
-  let out = Int_vec.create ~capacity:4096 () in
-  let emitted = ref 0 in
+  let rec conds_hold c i k =
+    c >= Array.length conds
+    ||
+    let opos, ocol, ipos, icol = conds.(c) in
+    let ov = cell ctx outer opos ocol i in
+    ov <> Column.null_int
+    && ov = cell ctx inner ipos icol k
+    && conds_hold (c + 1) i k
+  in
+  let pairs = new_pairs () in
   for i = 0 to outer.nrows - 1 do
     spend ctx inner.nrows;
     for k = 0 to inner.nrows - 1 do
-      let ok =
-        Array.for_all
-          (fun (opos, ocol, ipos, icol) ->
-            let ov = cell ctx outer opos ocol i in
-            ov <> Column.null_int && ov = cell ctx inner ipos icol k)
-          conds
-      in
-      if ok then begin
-        for c = 0 to outer.width - 1 do
-          Int_vec.push out outer.data.((i * outer.width) + c)
-        done;
-        for c = 0 to inner.width - 1 do
-          Int_vec.push out inner.data.((k * inner.width) + c)
-        done;
-        incr emitted
-      end
+      if conds_hold 0 i k then record pairs i k
     done
   done;
-  let data = Int_vec.to_array out in
-  {
-    rels = concat_rels outer inner;
-    width = outer.width + inner.width;
-    data;
-    nrows = !emitted;
-  }
+  gather outer (Tuples inner) pairs
 
 (* Cuttlefish-style adaptive operator selection (paper SS II-D): once the
    outer input's true size is known, a nested-loop-family join whose outer
@@ -476,19 +458,25 @@ let rec exec ctx node =
     inter
 
 let make_ctx ?work_budget ?deadline_ms ?(adaptive = false) ~catalog ~query () =
+  let tables =
+    Array.map
+      (fun (r : Query.rel) -> Catalog.table_exn catalog r.Query.table)
+      query.Query.rels
+  in
   {
     catalog;
     q = query;
-    tables =
-      Array.map
-        (fun (r : Query.rel) -> Catalog.table_exn catalog r.Query.table)
-        query.Query.rels;
+    tables;
+    filters =
+      Array.mapi
+        (fun rel tbl -> compile_filter tbl (Query.preds_of_cols query rel))
+        tables;
     work = 0;
     budget = work_budget;
     deadline_ms;
     next_deadline_check = initial_deadline_stride;
     deadline_stride = initial_deadline_stride;
-    start = now ();
+    start = Clock.now_ms ();
     obs = [];
     adaptive;
     switches = 0;

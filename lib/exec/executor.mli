@@ -24,7 +24,7 @@ type result = {
   out_rows : int;        (** rows feeding the aggregates *)
   work : int;            (** deterministic work units *)
   peak_rows : int;       (** peak resident row-slots, see below *)
-  elapsed_ms : float;    (** wall-clock execution time *)
+  elapsed_ms : float;    (** execution time on {!Rdb_obs.Clock} *)
   observations : node_obs list;  (** post-order, deepest join first *)
   switches : int;        (** adaptive operator demotions performed *)
 }
@@ -36,7 +36,11 @@ type result = {
     deterministic memory analog of [work], and the quantity
     [Rdb_analysis.Resource] certificates bound: certified executions
     (non-adaptive — a demotion changes the operator mix underneath the
-    certificate) must observe [peak_rows] within the certified interval. *)
+    certificate) must observe [peak_rows] within the certified interval.
+    A join's probe phase records its matches as two transient int vectors
+    (outer tuple, inner tuple or rowid) before one exact-size gather builds
+    its output; like the slack of a growing vector, they are not charged,
+    so certificates and [BENCH_resources.json] are unchanged. *)
 
 exception Work_budget_exceeded of { spent : int; elapsed_ms : float }
 (** Raised when the optional work budget runs out: the executor's guard
@@ -53,7 +57,7 @@ val execute :
   result
 (** [work_budget] and [deadline_ms] both abort via
     {!Work_budget_exceeded}: the former deterministically, the latter by
-    wall clock — checked on a geometric schedule starting after ~1k work
+    {!Rdb_obs.Clock} — checked on a geometric schedule starting after ~1k work
     units (so millisecond deadlines bite even on cheap plans) and backing
     off to every ~4M units. [adaptive] (default false)
     enables Cuttlefish-style runtime operator switching (§II-D): a

@@ -12,7 +12,7 @@ let mu = Mutex.create ()
 
 (* @guarded_by mu *)
 let sink : sink option ref = ref None
-let t0 = Unix.gettimeofday ()
+let t0 = Clock.now_ms ()
 
 let resolve_env () =
   match Sys.getenv_opt "RDB_TRACE" with
@@ -103,12 +103,11 @@ let span ?(attrs = []) name f =
     let d = Domain.DLS.get depth_key in
     let depth = !d in
     d := depth + 1;
-    let start = Unix.gettimeofday () in
+    let start = Clock.now_ms () in
     let finish () =
       d := depth;
       record ~kind:"span" ~name ~depth
-        ~start_ms:((start -. t0) *. 1000.0)
-        ~dur_ms:((Unix.gettimeofday () -. start) *. 1000.0)
+        ~start_ms:(start -. t0) ~dur_ms:(Clock.ms_since start)
         ~attrs
     in
     (match f () with
@@ -121,8 +120,7 @@ let event ?(attrs = []) name =
   match current () with
   | Null -> ()
   | Stderr | Jsonl _ ->
-    let now = Unix.gettimeofday () in
     record ~kind:"event" ~name
       ~depth:!(Domain.DLS.get depth_key)
-      ~start_ms:((now -. t0) *. 1000.0)
+      ~start_ms:(Clock.ms_since t0)
       ~dur_ms:0.0 ~attrs

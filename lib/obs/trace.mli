@@ -6,9 +6,10 @@
     mutexed read), ["stderr"] pretty-prints indented span lines, and any
     other value is a path written as JSON-lines — one object per span
     with [name], [kind], [domain], [depth], [start_ms], [dur_ms] and
-    optional string [attrs]. Emission is serialized process-wide; span
-    nesting depth is tracked per domain, so the pool's workers trace
-    concurrently without interleaving. *)
+    optional string [attrs]; times are milliseconds on {!Clock}, with
+    [start_ms] counted from module initialisation. Emission is serialized
+    process-wide; span nesting depth is tracked per domain, so the pool's
+    workers trace concurrently without interleaving. *)
 
 type sink =
   | Null

@@ -4,14 +4,13 @@ module Join_graph = Rdb_query.Join_graph
 module Predicate = Rdb_query.Predicate
 module Estimator = Rdb_card.Estimator
 module Cost_model = Rdb_cost.Cost_model
+module Clock = Rdb_obs.Clock
 
 type stats = {
   pairs_considered : int;
   subsets_planned : int;
   plan_ms : float;
 }
-
-let now_ms () = Sys.time () *. 1000.0
 
 type lint_hook =
   catalog:Catalog.t -> estimator:Estimator.t -> Query.t -> Plan.t -> unit
@@ -151,7 +150,7 @@ let dp ?space ?(cost_params = Cost_model.default) ~catalog ~estimator (q : Query
   let space =
     match space with Some s -> s | None -> Search_space.build graph
   in
-  let start = now_ms () in
+  let start = Clock.now_ms () in
   let best : (Relset.t, Plan.t) Hashtbl.t = Hashtbl.create 256 in
   for rel = 0 to n - 1 do
     Hashtbl.replace best (Relset.singleton rel)
@@ -190,7 +189,7 @@ let dp ?space ?(cost_params = Cost_model.default) ~catalog ~estimator (q : Query
       in
       consider ~outer:p1 ~inner:p2 ~edges:edges12;
       consider ~outer:p2 ~inner:p1 ~edges:edges21);
-  let elapsed = now_ms () -. start in
+  let elapsed = Clock.ms_since start in
   Rdb_obs.Metrics.incr "plan.built";
   Rdb_obs.Metrics.incr ~by:!pairs "plan.dp_pairs";
   Rdb_obs.Metrics.observe "plan.ms" elapsed;
@@ -222,7 +221,7 @@ let dp_robust ?space ?(cost_params = Cost_model.default) ~uncertainty ~catalog
   let space =
     match space with Some s -> s | None -> Search_space.build graph
   in
-  let start = now_ms () in
+  let start = Clock.now_ms () in
   let gammas = [| 1.0 /. uncertainty; 1.0; uncertainty |] in
   let n_scen = Array.length gammas in
   let scenario_est su i =
@@ -307,7 +306,7 @@ let dp_robust ?space ?(cost_params = Cost_model.default) ~uncertainty ~catalog
         ~i_set:s2 ~edges:edges12;
       consider ~outer:p2 ~inner:p1 ~outer_costs:c2 ~inner_costs:c1 ~o_set:s2
         ~i_set:s1 ~edges:edges21);
-  let elapsed = now_ms () -. start in
+  let elapsed = Clock.ms_since start in
   Rdb_obs.Metrics.incr "plan.built";
   Rdb_obs.Metrics.incr ~by:!pairs "plan.dp_pairs";
   Rdb_obs.Metrics.observe "plan.ms" elapsed;

@@ -11,7 +11,8 @@ module Estimator := Rdb_card.Estimator
 type stats = {
   pairs_considered : int;
   subsets_planned : int;
-  plan_ms : float;  (** wall time of the DP, the paper's "planning time" *)
+  plan_ms : float;  (** elapsed time of the DP on {!Rdb_obs.Clock}, the
+                        paper's "planning time" *)
 }
 
 type lint_hook =

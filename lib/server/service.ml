@@ -13,6 +13,7 @@ module Resource = Rdb_analysis.Resource
 module Pool = Rdb_util.Pool
 module Metrics = Rdb_obs.Metrics
 module Trace = Rdb_obs.Trace
+module Clock = Rdb_obs.Clock
 module Json = Rdb_obs.Json
 
 type cached = Hit | Revalidated | Miss
@@ -132,8 +133,6 @@ let local_session t =
         sess)
 
 (* ---- the request pipeline ---- *)
-
-let now_ms () = Unix.gettimeofday () *. 1000.0
 
 let epoch_of catalog (q : Query.t) =
   Array.to_list (Array.map (fun (r : Query.rel) -> r.Query.table) q.Query.rels)
@@ -387,7 +386,7 @@ let process t sess ?deadline_ms (q : Query.t) =
   }
 
 let handle t ?deadline_ms source =
-  let t0 = now_ms () in
+  let t0 = Clock.now_ms () in
   Metrics.incr "serve.requests";
   match
     Trace.span "serve.request" (fun () ->
@@ -409,10 +408,10 @@ let handle t ?deadline_ms source =
         process t sess ?deadline_ms q)
   with
   | resp ->
-    Metrics.observe "serve.ms" (now_ms () -. t0);
+    Metrics.observe "serve.ms" (Clock.ms_since t0);
     Ok resp
   | exception e ->
-    Metrics.observe "serve.ms" (now_ms () -. t0);
+    Metrics.observe "serve.ms" (Clock.ms_since t0);
     Metrics.incr "serve.errors";
     Error (Printexc.to_string e)
 

@@ -95,7 +95,10 @@ let prop_join_null_keys_never_match =
       let l = List.mapi (fun i k -> (i, if k = 0 then Column.null_int else k)) ks in
       let r = [ (1, Column.null_int); (2, 1); (3, 2) ] in
       let expected = naive_join_count l r in
-      (run_with Plan.Hash_join l r).Executor.out_rows = expected)
+      List.for_all
+        (fun algo -> (run_with algo l r).Executor.out_rows = expected)
+        [ Plan.Hash_join; Plan.Nested_loop; Plan.Merge_join;
+          Plan.Index_nl { inner_col = 1 } ])
 
 let test_aggregates () =
   let l = [ (10, 1); (20, 1); (30, 2) ] in
@@ -125,7 +128,47 @@ let test_scan_predicates () =
       ()
   in
   let res = Executor.execute ~catalog:cat ~query:q (join Plan.Hash_join q) in
-  check Alcotest.int "filtered join" 1 res.Executor.out_rows
+  check Alcotest.int "filtered join" 1 res.Executor.out_rows;
+  (* Index NL filters each probed inner row by the inner relation's
+     predicates, here on an int and a string column at once. *)
+  let schema =
+    Schema.make
+      [
+        { Schema.name = "id"; ty = Value.Ty_int };
+        { Schema.name = "k"; ty = Value.Ty_int };
+        { Schema.name = "s"; ty = Value.Ty_str };
+      ]
+  in
+  let cat = db_of (List.init 12 (fun i -> (i, i mod 4))) [] in
+  Catalog.add_table cat
+    (Table.create ~name:"named" ~schema
+       [|
+         Column.Ints (Array.init 30 Fun.id);
+         Column.Ints (Array.init 30 (fun i -> if i mod 7 = 0 then Column.null_int else i mod 5));
+         Column.Strs (Array.init 30 (fun i -> [| "ab"; "abc"; "b" |].(i mod 3)));
+       |]);
+  Catalog.add_index cat ~table:"named" ~col:1;
+  let pred rel col p = { Query.target = { Query.rel; col }; p } in
+  let q =
+    {
+      (join_query ()) with
+      Query.rels =
+        [| { Query.alias = "l"; table = "left" }; { Query.alias = "n"; table = "named" } |];
+      preds =
+        [
+          pred 1 0 (Predicate.Cmp (Predicate.Ge, Value.Int 5));
+          pred 1 2 (Predicate.Like (Predicate.Prefix "ab"));
+          pred 0 0 (Predicate.Cmp (Predicate.Ne, Value.Int 3));
+        ];
+    }
+  in
+  let res =
+    Executor.execute ~catalog:cat ~query:q (join (Plan.Index_nl { inner_col = 1 }) q)
+  in
+  check Alcotest.bool "index NL joined some rows" true (res.Executor.out_rows > 0);
+  match Rdb_exec.Naive.agrees ~catalog:cat q res with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e
 
 let test_index_scan_access () =
   let cat = db_of [ (1, 1) ] [ (1, 3); (2, 3); (3, 4) ] in
@@ -341,6 +384,7 @@ let test_multi_edge_join () =
   in
   add "x" [ (1, 1); (1, 2); (2, 2) ];
   add "y" [ (1, 1); (1, 2); (2, 1) ];
+  Catalog.add_index cat ~table:"y" ~col:0;
   let colref rel col = { Query.rel; col } in
   let q =
     {
@@ -370,10 +414,15 @@ let test_multi_edge_join () =
   let hash = Executor.execute ~catalog:cat ~query:q (plan Plan.Hash_join) in
   let nl = Executor.execute ~catalog:cat ~query:q (plan Plan.Nested_loop) in
   let merge = Executor.execute ~catalog:cat ~query:q (plan Plan.Merge_join) in
+  (* probes the index on y.a; y.b is checked as the extra edge *)
+  let inl =
+    Executor.execute ~catalog:cat ~query:q (plan (Plan.Index_nl { inner_col = 0 }))
+  in
   (* matches: (1,1) and (1,2) *)
   check Alcotest.int "hash composite" 2 hash.Executor.out_rows;
   check Alcotest.int "nl composite" 2 nl.Executor.out_rows;
-  check Alcotest.int "merge composite" 2 merge.Executor.out_rows
+  check Alcotest.int "merge composite" 2 merge.Executor.out_rows;
+  check Alcotest.int "index NL composite" 2 inl.Executor.out_rows
 
 let () =
   Alcotest.run "rdb_exec"
