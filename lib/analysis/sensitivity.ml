@@ -172,46 +172,24 @@ let interp ~envelope ~cost_params (q : Query.t) plan =
 
 let predict_trigger ?(min_actual_rows = 0) ~envelope ~threshold (q : Query.t)
     plan =
-  let best = ref None in
-  (* Mirror of Reopt.find_trigger: post-order over join nodes, a later
-     candidate wins only with strictly fewer relations, or equally many and
-     strictly greater depth. *)
-  let rec walk depth p =
-    match p with
-    | Plan.Scan _ -> ()
-    | Plan.Join j ->
-      walk (depth + 1) j.Plan.outer;
-      walk (depth + 1) j.Plan.inner;
-      let set =
-        Relset.union (Plan.rel_set j.Plan.outer) (Plan.rel_set j.Plan.inner)
-      in
+  (* Mirror of Reopt.find_trigger: the first candidate in trigger order. *)
+  List.find_map
+    (fun ((j : Plan.join), set) ->
       let est = j.Plan.join_est in
       let lo, hi = envelope set ~est in
       let lo = Float.max lo (float_of_int min_actual_rows) in
-      if lo <= hi && worst_q ~est (lo, hi) >= threshold then begin
-        let size = Relset.cardinal set in
-        let better =
-          match !best with
-          | None -> true
-          | Some (prev_set, _, _, prev_depth) ->
-            let prev_size = Relset.cardinal prev_set in
-            size < prev_size || (size = prev_size && depth > prev_depth)
-        in
-        if better then best := Some (set, est, (lo, hi), depth)
-      end
-  in
-  walk 0 plan;
-  Option.map
-    (fun (set, est, iv, _depth) ->
-      {
-        pred_set = set;
-        pred_aliases = aliases_of q set;
-        pred_est = est;
-        pred_interval = iv;
-        pred_q_error = worst_q ~est iv;
-        pred_certain = best_q ~est iv >= threshold;
-      })
-    !best
+      if lo <= hi && worst_q ~est (lo, hi) >= threshold then
+        Some
+          {
+            pred_set = set;
+            pred_aliases = aliases_of q set;
+            pred_est = est;
+            pred_interval = (lo, hi);
+            pred_q_error = worst_q ~est (lo, hi);
+            pred_certain = best_q ~est (lo, hi) >= threshold;
+          }
+      else None)
+    (Plan.trigger_order plan)
 
 (* Re-run the DP with one subset's estimate pinned to [card]. The bound hook
    intercepts exactly that subset's memoized estimate; every other estimate

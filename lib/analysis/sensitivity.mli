@@ -108,9 +108,10 @@ val predict_trigger :
 (** The join [Rdb_core.Reopt.find_trigger] would materialize, predicted
     statically: a join is a candidate when some actual inside its envelope
     interval fires the trigger, and candidates are ranked exactly as the
-    dynamic trigger ranks them — fewest relations, then deepest in the
-    tree, then post-order position. Under {!point_envelope} of the true
-    cardinalities this reproduces the dynamic choice exactly. *)
+    dynamic trigger ranks them — the first candidate of
+    {!Plan.trigger_order}, so [envelope] is evaluated only up to it. Under
+    {!point_envelope} of the true cardinalities this reproduces the
+    dynamic choice exactly. *)
 
 val analyze :
   ?envelope:envelope ->

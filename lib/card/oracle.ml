@@ -31,8 +31,95 @@ type inter = {
   inter_rows : int;
 }
 
-(* message maps: join-key value -> number of consistent join tuples *)
-type msg_map = (int, float) Hashtbl.t
+(* Message maps: join-key value -> number of consistent join tuples. Open
+   addressing with linear probing over a power-of-two table kept at most
+   half full; an empty slot holds [Column.null_int], which never enters a
+   message because a NULL key joins nothing. Keys and weights sit in two
+   flat arrays, so a probe neither hashes polymorphically nor boxes. *)
+module Msg_map = struct
+  type t = {
+    mutable keys : int array;
+    mutable vals : Float.Array.t;
+    mutable size : int;
+  }
+
+  let empty_key = Column.null_int
+
+  let create n =
+    let cap = ref 16 in
+    while !cap < 2 * n do cap := 2 * !cap done;
+    {
+      keys = Array.make !cap empty_key;
+      vals = Float.Array.make !cap 0.0;
+      size = 0;
+    }
+
+  let length t = t.size
+
+  (* Join keys are mostly dense ids, and a hub's rows probe them in
+     near-ascending order: folding the high bits into the low ones keeps
+     neighbouring keys in neighbouring slots (cache-friendly) while
+     power-of-two strides still spread out. *)
+  let home keys k =
+    (k lxor (k lsr 16) lxor (k lsr 32)) land (Array.length keys - 1)
+
+  (* The slot holding [k], or the empty slot where it would go. *)
+  let probe keys k =
+    let mask = Array.length keys - 1 in
+    let i = ref (home keys k) in
+    while
+      let k' = Array.unsafe_get keys !i in
+      k' <> k && k' <> empty_key
+    do
+      i := (!i + 1) land mask
+    done;
+    !i
+
+  let slot t k =
+    if k = empty_key then -1
+    else
+      let i = probe t.keys k in
+      if Array.unsafe_get t.keys i = k then i else -1
+
+  let value t i = Float.Array.unsafe_get t.vals i
+
+  let grow t =
+    let keys = t.keys and vals = t.vals in
+    let cap = 2 * Array.length keys in
+    t.keys <- Array.make cap empty_key;
+    t.vals <- Float.Array.make cap 0.0;
+    Array.iteri
+      (fun i k ->
+        if k <> empty_key then begin
+          let j = probe t.keys k in
+          t.keys.(j) <- k;
+          Float.Array.set t.vals j (Float.Array.get vals i)
+        end)
+      keys
+
+  (* The slot of [k], claimed with weight 0.0 if [k] was absent. *)
+  let claim t k =
+    if k = empty_key then invalid_arg "Oracle.Msg_map: NULL key";
+    if 2 * (t.size + 1) > Array.length t.keys then grow t;
+    let i = probe t.keys k in
+    if Array.unsafe_get t.keys i <> k then begin
+      t.keys.(i) <- k;
+      t.size <- t.size + 1
+    end;
+    i
+
+  (* Inlined so that the hot loops pass [w] unboxed. *)
+  let[@inline] add t k w =
+    let i = claim t k in
+    Float.Array.unsafe_set t.vals i (w +. Float.Array.unsafe_get t.vals i)
+
+  let[@inline] set t k w = Float.Array.unsafe_set t.vals (claim t k) w
+
+  let iter f t =
+    Array.iteri
+      (fun i k -> if k <> empty_key then f k (Float.Array.get t.vals i))
+      t.keys
+end
 
 type t = {
   catalog : Catalog.t;
@@ -46,8 +133,10 @@ type t = {
   (* class-tree machinery *)
   tree : bool;                         (* class graph is acyclic *)
   ports : (int * int) list array;      (* per rel: (class, col) pairs *)
-  msg_single_memo : (Relset.t * int, msg_map) Hashtbl.t;
-  msg_set_memo : (Relset.t * int, msg_map) Hashtbl.t;
+  msg_single_memo : (Relset.t * int, Msg_map.t) Hashtbl.t;
+  msg_set_memo : (Relset.t * int, Msg_map.t) Hashtbl.t;
+  port_keys : (int * int, int array) Hashtbl.t;
+      (* (rel, col) -> the column's cells at the filtered rows *)
 }
 
 (* ---- class analysis ---- *)
@@ -132,6 +221,7 @@ let create catalog q =
     ports;
     msg_single_memo = Hashtbl.create 64;
     msg_set_memo = Hashtbl.create 64;
+    port_keys = Hashtbl.create 16;
   }
 
 let query t = t.q
@@ -143,19 +233,10 @@ let filtered_rowids t i =
   | Some rows -> rows
   | None ->
     let tbl = rel_table t i in
-    let preds = Query.preds_of_cols t.q i in
+    let keep = Predicate.compile_filter tbl (Query.preds_of_cols t.q i) in
     let out = Int_vec.create ~capacity:1024 () in
-    let n = Table.nrows tbl in
-    let survives row =
-      List.for_all
-        (fun (col, p) ->
-          match Table.column tbl col with
-          | Column.Ints cells -> Predicate.eval_int p cells.(row)
-          | Column.Strs cells -> Predicate.eval_str p cells.(row))
-        preds
-    in
-    for row = 0 to n - 1 do
-      if survives row then Int_vec.push out row
+    for row = 0 to Table.nrows tbl - 1 do
+      if keep row then Int_vec.push out row
     done;
     let rows = Int_vec.to_array out in
     t.filtered.(i) <- Some rows;
@@ -202,37 +283,109 @@ let touches_class t comp cls =
     (fun i acc -> acc || port_col t i cls <> None)
     comp false
 
-(* Pointwise product of message maps, iterating the smallest. *)
+(* A port's join keys, one per filtered row of [rel], gathered once. *)
+let port_keys t rel col =
+  match Hashtbl.find_opt t.port_keys (rel, col) with
+  | Some keys -> keys
+  | None ->
+    let rows = filtered_rowids t rel in
+    let keys =
+      match Table.column (rel_table t rel) col with
+      | Column.Ints cells when Array.length rows = Array.length cells -> cells
+      | Column.Ints cells -> Array.map (fun row -> cells.(row)) rows
+      | Column.Strs _ -> invalid_arg "Oracle: join key on a string column"
+    in
+    Hashtbl.replace t.port_keys (rel, col) keys;
+    keys
+
+(* Pointwise product of message maps, iterating the smallest and
+   multiplying the others in (stable) size order. *)
 let product_maps maps =
   match maps with
   | [] -> None
   | [ m ] -> Some m
   | _ ->
     let sorted =
-      List.sort (fun a b -> Int.compare (Hashtbl.length a) (Hashtbl.length b)) maps
+      List.sort
+        (fun a b -> Int.compare (Msg_map.length a) (Msg_map.length b))
+        maps
     in
     (match sorted with
      | smallest :: rest ->
-       let out : msg_map = Hashtbl.create (Hashtbl.length smallest) in
-       Hashtbl.iter
-         (fun v w ->
-           let acc = ref w in
-           let alive =
-             List.for_all
-               (fun m ->
-                 match Hashtbl.find_opt m v with
-                 | Some w' -> acc := !acc *. w'; true
-                 | None -> false)
-               rest
-           in
-           if alive then Hashtbl.replace out v !acc)
-         smallest;
+       let rest = Array.of_list rest in
+       let out = Msg_map.create (Msg_map.length smallest) in
+       let keys = smallest.Msg_map.keys in
+       for i = 0 to Array.length keys - 1 do
+         let v = keys.(i) in
+         if v <> Msg_map.empty_key then begin
+           let acc = ref (Msg_map.value smallest i) and p = ref 0 in
+           while !p < Array.length rest do
+             let s = Msg_map.slot rest.(!p) v in
+             if s < 0 then p := Array.length rest + 1
+             else begin
+               acc := !acc *. Msg_map.value rest.(!p) s;
+               incr p
+             end
+           done;
+           if !p = Array.length rest then Msg_map.set out v !acc
+         end
+       done;
        Some out
      | [] -> None)
 
+(* Weigh the [n] filtered rows of a relation: row [i] weighs the product,
+   in port order, of the weights its keys select from [maps] ([keys.(p).(i)]
+   is row [i]'s key on port [p]), and a NULL or unmatched key drops it.
+   Without [group] the result is the sum of the weights in filtered-rowid
+   order; with [Some (g, into)] each weight is added to [into] under the
+   row's key [g.(i)] instead (NULL keys skipped) and the result is 0. *)
+let weigh_rows ~n ~keys ~maps ~group =
+  let np = Array.length maps in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w = ref 1.0 and p = ref 0 in
+    while !p < np do
+      let s = Msg_map.slot maps.(!p) keys.(!p).(i) in
+      if s < 0 then p := np + 1
+      else begin
+        w := !w *. Msg_map.value maps.(!p) s;
+        incr p
+      end
+    done;
+    if !p = np then
+      match group with
+      | None -> total := !total +. !w
+      | Some (g, into) ->
+        let v = g.(i) in
+        if v <> Column.null_int then Msg_map.add into v !w
+  done;
+  !total
+
+(* The message maps a relation's rows are weighed against: for each of
+   [rel]'s ports other than [cut] that some branch hangs on, the port's
+   key array and the product message of the branches hanging there. *)
+let rec constrained t rel ~cut branches =
+  let ports =
+    List.filter_map
+      (fun (c', col') ->
+        if c' = cut then None
+        else
+          match
+            List.filter_map
+              (fun (ca, sub) -> if ca = c' then Some sub else None)
+              branches
+          with
+          | [] -> None
+          | subs ->
+            let union = List.fold_left Relset.union Relset.empty subs in
+            Some (port_keys t rel col', msg_set t union ~cls:c'))
+      t.ports.(rel)
+  in
+  (Array.of_list (List.map fst ports), Array.of_list (List.map snd ports))
+
 (* msg_set (B, c): number of join tuples of B per value of class c, where
    B may split into several independent branches once c is cut. *)
-let rec msg_set t b ~cls =
+and msg_set t b ~cls =
   match Hashtbl.find_opt t.msg_set_memo (b, cls) with
   | Some m -> m
   | None ->
@@ -241,7 +394,7 @@ let rec msg_set t b ~cls =
     let m =
       match product_maps maps with
       | Some m -> m
-      | None -> Hashtbl.create 1
+      | None -> Msg_map.create 0
     in
     Hashtbl.replace t.msg_set_memo (b, cls) m;
     m
@@ -278,47 +431,11 @@ and msg_single t comp ~cls =
           | None -> invalid_arg "Oracle: dangling branch (not a tree)")
         (components_without t rest ~cut:(-1))
     in
-    let constrained =
-      List.filter_map
-        (fun (c', col') ->
-          if c' = cls then None
-          else begin
-            let subs =
-              List.filter_map
-                (fun (ca, sub) -> if ca = c' then Some sub else None)
-                branches
-            in
-            match subs with
-            | [] -> None
-            | _ ->
-              let union = List.fold_left Relset.union Relset.empty subs in
-              Some (col', msg_set t union ~cls:c')
-          end)
-        t.ports.(hub)
-    in
-    let tbl = rel_table t hub in
-    let m : msg_map = Hashtbl.create 1024 in
-    Array.iter
-      (fun row ->
-        let v = Table.int_cell tbl ~row ~col:out_col in
-        if v <> Column.null_int then begin
-          let w = ref 1.0 in
-          let alive =
-            List.for_all
-              (fun (col', map) ->
-                let key = Table.int_cell tbl ~row ~col:col' in
-                key <> Column.null_int
-                &&
-                match Hashtbl.find_opt map key with
-                | Some w' -> w := !w *. w'; true
-                | None -> false)
-              constrained
-          in
-          if alive then
-            Hashtbl.replace m v
-              (!w +. Option.value ~default:0.0 (Hashtbl.find_opt m v))
-        end)
-      (filtered_rowids t hub);
+    let keys, maps = constrained t hub ~cut:cls branches in
+    let m = Msg_map.create 0 in
+    ignore
+      (weigh_rows ~n:(base_rows t hub) ~keys ~maps
+         ~group:(Some (port_keys t hub out_col, m)));
     Hashtbl.replace t.msg_single_memo (comp, cls) m;
     m
 
@@ -349,40 +466,8 @@ let card_tree t s =
         | None -> invalid_arg "Oracle: subset not connected through anchor")
       (components_without t rest ~cut:(-1))
   in
-  let constrained =
-    List.filter_map
-      (fun (c', col') ->
-        let subs =
-          List.filter_map
-            (fun (ca, sub) -> if ca = c' then Some sub else None)
-            branches
-        in
-        match subs with
-        | [] -> None
-        | _ ->
-          let union = List.fold_left Relset.union Relset.empty subs in
-          Some (col', msg_set t union ~cls:c'))
-      t.ports.(anchor)
-  in
-  let tbl = rel_table t anchor in
-  let total = ref 0.0 in
-  Array.iter
-    (fun row ->
-      let w = ref 1.0 in
-      let alive =
-        List.for_all
-          (fun (col', map) ->
-            let key = Table.int_cell tbl ~row ~col:col' in
-            key <> Column.null_int
-            &&
-            match Hashtbl.find_opt map key with
-            | Some w' -> w := !w *. w'; true
-            | None -> false)
-          constrained
-      in
-      if alive then total := !total +. !w)
-    (filtered_rowids t anchor);
-  !total
+  let keys, maps = constrained t anchor ~cut:(-1) branches in
+  weigh_rows ~n:(base_rows t anchor) ~keys ~maps ~group:None
 
 (* ---- materialization engine (fallback for non-tree class graphs) ---- *)
 
@@ -557,10 +642,12 @@ let ensure_up_to t size =
       done;
       List.iter (fun s -> Hashtbl.remove t.tuples s) by_size.(max_k)
     end;
-    (* The cards are what callers need; the message maps (tree engine) can
-       be rebuilt on demand and would otherwise pin tens of MB per query. *)
+    (* The cards are what callers need; the message maps and port keys
+       (tree engine) can be rebuilt on demand and would otherwise pin tens
+       of MB per query. *)
     Hashtbl.reset t.msg_single_memo;
     Hashtbl.reset t.msg_set_memo;
+    Hashtbl.reset t.port_keys;
     t.ensured <- size
   end
 

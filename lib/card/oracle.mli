@@ -4,12 +4,53 @@
 
     This is what the paper extracts from [EXPLAIN ANALYZE] (for the
     re-optimization trigger) and what it injects into the optimizer for the
-    perfect-(n) experiments. Sub-joins are materialized bottom-up, projected
-    onto their "boundary" join columns only, and cached; cardinalities are
-    cached permanently, tuple buffers only while the next layer is built. *)
+    perfect-(n) experiments.
+
+    When the query's join-attribute classes form a tree (every JOB query),
+    cardinalities are counted by sum-product message passing: a message
+    maps a join-key value to the number of consistent sub-join tuples, and
+    is built by one pass over a hub relation's filtered rows that reads
+    each join key from an int array gathered once per (relation, column)
+    and probes flat {!Msg_map}s, allocating nothing per row. Otherwise
+    sub-joins are materialized bottom-up, projected onto their "boundary"
+    join columns only, and cached. Cardinalities are cached permanently;
+    messages, key arrays and tuple buffers only until {!ensure_up_to}
+    releases them. *)
 
 module Relset = Rdb_util.Relset
 module Query := Rdb_query.Query
+
+(** The tree engine's messages: an open-addressing int -> float map over
+    an [int array] of keys and a [Float.Array.t] of weights, kept at most
+    half full and doubled as it grows. {!Column.null_int} marks an empty
+    slot and can be neither a key nor found. Exposed for tests. *)
+module Msg_map : sig
+  type t
+
+  val create : int -> t
+  (** An empty map with room for the given number of keys. *)
+
+  val length : t -> int
+  (** Number of keys. *)
+
+  val add : t -> int -> float -> unit
+  (** [add m k w] binds [k] to [w +. w'] when it is bound to [w'], else to
+      [w +. 0.0]. Raises [Invalid_argument] on {!Column.null_int}. *)
+
+  val set : t -> int -> float -> unit
+  (** [set m k w] binds [k] to [w]. Raises [Invalid_argument] on
+      {!Column.null_int}. *)
+
+  val slot : t -> int -> int
+  (** The slot holding a key, or [-1] when it is absent. A slot is valid
+      until the next [add] or [set] of a new key. *)
+
+  val value : t -> int -> float
+  (** The weight in a slot returned by {!slot}. *)
+
+  val iter : (int -> float -> unit) -> t -> unit
+  (** Every binding, in slot order. *)
+end
 
 type t
 
@@ -25,11 +66,15 @@ val filtered_rowids : t -> int -> int array
 
 val true_card : t -> Relset.t -> int
 (** True cardinality of a connected, non-empty relation set. Computed on
-    demand; raises [Invalid_argument] on disconnected or empty sets. *)
+    demand and cached; raises [Invalid_argument] on disconnected or empty
+    sets. Only the sets asked for are cached: [Reopt.find_trigger] asks
+    for the plan's joins only up to the first that trips, so a caller may
+    not assume every join of a plan it searched is cached. *)
 
 val ensure_up_to : t -> int -> unit
 (** Precompute [true_card] for every connected subset of at most the given
-    size, bottom-up, releasing intermediate tuple memory along the way. *)
+    size, bottom-up, releasing intermediate tuple memory along the way and
+    the tree engine's messages and key arrays at the end. *)
 
 val stats : t -> int * int
 (** (number of cached cardinalities, rows materialized so far); for tests

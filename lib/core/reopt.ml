@@ -155,41 +155,20 @@ let rewrite (q : Query.t) ~set ~temp_name ~temp_cols =
   in
   { Query.name = q.Query.name ^ "+"; rels; preds; edges; select }
 
-(* The lowest join operator whose Q-error trips the trigger: fewest
-   relations first, ties broken by the deeper node in the plan tree, and a
-   remaining tie (equal size at equal depth, necessarily in disjoint
-   subtrees) by post-order position — a deterministic choice however many
-   joins of the same size trip. *)
+(* The first join in [Plan.trigger_order] whose Q-error trips the trigger.
+   Joins later in the order are never priced: a trip among the small joins
+   spares the oracle the large sub-joins, whose messages span the most
+   relations. *)
 let find_trigger prepared plan (trigger : Trigger.t) =
   let oracle = Session.oracle prepared in
-  let best = ref None in
-  let rec walk depth node =
-    match node with
-    | Plan.Scan _ -> ()
-    | Plan.Join j ->
-      (* Post-order: children first, so at equal (size, depth) the first
-         candidate considered — kept by the strict comparisons below — is
-         the post-order-earliest one. *)
-      walk (depth + 1) j.Plan.outer;
-      walk (depth + 1) j.Plan.inner;
-      let set = Relset.union (Plan.rel_set j.Plan.outer) (Plan.rel_set j.Plan.inner) in
+  List.find_map
+    (fun ((j : Plan.join), set) ->
       let est = j.Plan.join_est in
       let actual = float_of_int (Oracle.true_card oracle set) in
-      if Trigger.fires trigger ~est ~actual then begin
-        let size = Relset.cardinal set in
-        let better =
-          match !best with
-          | None -> true
-          | Some (_, prev_set, _, _, prev_depth) ->
-            let prev_size = Relset.cardinal prev_set in
-            size < prev_size || (size = prev_size && depth > prev_depth)
-        in
-        if better then
-          best := Some (j, set, est, Stat_utils.q_error ~est ~actual, depth)
-      end
-  in
-  walk 0 plan;
-  Option.map (fun (j, set, est, q_err, _depth) -> (j, set, est, q_err)) !best
+      if Trigger.fires trigger ~est ~actual then
+        Some (j, set, est, Stat_utils.q_error ~est ~actual)
+      else None)
+    (Plan.trigger_order plan)
 
 let temp_schema session (q : Query.t) temp_cols =
   let catalog = Session.catalog session in

@@ -89,11 +89,14 @@ val find_trigger :
   Trigger.t ->
   (Plan.join * Relset.t * float * float) option
 (** The join the trigger selects for materialization, with its relation
-    set, estimate and Q-error — fewest relations first, ties broken by
-    tree depth (deepest wins), then by post-order position, so the choice
-    is deterministic even when several joins of the same size trip.
-    [None] when no join trips. Exposed for EXPLAIN ANALYZE (which marks
-    this join) and for the tie-break regression tests. *)
+    set, estimate and Q-error: the first join of {!Plan.trigger_order}
+    (fewest relations, then deepest, then post-order) that trips, so the
+    choice is deterministic even when several joins of the same size trip.
+    [None] when no join trips. Only the joins up to that first trip are
+    priced through the oracle: callers such as EXPLAIN ANALYZE must not
+    assume every join's true cardinality is cached afterwards. Exposed for
+    EXPLAIN ANALYZE (which marks this join) and for the tie-break
+    regression tests. *)
 
 val rewrite :
   Query.t ->

@@ -33,7 +33,7 @@ type ctx = {
   catalog : Catalog.t;
   q : Query.t;
   tables : Table.t array;
-  filters : (int -> bool) array;  (* per relation, see [compile_filter] *)
+  filters : (int -> bool) array;  (* per relation, [Predicate.compile_filter] *)
   mutable work : int;
   budget : int option;
   deadline_ms : float option;
@@ -105,22 +105,6 @@ let observe ctx node inter label =
       obs_label = label;
     }
     :: ctx.obs
-
-(* A relation's predicates compiled once per query against its typed
-   columns: the per-row test neither re-matches the column type nor
-   re-filters the query's predicate list. *)
-let compile_filter tbl preds =
-  let test (col, p) =
-    match Table.column tbl col with
-    | Column.Ints cells -> fun row -> Predicate.eval_int p cells.(row)
-    | Column.Strs cells -> fun row -> Predicate.eval_str p cells.(row)
-  in
-  match List.map test preds with
-  | [] -> fun _ -> true
-  | [ t ] -> t
-  | tests ->
-    let rec all row = function [] -> true | t :: rest -> t row && all row rest in
-    fun row -> all row tests
 
 let scan_node ctx (s : Plan.scan) =
   let rel = s.Plan.scan_rel in
@@ -469,7 +453,8 @@ let make_ctx ?work_budget ?deadline_ms ?(adaptive = false) ~catalog ~query () =
     tables;
     filters =
       Array.mapi
-        (fun rel tbl -> compile_filter tbl (Query.preds_of_cols query rel))
+        (fun rel tbl ->
+          Predicate.compile_filter tbl (Query.preds_of_cols query rel))
         tables;
     work = 0;
     budget = work_budget;

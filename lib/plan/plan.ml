@@ -53,6 +53,22 @@ let joins_bottom_up t =
   in
   List.rev (go [] t)
 
+let trigger_order t =
+  (* Post-order numbering is the list position; the stable sort keeps it
+     as the last tie-break. *)
+  let rec go depth acc = function
+    | Scan _ -> acc
+    | Join j ->
+      let acc = go (depth + 1) (go (depth + 1) acc j.outer) j.inner in
+      (j, Relset.union (rel_set j.outer) (rel_set j.inner), depth) :: acc
+  in
+  List.rev (go 0 [] t)
+  |> List.stable_sort (fun (_, s1, d1) (_, s2, d2) ->
+         match Int.compare (Relset.cardinal s1) (Relset.cardinal s2) with
+         | 0 -> Int.compare d2 d1
+         | c -> c)
+  |> List.map (fun (j, set, _) -> (j, set))
+
 let scans t =
   let rec go acc = function
     | Scan s -> s :: acc

@@ -54,6 +54,13 @@ val joins_bottom_up : t -> join list
 (** All join nodes, deepest-first (post-order); the order in which the
     re-optimizer looks for the "lowest" mis-estimated join. *)
 
+val trigger_order : t -> (join * Relset.t) list
+(** All join nodes with their relation sets, in the order the
+    re-optimization trigger considers them: fewest relations first, then
+    the deepest in the tree, then post-order position. The order is total
+    (two joins of equal size and depth sit in disjoint subtrees), so the
+    first tripping join in it is a deterministic choice. *)
+
 val scans : t -> scan list
 
 val n_joins : t -> int

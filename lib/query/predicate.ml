@@ -80,6 +80,22 @@ let eval_str t cell =
   | In_list vs -> List.exists (Value.equal (Value.Str cell)) vs
   | Like shape -> like_holds shape cell
 
+(* A relation's predicates compiled once against its typed columns: the
+   per-row test neither re-matches the column type nor re-walks a list of
+   (column, predicate) pairs to find its column. *)
+let compile_filter tbl preds =
+  let test (col, p) =
+    match Table.column tbl col with
+    | Column.Ints cells -> fun row -> eval_int p cells.(row)
+    | Column.Strs cells -> fun row -> eval_str p cells.(row)
+  in
+  match List.map test preds with
+  | [] -> fun _ -> true
+  | [ t ] -> t
+  | tests ->
+    let rec all row = function [] -> true | t :: rest -> t row && all row rest in
+    fun row -> all row tests
+
 let op_to_sql = function
   | Eq -> "=" | Ne -> "<>" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
 

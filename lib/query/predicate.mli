@@ -30,6 +30,13 @@ val eval_int : t -> int -> bool
 val eval_str : t -> string -> bool
 (** Fast path for string cells. *)
 
+val compile_filter : Table.t -> (int * t) list -> int -> bool
+(** [compile_filter tbl preds] is the row test of a relation over [tbl]
+    whose predicates are [preds] ((column, predicate) pairs, as
+    [Query.preds_of_cols] returns them): [true] when the row satisfies
+    every predicate, evaluated in list order through {!eval_int} and
+    {!eval_str}. Compile once per query, then call per row. *)
+
 val to_sql : col:string -> t -> string
 (** Render as a SQL condition on the given column expression. *)
 

@@ -1,43 +1,55 @@
+(* One sorted copy of the non-NULL cells gives every statistic: its runs
+   are the distinct values and their counts (for [n_distinct] and the MCV
+   list), its ends are min and max, and it is the histogram's input. *)
 let column ?(buckets = 100) ?(mcv_slots = 100) tbl c =
-  let col = Table.column tbl c in
   let n = Table.nrows tbl in
-  match col with
+  match Table.column tbl c with
   | Column.Ints cells ->
-    let non_null = Array.to_list (Array.to_seq cells |> Seq.filter (fun v -> v <> Column.null_int) |> Array.of_seq) in
-    let non_null_arr = Array.of_list non_null in
-    let n_non_null = Array.length non_null_arr in
-    let null_frac =
-      if n = 0 then 0.0 else float_of_int (n - n_non_null) /. float_of_int n
+    let n_non_null =
+      Array.fold_left
+        (fun acc v -> if v <> Column.null_int then acc + 1 else acc)
+        0 cells
     in
-    let distinct = Hashtbl.create 1024 in
-    Array.iter (fun v -> Hashtbl.replace distinct v ()) non_null_arr;
-    let min_val = ref None and max_val = ref None in
+    let sorted = Array.make n_non_null 0 in
+    let j = ref 0 in
     Array.iter
       (fun v ->
-        (match !min_val with Some m when m <= v -> () | _ -> min_val := Some v);
-        (match !max_val with Some m when m >= v -> () | _ -> max_val := Some v))
-      non_null_arr;
-    let values = List.map (fun v -> Value.Int v) non_null in
+        if v <> Column.null_int then begin
+          sorted.(!j) <- v;
+          incr j
+        end)
+      cells;
+    Array.sort Int.compare sorted;
+    let starts = Mcv.run_starts Int.equal sorted in
     {
       Col_stats.row_count = n;
-      null_frac;
-      n_distinct = Int.max 1 (Hashtbl.length distinct);
-      min_val = !min_val;
-      max_val = !max_val;
-      mcv = Mcv.build ~slots:mcv_slots values;
-      hist = Histogram.build ~buckets non_null_arr;
+      null_frac =
+        (if n = 0 then 0.0
+         else float_of_int (n - n_non_null) /. float_of_int n);
+      n_distinct = Int.max 1 (Array.length starts);
+      min_val = (if n_non_null = 0 then None else Some sorted.(0));
+      max_val =
+        (if n_non_null = 0 then None else Some sorted.(n_non_null - 1));
+      mcv =
+        Mcv.of_runs ~slots:mcv_slots ~n:n_non_null
+          ~value:(fun i -> Value.Int sorted.(i))
+          starts;
+      hist = Histogram.of_sorted ~buckets sorted;
     }
   | Column.Strs cells ->
-    let distinct = Hashtbl.create 1024 in
-    Array.iter (fun v -> Hashtbl.replace distinct v ()) cells;
-    let values = Array.to_list (Array.map (fun s -> Value.Str s) cells) in
+    let sorted = Array.copy cells in
+    Array.sort String.compare sorted;
+    let starts = Mcv.run_starts String.equal sorted in
     {
       Col_stats.row_count = n;
       null_frac = 0.0;
-      n_distinct = Int.max 1 (Hashtbl.length distinct);
+      n_distinct = Int.max 1 (Array.length starts);
       min_val = None;
       max_val = None;
-      mcv = Mcv.build ~slots:mcv_slots values;
+      mcv =
+        Mcv.of_runs ~slots:mcv_slots ~n
+          ~value:(fun i -> Value.Str sorted.(i))
+          starts;
       hist = None;
     }
 

@@ -1,11 +1,9 @@
 type t = { bounds : int array }
 
-let build ?(buckets = 100) values =
-  let n = Array.length values in
+let of_sorted ?(buckets = 100) sorted =
+  let n = Array.length sorted in
   if n = 0 then None
   else begin
-    let sorted = Array.copy values in
-    Array.sort Int.compare sorted;
     let nb = Int.min buckets n in
     let bounds = Array.make (nb + 1) 0 in
     (* Boundary i sits at sorted rank round(i * n / nb), so each bucket
@@ -16,6 +14,11 @@ let build ?(buckets = 100) values =
     done;
     Some { bounds }
   end
+
+let build ?buckets values =
+  let sorted = Array.copy values in
+  Array.sort Int.compare sorted;
+  of_sorted ?buckets sorted
 
 let n_buckets t = Array.length t.bounds - 1
 

@@ -10,6 +10,9 @@ val build : ?buckets:int -> int array -> t option
     histogram with at most [buckets] buckets (default 100). Returns [None]
     on an empty input. Values already excluding NULLs. *)
 
+val of_sorted : ?buckets:int -> int array -> t option
+(** {!build} on values already sorted ascending, which are not copied. *)
+
 val n_buckets : t -> int
 
 val bounds : t -> int array

@@ -6,33 +6,46 @@ type t = {
 
 let empty = { entries = []; by_value = Hashtbl.create 1; total = 0.0 }
 
-let build ?(slots = 100) values =
-  let non_null = List.filter (fun v -> not (Value.is_null v)) values in
-  let n = List.length non_null in
+let run_starts equal sorted =
+  let starts = Rdb_util.Int_vec.create () in
+  Array.iteri
+    (fun i v ->
+      if i = 0 || not (equal v sorted.(i - 1)) then
+        Rdb_util.Int_vec.push starts i)
+    sorted;
+  Rdb_util.Int_vec.to_array starts
+
+let of_runs ?(slots = 100) ~n ~value starts =
   if n = 0 then empty
   else begin
-    let counts = Hashtbl.create 256 in
-    List.iter
-      (fun v ->
-        Hashtbl.replace counts v
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts v)))
-      non_null;
-    let all = Hashtbl.fold (fun v c acc -> (v, c) :: acc) counts [] in
-    let frequent = List.filter (fun (_, c) -> c >= 2) all in
-    let sorted =
-      List.sort
-        (fun (v1, c1) (v2, c2) ->
-          match Int.compare c2 c1 with 0 -> Value.compare v1 v2 | d -> d)
-        frequent
+    let runs = Array.length starts in
+    let count r = (if r + 1 < runs then starts.(r + 1) else n) - starts.(r) in
+    (* Runs come in ascending value order, so a stable sort on count alone
+       breaks ties by value. *)
+    let frequent =
+      Array.of_seq (Seq.filter (fun r -> count r >= 2) (Seq.init runs Fun.id))
     in
-    let top = List.filteri (fun i _ -> i < slots) sorted in
+    Array.stable_sort (fun a b -> Int.compare (count b) (count a)) frequent;
     let nf = float_of_int n in
-    let entries = List.map (fun (v, c) -> (v, float_of_int c /. nf)) top in
+    let entries =
+      List.init (Int.min slots (Array.length frequent)) (fun i ->
+          let r = frequent.(i) in
+          (value starts.(r), float_of_int (count r) /. nf))
+    in
     let by_value = Hashtbl.create (List.length entries) in
     List.iter (fun (v, f) -> Hashtbl.replace by_value v f) entries;
     let total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 entries in
     { entries; by_value; total }
   end
+
+let build ?slots values =
+  let sorted =
+    Array.of_list (List.filter (fun v -> not (Value.is_null v)) values)
+  in
+  Array.sort Value.compare sorted;
+  of_runs ?slots ~n:(Array.length sorted)
+    ~value:(fun i -> sorted.(i))
+    (run_starts Value.equal sorted)
 
 let entries t = t.entries
 let frequency t v = Hashtbl.find_opt t.by_value v

@@ -441,6 +441,81 @@ let test_estimate_log () =
   Estimate_log.add_into log ~into;
   check Alcotest.int "merged" 6 (Estimate_log.total into)
 
+(* ---- Oracle.Msg_map against a Hashtbl model ---- *)
+
+module Msg_map = Oracle.Msg_map
+
+type map_op = Add of int * float | Set of int * float
+
+(* Keys mix small ints, negatives and multiples of large powers of two
+   (equal in their low bits, so their home slots collide); a few hundred
+   operations push a 16-slot map through several doublings. *)
+let gen_key =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-50) 50;
+        map (fun k -> k lsl 16) (int_range (-40) 40);
+        map (fun k -> k lsl 32) (int_range (-40) 40);
+        map (fun k -> (k lsl 20) + 7) (int_range 0 40);
+        int_range (-1_000_000) 1_000_000;
+      ])
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (int_range 0 600)
+      (let* k = gen_key in
+       let* w = float_range 1.0 1e6 in
+       oneofl [ Add (k, w); Set (k, w) ]))
+
+let prop_msg_map_matches_hashtbl =
+  QCheck.Test.make ~name:"msg_map = Hashtbl model" ~count:300
+    (QCheck.make gen_ops)
+    (fun ops ->
+      let m = Msg_map.create 0 and model = Hashtbl.create 16 in
+      List.iter
+        (function
+          | Add (k, w) ->
+            Msg_map.add m k w;
+            Hashtbl.replace model k
+              (w +. Option.value ~default:0.0 (Hashtbl.find_opt model k))
+          | Set (k, w) ->
+            Msg_map.set m k w;
+            Hashtbl.replace model k w)
+        ops;
+      let find k =
+        match Msg_map.slot m k with
+        | -1 -> None
+        | i -> Some (Msg_map.value m i)
+      in
+      let seen = Hashtbl.create 16 in
+      Msg_map.iter
+        (fun k w ->
+          if Hashtbl.mem seen k then QCheck.Test.fail_reportf "key %d twice" k;
+          Hashtbl.replace seen k w)
+        m;
+      Msg_map.length m = Hashtbl.length model
+      && Hashtbl.length seen = Hashtbl.length model
+      && Hashtbl.fold
+           (fun k w ok ->
+             ok
+             && Option.equal Float.equal (find k) (Some w)
+             && Option.equal Float.equal (Hashtbl.find_opt seen k) (Some w))
+           model true
+      && List.for_all
+           (fun k -> Hashtbl.mem model k || find k = None)
+           [ 0; 1; -1; 1 lsl 16; 1 lsl 32; 123_456_789; Column.null_int ])
+
+let test_msg_map_null_key () =
+  let m = Msg_map.create 4 in
+  check Alcotest.int "NULL is never found" (-1) (Msg_map.slot m Column.null_int);
+  Alcotest.check_raises "NULL cannot be added"
+    (Invalid_argument "Oracle.Msg_map: NULL key") (fun () ->
+      Msg_map.add m Column.null_int 1.0);
+  Alcotest.check_raises "NULL cannot be set"
+    (Invalid_argument "Oracle.Msg_map: NULL key") (fun () ->
+      Msg_map.set m Column.null_int 1.0)
+
 let () =
   Alcotest.run "rdb_card"
     [
@@ -469,6 +544,8 @@ let () =
             test_oracle_fallback_on_cyclic_classes;
           Alcotest.test_case "rejects bad sets" `Quick test_oracle_rejects_bad_sets;
           Alcotest.test_case "base rows" `Quick test_oracle_base_rows;
+          Alcotest.test_case "msg_map NULL key" `Quick test_msg_map_null_key;
+          qtest prop_msg_map_matches_hashtbl;
         ] );
       ( "estimator",
         [

@@ -317,6 +317,113 @@ let test_find_trigger_smallest_first () =
     check (Alcotest.list Alcotest.int) "smallest tripping join" [ 0; 1; 2 ]
       (Relset.to_list set)
 
+let test_find_trigger_size_beats_depth_across_subtrees () =
+  (* Join(Join(Join(Join(C,D),E),F), Join(A,B)), 10 rows per table: the
+     3-relation {C,D,E} sits deeper than the 2-relation {A,B}, and both
+     trip; {C,D} carries its true cardinality (100) as estimate, so it
+     does not. Size comes before depth, so {A,B} must win. *)
+  let cat = chain_catalog 6 10 in
+  let q = chain_query 6 in
+  let session = Session.create cat in
+  Session.analyze session;
+  let prepared = Session.prepare session q in
+  let edge i j = [ { Query.l = { Query.rel = i; col = 1 };
+                     r = { Query.rel = j; col = 1 } } ] in
+  let exact_cd =
+    match join (scan 2) (scan 3) (edge 2 3) with
+    | Plan.Join j -> Plan.Join { j with Plan.join_est = 100.0 }
+    | Plan.Scan _ -> assert false
+  in
+  let plan =
+    join
+      (join (join exact_cd (scan 4) (edge 3 4)) (scan 5) (edge 4 5))
+      (join (scan 0) (scan 1) (edge 0 1))
+      (edge 2 1)
+  in
+  match Reopt.find_trigger prepared plan (Trigger.create 32.0) with
+  | None -> Alcotest.fail "expected a tripping join"
+  | Some (_, set, _, _) ->
+    check (Alcotest.list Alcotest.int) "shallow 2-relation join wins"
+      [ 0; 1 ] (Relset.to_list set)
+
+(* The exhaustive walk find_trigger replaced, kept as the reference: price
+   every join in post-order and keep the best tripping one — a later
+   candidate wins only with strictly fewer relations, or as many and
+   strictly greater depth. *)
+let reference_find_trigger prepared plan (trigger : Trigger.t) =
+  let oracle = Session.oracle prepared in
+  let best = ref None in
+  let rec walk depth node =
+    match node with
+    | Plan.Scan _ -> ()
+    | Plan.Join j ->
+      walk (depth + 1) j.Plan.outer;
+      walk (depth + 1) j.Plan.inner;
+      let set =
+        Relset.union (Plan.rel_set j.Plan.outer) (Plan.rel_set j.Plan.inner)
+      in
+      let est = j.Plan.join_est in
+      let actual = float_of_int (Rdb_card.Oracle.true_card oracle set) in
+      if Trigger.fires trigger ~est ~actual then begin
+        let size = Relset.cardinal set in
+        let better =
+          match !best with
+          | None -> true
+          | Some (_, prev_set, _, _, prev_depth) ->
+            let prev_size = Relset.cardinal prev_set in
+            size < prev_size || (size = prev_size && depth > prev_depth)
+        in
+        if better then
+          best :=
+            Some
+              (j, set, est, Rdb_util.Stat_utils.q_error ~est ~actual, depth)
+      end
+  in
+  walk 0 plan;
+  Option.map (fun (j, set, est, q_err, _) -> (j, set, est, q_err)) !best
+
+let test_find_trigger_matches_exhaustive_walk () =
+  (* The first-trip search must pick the same join — the same node of the
+     plan, with the same set, estimate and Q-error — as the exhaustive
+     walk, on the Default plan of every JOB query. *)
+  let catalog, session = make_session 0.02 in
+  let tripped = ref 0 and silent = ref 0 in
+  List.iter
+    (fun (q : Query.t) ->
+      let prepared = Session.prepare session q in
+      let plan, _, _ = Session.plan prepared ~mode:Estimator.Default in
+      List.iter
+        (fun (threshold, min_actual_rows) ->
+          let trigger = Trigger.create ~min_actual_rows threshold in
+          let label =
+            Printf.sprintf "%s @%g min %d" q.Query.name threshold
+              min_actual_rows
+          in
+          match
+            ( Reopt.find_trigger prepared plan trigger,
+              reference_find_trigger prepared plan trigger )
+          with
+          | None, None -> incr silent
+          | Some (j, set, est, q_err), Some (j', set', est', q_err') ->
+            incr tripped;
+            check Alcotest.bool (label ^ ": same join node") true (j == j');
+            check Alcotest.bool (label ^ ": same set") true
+              (Relset.equal set set');
+            check Alcotest.bool (label ^ ": same estimate") true
+              (Float.equal est est');
+            check Alcotest.bool (label ^ ": same q-error") true
+              (Float.equal q_err q_err')
+          | Some _, None | None, Some _ ->
+            Alcotest.failf "%s: one search trips, the other does not" label)
+        [ (2.0, 0); (2.0, 100); (32.0, 0); (32.0, 100); (1000.0, 0);
+          (1000.0, 100) ])
+    (Rdb_imdb.Job_queries.all catalog);
+  (* both outcomes must be exercised *)
+  check Alcotest.bool
+    (Printf.sprintf "%d tripped, %d silent" !tripped !silent)
+    true
+    (!tripped > 0 && !silent > 0)
+
 (* ---- replan_ms accounting ---- *)
 
 let test_replan_ms_accounting () =
@@ -657,6 +764,10 @@ let () =
             test_find_trigger_tiebreak_postorder;
           Alcotest.test_case "size dominates depth" `Quick
             test_find_trigger_smallest_first;
+          Alcotest.test_case "size beats depth across subtrees" `Quick
+            test_find_trigger_size_beats_depth_across_subtrees;
+          Alcotest.test_case "first trip = exhaustive walk on JOB" `Quick
+            test_find_trigger_matches_exhaustive_walk;
         ] );
       ( "explain_analyze",
         [

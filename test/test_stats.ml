@@ -176,6 +176,174 @@ let test_trivial_stats () =
   check Alcotest.int "trivial row count" 1000 s.Col_stats.row_count
 
 
+(* ---- ANALYZE equivalence with the boxed reference ---- *)
+
+(* The ANALYZE that boxed every cell into a [Value.t], counted distinct
+   values through polymorphic hash tables and sorted a second copy for the
+   histogram, kept verbatim as the reference: the sort-once [Analyze.column]
+   must reproduce every field bit for bit. Mcv.t and Histogram.t are
+   abstract, so the reference returns their observable content. *)
+type ref_stats = {
+  r_rows : int;
+  r_null_frac : float;
+  r_distinct : int;
+  r_min : int option;
+  r_max : int option;
+  r_mcv : (Value.t * float) list;
+  r_mcv_total : float;
+  r_hist : int array option;
+}
+
+let ref_mcv ~slots values =
+  let non_null = List.filter (fun v -> not (Value.is_null v)) values in
+  let n = List.length non_null in
+  if n = 0 then ([], 0.0)
+  else begin
+    let counts = Hashtbl.create 256 in
+    List.iter
+      (fun v ->
+        Hashtbl.replace counts v
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts v)))
+      non_null;
+    let all = Hashtbl.fold (fun v c acc -> (v, c) :: acc) counts [] in
+    let frequent = List.filter (fun (_, c) -> c >= 2) all in
+    let sorted =
+      List.sort
+        (fun (v1, c1) (v2, c2) ->
+          match Int.compare c2 c1 with 0 -> Value.compare v1 v2 | d -> d)
+        frequent
+    in
+    let top = List.filteri (fun i _ -> i < slots) sorted in
+    let nf = float_of_int n in
+    let entries = List.map (fun (v, c) -> (v, float_of_int c /. nf)) top in
+    (entries, List.fold_left (fun acc (_, f) -> acc +. f) 0.0 entries)
+  end
+
+let ref_hist ~buckets values =
+  let n = Array.length values in
+  if n = 0 then None
+  else begin
+    let sorted = Array.copy values in
+    Array.sort Int.compare sorted;
+    let nb = Int.min buckets n in
+    Some (Array.init (nb + 1) (fun i -> sorted.(i * (n - 1) / nb)))
+  end
+
+let ref_column ~buckets ~mcv_slots tbl c =
+  let n = Table.nrows tbl in
+  match Table.column tbl c with
+  | Column.Ints cells ->
+    let non_null =
+      List.filter (fun v -> v <> Column.null_int) (Array.to_list cells)
+    in
+    let non_null_arr = Array.of_list non_null in
+    let n_non_null = Array.length non_null_arr in
+    let distinct = Hashtbl.create 1024 in
+    Array.iter (fun v -> Hashtbl.replace distinct v ()) non_null_arr;
+    let min_val = ref None and max_val = ref None in
+    Array.iter
+      (fun v ->
+        (match !min_val with Some m when m <= v -> () | _ -> min_val := Some v);
+        (match !max_val with Some m when m >= v -> () | _ -> max_val := Some v))
+      non_null_arr;
+    let mcv, total =
+      ref_mcv ~slots:mcv_slots (List.map (fun v -> Value.Int v) non_null)
+    in
+    {
+      r_rows = n;
+      r_null_frac =
+        (if n = 0 then 0.0
+         else float_of_int (n - n_non_null) /. float_of_int n);
+      r_distinct = Int.max 1 (Hashtbl.length distinct);
+      r_min = !min_val;
+      r_max = !max_val;
+      r_mcv = mcv;
+      r_mcv_total = total;
+      r_hist = ref_hist ~buckets non_null_arr;
+    }
+  | Column.Strs cells ->
+    let distinct = Hashtbl.create 1024 in
+    Array.iter (fun v -> Hashtbl.replace distinct v ()) cells;
+    let mcv, total =
+      ref_mcv ~slots:mcv_slots
+        (Array.to_list (Array.map (fun s -> Value.Str s) cells))
+    in
+    {
+      r_rows = n;
+      r_null_frac = 0.0;
+      r_distinct = Int.max 1 (Hashtbl.length distinct);
+      r_min = None;
+      r_max = None;
+      r_mcv = mcv;
+      r_mcv_total = total;
+      r_hist = None;
+    }
+
+let same_stats (r : ref_stats) (s : Col_stats.t) =
+  r.r_rows = s.Col_stats.row_count
+  && Float.equal r.r_null_frac s.Col_stats.null_frac
+  && r.r_distinct = s.Col_stats.n_distinct
+  && r.r_min = s.Col_stats.min_val
+  && r.r_max = s.Col_stats.max_val
+  && List.equal
+       (fun (v1, f1) (v2, f2) -> Value.equal v1 v2 && Float.equal f1 f2)
+       r.r_mcv (Mcv.entries s.Col_stats.mcv)
+  && Float.equal r.r_mcv_total (Mcv.total_fraction s.Col_stats.mcv)
+  && Mcv.count s.Col_stats.mcv = List.length r.r_mcv
+  && Option.equal ( = ) r.r_hist (Option.map Histogram.bounds s.Col_stats.hist)
+
+(* An int column (NULLs, duplicates, negatives; sometimes all NULL) beside
+   a string column over a small alphabet, so duplicates and ties at the
+   MCV cut-off are common; empty tables included. *)
+let gen_table =
+  QCheck.Gen.(
+    let* n = oneof [ return 0; int_range 1 8; int_range 1 400 ] in
+    let* span = oneofl [ 3; 20; 1000; max_int / 4 ] in
+    let* null_pct = oneofl [ 0; 10; 50; 100 ] in
+    let int_cell =
+      let* r = int_range 0 99 in
+      if r < null_pct then return Column.null_int
+      else int_range (-span) span
+    in
+    let* ints = array_size (return n) int_cell in
+    let* strs = array_size (return n) (string_size ~gen:(char_range 'a' 'c') (int_range 0 2)) in
+    let* buckets = int_range 1 120 in
+    let* mcv_slots = int_range 1 12 in
+    return (ints, strs, buckets, mcv_slots))
+
+let prop_analyze_matches_reference =
+  QCheck.Test.make ~name:"analyze = boxed reference, bit for bit" ~count:500
+    (QCheck.make gen_table)
+    (fun (ints, strs, buckets, mcv_slots) ->
+      let tbl =
+        Table.create ~name:"q"
+          ~schema:
+            (Schema.make
+               [
+                 { Schema.name = "i"; ty = Value.Ty_int };
+                 { Schema.name = "s"; ty = Value.Ty_str };
+               ])
+          [| Column.Ints ints; Column.Strs strs |]
+      in
+      List.for_all
+        (fun c ->
+          same_stats
+            (ref_column ~buckets ~mcv_slots tbl c)
+            (Analyze.column ~buckets ~mcv_slots tbl c))
+        [ 0; 1 ])
+
+let test_analyze_matches_reference_on_facts () =
+  let tbl = mk_table () in
+  List.iter
+    (fun c ->
+      check Alcotest.bool
+        (Printf.sprintf "column %d" c)
+        true
+        (same_stats
+           (ref_column ~buckets:100 ~mcv_slots:100 tbl c)
+           (Analyze.column tbl c)))
+    [ 0; 1; 2 ]
+
 (* ---- Group_stats + Cords ---- *)
 
 let correlated_table () =
@@ -294,5 +462,8 @@ let () =
           Alcotest.test_case "string column" `Quick test_analyze_string_column;
           Alcotest.test_case "db stats roundtrip" `Quick test_db_stats_roundtrip;
           Alcotest.test_case "trivial fallback" `Quick test_trivial_stats;
+          Alcotest.test_case "reference on facts" `Quick
+            test_analyze_matches_reference_on_facts;
+          qtest prop_analyze_matches_reference;
         ] );
     ]
