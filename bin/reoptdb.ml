@@ -28,7 +28,10 @@
    query or experiment name).
 
    Set RDB_TRACE=stderr (or =path for JSON-lines) to trace every pipeline
-   phase as nested timed spans. *)
+   phase as nested timed spans.
+   Set RDB_CHECKS=lint,verify,sensitivity,resource (any subset) to run
+   those invariant checks on every plan and re-optimization step; a
+   malformed value is a usage error. *)
 
 open Cmdliner
 
@@ -38,6 +41,7 @@ module Oracle = Rdb_card.Oracle
 module Executor = Rdb_exec.Executor
 module Reopt = Rdb_core.Reopt
 module Trigger = Rdb_core.Trigger
+module Checks = Rdb_core.Checks
 module Finding = Rdb_analysis.Finding
 module Srclint = Rdb_srclint.Srclint
 module J = Rdb_obs.Json
@@ -425,9 +429,9 @@ let cmd_experiment =
 (* The re-optimization pass of the lint and verify sweeps: budgeted like
    the experiments, with the temp tables kept in the catalog while [k]
    inspects the outcome and dropped afterwards. *)
-let reopt_sweep ?lint ~threshold session prepared q k =
+let reopt_sweep ?checks ~threshold session prepared q k =
   let outcome =
-    Reopt.run ?lint ~work_budget:60_000_000 ~deadline_ms:4000.0 ~cleanup:false
+    Reopt.run ?checks ~work_budget:60_000_000 ~deadline_ms:4000.0 ~cleanup:false
       ~initial:prepared session ~trigger:(Trigger.create threshold)
       ~mode:Estimator.Default q
   in
@@ -491,19 +495,20 @@ let cmd_lint =
                   (Printf.sprintf "%s [%s]" name label)
                   (Rdb_analysis.Resource.findings q cert)
               end
-            (* With RDB_LINT on in the environment the in-loop hook raises
-               before we can report; keep sweeping the other configs. *)
-            | exception Rdb_analysis.Debug.Lint_failed findings ->
+            (* With RDB_CHECKS set the inline checks raise before we can
+               report; keep sweeping the other configs. *)
+            | exception Checks.Check_failed (_, findings) ->
               report (Printf.sprintf "%s [%s]" name label) findings)
           [ ("default", Estimator.Default);
             (Printf.sprintf "perfect-%d" perfect_n,
              Estimator.Perfect perfect_n) ];
-        (* Re-optimization sweep: with ~lint:true every intermediate plan
-           and every rewritten query is invariant-checked in the loop
+        (* Re-optimization sweep: with the Lint check every intermediate
+           plan and every rewritten query is invariant-checked in the loop
            itself (raising on error findings); on success, re-lint the
            rewrite steps here to surface warning-severity findings too. *)
         (match
-           reopt_sweep ~lint:true ~threshold session prepared q (fun outcome ->
+           reopt_sweep ~checks:(Checks.Lint :: Checks.env ()) ~threshold
+             session prepared q (fun outcome ->
                incr n_plans;
                List.iter
                  (fun (s : Reopt.step) ->
@@ -519,7 +524,7 @@ let cmd_lint =
          with
          | () -> ()
          | exception Executor.Work_budget_exceeded _ -> incr n_capped
-         | exception Rdb_analysis.Debug.Lint_failed findings ->
+         | exception Checks.Check_failed (_, findings) ->
            report (Printf.sprintf "%s [reopt]" name) findings))
       queries;
     (* Fifth and sixth finding sources, opt-in: the source-level
@@ -782,9 +787,7 @@ let cmd_verify =
          with
          | () -> ()
          | exception Executor.Work_budget_exceeded _ -> incr n_capped
-         | exception Rdb_verify.Debug.Verify_failed findings ->
-           report (Printf.sprintf "%s [reopt]" name) findings
-         | exception Rdb_analysis.Debug.Lint_failed findings ->
+         | exception Checks.Check_failed (_, findings) ->
            report (Printf.sprintf "%s [reopt]" name) findings))
       queries;
     (* Generated-query sweep: the workload exercises 113 fixed shapes; the
@@ -1371,6 +1374,11 @@ let cmd_json_check =
     Term.(const run $ path_pos)
 
 let () =
+  (match Checks.env () with
+   | _ -> ()
+   | exception Invalid_argument msg ->
+     Printf.eprintf "reoptdb: %s\n" msg;
+     exit 2);
   let info =
     Cmd.info "reoptdb"
       ~doc:

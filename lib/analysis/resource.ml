@@ -258,8 +258,7 @@ let replan_pinned ~space ~cost_params ~catalog ~estimator (q : Query.t)
       ?oracle:(Estimator.oracle estimator) q
   in
   let p, _stats =
-    Optimizer.plan ~lint:false ~verify:false ~sensitivity:false
-      ~resource:false ~space ~cost_params ~catalog ~estimator:pinned q
+    Optimizer.plan ~space ~cost_params ~catalog ~estimator:pinned q
   in
   p
 

@@ -150,8 +150,8 @@ val check :
   Query.t ->
   Plan.t ->
   Finding.t list
-(** [certify] followed by [findings] — the shape the optimizer hook and the
-    [reoptdb] sweeps consume. *)
+(** [certify] followed by [findings] — the shape [Rdb_core.Checks] and
+    the [reoptdb] sweeps consume. *)
 
 val to_json : cert -> Json.t
 (** The certificate as strict JSON, shared by [reoptdb resources --json]

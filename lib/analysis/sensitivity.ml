@@ -203,8 +203,7 @@ let replan ~space ~cost_params ~catalog ~estimator (q : Query.t) ~set ~card =
       ?oracle:(Estimator.oracle estimator) q
   in
   let p, _stats =
-    Optimizer.plan ~lint:false ~verify:false ~sensitivity:false ~space
-      ~cost_params ~catalog ~estimator:pinned q
+    Optimizer.plan ~space ~cost_params ~catalog ~estimator:pinned q
   in
   p
 

@@ -133,9 +133,9 @@ val analyze :
     estimator whose bound hook overrides exactly that subset — and diffs
     the chosen plan against the original ({!Plan.same_shape}).
     [corner_limit] rations the replans to the joins with the largest
-    worst-case Q-error (the inline hook and the lint sweep cap this; the
-    [fragility] sweep does not). [space] reuses a prebuilt search space
-    across the replans. *)
+    worst-case Q-error (the lint sweep caps this; the [fragility] sweep
+    does not). [space] reuses a prebuilt search space across the
+    replans. *)
 
 val fragile_sets : report -> Relset.t list
 (** The relation subsets of joins whose corner estimates flipped the
@@ -171,5 +171,5 @@ val check :
   Query.t ->
   Plan.t ->
   Finding.t list
-(** [analyze] followed by [findings] — the shape the optimizer hook chain
-    and the [reoptdb lint] sweep consume. *)
+(** [analyze] followed by [findings] — the shape [Rdb_core.Checks] and
+    the [reoptdb lint] sweep consume. *)

@@ -180,12 +180,8 @@ let temp_schema session (q : Query.t) temp_cols =
          { Schema.name = Printf.sprintf "c%d" i; ty = src.Schema.ty })
        temp_cols)
 
-let run ?lint ?verify ?work_budget ?deadline_ms ?(cleanup = true)
+let run ?(checks = Checks.env ()) ?work_budget ?deadline_ms ?(cleanup = true)
     ?(max_steps = 32) ?initial ?feedback session ~trigger ~mode q0 =
-  let switch arg var =
-    match arg with Some b -> b | None -> Rdb_plan.Optimizer.env_switch var
-  in
-  let lint = switch lint "RDB_LINT" and verify = switch verify "RDB_VERIFY" in
   let feedback =
     match feedback with Some _ as fb -> fb | None -> Session.feedback session
   in
@@ -232,11 +228,11 @@ let run ?lint ?verify ?work_budget ?deadline_ms ?(cleanup = true)
       | Some _ | None -> Session.prepare session q
     in
     let plan, pstats, _estimator =
-      if step_count = 0 then Session.plan ~lint prepared ~mode
+      if step_count = 0 then Session.plan ~checks prepared ~mode
       else
         Trace.span "reopt.replan"
           ~attrs:[ ("query", q.Query.name) ]
-          (fun () -> Session.plan ~lint prepared ~mode)
+          (fun () -> Session.plan ~checks prepared ~mode)
     in
     let plan_times = pstats.Rdb_plan.Optimizer.plan_ms :: plan_times in
     let trigger_hit =
@@ -286,17 +282,11 @@ let run ?lint ?verify ?work_budget ?deadline_ms ?(cleanup = true)
       Metrics.incr ~by:(Table.nrows table) "reopt.temp_rows";
       let q' = rewrite q ~set ~temp_name ~temp_cols in
       (* The rewrite is exactly where silent invariant breakage (dangling
-         aliases, predicates on materialized-away columns) turns into wrong
-         answers: re-lint the rewritten query with the temp table bound. *)
-      if lint then
-        Rdb_analysis.Debug.check_query_exn
-          ~catalog:(Session.catalog session) q';
-      (* Symbolic proof that the rewrite preserved the query: inline the
-         temp table back and require isomorphism between the conjunctive
-         normal forms (bag equivalence — these are COUNT/SUM queries). *)
-      if verify then
-        Rdb_verify.Debug.check_step_exn ~catalog:(Session.catalog session)
-          ~original:q ~set ~temp_cols ~temp_name q';
+         aliases, predicates on materialized-away columns, a changed
+         meaning) turns into wrong answers: check it with the temp table
+         bound. *)
+      Checks.step checks ~catalog:(Session.catalog session) ~original:q ~set
+        ~temp_cols ~temp_name q';
       let step =
         {
           materialized_set = set;

@@ -49,8 +49,7 @@ type outcome = {
 }
 
 val run :
-  ?lint:bool ->
-  ?verify:bool ->
+  ?checks:Checks.check list ->
   ?work_budget:int ->
   ?deadline_ms:float ->
   ?cleanup:bool ->
@@ -74,14 +73,13 @@ val run :
     *original* query: rewrites renumber relations and splice in temp
     tables, so the loop composes a per-relation origin map across steps
     and records every observation under a base-table signature.
-    [lint] (default: the [RDB_LINT] environment switch) lints every plan
-    and every rewritten query (with its temp table substituted); error
-    findings raise [Rdb_analysis.Debug.Lint_failed].
-    [verify] (default: the [RDB_VERIFY] switch) additionally proves each rewrite
-    step equivalent to its pre-step query — the temp table inlined back,
-    both conjunctive normal forms isomorphic — and checks every plan's
-    estimates against sound cardinality bounds; error findings raise
-    [Rdb_verify.Debug.Verify_failed]. *)
+    [checks] (default: {!Checks.env}, the [RDB_CHECKS] variable; an
+    explicit list replaces it) run on every plan ({!Checks.plan}) and on
+    every rewritten query ({!Checks.step}): [Lint] lints both, [Verify]
+    checks every plan's estimates against sound cardinality bounds and
+    proves each rewrite step equivalent to its pre-step query — the temp
+    table inlined back, both conjunctive normal forms isomorphic. Error
+    findings raise {!Checks.Check_failed}. *)
 
 val find_trigger :
   Session.prepared ->

@@ -20,11 +20,6 @@ type t = {
 }
 
 let create ?(cost_params = Rdb_cost.Cost_model.default) ?feedback catalog =
-  (* Make RDB_LINT / RDB_VERIFY effective for every session-driven
-     pipeline: the optimizer's hooks are refs precisely so the plan layer
-     need not depend on the libraries that check it. *)
-  Rdb_analysis.Debug.install ();
-  Rdb_verify.Debug.install ();
   {
     catalog;
     stats = Db_stats.create ();
@@ -111,7 +106,7 @@ let bound_of p ~pessimistic =
         v')
   end
 
-let plan ?lint ?verify ?sensitivity ?(pessimistic = false) ?log p ~mode =
+let plan ?(checks = Checks.env ()) ?(pessimistic = false) ?log p ~mode =
   Trace.span "session.plan"
     ~attrs:[ ("query", p.q.Query.name) ]
     (fun () ->
@@ -121,14 +116,13 @@ let plan ?lint ?verify ?sensitivity ?(pessimistic = false) ?log p ~mode =
           p.q
       in
       let plan, stats =
-        Optimizer.plan ?lint ?verify ?sensitivity ~space:p.space
-          ~cost_params:p.session.cost_params ~catalog:p.session.catalog
-          ~estimator p.q
+        Optimizer.plan ~space:p.space ~cost_params:p.session.cost_params
+          ~catalog:p.session.catalog ~estimator p.q
       in
+      Checks.plan checks ~catalog:p.session.catalog ~estimator p.q plan;
       (plan, stats, estimator))
 
-let plan_robust ?lint ?verify ?sensitivity ?(pessimistic = false) ?log
-    ~uncertainty p ~mode =
+let plan_robust ?(pessimistic = false) ?log ~uncertainty p ~mode =
   Trace.span "session.plan_robust"
     ~attrs:[ ("query", p.q.Query.name) ]
     (fun () ->
@@ -138,10 +132,11 @@ let plan_robust ?lint ?verify ?sensitivity ?(pessimistic = false) ?log
           p.q
       in
       let plan, stats =
-        Optimizer.plan_robust ?lint ?verify ?sensitivity ~space:p.space
-          ~cost_params:p.session.cost_params ~uncertainty
-          ~catalog:p.session.catalog ~estimator p.q
+        Optimizer.plan_robust ~space:p.space ~cost_params:p.session.cost_params
+          ~uncertainty ~catalog:p.session.catalog ~estimator p.q
       in
+      Checks.plan (Checks.env ()) ~catalog:p.session.catalog ~estimator p.q
+        plan;
       (plan, stats, estimator))
 
 (* The resource certifier with the session's sound bounds: the verifier's

@@ -60,30 +60,20 @@ val space : prepared -> Search_space.t
 val session : prepared -> t
 
 val plan :
-  ?lint:bool ->
-  ?verify:bool ->
-  ?sensitivity:bool ->
+  ?checks:Checks.check list ->
   ?pessimistic:bool ->
   ?log:Estimate_log.t ->
   prepared ->
   mode:Estimator.mode ->
   Plan.t * Optimizer.stats * Estimator.t
-(** Optimize under the given estimation mode. [lint] (default: the
-    [RDB_LINT] environment switch) runs the installed invariant checker on
-    the chosen plan; error findings raise
-    [Rdb_analysis.Debug.Lint_failed]. [verify] (default: [RDB_VERIFY])
-    likewise checks the plan's estimates against the symbolic verifier's
-    sound cardinality bounds and raises [Rdb_verify.Debug.Verify_failed].
-    [sensitivity] (default: the [RDB_SENSITIVITY] environment check) runs
-    the plan-robustness analyzer's inline checks on the chosen plan.
+(** Optimize under the given estimation mode, then run [checks] (default:
+    {!Checks.env}, the [RDB_CHECKS] variable; an explicit list replaces
+    it) on the chosen plan; error findings raise {!Checks.Check_failed}.
     [pessimistic] (default false) clamps every estimate to the verifier's
     sound interval before costing — changing only plan choice, never
     results. *)
 
 val plan_robust :
-  ?lint:bool ->
-  ?verify:bool ->
-  ?sensitivity:bool ->
   ?pessimistic:bool ->
   ?log:Estimate_log.t ->
   uncertainty:float ->
@@ -91,7 +81,8 @@ val plan_robust :
   mode:Estimator.mode ->
   Plan.t * Optimizer.stats * Estimator.t
 (** Rio-style proactive planning: minimize worst-case cost over an
-    uncertainty interval that widens with join depth. *)
+    uncertainty interval that widens with join depth. Runs the
+    [RDB_CHECKS] checks like {!plan}. *)
 
 val certify :
   ?transitions:bool ->

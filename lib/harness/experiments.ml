@@ -7,7 +7,6 @@ module Estimator = Rdb_card.Estimator
 module Estimate_log = Rdb_card.Estimate_log
 module Oracle = Rdb_card.Oracle
 module Plan = Rdb_plan.Plan
-module Optimizer = Rdb_plan.Optimizer
 module Executor = Rdb_exec.Executor
 module Session = Rdb_core.Session
 module Reopt = Rdb_core.Reopt
@@ -21,17 +20,8 @@ let table1 lab =
   let log = Estimate_log.create () in
   List.iter
     (fun q ->
-      let prepared = Runner.prepared_of lab q in
-      let estimator =
-        Estimator.create ~log ~mode:Estimator.Default
-          ~catalog:(Session.catalog (Runner.session lab))
-          ~stats:(Session.stats (Runner.session lab))
-          q
-      in
       ignore
-        (Optimizer.plan ~space:(Session.space prepared)
-           ~catalog:(Session.catalog (Runner.session lab))
-           ~estimator q))
+        (Session.plan ~log (Runner.prepared_of lab q) ~mode:Estimator.Default))
     (Runner.queries lab);
   let rows =
     List.map
@@ -269,8 +259,6 @@ let fig5_threshold = 32.0
 let fig5_one lab name =
   let q = Runner.query lab name in
   let prepared = Runner.prepared_of lab q in
-  let session = Runner.session lab in
-
   let oracle = Session.oracle prepared in
   Oracle.ensure_up_to oracle (Query.n_rels q);
   let overrides : (Relset.t, float) Hashtbl.t = Hashtbl.create 32 in
@@ -291,14 +279,8 @@ let fig5_one lab name =
   let rec iterate i =
     if i > 40 then ()
     else begin
-      let estimator =
-        Estimator.create ~mode:(Estimator.Overrides overrides)
-          ~catalog:(Session.catalog session) ~stats:(Session.stats session)
-          ~oracle q
-      in
-      let plan, _ =
-        Optimizer.plan ~space:(Session.space prepared)
-          ~catalog:(Session.catalog session) ~estimator q
+      let plan, _, _ =
+        Session.plan prepared ~mode:(Estimator.Overrides overrides)
       in
       let exec_ms =
         try

@@ -12,33 +12,6 @@ type stats = {
   plan_ms : float;
 }
 
-type lint_hook =
-  catalog:Catalog.t -> estimator:Estimator.t -> Query.t -> Plan.t -> unit
-
-let lint_hook : lint_hook option ref = ref None
-let verify_hook : lint_hook option ref = ref None
-let sensitivity_hook : lint_hook option ref = ref None
-let resource_hook : lint_hook option ref = ref None
-
-let env_switch var =
-  match Sys.getenv_opt var with
-  | None | Some ("" | "0" | "false") -> false
-  | Some _ -> true
-
-(* The installed checkers, in order; an explicit argument overrides the
-   environment switch. *)
-let run_hooks ~lint ~verify ~sensitivity ~resource ~catalog ~estimator q plan =
-  List.iter
-    (fun (arg, var, hook) ->
-      let on = match arg with Some b -> b | None -> env_switch var in
-      match !hook with
-      | Some hook when on -> hook ~catalog ~estimator q plan
-      | Some _ | None -> ())
-    [ (lint, "RDB_LINT", lint_hook);
-      (verify, "RDB_VERIFY", verify_hook);
-      (sensitivity, "RDB_SENSITIVITY", sensitivity_hook);
-      (resource, "RDB_RESOURCE", resource_hook) ]
-
 (* Cartesian products are unsupported (as in the paper's workload); a
    disconnected join graph is a query bug, so name the components to make
    the report actionable. *)
@@ -200,13 +173,10 @@ let dp ?space ?(cost_params = Cost_model.default) ~catalog ~estimator (q : Query
       plan_ms = elapsed;
     } )
 
-let plan ?lint ?verify ?sensitivity ?resource ?space ?cost_params ~catalog
-    ~estimator q =
+let plan ?space ?cost_params ~catalog ~estimator q =
   let best, stats = dp ?space ?cost_params ~catalog ~estimator q in
   match Hashtbl.find_opt best (Relset.full (Query.n_rels q)) with
-  | Some p ->
-    run_hooks ~lint ~verify ~sensitivity ~resource ~catalog ~estimator q p;
-    (p, stats)
+  | Some p -> (p, stats)
   | None -> invalid_arg "Optimizer: no plan found for full relation set"
 
 (* Rio-style robust DP: plans carry one cost per scenario; scenarios scale
@@ -317,15 +287,12 @@ let dp_robust ?space ?(cost_params = Cost_model.default) ~uncertainty ~catalog
       plan_ms = elapsed;
     } )
 
-let plan_robust ?lint ?verify ?sensitivity ?resource ?space ?cost_params
-    ~uncertainty ~catalog ~estimator q =
+let plan_robust ?space ?cost_params ~uncertainty ~catalog ~estimator q =
   let best, stats =
     dp_robust ?space ?cost_params ~uncertainty ~catalog ~estimator q
   in
   match Hashtbl.find_opt best (Relset.full (Query.n_rels q)) with
-  | Some (p, _) ->
-    run_hooks ~lint ~verify ~sensitivity ~resource ~catalog ~estimator q p;
-    (p, stats)
+  | Some (p, _) -> (p, stats)
   | None -> invalid_arg "Optimizer: no robust plan found"
 
 let best_cost_of_sets ?space ?cost_params ~catalog ~estimator q =

@@ -231,15 +231,8 @@ let reopt_execute t sess ?deadline_ms ~prepared ~key ~cqnf ~epoch ~threshold
       let overrides = Hashtbl.create 4 in
       Hashtbl.replace overrides first.Reopt.materialized_set
         (float_of_int (max 1 first.Reopt.temp_rows));
-      let estimator =
-        Estimator.create ~mode:(Estimator.Overrides overrides)
-          ~catalog:(Session.catalog sess) ~stats:(Session.stats sess)
-          canonical
-      in
-      let plan, _ =
-        Optimizer.plan ~space:(Session.space prepared)
-          ~cost_params:(Session.cost_params sess)
-          ~catalog:(Session.catalog sess) ~estimator canonical
+      let plan, _, _ =
+        Session.plan prepared ~mode:(Estimator.Overrides overrides)
       in
       Metrics.incr "cache.writebacks";
       (* Reopt.run has already recorded the materialized true

@@ -225,7 +225,7 @@ let pretty_res r =
 
 let control_exns =
   [ "Work_budget_exceeded"; "Deadline_exceeded"; "Over_budget";
-    "Verify_failed" ]
+    "Check_failed" ]
 
 (* ---- interprocedural summaries: raises, handles, releases ---- *)
 

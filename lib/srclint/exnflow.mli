@@ -9,7 +9,7 @@
     masks as domain state. The walker checks leak-on-raise, that nothing
     escapes a spawned closure, and handler discipline: control exceptions
     ([Work_budget_exceeded], [Deadline_exceeded], [Over_budget],
-    [Verify_failed]) are caught only at {!Registry} handler sites, and bare
+    [Check_failed]) are caught only at {!Registry} handler sites, and bare
     [with _ ->] swallows are annotated.
 
     Calibration: unknown calls are assumed non-raising, a short primitive

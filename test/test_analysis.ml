@@ -14,7 +14,7 @@ module Trigger = Rdb_core.Trigger
 module Finding = Rdb_analysis.Finding
 module Query_lint = Rdb_analysis.Query_lint
 module Plan_lint = Rdb_analysis.Plan_lint
-module Debug = Rdb_analysis.Debug
+module Checks = Rdb_core.Checks
 
 let check = Alcotest.check
 
@@ -56,7 +56,7 @@ let plan_with_estimator cat q =
   let estimator =
     Estimator.create ~mode:Estimator.Default ~catalog:cat ~stats q
   in
-  let plan, _ = Optimizer.plan ~lint:false ~catalog:cat ~estimator q in
+  let plan, _ = Optimizer.plan ~catalog:cat ~estimator q in
   (plan, estimator)
 
 let codes fs = List.sort_uniq compare (List.map (fun f -> f.Finding.code) fs)
@@ -309,64 +309,131 @@ let test_workload_plans_lint_clean () =
       let q = Rdb_imdb.Job_queries.find catalog name in
       let prepared = Session.prepare session q in
       let plan, _, estimator =
-        Session.plan ~lint:true prepared ~mode:Estimator.Default
+        Session.plan ~checks:[ Checks.Lint ] prepared ~mode:Estimator.Default
       in
       let fs = Plan_lint.check ~catalog ~estimator q plan in
       check Alcotest.(list string) (name ^ " plan clean") [] (codes fs))
     [ "1a"; "6d"; "16b"; "18a"; "25c"; "30a" ]
 
 let test_debug_hook_raises_on_corruption () =
-  let cat, q, _, j = join_fixture () in
+  let cat, q, estimator, j = join_fixture () in
   let corrupted = Plan.Join { j with Plan.join_edges = [] } in
-  check Alcotest.bool "raises Lint_failed" true
-    (match Debug.check_plan_exn ~catalog:cat q corrupted with
+  check Alcotest.bool "raises Check_failed (Lint, _)" true
+    (match Checks.plan [ Checks.Lint ] ~catalog:cat ~estimator q corrupted with
      | () -> false
-     | exception Debug.Lint_failed fs -> Finding.has_errors fs)
+     | exception Checks.Check_failed (Checks.Lint, fs) -> Finding.has_errors fs)
 
 let test_reopt_lints_clean () =
   let catalog = Lazy.force imdb in
   let session = Session.create catalog in
   Session.analyze session;
   let q = Rdb_imdb.Job_queries.find catalog "6d" in
-  (* ~lint:true checks every plan and every rewritten query in the loop;
-     reaching the outcome means the whole trajectory lints clean. *)
+  (* The Lint check runs on every plan and every rewritten query in the
+     loop; reaching the outcome means the whole trajectory lints clean. *)
   let outcome =
-    Reopt.run ~lint:true session ~trigger:(Trigger.create 2.0)
+    Reopt.run ~checks:[ Checks.Lint ] session ~trigger:(Trigger.create 2.0)
       ~mode:Estimator.Default q
   in
   check Alcotest.bool "re-optimized" true (List.length outcome.Reopt.steps >= 1)
 
+(* The lint switch is now RDB_CHECKS=lint; the legacy RDB_LINT is no longer
+   read. A join estimate pinned at infinity gives a non-finite cost that
+   only the Lint check rejects, so whether Session.plan raises shows whether
+   the environment switched the check on. *)
 let test_rdb_lint_env_enables_hook () =
-  Unix.putenv "RDB_LINT" "1";
-  let finally () = Unix.putenv "RDB_LINT" "0" in
+  let cat = small_db () in
+  let q = bind cat join_sql in
+  let session = Session.create cat in
+  Session.analyze session;
+  let prepared = Session.prepare session q in
+  let pinned = Hashtbl.create 1 in
+  Hashtbl.replace pinned (Relset.full 2) Float.infinity;
+  let broken = Estimator.Overrides pinned in
+  let raises_lint () =
+    match Session.plan prepared ~mode:broken with
+    | _ -> false
+    | exception Checks.Check_failed (Checks.Lint, fs) ->
+      has_error "cost-not-finite" fs
+  in
+  let finally () = Unix.putenv "RDB_LINT" ""; Unix.putenv "RDB_CHECKS" "" in
   Fun.protect ~finally (fun () ->
-      let cat = small_db () in
-      let q = bind cat join_sql in
-      let session = Session.create cat in
-      Session.analyze session;
-      let prepared = Session.prepare session q in
-      (* A clean plan passes through the installed hook without raising. *)
+      Unix.putenv "RDB_CHECKS" "";
+      List.iter
+        (fun v ->
+          Unix.putenv "RDB_LINT" v;
+          check Alcotest.bool
+            (Printf.sprintf "RDB_LINT=%S is not read" v)
+            false (raises_lint ()))
+        [ "1"; "yes"; "true" ];
+      List.iter
+        (fun (v, on) ->
+          Unix.putenv "RDB_CHECKS" v;
+          check Alcotest.bool
+            (Printf.sprintf "RDB_CHECKS=%S enables lint" v)
+            on (raises_lint ()))
+        [ ("lint", true); (" resource , lint ", true); ("sensitivity", false);
+          ("", false) ];
+      (* A clean plan passes through the enabled check without raising. *)
+      Unix.putenv "RDB_CHECKS" "lint";
       let plan, _, _ = Session.plan prepared ~mode:Estimator.Default in
-      check Alcotest.bool "planned under RDB_LINT=1" true
-        (Relset.equal (Plan.rel_set plan) (Relset.full 2));
-      (* Every RDB_* switch shares one rule: any value but unset, empty, 0
-         or false turns it on. *)
-      let calls = ref 0 in
-      let installed = !Rdb_plan.Optimizer.lint_hook in
-      Rdb_plan.Optimizer.lint_hook := Some (fun ~catalog:_ ~estimator:_ _ _ -> incr calls);
-      Fun.protect
-        ~finally:(fun () -> Rdb_plan.Optimizer.lint_hook := installed)
-        (fun () ->
-          List.iter
-            (fun (v, on) ->
-              Unix.putenv "RDB_LINT" v;
-              let before = !calls in
-              ignore (Session.plan prepared ~mode:Estimator.Default);
-              check Alcotest.bool
-                (Printf.sprintf "RDB_LINT=%S enables the hook" v)
-                on (!calls > before))
-            [ ("yes", true); ("true", true); ("0", false); ("false", false);
-              ("", false) ]))
+      check Alcotest.bool "planned under RDB_CHECKS=lint" true
+        (Relset.equal (Plan.rel_set plan) (Relset.full 2)))
+
+(* An explicit check list replaces RDB_CHECKS, and Verify bound-checks
+   every plan of the loop: an estimate pinned far above the 2-relation
+   join's sound upper bound must be caught at the initial plan. *)
+let test_reopt_verify_checks_plans () =
+  let cat = small_db () in
+  let q = bind cat join_sql in
+  let session = Session.create cat in
+  Session.analyze session;
+  let pinned = Hashtbl.create 1 in
+  Hashtbl.replace pinned (Relset.full 2) 1e12;
+  let mode = Estimator.Overrides pinned in
+  (match
+     Reopt.run ~checks:[ Checks.Verify ] session ~trigger:(Trigger.create 2.0)
+       ~mode q
+   with
+   | _ -> Alcotest.fail "Reopt.run ~checks:[Verify] accepted an impossible plan"
+   | exception Checks.Check_failed (Checks.Verify, fs) ->
+     check Alcotest.bool "estimate-exceeds-bound" true
+       (has_error "estimate-exceeds-bound" fs));
+  (* Without a list RDB_CHECKS selects the checks; a list replaces it. *)
+  let prepared = Session.prepare session q in
+  Unix.putenv "RDB_CHECKS" "verify";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "RDB_CHECKS" "")
+    (fun () ->
+      check Alcotest.bool "RDB_CHECKS=verify raises" true
+        (match Session.plan prepared ~mode with
+         | _ -> false
+         | exception Checks.Check_failed (Checks.Verify, _) -> true);
+      ignore (Session.plan ~checks:[] prepared ~mode))
+
+let test_checks_of_string () =
+  let name = Alcotest.testable (Fmt.of_to_string Checks.name) ( = ) in
+  List.iter
+    (fun (s, want) ->
+      check Alcotest.(list name) (Printf.sprintf "%S" s) want
+        (Checks.of_string s))
+    Checks.
+      [ ("", []);
+        ("lint", [ Lint ]);
+        (" lint , resource ", [ Lint; Resource ]);
+        ("resource,lint,resource,lint", [ Lint; Resource ]);
+        ("sensitivity,verify,", [ Verify; Sensitivity ]);
+        ( "lint,verify,sensitivity,resource",
+          [ Lint; Verify; Sensitivity; Resource ] ) ];
+  let rejects s =
+    match Checks.of_string s with
+    | _ -> Alcotest.fail (s ^ " accepted")
+    | exception Invalid_argument msg ->
+      check Alcotest.string "names the token and the valid checks"
+        "unknown check \"bogus\" (expected lint, verify, sensitivity, resource)"
+        msg
+  in
+  rejects "bogus";
+  rejects "lint, bogus"
 
 (* ---- Sensitivity: interval abstract interpretation of the cost model ---- *)
 
@@ -645,36 +712,45 @@ let test_robust_plan_reports_robust () =
   let fs = Sensitivity.findings q report in
   check Alcotest.(list string) "only plan-robust" [ "plan-robust" ] (codes fs)
 
+(* The sensitivity switch is now RDB_CHECKS=sensitivity at the fixed
+   envelope factor 32; the legacy RDB_SENSITIVITY, numeric or not, is no
+   longer read. *)
 let test_rdb_sensitivity_env () =
-  let set v = Unix.putenv "RDB_SENSITIVITY" v in
-  let finally () = set "0" in
+  let finally () =
+    Unix.putenv "RDB_SENSITIVITY" ""; Unix.putenv "RDB_CHECKS" ""
+  in
+  let name = Alcotest.testable (Fmt.of_to_string Checks.name) ( = ) in
   Fun.protect ~finally (fun () ->
-      set "0";
-      check Alcotest.(option (float 0.0)) "0 disables" None
-        (Debug.sensitivity_threshold ());
-      set "1";
-      check Alcotest.(option (float 0.0)) "1 means default 32" (Some 32.0)
-        (Debug.sensitivity_threshold ());
-      set "true";
-      check Alcotest.(option (float 0.0)) "true means default 32" (Some 32.0)
-        (Debug.sensitivity_threshold ());
-      set "8";
-      check Alcotest.(option (float 0.0)) "numeric is the envelope factor"
-        (Some 8.0)
-        (Debug.sensitivity_threshold ());
-      set "banana";
-      check Alcotest.(option (float 0.0)) "garbage falls back to 32"
-        (Some 32.0)
-        (Debug.sensitivity_threshold ());
-      (* With the hook enabled, clean plans pass through without raising. *)
-      set "8";
-      let cat = small_db () in
-      let q = bind cat join_sql in
+      Unix.putenv "RDB_CHECKS" "";
+      List.iter
+        (fun v ->
+          Unix.putenv "RDB_SENSITIVITY" v;
+          check Alcotest.(list name)
+            (Printf.sprintf "RDB_SENSITIVITY=%S is not read" v)
+            [] (Checks.env ()))
+        [ "1"; "true"; "8"; "banana" ];
+      Unix.putenv "RDB_CHECKS" "sensitivity";
+      let checks = Checks.env () in
+      check Alcotest.(list name) "RDB_CHECKS=sensitivity" [ Checks.Sensitivity ]
+        checks;
+      (* The selected check rejects a plan whose recorded cost disagrees
+         with the cost model, and passes the uncorrupted plan. *)
+      let cat, q, estimator, j = join_fixture () in
+      let corrupted =
+        Plan.Join { j with Plan.join_cost = j.Plan.join_cost *. 2.0 }
+      in
+      check Alcotest.bool "corrupted plan raises" true
+        (match Checks.plan checks ~catalog:cat ~estimator q corrupted with
+         | () -> false
+         | exception Checks.Check_failed (Checks.Sensitivity, fs) ->
+           has_error "interval-cost-mismatch" fs);
+      Checks.plan checks ~catalog:cat ~estimator q (Plan.Join j);
+      (* With the switch on, clean plans pass through Session.plan. *)
       let session = Session.create cat in
       Session.analyze session;
       let prepared = Session.prepare session q in
       let plan, _, _ = Session.plan prepared ~mode:Estimator.Default in
-      check Alcotest.bool "planned under RDB_SENSITIVITY" true
+      check Alcotest.bool "planned under RDB_CHECKS=sensitivity" true
         (Relset.equal (Plan.rel_set plan) (Relset.full 2)))
 
 let () =
@@ -721,6 +797,10 @@ let () =
             test_reopt_lints_clean;
           Alcotest.test_case "RDB_LINT env enables hook" `Quick
             test_rdb_lint_env_enables_hook;
+          Alcotest.test_case "verify checks reopt plans" `Quick
+            test_reopt_verify_checks_plans;
+          Alcotest.test_case "Checks.of_string table" `Quick
+            test_checks_of_string;
         ] );
       ( "sensitivity",
         [
