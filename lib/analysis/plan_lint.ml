@@ -6,6 +6,15 @@ module Estimator = Rdb_card.Estimator
 
 let err = Finding.error
 
+let free_operators =
+  {
+    Rdb_cost.Cost_model.cpu_tuple_cost = 0.0;
+    cpu_operator_cost = 0.0;
+    cpu_index_tuple_cost = 0.0;
+    index_lookup_cost = 0.0;
+    hash_build_cost = 0.0;
+  }
+
 (* Estimates must be reproducible exactly: the estimator caches per relation
    subset, so re-querying it returns the very floats the plan was built
    from. The epsilon only forgives the printing/re-reading of a float, not a
@@ -205,8 +214,10 @@ let check ~catalog ?estimator (q : Query.t) (plan : Plan.t) =
                     "join %s covers a set the estimator cannot price"
                     (render_set su))))
        | None -> ());
-      (* Costs: finite and monotone. The optimizer's index-nested-loop cost
-         excludes the inner subtree (index probes replace scanning it). *)
+      (* Costs: finite and at least the inputs' cost the join rule adds
+         its operator to — under all-zero parameters every operator is
+         free, which leaves exactly that floor (the outer alone for an
+         index nested loop, whose index probes replace the inner). *)
       let cost = j.Plan.join_cost in
       if not (Float.is_finite cost) || cost < 0.0 then
         add
@@ -214,10 +225,10 @@ let check ~catalog ?estimator (q : Query.t) (plan : Plan.t) =
              (Printf.sprintf "join %s has cost %g" (render_set su) cost))
       else begin
         let floor =
-          match j.Plan.algo with
-          | Plan.Index_nl _ -> Plan.cost j.Plan.outer
-          | Plan.Hash_join | Plan.Nested_loop | Plan.Merge_join ->
-            Plan.cost j.Plan.outer +. Plan.cost j.Plan.inner
+          Plan.join_cost free_operators q j.Plan.algo ~inner:j.Plan.inner
+            ~edges:j.Plan.join_edges ~outer_rows:0.0 ~inner_rows:0.0 ~out:0.0
+            ~outer_cost:(Plan.cost j.Plan.outer)
+            ~inner_cost:(Plan.cost j.Plan.inner)
         in
         if cost +. 1e-6 *. Float.max 1.0 floor < floor then
           add

@@ -49,7 +49,6 @@ type node = {
   node_est : float;
   node_interval : float * float;
   node_cost : Interval.t;
-  node_exact_cost : float;
   node_is_join : bool;
 }
 
@@ -84,22 +83,16 @@ type report = {
 
 let aliases_of q set = List.map (Query.rel_alias q) (Relset.to_list set)
 
-let inl_npreds (q : Query.t) (j : Plan.join) =
-  let base =
-    match j.Plan.inner with
-    | Plan.Scan s -> List.length (Query.preds_of q s.Plan.scan_rel)
-    | Plan.Join _ -> 0 (* corrupt INL inner; Plan_lint owns the report *)
-  in
-  base + List.length j.Plan.join_edges - 1
-
 (* One bottom-up walk computes, per node: the envelope interval on its true
-   output rows, the interval of its subtree cost (corner evaluation — exact
-   because every cost formula is monotone), and a point recomputation of the
-   node's own cost from its children's *recorded* costs, which must agree
-   with the recorded cost on an uncorrupted plan. *)
+   output rows, the interval of its subtree cost (Plan.join_cost at the
+   all-lo and all-hi corners — exact because the rule is monotone in every
+   input), and a point recomputation of the node's own cost from its
+   children's *recorded* costs, which must agree with the recorded cost on
+   an uncorrupted plan; the joins where it does not are collected in
+   post-order. *)
 let interp ~envelope ~cost_params (q : Query.t) plan =
   let cp = cost_params in
-  let nodes = ref [] in
+  let nodes = ref [] and mismatches = ref [] in
   let push n = nodes := n :: !nodes in
   let rec go p =
     match p with
@@ -116,7 +109,6 @@ let interp ~envelope ~cost_params (q : Query.t) plan =
           node_est = s.Plan.scan_est;
           node_interval = iv;
           node_cost = cost;
-          node_exact_cost = s.Plan.scan_cost;
           node_is_join = false;
         };
       (cost, iv)
@@ -130,45 +122,41 @@ let interp ~envelope ~cost_params (q : Query.t) plan =
       let out_iv = envelope set ~est in
       let box (lo, hi) = Interval.make lo hi in
       let o_rows = box o_iv and i_rows = box i_iv and out = box out_iv in
-      let o_pt = Plan.est_rows j.Plan.outer and i_pt = Plan.est_rows j.Plan.inner in
-      let o_rec = Plan.cost j.Plan.outer and i_rec = Plan.cost j.Plan.inner in
-      let cost, exact =
-        match j.Plan.algo with
-        | Plan.Hash_join ->
-          ( Interval.add (Interval.add o_cost i_cost)
-              (Interval.hash_join cp ~build:i_rows ~probe:o_rows ~out),
-            o_rec +. i_rec
-            +. Cost_model.hash_join cp ~build:i_pt ~probe:o_pt ~out:est )
-        | Plan.Nested_loop ->
-          ( Interval.add (Interval.add o_cost i_cost)
-              (Interval.nested_loop cp ~outer:o_rows ~inner:i_rows ~out),
-            o_rec +. i_rec
-            +. Cost_model.nested_loop cp ~outer:o_pt ~inner:i_pt ~out:est )
-        | Plan.Merge_join ->
-          ( Interval.add (Interval.add o_cost i_cost)
-              (Interval.merge_join cp ~outer:o_rows ~inner:i_rows ~out),
-            o_rec +. i_rec
-            +. Cost_model.merge_join cp ~outer:o_pt ~inner:i_pt ~out:est )
-        | Plan.Index_nl _ ->
-          let npreds = inl_npreds q j in
-          ( Interval.add o_cost
-              (Interval.index_nested_loop cp ~outer:o_rows ~out ~npreds),
-            o_rec +. Cost_model.index_nested_loop cp ~outer:o_pt ~out:est ~npreds
-          )
+      let cost_at ~outer_rows ~inner_rows ~out ~outer_cost ~inner_cost =
+        Plan.join_cost cp q j.Plan.algo ~inner:j.Plan.inner
+          ~edges:j.Plan.join_edges ~outer_rows ~inner_rows ~out ~outer_cost
+          ~inner_cost
       in
+      let corner end_ =
+        cost_at ~outer_rows:(end_ o_rows) ~inner_rows:(end_ i_rows)
+          ~out:(end_ out) ~outer_cost:(end_ o_cost) ~inner_cost:(end_ i_cost)
+      in
+      let cost =
+        {
+          Interval.lo = corner (fun iv -> iv.Interval.lo);
+          hi = corner (fun iv -> iv.Interval.hi);
+        }
+      and exact =
+        cost_at ~outer_rows:(Plan.est_rows j.Plan.outer)
+          ~inner_rows:(Plan.est_rows j.Plan.inner) ~out:est
+          ~outer_cost:(Plan.cost j.Plan.outer)
+          ~inner_cost:(Plan.cost j.Plan.inner)
+      in
+      let tol = 1e-6 *. Float.max 1.0 (Float.abs j.Plan.join_cost) in
+      if Float.abs (j.Plan.join_cost -. exact) > tol then
+        mismatches := (set, j.Plan.join_cost, exact) :: !mismatches;
       push
         {
           node_set = set;
           node_est = est;
           node_interval = out_iv;
           node_cost = cost;
-          node_exact_cost = exact;
           node_is_join = true;
         };
       (cost, out_iv)
   in
   let root_cost, _ = go plan in
-  (root_cost, List.rev !nodes)
+  (root_cost, List.rev !nodes, List.rev !mismatches)
 
 let predict_trigger ?(min_actual_rows = 0) ~envelope ~threshold (q : Query.t)
     plan =
@@ -216,28 +204,8 @@ let analyze ?envelope ?(threshold = default_threshold) ?(min_actual_rows = 0)
   let envelope =
     match envelope with Some e -> e | None -> q_envelope threshold
   in
-  let root_cost, nodes = interp ~envelope ~cost_params q plan in
-  (* The recorded cost is not part of [node]; walk the tree again so each
-     join is compared against its own recorded cost. *)
-  let cost_mismatches =
-    let acc = ref [] in
-    let tbl = Hashtbl.create 16 in
-    List.iter
-      (fun n -> if n.node_is_join then Hashtbl.replace tbl (n.node_set :> int) n)
-      nodes;
-    List.iter
-      (fun (j : Plan.join) ->
-        let set =
-          Relset.union (Plan.rel_set j.Plan.outer) (Plan.rel_set j.Plan.inner)
-        in
-        match Hashtbl.find_opt tbl (set :> int) with
-        | Some n ->
-          let tol = 1e-6 *. Float.max 1.0 (Float.abs j.Plan.join_cost) in
-          if Float.abs (j.Plan.join_cost -. n.node_exact_cost) > tol then
-            acc := (set, j.Plan.join_cost, n.node_exact_cost) :: !acc
-        | None -> ())
-      (Plan.joins_bottom_up plan);
-    List.rev !acc
+  let root_cost, nodes, cost_mismatches =
+    interp ~envelope ~cost_params q plan
   in
   let predicted = predict_trigger ~min_actual_rows ~envelope ~threshold q plan in
   let joins = List.filter (fun n -> n.node_is_join) nodes in

@@ -54,10 +54,6 @@ type node = {
   node_est : float;              (** the optimizer's point estimate *)
   node_interval : float * float; (** envelope on the node's true rows *)
   node_cost : Interval.t;        (** subtree cost over the envelope *)
-  node_exact_cost : float;
-      (** the node's cost re-derived from the cost model at the point
-          estimates (children's recorded costs + operator formula); must
-          equal the recorded cost on an uncorrupted plan *)
   node_is_join : bool;
 }
 
@@ -94,8 +90,10 @@ type report = {
   predicted : prediction option;
   fragilities : fragility list; (** join nodes, post-order *)
   cost_mismatches : (Relset.t * float * float) list;
-      (** (set, recorded cost, recomputed cost) for nodes whose recorded
-          cost disagrees with the cost model — plan corruption *)
+      (** (set, recorded cost, recomputed cost) for the joins, in
+          post-order, whose recorded cost disagrees with
+          [Rdb_plan.Plan.join_cost] at the plan's own estimates and the
+          children's recorded costs — plan corruption *)
 }
 
 val predict_trigger :

@@ -68,7 +68,18 @@ let of_pred (s : Col_stats.t) (p : Predicate.t) =
        clamp (Histogram.fraction_between hist ~lo ~hi *. (1.0 -. s.null_frac))
      | None -> clamp (default_range *. default_range))
   | Predicate.In_list vs ->
-    clamp (List.fold_left (fun acc v -> acc +. eq_sel s v) 0.0 vs)
+    (* A value listed twice still matches its rows once. The first
+       occurrences keep their order, so the sum over a list without
+       repeats is unchanged to the last bit. *)
+    let distinct =
+      List.rev
+        (List.fold_left
+           (fun seen v ->
+             if List.exists (fun u -> Value.compare u v = 0) seen then seen
+             else v :: seen)
+           [] vs)
+    in
+    clamp (List.fold_left (fun acc v -> acc +. eq_sel s v) 0.0 distinct)
   | Predicate.Like shape -> like_sel s shape
   | Predicate.Is_null -> clamp s.null_frac
   | Predicate.Is_not_null -> clamp (1.0 -. s.null_frac)

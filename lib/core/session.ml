@@ -106,7 +106,8 @@ let bound_of p ~pessimistic =
         v')
   end
 
-let plan ?(checks = Checks.env ()) ?(pessimistic = false) ?log p ~mode =
+let plan ?(checks = Checks.env ()) ?(pessimistic = false) ?uncertainty ?log p
+    ~mode =
   Trace.span "session.plan"
     ~attrs:[ ("query", p.q.Query.name) ]
     (fun () ->
@@ -117,26 +118,9 @@ let plan ?(checks = Checks.env ()) ?(pessimistic = false) ?log p ~mode =
       in
       let plan, stats =
         Optimizer.plan ~space:p.space ~cost_params:p.session.cost_params
-          ~catalog:p.session.catalog ~estimator p.q
+          ?uncertainty ~catalog:p.session.catalog ~estimator p.q
       in
       Checks.plan checks ~catalog:p.session.catalog ~estimator p.q plan;
-      (plan, stats, estimator))
-
-let plan_robust ?(pessimistic = false) ?log ~uncertainty p ~mode =
-  Trace.span "session.plan_robust"
-    ~attrs:[ ("query", p.q.Query.name) ]
-    (fun () ->
-      let estimator =
-        Estimator.create ?log ?bound:(bound_of p ~pessimistic) ~mode
-          ~catalog:p.session.catalog ~stats:p.session.stats ~oracle:p.oracle
-          p.q
-      in
-      let plan, stats =
-        Optimizer.plan_robust ~space:p.space ~cost_params:p.session.cost_params
-          ~uncertainty ~catalog:p.session.catalog ~estimator p.q
-      in
-      Checks.plan (Checks.env ()) ~catalog:p.session.catalog ~estimator p.q
-        plan;
       (plan, stats, estimator))
 
 (* The resource certifier with the session's sound bounds: the verifier's

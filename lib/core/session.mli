@@ -62,6 +62,7 @@ val session : prepared -> t
 val plan :
   ?checks:Checks.check list ->
   ?pessimistic:bool ->
+  ?uncertainty:float ->
   ?log:Estimate_log.t ->
   prepared ->
   mode:Estimator.mode ->
@@ -71,18 +72,9 @@ val plan :
     it) on the chosen plan; error findings raise {!Checks.Check_failed}.
     [pessimistic] (default false) clamps every estimate to the verifier's
     sound interval before costing — changing only plan choice, never
-    results. *)
-
-val plan_robust :
-  ?pessimistic:bool ->
-  ?log:Estimate_log.t ->
-  uncertainty:float ->
-  prepared ->
-  mode:Estimator.mode ->
-  Plan.t * Optimizer.stats * Estimator.t
-(** Rio-style proactive planning: minimize worst-case cost over an
-    uncertainty interval that widens with join depth. Runs the
-    [RDB_CHECKS] checks like {!plan}. *)
+    results. [uncertainty] selects Rio-style robust planning
+    ({!Rdb_plan.Optimizer.plan}): minimize worst-case cost over an
+    uncertainty interval that widens with join depth. *)
 
 val certify :
   ?transitions:bool ->

@@ -20,34 +20,3 @@ let to_string iv =
     else Printf.sprintf "%.3g" v
   in
   Printf.sprintf "[%s, %s]" (one iv.lo) (one iv.hi)
-
-(* Corner evaluation: each Cost_model formula is monotone non-decreasing in
-   every cardinality argument, so the all-lo and all-hi corners are the
-   exact extrema of the formula over the input box. *)
-
-let seq_scan p ~rows ~npreds =
-  { lo = Cost_model.seq_scan p ~rows:rows.lo ~npreds;
-    hi = Cost_model.seq_scan p ~rows:rows.hi ~npreds }
-
-let index_scan p ~matches ~npreds =
-  { lo = Cost_model.index_scan p ~matches:matches.lo ~npreds;
-    hi = Cost_model.index_scan p ~matches:matches.hi ~npreds }
-
-let hash_join p ~build ~probe ~out =
-  { lo = Cost_model.hash_join p ~build:build.lo ~probe:probe.lo ~out:out.lo;
-    hi = Cost_model.hash_join p ~build:build.hi ~probe:probe.hi ~out:out.hi }
-
-let index_nested_loop p ~outer ~out ~npreds =
-  { lo = Cost_model.index_nested_loop p ~outer:outer.lo ~out:out.lo ~npreds;
-    hi = Cost_model.index_nested_loop p ~outer:outer.hi ~out:out.hi ~npreds }
-
-let nested_loop p ~outer ~inner ~out =
-  { lo = Cost_model.nested_loop p ~outer:outer.lo ~inner:inner.lo ~out:out.lo;
-    hi = Cost_model.nested_loop p ~outer:outer.hi ~inner:inner.hi ~out:out.hi }
-
-let sort p ~rows =
-  { lo = Cost_model.sort p ~rows:rows.lo; hi = Cost_model.sort p ~rows:rows.hi }
-
-let merge_join p ~outer ~inner ~out =
-  { lo = Cost_model.merge_join p ~outer:outer.lo ~inner:inner.lo ~out:out.lo;
-    hi = Cost_model.merge_join p ~outer:outer.hi ~inner:inner.hi ~out:out.hi }

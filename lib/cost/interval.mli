@@ -1,13 +1,13 @@
-(** Closed floating-point intervals, and the interval extension of every
-    {!Cost_model} operator.
+(** Closed floating-point intervals: the currency of the sensitivity
+    analyzer's per-node cost intervals and the resource certifier's
+    memory and work envelopes.
 
-    Every cost formula in {!Cost_model} is monotone (non-decreasing) in each
-    of its cardinality inputs for non-negative parameters — a property the
-    test suite checks — so the tightest sound interval extension is corner
-    evaluation: the formula at all-lower-endpoints and at
-    all-upper-endpoints. The sensitivity analyzer relies on this to
-    propagate cardinality uncertainty through a plan tree and obtain exact
-    per-node cost intervals rather than over-approximations. *)
+    Intervals carry no cost formulas of their own. The join-cost rule
+    ([Rdb_plan.Plan.join_cost]) is monotone non-decreasing in every row
+    and cost input for non-negative parameters — a property the test suite
+    checks — so its exact image over a box is its value at the all-lower
+    and all-upper corners, which is how the sensitivity analyzer builds
+    each node's interval. *)
 
 type t = { lo : float; hi : float }
 
@@ -37,16 +37,3 @@ val ratio : t -> float
 val to_string : t -> string
 (** Compact rendering ["[lo, hi]"], integers when small, scientific
     otherwise. *)
-
-(** {1 Interval cost operators}
-
-    Mirrors of the {!Cost_model} formulas; each result is the exact image of
-    the input box under the (monotone) formula. *)
-
-val seq_scan : Cost_model.params -> rows:t -> npreds:int -> t
-val index_scan : Cost_model.params -> matches:t -> npreds:int -> t
-val hash_join : Cost_model.params -> build:t -> probe:t -> out:t -> t
-val index_nested_loop : Cost_model.params -> outer:t -> out:t -> npreds:int -> t
-val nested_loop : Cost_model.params -> outer:t -> inner:t -> out:t -> t
-val sort : Cost_model.params -> rows:t -> t
-val merge_join : Cost_model.params -> outer:t -> inner:t -> out:t -> t

@@ -117,11 +117,8 @@ let mode_of_config lab q = function
 let measure_plain lab config q =
   let prepared = prepared_of lab q in
   let mode = mode_of_config lab q config in
-  let plan, pstats, _ =
-    match config with
-    | Robust u -> Session.plan_robust ~uncertainty:u prepared ~mode
-    | _ -> Session.plan prepared ~mode
-  in
+  let uncertainty = match config with Robust u -> Some u | _ -> None in
+  let plan, pstats, _ = Session.plan ?uncertainty prepared ~mode in
   try
     let adaptive = match config with Adaptive -> true | _ -> false in
     let res =

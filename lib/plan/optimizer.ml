@@ -80,109 +80,24 @@ let inl_inner_col ~catalog (q : Query.t) inner_plan edges =
       edges
   | Plan.Join _ -> None
 
-let join_candidates ~cp ~catalog (q : Query.t) ~outer ~inner ~edges ~est =
-  let outer_rows = Plan.est_rows outer and inner_rows = Plan.est_rows inner in
-  let outer_cost = Plan.cost outer and inner_cost = Plan.cost inner in
-  let hash =
-    ( Plan.Hash_join,
-      outer_cost +. inner_cost
-      +. Cost_model.hash_join cp ~build:inner_rows ~probe:outer_rows ~out:est )
-  in
-  let nl =
-    ( Plan.Nested_loop,
-      outer_cost +. inner_cost
-      +. Cost_model.nested_loop cp ~outer:outer_rows ~inner:inner_rows ~out:est )
-  in
-  let merge =
-    ( Plan.Merge_join,
-      outer_cost +. inner_cost
-      +. Cost_model.merge_join cp ~outer:outer_rows ~inner:inner_rows ~out:est )
-  in
-  let inl =
-    match inl_inner_col ~catalog q inner edges with
-    | Some inner_col ->
-      let inner_rel =
-        match inner with
-        | Plan.Scan s -> s.Plan.scan_rel
-        | Plan.Join _ -> assert false
-      in
-      let npreds =
-        List.length (Query.preds_of q inner_rel) + List.length edges - 1
-      in
-      [ ( Plan.Index_nl { inner_col },
-          outer_cost +. Cost_model.index_nested_loop cp ~outer:outer_rows ~out:est ~npreds ) ]
-    | None -> []
-  in
-  hash :: nl :: merge :: inl
+(* One memo entry per planned subset: its best plan, the subset's output
+   rows in every scenario (computed once, when the subset is first
+   reached) and the plan's cost in every scenario. [costs] stays empty
+   until the subset's first candidate is recorded. *)
+type entry = {
+  rows : float array;
+  mutable plan : Plan.t;
+  mutable costs : float array;
+  mutable worst : float;
+}
 
-let dp ?space ?(cost_params = Cost_model.default) ~catalog ~estimator (q : Query.t) =
-  let cp = cost_params in
-  let graph = Join_graph.make q in
-  let n = Query.n_rels q in
-  check_connected graph q;
-  let space =
-    match space with Some s -> s | None -> Search_space.build graph
-  in
-  let start = Clock.now_ms () in
-  let best : (Relset.t, Plan.t) Hashtbl.t = Hashtbl.create 256 in
-  for rel = 0 to n - 1 do
-    Hashtbl.replace best (Relset.singleton rel)
-      (scan_plan ~cp ~catalog ~estimator q rel)
-  done;
-  let pairs = ref 0 in
-  Search_space.iter space (fun s1 s2 ->
-      incr pairs;
-      let su = Relset.union s1 s2 in
-      let p1 = Hashtbl.find best s1 and p2 = Hashtbl.find best s2 in
-      let est = Estimator.card estimator su in
-      let consider ~outer ~inner ~edges =
-        List.iter
-          (fun (algo, cost) ->
-            let better =
-              match Hashtbl.find_opt best su with
-              | Some current -> cost < Plan.cost current
-              | None -> true
-            in
-            if better then
-              Hashtbl.replace best su
-                (Plan.Join
-                   {
-                     Plan.algo;
-                     outer;
-                     inner;
-                     join_est = est;
-                     join_cost = cost;
-                     join_edges = edges;
-                   }))
-          (join_candidates ~cp ~catalog q ~outer ~inner ~edges ~est)
-      in
-      let edges12 = Query.edges_between q s1 s2 in
-      let edges21 =
-        List.map (fun { Query.l; r } -> { Query.l = r; r = l }) edges12
-      in
-      consider ~outer:p1 ~inner:p2 ~edges:edges12;
-      consider ~outer:p2 ~inner:p1 ~edges:edges21);
-  let elapsed = Clock.ms_since start in
-  Rdb_obs.Metrics.incr "plan.built";
-  Rdb_obs.Metrics.incr ~by:!pairs "plan.dp_pairs";
-  Rdb_obs.Metrics.observe "plan.ms" elapsed;
-  ( best,
-    {
-      pairs_considered = !pairs;
-      subsets_planned = Hashtbl.length best;
-      plan_ms = elapsed;
-    } )
-
-let plan ?space ?cost_params ~catalog ~estimator q =
-  let best, stats = dp ?space ?cost_params ~catalog ~estimator q in
-  match Hashtbl.find_opt best (Relset.full (Query.n_rels q)) with
-  | Some p -> (p, stats)
-  | None -> invalid_arg "Optimizer: no plan found for full relation set"
-
-(* Rio-style robust DP: plans carry one cost per scenario; scenarios scale
-   every k-relation join estimate by gamma^(k-1) for gamma in
-   {1/u, 1, u}. Selection minimizes the worst-case cost. *)
-let dp_robust ?space ?(cost_params = Cost_model.default) ~uncertainty ~catalog
+(* A scenario scales every k-relation estimate by gamma^(k-1). Point
+   planning is the single scenario gamma = 1; Rio-style robust planning
+   (paper reference [8]) adds the optimistic and pessimistic 1/u and u
+   and selects by worst-case cost. Either way the middle scenario is the
+   point estimate itself ([Estimator.card] is floored at one row and
+   1 ** k = 1), and its cost is the one a plan records. *)
+let dp ?space ?(cost_params = Cost_model.default) ?uncertainty ~catalog
     ~estimator (q : Query.t) =
   let cp = cost_params in
   let graph = Join_graph.make q in
@@ -192,90 +107,80 @@ let dp_robust ?space ?(cost_params = Cost_model.default) ~uncertainty ~catalog
     match space with Some s -> s | None -> Search_space.build graph
   in
   let start = Clock.now_ms () in
-  let gammas = [| 1.0 /. uncertainty; 1.0; uncertainty |] in
-  let n_scen = Array.length gammas in
-  let scenario_est su i =
-    let k = Relset.cardinal su in
-    Float.max 1.0
-      (Estimator.card estimator su *. (gammas.(i) ** float_of_int (k - 1)))
+  let gammas =
+    match uncertainty with
+    | None -> [| 1.0 |]
+    | Some u -> [| 1.0 /. u; 1.0; u |]
   in
-  (* best plan per subset, with its per-scenario cost vector *)
-  let best : (Relset.t, Plan.t * float array) Hashtbl.t = Hashtbl.create 256 in
+  let n_scen = Array.length gammas in
+  let point = n_scen / 2 in
+  let rows_of s =
+    let card = Estimator.card estimator s in
+    let k = float_of_int (Relset.cardinal s - 1) in
+    Array.map (fun g -> Float.max 1.0 (card *. (g ** k))) gammas
+  in
+  let best : (Relset.t, entry) Hashtbl.t = Hashtbl.create 256 in
   for rel = 0 to n - 1 do
-    let p = scan_plan ~cp ~catalog ~estimator q rel in
-    Hashtbl.replace best (Relset.singleton rel)
-      (p, Array.make n_scen (Plan.cost p))
+    let s = Relset.singleton rel in
+    let plan = scan_plan ~cp ~catalog ~estimator q rel in
+    let cost = Plan.cost plan in
+    Hashtbl.replace best s
+      { rows = rows_of s; plan; costs = Array.make n_scen cost; worst = cost }
   done;
-  let worst costs = Array.fold_left Float.max neg_infinity costs in
+  let scratch = Array.make n_scen 0.0 in
   let pairs = ref 0 in
   Search_space.iter space (fun s1 s2 ->
       incr pairs;
       let su = Relset.union s1 s2 in
-      let p1, c1 = Hashtbl.find best s1 and p2, c2 = Hashtbl.find best s2 in
-      let point_est = Estimator.card estimator su in
-      let consider ~outer ~inner ~outer_costs ~inner_costs ~o_set ~i_set ~edges =
-        let algo_cost i algo =
-          let o_rows = scenario_est o_set i and i_rows = scenario_est i_set i in
-          let out = scenario_est su i in
-          match algo with
-          | Plan.Hash_join ->
-            outer_costs.(i) +. inner_costs.(i)
-            +. Cost_model.hash_join cp ~build:i_rows ~probe:o_rows ~out
-          | Plan.Nested_loop ->
-            outer_costs.(i) +. inner_costs.(i)
-            +. Cost_model.nested_loop cp ~outer:o_rows ~inner:i_rows ~out
-          | Plan.Merge_join ->
-            outer_costs.(i) +. inner_costs.(i)
-            +. Cost_model.merge_join cp ~outer:o_rows ~inner:i_rows ~out
-          | Plan.Index_nl _ ->
-            let inner_rel =
-              match inner with
-              | Plan.Scan s -> s.Plan.scan_rel
-              | Plan.Join _ -> assert false
-            in
-            let npreds =
-              List.length (Query.preds_of q inner_rel) + List.length edges - 1
-            in
-            outer_costs.(i)
-            +. Cost_model.index_nested_loop cp ~outer:o_rows ~out ~npreds
-        in
-        let algos =
-          Plan.Hash_join :: Plan.Nested_loop :: Plan.Merge_join
-          ::
-          (match inl_inner_col ~catalog q inner edges with
-           | Some inner_col -> [ Plan.Index_nl { inner_col } ]
-           | None -> [])
-        in
-        List.iter
-          (fun algo ->
-            let costs = Array.init n_scen (fun i -> algo_cost i algo) in
-            let better =
-              match Hashtbl.find_opt best su with
-              | Some (_, current) -> worst costs < worst current
-              | None -> true
-            in
-            if better then
-              Hashtbl.replace best su
-                ( Plan.Join
-                    {
-                      Plan.algo;
-                      outer;
-                      inner;
-                      join_est = point_est;
-                      join_cost = costs.(1);
-                      join_edges = edges;
-                    },
-                  costs ))
-          algos
+      let e1 = Hashtbl.find best s1 and e2 = Hashtbl.find best s2 in
+      let eu =
+        match Hashtbl.find_opt best su with
+        | Some e -> e
+        | None ->
+          let e =
+            { rows = rows_of su; plan = e1.plan; costs = [||]; worst = 0.0 }
+          in
+          Hashtbl.replace best su e;
+          e
+      in
+      let consider eo ei edges algo =
+        let worst = ref neg_infinity in
+        for i = 0 to n_scen - 1 do
+          let c =
+            Plan.join_cost cp q algo ~inner:ei.plan ~edges
+              ~outer_rows:eo.rows.(i) ~inner_rows:ei.rows.(i) ~out:eu.rows.(i)
+              ~outer_cost:eo.costs.(i) ~inner_cost:ei.costs.(i)
+          in
+          scratch.(i) <- c;
+          worst := Float.max !worst c
+        done;
+        if Array.length eu.costs = 0 || !worst < eu.worst then begin
+          eu.plan <-
+            Plan.Join
+              {
+                Plan.algo;
+                outer = eo.plan;
+                inner = ei.plan;
+                join_est = eu.rows.(point);
+                join_cost = scratch.(point);
+                join_edges = edges;
+              };
+          eu.costs <- Array.copy scratch;
+          eu.worst <- !worst
+        end
+      in
+      let orient eo ei edges =
+        consider eo ei edges Plan.Hash_join;
+        consider eo ei edges Plan.Nested_loop;
+        consider eo ei edges Plan.Merge_join;
+        match inl_inner_col ~catalog q ei.plan edges with
+        | Some inner_col -> consider eo ei edges (Plan.Index_nl { inner_col })
+        | None -> ()
       in
       let edges12 = Query.edges_between q s1 s2 in
-      let edges21 =
-        List.map (fun { Query.l; r } -> { Query.l = r; r = l }) edges12
-      in
-      consider ~outer:p1 ~inner:p2 ~outer_costs:c1 ~inner_costs:c2 ~o_set:s1
-        ~i_set:s2 ~edges:edges12;
-      consider ~outer:p2 ~inner:p1 ~outer_costs:c2 ~inner_costs:c1 ~o_set:s2
-        ~i_set:s1 ~edges:edges21);
+      orient e1 e2 edges12;
+      orient e2 e1
+        (List.map (fun { Query.l; r } -> { Query.l = r; r = l }) edges12));
   let elapsed = Clock.ms_since start in
   Rdb_obs.Metrics.incr "plan.built";
   Rdb_obs.Metrics.incr ~by:!pairs "plan.dp_pairs";
@@ -287,14 +192,14 @@ let dp_robust ?space ?(cost_params = Cost_model.default) ~uncertainty ~catalog
       plan_ms = elapsed;
     } )
 
-let plan_robust ?space ?cost_params ~uncertainty ~catalog ~estimator q =
+let plan ?space ?cost_params ?uncertainty ~catalog ~estimator q =
   let best, stats =
-    dp_robust ?space ?cost_params ~uncertainty ~catalog ~estimator q
+    dp ?space ?cost_params ?uncertainty ~catalog ~estimator q
   in
   match Hashtbl.find_opt best (Relset.full (Query.n_rels q)) with
-  | Some (p, _) -> (p, stats)
-  | None -> invalid_arg "Optimizer: no robust plan found"
+  | Some e -> (e.plan, stats)
+  | None -> invalid_arg "Optimizer: no plan found for full relation set"
 
 let best_cost_of_sets ?space ?cost_params ~catalog ~estimator q =
   let best, _ = dp ?space ?cost_params ~catalog ~estimator q in
-  fun s -> Hashtbl.find_opt best s
+  fun s -> Option.map (fun e -> e.plan) (Hashtbl.find_opt best s)

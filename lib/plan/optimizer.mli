@@ -1,8 +1,8 @@
 (** The dynamic-programming plan optimizer: bushy plans over DPccp's
     search space, no cartesian products, access-path selection (sequential
     vs. equality index scan) and join-algorithm selection (hash join,
-    index nested loop, nested loop) — the architecture of the paper's
-    PostgreSQL 10 baseline with foreign-key indexes added. *)
+    index nested loop, nested loop, merge join) — the architecture of the
+    paper's PostgreSQL 10 baseline with foreign-key indexes added. *)
 
 module Relset = Rdb_util.Relset
 module Query := Rdb_query.Query
@@ -18,6 +18,7 @@ type stats = {
 val plan :
   ?space:Search_space.t ->
   ?cost_params:Rdb_cost.Cost_model.params ->
+  ?uncertainty:float ->
   catalog:Catalog.t ->
   estimator:Estimator.t ->
   Query.t ->
@@ -28,23 +29,17 @@ val plan :
     disconnected (cartesian products are not supported, as in the paper's
     workload); the message names the disconnected components by alias.
     The inline invariant checks run one layer up, in
-    [Rdb_core.Session.plan]. *)
+    [Rdb_core.Session.plan].
 
-val plan_robust :
-  ?space:Search_space.t ->
-  ?cost_params:Rdb_cost.Cost_model.params ->
-  uncertainty:float ->
-  catalog:Catalog.t ->
-  estimator:Estimator.t ->
-  Query.t ->
-  Plan.t * stats
-(** Rio-style proactive planning (paper reference [8]): every join
-    estimate is treated as an interval — the point estimate scaled by
-    [uncertainty^(k-1)] down and up for a k-relation subset, modelling
-    error growth with join depth — and the chosen plan minimizes its
-    *worst-case* cost across the pessimistic/point/optimistic scenarios.
-    Trades peak performance for resistance to the under-estimation
-    disasters re-optimization would otherwise have to repair. *)
+    [uncertainty] selects Rio-style proactive planning (paper reference
+    [8]): every join estimate is treated as an interval — the point
+    estimate scaled by [uncertainty^(k-1)] down and up for a k-relation
+    subset, modelling error growth with join depth — and the chosen plan
+    minimizes its *worst-case* cost across the optimistic, point and
+    pessimistic scenarios. Every node still records its point estimate
+    and its cost in the point scenario. Trades peak performance for
+    resistance to the under-estimation disasters re-optimization would
+    otherwise have to repair. *)
 
 val best_cost_of_sets :
   ?space:Search_space.t ->
@@ -53,6 +48,6 @@ val best_cost_of_sets :
   estimator:Estimator.t ->
   Query.t ->
   (Relset.t -> Plan.t option)
-(** Expose the full DP table (best plan per connected subset); used by
-    tests to check optimality against exhaustive enumeration and by the
-    re-optimizer to plan sub-queries. *)
+(** Expose the full DP table of point planning (best plan per connected
+    subset); used by tests to check optimality against exhaustive
+    enumeration. *)

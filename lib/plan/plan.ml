@@ -1,5 +1,6 @@
 module Relset = Rdb_util.Relset
 module Query = Rdb_query.Query
+module Cost_model = Rdb_cost.Cost_model
 
 type scan_access =
   | Seq_scan
@@ -42,6 +43,33 @@ let est_rows = function
 let cost = function
   | Scan s -> s.scan_cost
   | Join j -> j.join_cost
+
+(* Index nested loop probes the inner base relation's index instead of
+   running the inner subtree, so it drops the inner's cost; each match is
+   filtered by the inner's own predicates and every edge but the first,
+   which is the index key. A join inner is a malformed plan that Plan_lint
+   reports; it counts no predicates of its own. *)
+let join_cost cp q algo ~inner ~edges ~outer_rows ~inner_rows ~out ~outer_cost
+    ~inner_cost =
+  match algo with
+  | Hash_join ->
+    outer_cost +. inner_cost
+    +. Cost_model.hash_join cp ~build:inner_rows ~probe:outer_rows ~out
+  | Nested_loop ->
+    outer_cost +. inner_cost
+    +. Cost_model.nested_loop cp ~outer:outer_rows ~inner:inner_rows ~out
+  | Merge_join ->
+    outer_cost +. inner_cost
+    +. Cost_model.merge_join cp ~outer:outer_rows ~inner:inner_rows ~out
+  | Index_nl _ ->
+    let inner_preds =
+      match inner with
+      | Scan s -> List.length (Query.preds_of q s.scan_rel)
+      | Join _ -> 0
+    in
+    outer_cost
+    +. Cost_model.index_nested_loop cp ~outer:outer_rows ~out
+         ~npreds:(inner_preds + List.length edges - 1)
 
 let joins_bottom_up t =
   let rec go acc = function

@@ -50,6 +50,29 @@ val rel_set : t -> Relset.t
 val est_rows : t -> float
 val cost : t -> float
 
+val join_cost :
+  Rdb_cost.Cost_model.params ->
+  Query.t ->
+  join_algo ->
+  inner:t ->
+  edges:Query.edge list ->
+  outer_rows:float ->
+  inner_rows:float ->
+  out:float ->
+  outer_cost:float ->
+  inner_cost:float ->
+  float
+(** The one rule that prices a join node: the inputs' costs plus the
+    algorithm's {!Rdb_cost.Cost_model} formula at the given row counts.
+    Index nested loop drops [inner_cost] (it probes the inner base
+    relation's index instead of running the subtree) and evaluates the
+    inner's own predicates plus all edges but the first on each match.
+    Monotone non-decreasing in every row and cost argument, so its values
+    at the all-lower and all-upper corners of a box bound it over the
+    box. The optimizer calls it once per scenario, the sensitivity
+    analyzer at the point estimates and the corners, and the plan linter
+    under all-zero parameters for the inputs' cost floor. *)
+
 val joins_bottom_up : t -> join list
 (** All join nodes, deepest-first (post-order); the order in which the
     re-optimizer looks for the "lowest" mis-estimated join. *)

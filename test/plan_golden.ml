@@ -45,22 +45,17 @@ let () =
       let p = Session.prepare session q in
       Oracle.ensure_up_to (Session.oracle p) 4;
       List.iter
-        (fun (label, plan) ->
-          let plan, stats, _ = plan () in
+        (fun (label, mode, uncertainty) ->
+          let plan, stats, _ = Session.plan ~checks:[] ?uncertainty p ~mode in
           let buf = Buffer.create 512 in
           render q buf plan;
           Printf.printf "%s %s %d %d %s\n" q.Query.name label
             stats.Optimizer.pairs_considered stats.Optimizer.subsets_planned
             (Buffer.contents buf))
         [
-          ("default", fun () -> Session.plan ~checks:[] p ~mode:Estimator.Default);
-          ( "perfect-4",
-            fun () -> Session.plan ~checks:[] p ~mode:(Estimator.Perfect 4) );
-          ( "robust-2",
-            fun () ->
-              Session.plan_robust ~uncertainty:2.0 p ~mode:Estimator.Default );
-          ( "robust-8",
-            fun () ->
-              Session.plan_robust ~uncertainty:8.0 p ~mode:Estimator.Default );
+          ("default", Estimator.Default, None);
+          ("perfect-4", Estimator.Perfect 4, None);
+          ("robust-2", Estimator.Default, Some 2.0);
+          ("robust-8", Estimator.Default, Some 8.0);
         ])
     (Rdb_imdb.Job_queries.all catalog)

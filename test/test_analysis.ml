@@ -491,25 +491,42 @@ let prop_cost_model_monotone =
       && Cost_model.index_nested_loop cp ~outer:a ~out:c ~npreds
          <=. Cost_model.index_nested_loop cp ~outer:a ~out:(c +. d) ~npreds)
 
-(* The interval extension must bracket the point evaluation for any point
-   inside the input box. *)
+(* The sensitivity analyzer's interval extension is the shared join-cost
+   rule at the all-lo and all-hi corners of the input box. For every
+   algorithm those corners must bracket the rule at any point of the box,
+   each coordinate drawn on its own (a point on the diagonal alone would
+   let one decreasing input hide behind the others) — the monotonicity
+   property above is what makes the corners the extrema. *)
 let prop_interval_brackets_point =
+  let fixture = lazy (join_fixture ()) in
+  let frac_arb =
+    QCheck.map (fun i -> float_of_int i /. 4.0) QCheck.(int_range 0 4)
+  in
+  let box = QCheck.triple card_arb delta_arb frac_arb in
   QCheck.Test.make ~name:"interval cost brackets any point inside the box"
     ~count:1000
-    QCheck.(pair (pair (pair card_arb delta_arb) (pair card_arb delta_arb))
-              (pair card_arb delta_arb))
-    (fun (((b_lo, b_d), (p_lo, p_d)), (o_lo, o_d)) ->
-      let cp = Cost_model.default in
-      let mid lo d = lo +. (d /. 2.0) in
-      let iv =
-        Interval.hash_join cp
-          ~build:(Interval.make b_lo (b_lo +. b_d))
-          ~probe:(Interval.make p_lo (p_lo +. p_d))
-          ~out:(Interval.make o_lo (o_lo +. o_d))
+    QCheck.(pair (triple box box box) (pair box box))
+    (fun ((o_rows, i_rows, out), (o_cost, i_cost)) ->
+      let _, q, _, j = Lazy.force fixture in
+      let cost algo at =
+        Plan.join_cost Cost_model.default q algo ~inner:j.Plan.inner
+          ~edges:j.Plan.join_edges ~outer_rows:(at o_rows)
+          ~inner_rows:(at i_rows) ~out:(at out) ~outer_cost:(at o_cost)
+          ~inner_cost:(at i_cost)
       in
-      Interval.contains iv
-        (Cost_model.hash_join cp ~build:(mid b_lo b_d) ~probe:(mid p_lo p_d)
-           ~out:(mid o_lo o_d)))
+      let lo (l, _, _) = l and hi (l, d, _) = l +. d in
+      let inside (l, d, t) = l +. (t *. d) in
+      List.for_all
+        (fun algo ->
+          Interval.contains
+            { Interval.lo = cost algo lo; hi = cost algo hi }
+            (cost algo inside))
+        [
+          Plan.Hash_join;
+          Plan.Nested_loop;
+          Plan.Merge_join;
+          Plan.Index_nl { inner_col = 0 };
+        ])
 
 let test_interval_basics () =
   let iv = Interval.make 10.0 2.0 in

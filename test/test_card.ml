@@ -53,6 +53,20 @@ let test_eq_selectivity_rare () =
   let s = Selectivity.of_pred (stats_of_ints ints) (Predicate.Cmp (Predicate.Eq, Value.Int 5)) in
   check Alcotest.bool "about 1/1000" true (s > 0.0005 && s < 0.002)
 
+(* A repeated IN-list value matches its rows once: IN (v, v, v) is exactly
+   = v, for an MCV, a rare value and a value absent from the column. *)
+let test_in_list_duplicates () =
+  let ints = List.init 100 (fun i -> if i < 30 then 7 else i) in
+  let st = stats_of_ints ints in
+  List.iter
+    (fun i ->
+      let v = Value.Int i in
+      check (Alcotest.float 0.0)
+        (Printf.sprintf "IN (%d, %d, %d) = (= %d)" i i i i)
+        (Selectivity.of_pred st (Predicate.Cmp (Predicate.Eq, v)))
+        (Selectivity.of_pred st (Predicate.In_list [ v; v; v ])))
+    [ 7; 50; 1000 ]
+
 let test_range_selectivity () =
   let ints = List.init 1000 (fun i -> i) in
   let s =
@@ -523,6 +537,8 @@ let () =
         [
           Alcotest.test_case "eq via mcv" `Quick test_eq_selectivity_mcv;
           Alcotest.test_case "eq rare value" `Quick test_eq_selectivity_rare;
+          Alcotest.test_case "IN list duplicates count once" `Quick
+            test_in_list_duplicates;
           Alcotest.test_case "range via histogram" `Quick test_range_selectivity;
           Alcotest.test_case "like via mcvs" `Quick test_like_selectivity_uses_mcvs;
           Alcotest.test_case "independence product" `Quick test_independence_product;
