@@ -163,15 +163,14 @@ let make_session ?feedback ~scale ~seed () =
   Session.analyze session;
   (catalog, session)
 
-let resolve_mode ?feedback prepared = function
+let rec resolve_mode ?feedback prepared = function
   | `Default -> Estimator.Default
   | `Perfect n ->
     Oracle.ensure_up_to (Session.oracle prepared) n;
     Estimator.Perfect n
   | `Perfect_all ->
     let q = Session.query prepared in
-    Oracle.ensure_up_to (Session.oracle prepared) (Rdb_query.Query.n_rels q);
-    Estimator.Perfect_all
+    resolve_mode ?feedback prepared (`Perfect (Rdb_query.Query.n_rels q))
   | (`Feedback | `Feedback_gated) as m ->
     (match feedback with
      | Some fb ->

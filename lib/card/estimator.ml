@@ -6,8 +6,6 @@ module Join_graph = Rdb_query.Join_graph
 type mode =
   | Default
   | Perfect of int
-  | Perfect_all
-  | Overrides of (Relset.t, float) Hashtbl.t
   | Feedback of (Relset.t -> float option)
   | Sampling of Join_sample.t
 
@@ -73,7 +71,7 @@ let compute_implied (q : Query.t) =
 
 let create ?log ?bound ~mode ~catalog ~stats ?oracle q =
   (match mode, oracle with
-   | (Perfect _ | Perfect_all), None ->
+   | Perfect _, None ->
      invalid_arg "Estimator.create: perfect modes require an oracle"
    | _ -> ());
   {
@@ -183,8 +181,6 @@ and compute t s =
   let size = Relset.cardinal s in
   match t.mode with
   | Perfect n when size <= n -> float_of_int (Oracle.true_card (oracle_exn t) s)
-  | Perfect_all -> float_of_int (Oracle.true_card (oracle_exn t) s)
-  | Overrides overrides when Hashtbl.mem overrides s -> Hashtbl.find overrides s
   | Feedback lookup -> (
     (* Demand-driven: one store probe per memoized subset, so feedback
        costs O(DP work), never an eager sweep of every connected subset.
@@ -194,7 +190,7 @@ and compute t s =
     | Some v -> v
     | None -> compute_default t s)
   | Sampling js -> Float.max 1.0 (Join_sample.card js s)
-  | Default | Perfect _ | Overrides _ -> compute_default t s
+  | Default | Perfect _ -> compute_default t s
 
 and compute_default t s =
   if Relset.cardinal s = 1 then base_default t (Relset.min_elt s)

@@ -8,13 +8,13 @@
     - [Default]: statistics + uniformity/independence assumptions.
     - [Perfect n]: true cardinalities for subsets of at most [n] relations
       (the paper's perfect-(n)); larger subsets use the default composition
-      over the perfect inputs.
-    - [Perfect_all]: perfect-(17) in the paper — every estimate true.
-    - [Overrides]: selected subsets pinned to given values, the LEO-style
-      selective-correction experiment of §IV-E.
+      over the perfect inputs. [Perfect (Query.n_rels q)] is the paper's
+      perfect-(17): every estimate true.
     - [Feedback]: consult a correction source (typically
       [Rdb_core.Feedback.lookup], possibly gated) before the default
-      composition. The probe happens once per memoized subset — lookup is
+      composition. [Feedback (Hashtbl.find_opt pinned)] pins selected
+      subsets to given values, the LEO-style selective correction of
+      §IV-E. The probe happens once per memoized subset — lookup is
       demand-driven from the DP enumeration, never an eager sweep over
       every connected subset.
     - [Sampling]: index-based join sampling (§II-C's practical contender):
@@ -28,8 +28,6 @@ module Query := Rdb_query.Query
 type mode =
   | Default
   | Perfect of int
-  | Perfect_all
-  | Overrides of (Relset.t, float) Hashtbl.t
   | Feedback of (Relset.t -> float option)
   | Sampling of Join_sample.t
 
@@ -44,7 +42,7 @@ val create :
   ?oracle:Oracle.t ->
   Query.t ->
   t
-(** [oracle] is required by [Perfect _] and [Perfect_all]; raises
+(** [oracle] is required by [Perfect _]; raises
     [Invalid_argument] when missing. [bound], when given, is applied to
     every memoized estimate (subset, raw estimate) before the 1-row floor —
     the verifier's pessimistic clamp to its sound interval. *)

@@ -14,9 +14,44 @@ module Unparse = Rdb_sql.Unparse
 
 let fmt_total ms = Printf.sprintf "%.2f" (ms /. 1000.0)
 
+(* ---- the configuration table: one row per configuration, one column
+   per quantity summed over its cells ---- *)
+
+let plan_s = ("plan (s)", Runner.total_plan_ms)
+let exec_s = ("exec (s)", Runner.total_exec_ms)
+
+let total_s =
+  ("total (s)", fun ms -> Runner.total_plan_ms ms +. Runner.total_exec_ms ms)
+
+let config_table ?(columns = [ plan_s; exec_s; total_s ]) grid =
+  Pretty.table
+    ~headers:("configuration" :: List.map fst columns)
+    (List.map
+       (fun (config, ms) ->
+         Runner.config_name config
+         :: List.map (fun (_, sum) -> fmt_total (sum ms)) columns)
+       grid)
+
+(* ---- estimate vs truth for one ad-hoc query (skew, CORDS) ---- *)
+
+let estimate session sql =
+  let catalog = Session.catalog session in
+  let q =
+    match Rdb_sql.Binder.bind catalog ~name:"probe" (Rdb_sql.Parser.parse sql) with
+    | Ok q -> q
+    | Error e -> invalid_arg e
+  in
+  let prepared = Session.prepare session q in
+  let estimator =
+    Estimator.create ~mode:Estimator.Default ~catalog
+      ~stats:(Session.stats session) q
+  in
+  let full = Relset.full (Query.n_rels q) in
+  (Estimator.card estimator full, Oracle.true_card (Session.oracle prepared) full)
+
 (* ---- Table I ---- *)
 
-let table1 lab =
+let table1 ~jobs:_ lab =
   let log = Estimate_log.create () in
   List.iter
     (fun q ->
@@ -45,9 +80,8 @@ let bucket_of ratio =
   else if ratio < 5.0 then 3
   else 4
 
-let relative_table lab ~config ~title =
-  let perfect = Runner.run_workload lab Runner.Perfect_all in
-  let subject = Runner.run_workload lab config in
+let relative_table ~jobs lab ~config ~title =
+  let grid = Runner.run_grid ~jobs lab [ Runner.Perfect_all; config ] in
   let counts = Array.make 5 0 in
   List.iter2
     (fun (s : Runner.measurement) (p : Runner.measurement) ->
@@ -57,7 +91,8 @@ let relative_table lab ~config ~title =
       in
       let b = bucket_of ratio in
       counts.(b) <- counts.(b) + 1)
-    subject perfect;
+    (List.assoc config grid)
+    (List.assoc Runner.Perfect_all grid);
   let rows =
     List.mapi
       (fun i label -> [ label; string_of_int counts.(i) ])
@@ -67,19 +102,19 @@ let relative_table lab ~config ~title =
   ^ Pretty.table ~headers:[ "relative runtime"; "number of queries" ] rows
   ^ "\n"
 
-let table2 lab =
-  relative_table lab ~config:Runner.Default
+let table2 ~jobs lab =
+  relative_table ~jobs lab ~config:Runner.Default
     ~title:
       "Table II: JOB query execution time with PostgreSQL-style estimation relative to perfect-(17)"
 
-let table6 lab =
-  relative_table lab ~config:(Runner.Reopt 32.0)
+let table6 ~jobs lab =
+  relative_table ~jobs lab ~config:(Runner.Reopt 32.0)
     ~title:
       "Table VI: JOB query execution time with re-optimization relative to perfect-(17)"
 
 (* ---- Table III ---- *)
 
-let table3 () =
+let table3 ~jobs:_ _ =
   let rows =
     List.map
       (fun (size, count) -> [ string_of_int size; string_of_int count ])
@@ -101,44 +136,32 @@ let fig1_configs =
     Runner.Perfect_all;
   ]
 
-let top20_queries lab =
-  let default = Runner.run_workload lab Runner.Default in
-  let by_exec =
-    List.sort
-      (fun (a : Runner.measurement) b ->
-        Float.compare b.Runner.m_exec_ms a.Runner.m_exec_ms)
-      default
-  in
-  List.filteri (fun i _ -> i < 20) by_exec
+(* Ranked by deterministic work, ties by name, so the same 20 queries are
+   chosen on every run and at every [jobs]. *)
+let top20 (default : Runner.measurement list) =
+  List.sort
+    (fun (a : Runner.measurement) (b : Runner.measurement) ->
+      match Int.compare b.Runner.m_work a.Runner.m_work with
+      | 0 -> String.compare a.Runner.m_query b.Runner.m_query
+      | c -> c)
+    default
+  |> List.filteri (fun i _ -> i < 20)
   |> List.map (fun (m : Runner.measurement) -> m.Runner.m_query)
 
-let fig1 lab =
-  let top20 = top20_queries lab in
-  let rows =
-    List.map
-      (fun config ->
-        let ms =
-          List.map
-            (fun name -> Runner.run_query lab config (Runner.query lab name))
-            top20
-        in
-        [
-          Runner.config_name config;
-          fmt_total (Runner.total_plan_ms ms);
-          fmt_total (Runner.total_exec_ms ms);
-          fmt_total (Runner.total_plan_ms ms +. Runner.total_exec_ms ms);
-        ])
+let fig1 ~jobs lab =
+  let top20 =
+    top20 (List.assoc Runner.Default (Runner.run_grid ~jobs lab [ Runner.Default ]))
+  in
+  let grid =
+    Runner.run_grid ~jobs ~queries:(List.map (Runner.query lab) top20) lab
       fig1_configs
   in
   Pretty.heading
     "Figure 1: top-20 longest-running queries, planning + execution (seconds)"
   ^ "\n"
-  ^ Printf.sprintf "top-20 queries (by default execution): %s\n"
+  ^ Printf.sprintf "top-20 queries (by default work): %s\n"
       (String.concat " " top20)
-  ^ Pretty.table
-      ~headers:[ "configuration"; "plan (s)"; "exec (s)"; "total (s)" ]
-      rows
-  ^ "\n"
+  ^ config_table grid ^ "\n"
 
 (* ---- Figure 2 ---- *)
 
@@ -147,19 +170,23 @@ let max_rels lab =
     (fun acc q -> Int.max acc (Query.n_rels q))
     0 (Runner.queries lab)
 
-let perfect_config lab n =
-  if n = 0 then Runner.Default
-  else if n >= max_rels lab then Runner.Perfect_all
-  else Runner.Perfect n
+(* perfect-(n) for n = 0 (default) up to every relation (perfect-all). *)
+let perfect_sweep lab =
+  let n_max = max_rels lab in
+  List.init (n_max + 1) (fun n ->
+      if n = 0 then Runner.Default
+      else if n >= n_max then Runner.Perfect_all
+      else Runner.Perfect n)
 
-let fig2 lab =
+let perfect_label n = if n = 0 then "default" else Printf.sprintf "perfect-%d" n
+
+let fig2 ~jobs lab =
   let points =
-    List.map
-      (fun n ->
-        let ms = Runner.run_workload lab (perfect_config lab n) in
-        ( (if n = 0 then "default" else Printf.sprintf "perfect-%d" n),
+    List.mapi
+      (fun n (_, ms) ->
+        ( perfect_label n,
           (Runner.total_plan_ms ms +. Runner.total_exec_ms ms) /. 1000.0 ))
-      (List.init (max_rels lab + 1) Fun.id)
+      (Runner.run_grid ~jobs lab (perfect_sweep lab))
   in
   Pretty.heading
     "Figure 2: total planning + execution (s) with perfect-(n) estimates"
@@ -169,7 +196,7 @@ let fig2 lab =
 
 (* ---- Figures 3 and 4 ---- *)
 
-let fig3_4 lab =
+let fig3_4 ~jobs:_ lab =
   let dot name =
     let q = Runner.query lab name in
     Printf.sprintf "join graph of %s:\n%s" name
@@ -180,7 +207,7 @@ let fig3_4 lab =
 
 (* ---- Tables IV/V + the Nasdaq skew example ---- *)
 
-let skew_example () =
+let skew ~jobs:_ _ =
   let prng = Rdb_util.Prng.create 7 in
   let n_companies = 2000 and n_trades = 200_000 in
   let symbols =
@@ -230,41 +257,36 @@ let skew_example () =
     "SELECT COUNT(*) FROM company AS c, trades AS tr \
      WHERE c.symbol = 'APPL' AND c.id = tr.company_id;"
   in
-  let q =
-    match
-      Rdb_sql.Binder.bind catalog ~name:"nasdaq" (Rdb_sql.Parser.parse sql)
-    with
-    | Ok q -> q
-    | Error msg -> invalid_arg msg
+  let est, actual = estimate session sql in
+  (* The same join restricted on the join column itself: APPL is c.id = 1,
+     and the MCV list of trades.company_id holds its frequency. *)
+  let by_id =
+    "SELECT COUNT(*) FROM company AS c, trades AS tr \
+     WHERE c.id = 1 AND c.id = tr.company_id;"
   in
-  let prepared = Session.prepare session q in
-  let estimator =
-    Estimator.create ~mode:Estimator.Default ~catalog
-      ~stats:(Session.stats session) q
-  in
-  let full = Relset.full 2 in
-  let est = Estimator.card estimator full in
-  let actual = Oracle.true_card (Session.oracle prepared) full in
+  let est_id, actual_id = estimate session by_id in
   Pretty.heading "Tables IV/V + §IV-C: skew across a join (Nasdaq example)"
   ^ "\n"
   ^ Printf.sprintf
       "companies: %d rows (APPL is the most traded)\ntrades: %d rows, Zipf-distributed volume\n\n%s\n\nestimated join cardinality: %.0f rows\nactual join cardinality:    %d rows\nunder-estimation factor:    %.0fx\n"
       n_companies n_trades sql est actual
       (float_of_int actual /. Float.max 1.0 est)
+  ^ Printf.sprintf
+      "\nthe same join, restricted on the join column (MCV statistics see the skew):\n\n%s\n\nestimated join cardinality: %.0f rows\nactual join cardinality:    %d rows\n"
+      by_id est_id actual_id
 
 (* ---- Figure 5: LEO-style iterative improvement ---- *)
 
 let fig5_threshold = 32.0
+let fig5_queries = [ "16b"; "25c"; "30a" ]
 
-let fig5_one lab name =
+let fig5_one lab (perfect : Runner.measurement) =
+  let name = perfect.Runner.m_query in
   let q = Runner.query lab name in
   let prepared = Runner.prepared_of lab q in
   let oracle = Session.oracle prepared in
   Oracle.ensure_up_to oracle (Query.n_rels q);
   let overrides : (Relset.t, float) Hashtbl.t = Hashtbl.create 32 in
-  let perfect =
-    Runner.run_query lab Runner.Perfect_all q
-  in
   let rec subtree_sets plan acc =
     match plan with
     | Plan.Scan s -> Relset.singleton s.Plan.scan_rel :: acc
@@ -280,7 +302,8 @@ let fig5_one lab name =
     if i > 40 then ()
     else begin
       let plan, _, _ =
-        Session.plan prepared ~mode:(Estimator.Overrides overrides)
+        Session.plan prepared
+          ~mode:(Estimator.Feedback (Hashtbl.find_opt overrides))
       in
       let exec_ms =
         try
@@ -311,29 +334,33 @@ let fig5_one lab name =
       in
       match candidate with
       | None -> ()
-      | Some (j, set) ->
-        ignore set;
-        let sets = subtree_sets (Plan.Join j) [] in
+      | Some (j, _) ->
         List.iter
           (fun s ->
             Hashtbl.replace overrides s
               (float_of_int (Oracle.true_card oracle s)))
-          sets;
+          (subtree_sets (Plan.Join j) []);
         iterate (i + 1)
     end
   in
   iterate 0;
   Buffer.contents buf
 
-let fig5 lab =
+let fig5 ~jobs lab =
+  let perfect =
+    Runner.run_grid ~jobs
+      ~queries:(List.map (Runner.query lab) fig5_queries)
+      lab [ Runner.Perfect_all ]
+    |> List.assoc Runner.Perfect_all
+  in
   Pretty.heading
     "Figure 5: iterative (LEO-style) estimate correction on 16b, 25c, 30a"
   ^ "\n"
-  ^ String.concat "\n" (List.map (fig5_one lab) [ "16b"; "25c"; "30a" ])
+  ^ String.concat "\n" (List.map (fig5_one lab) perfect)
 
 (* ---- Figure 6 ---- *)
 
-let fig6 lab =
+let fig6 ~jobs:_ lab =
   let name = "16b" in
   let q = Runner.query lab name in
   let session = Runner.session lab in
@@ -380,50 +407,39 @@ let fig6 lab =
 
 (* ---- Figure 7 ---- *)
 
-let fig7_thresholds = [ 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0; 256.0 ]
-
-let fig7 lab =
-  let thresholds = fig7_thresholds in
-  let row config =
-    let ms = Runner.run_workload lab config in
-    [
-      Runner.config_name config;
-      fmt_total (Runner.total_plan_ms ms);
-      fmt_total (Runner.total_exec_ms ms);
-      fmt_total (Runner.total_plan_ms ms +. Runner.total_exec_ms ms);
-    ]
-  in
-  let rows =
-    row Runner.Default
-    :: List.map (fun thr -> row (Runner.Reopt thr)) thresholds
-    @ [ row Runner.Perfect_all ]
+let fig7 ~jobs lab =
+  let thresholds = [ 2.0; 4.0; 8.0; 16.0; 32.0; 64.0; 128.0; 256.0 ] in
+  let configs =
+    (Runner.Default :: List.map (fun thr -> Runner.Reopt thr) thresholds)
+    @ [ Runner.Perfect_all ]
   in
   Pretty.heading
     "Figure 7: whole-workload planning + execution across re-optimization thresholds"
   ^ "\n"
-  ^ Pretty.table
-      ~headers:[ "configuration"; "plan (s)"; "exec (s)"; "total (s)" ]
-      rows
+  ^ config_table (Runner.run_grid ~jobs lab configs)
   ^ "\n"
 
 (* ---- Figure 8 ---- *)
 
-let fig8 lab =
-  let n_max = max_rels lab in
-  let rows =
-    List.map
-      (fun n ->
-        let plain = Runner.run_workload lab (perfect_config lab n) in
-        let reopt_config =
+let fig8 ~jobs lab =
+  let sweep =
+    List.mapi
+      (fun n plain ->
+        let reopt =
           if n = 0 then Runner.Reopt 32.0 else Runner.Perfect_reopt (n, 32.0)
         in
-        let reopt = Runner.run_workload lab reopt_config in
-        [
-          (if n = 0 then "default" else Printf.sprintf "perfect-%d" n);
-          fmt_total (Runner.total_exec_ms plain);
-          fmt_total (Runner.total_exec_ms reopt);
-        ])
-      (List.init (n_max + 1) Fun.id)
+        (n, plain, reopt))
+      (perfect_sweep lab)
+  in
+  let grid =
+    Runner.run_grid ~jobs lab
+      (List.concat_map (fun (_, plain, reopt) -> [ plain; reopt ]) sweep)
+  in
+  let exec config = fmt_total (Runner.total_exec_ms (List.assoc config grid)) in
+  let rows =
+    List.map
+      (fun (n, plain, reopt) -> [ perfect_label n; exec plain; exec reopt ])
+      sweep
   in
   Pretty.heading
     "Figure 8: total execution (s), perfect-(n) with and without re-optimization"
@@ -435,8 +451,12 @@ let fig8 lab =
 
 (* ---- Figure 9 ---- *)
 
-let fig9 lab =
-  let default = Runner.run_workload lab Runner.Default in
+let fig9 ~jobs lab =
+  let default =
+    Runner.run_grid ~jobs lab
+      [ Runner.Default; Runner.Reopt 32.0; Runner.Perfect_all ]
+    |> List.assoc Runner.Default
+  in
   let sorted =
     List.sort
       (fun (a : Runner.measurement) b ->
@@ -472,7 +492,7 @@ let fig9 lab =
 (* The paper's age/salary example: same-table correlation is fixable with
    column-group statistics, but a correlation sitting across a join edge
    ("join-crossing") is invisible to them. *)
-let cords_ablation () =
+let cords ~jobs:_ _ =
   let prng = Rdb_util.Prng.create 99 in
   let n = 50_000 in
   let ages = Array.init n (fun _ -> 20 + Rdb_util.Prng.int prng 45) in
@@ -530,21 +550,6 @@ let cords_ablation () =
         (Printf.sprintf "  (col %d, col %d) strength %.1f\n" f.Rdb_stats.Cords.col_a
            f.Rdb_stats.Cords.col_b f.Rdb_stats.Cords.strength))
     findings;
-  let estimate sql =
-    let q =
-      match Rdb_sql.Binder.bind catalog ~name:"cords" (Rdb_sql.Parser.parse sql) with
-      | Ok q -> q
-      | Error e -> invalid_arg e
-    in
-    let prepared = Session.prepare session q in
-    let estimator =
-      Estimator.create ~mode:Estimator.Default ~catalog ~stats q
-    in
-    let full = Relset.full (Query.n_rels q) in
-    let est = Estimator.card estimator full in
-    let actual = Oracle.true_card (Session.oracle prepared) full in
-    (est, actual)
-  in
   let same_table =
     "SELECT COUNT(*) FROM employee AS e \
      WHERE e.age >= 56 AND e.salary_band = 4;"
@@ -553,7 +558,7 @@ let cords_ablation () =
     "SELECT COUNT(*) FROM employee AS e, compensation AS c \
      WHERE e.age >= 56 AND c.bonus_band = 4 AND e.id = c.employee_id;"
   in
-  let est0, actual0 = estimate same_table in
+  let est0, actual0 = estimate session same_table in
   Buffer.add_string buf
     (Printf.sprintf
        "\nsame-table correlated predicates (independence assumption):\n  est %.0f vs actual %d (%.0fx off)\n"
@@ -561,13 +566,13 @@ let cords_ablation () =
   (* create the column-group statistics CORDS recommends *)
   Rdb_stats.Db_stats.set_group stats ~table:"employee"
     (Rdb_stats.Group_stats.build ~slots:300 emp 1 2);
-  let est1, actual1 = estimate same_table in
+  let est1, actual1 = estimate session same_table in
   Buffer.add_string buf
     (Printf.sprintf
        "same-table with column-group statistics:\n  est %.0f vs actual %d (%.1fx off) -- fixed\n"
        est1 actual1
        (Rdb_util.Stat_utils.q_error ~est:est1 ~actual:(float_of_int actual1)));
-  let est2, actual2 = estimate crossing in
+  let est2, actual2 = estimate session crossing in
   Buffer.add_string buf
     (Printf.sprintf
        "\nthe SAME correlation across a join edge (paper: CORDS cannot see it):\n  est %.0f vs actual %d (%.0fx off) -- still wrong\n"
@@ -577,75 +582,45 @@ let cords_ablation () =
 
 (* ---- sampling-based estimation (SS II-C) ---- *)
 
-let sampling_configs =
-  [
-    Runner.Default;
-    Runner.Sampling_est 128;
-    Runner.Sampling_est 512;
-    Runner.Sampling_est 2048;
-    Runner.Reopt 32.0;
-    Runner.Perfect_all;
-  ]
-
-let sampling lab =
-  let rows =
-    List.map
-      (fun config ->
-        let ms = Runner.run_workload lab config in
-        [
-          Runner.config_name config;
-          fmt_total (Runner.total_plan_ms ms);
-          fmt_total (Runner.total_exec_ms ms);
-          fmt_total (Runner.total_plan_ms ms +. Runner.total_exec_ms ms);
-        ])
-      sampling_configs
-  in
+let sampling ~jobs lab =
   Pretty.heading
     "Sampling ablation: index-based join sampling vs default, re-opt and perfect"
   ^ "\n"
-  ^ Pretty.table
-      ~headers:[ "configuration"; "plan (s)"; "exec (s)"; "total (s)" ]
-      rows
+  ^ config_table
+      (Runner.run_grid ~jobs lab
+         [
+           Runner.Default;
+           Runner.Sampling_est 128;
+           Runner.Sampling_est 512;
+           Runner.Sampling_est 2048;
+           Runner.Reopt 32.0;
+           Runner.Perfect_all;
+         ])
   ^ "\n(planning time includes the sampling probes -- the cost SS II-C warns about)\n"
 
 
 (* ---- Rio-style proactive planning (SS V / conclusion) ---- *)
 
-let robust_configs =
-  [
-    Runner.Default;
-    Runner.Robust 2.0;
-    Runner.Robust 4.0;
-    Runner.Robust 8.0;
-    Runner.Reopt 32.0;
-    Runner.Perfect_all;
-  ]
-
-let robust lab =
-  let rows =
-    List.map
-      (fun config ->
-        let ms = Runner.run_workload lab config in
-        [
-          Runner.config_name config;
-          fmt_total (Runner.total_plan_ms ms);
-          fmt_total (Runner.total_exec_ms ms);
-          fmt_total (Runner.total_plan_ms ms +. Runner.total_exec_ms ms);
-        ])
-      robust_configs
-  in
+let robust ~jobs lab =
   Pretty.heading
     "Robust-planning ablation: Rio-style worst-case plans vs default, re-opt, perfect"
   ^ "\n"
-  ^ Pretty.table
-      ~headers:[ "configuration"; "plan (s)"; "exec (s)"; "total (s)" ]
-      rows
+  ^ config_table
+      (Runner.run_grid ~jobs lab
+         [
+           Runner.Default;
+           Runner.Robust 2.0;
+           Runner.Robust 4.0;
+           Runner.Robust 8.0;
+           Runner.Reopt 32.0;
+           Runner.Perfect_all;
+         ])
   ^ "\n(robust plans hedge against under-estimates at plan time; re-optimization repairs them at run time)\n"
 
 
 (* ---- q-error growth with join size (SS IV) ---- *)
 
-let qerror lab =
+let qerror ~jobs:_ lab =
   let by_size : (int, float list ref) Hashtbl.t = Hashtbl.create 18 in
   List.iter
     (fun q ->
@@ -696,7 +671,7 @@ let qerror lab =
 
 (* ---- LEO feedback loop (SS IV-E) ---- *)
 
-let leo lab =
+let leo ~jobs lab =
   let feedback = Rdb_core.Feedback.create () in
   let catalog = Session.catalog (Runner.session lab) in
   let run_pass ~learn ~use =
@@ -727,7 +702,8 @@ let leo lab =
   let pass2 = run_pass ~learn:true ~use:true in
   let pass3 = run_pass ~learn:true ~use:true in
   let perfect =
-    Runner.total_exec_ms (Runner.run_workload lab Runner.Perfect_all)
+    Runner.run_grid ~jobs lab [ Runner.Perfect_all ]
+    |> List.assoc Runner.Perfect_all |> Runner.total_exec_ms
   in
   Pretty.heading "LEO-style feedback loop (SS IV-E): learning from executions"
   ^ "\n"
@@ -744,8 +720,8 @@ let leo lab =
 
 (* ---- persistent feedback store, naive vs gated (SS IV-E / SS V) ---- *)
 
-let feedback_exp lab =
-  let r = Feedback_sweep.run lab in
+let feedback ~jobs lab =
+  let r = Feedback_sweep.run ~jobs lab in
   let total get =
     List.fold_left
       (fun acc row -> acc +. (get row).Runner.m_exec_ms)
@@ -786,109 +762,46 @@ let feedback_exp lab =
 
 (* ---- adaptive operator selection (SS II-D) ---- *)
 
-let adaptive_configs =
-  [ Runner.Default; Runner.Adaptive; Runner.Reopt 32.0; Runner.Perfect_all ]
-
-let adaptive lab =
-  let rows =
-    List.map
-      (fun config ->
-        let ms = Runner.run_workload lab config in
-        [
-          Runner.config_name config;
-          fmt_total (Runner.total_exec_ms ms);
-        ])
-      adaptive_configs
-  in
+let adaptive ~jobs lab =
   Pretty.heading
     "Adaptive-execution ablation: runtime operator switching vs re-optimization"
   ^ "\n"
-  ^ Pretty.table ~headers:[ "configuration"; "exec (s)" ] rows
+  ^ config_table ~columns:[ exec_s ]
+      (Runner.run_grid ~jobs lab
+         [ Runner.Default; Runner.Adaptive; Runner.Reopt 32.0; Runner.Perfect_all ])
   ^ "\n(operator switching cannot change join order -- SS II-D's limitation -- so it recovers\n only part of what re-optimization does)\n"
 
 (* ---- driver ---- *)
 
-(* The grid of (config, query) cells an experiment will measure — what a
-   multi-domain prewarm can compute ahead of time. Experiments whose cost
-   is not in workload cells (planning-only sweeps, self-contained demos)
-   have nothing to prewarm. *)
-let grid_configs lab name =
-  let n_max = max_rels lab in
-  let perfect_sweep = List.init (n_max + 1) (perfect_config lab) in
-  match name with
-  | "table2" -> [ Runner.Perfect_all; Runner.Default ]
-  | "table6" -> [ Runner.Perfect_all; Runner.Reopt 32.0 ]
-  | "fig2" -> perfect_sweep
-  | "fig5" -> [ Runner.Perfect_all ]
-  | "fig7" ->
-    (Runner.Default :: List.map (fun thr -> Runner.Reopt thr) fig7_thresholds)
-    @ [ Runner.Perfect_all ]
-  | "fig8" ->
-    perfect_sweep
-    @ Runner.Reopt 32.0
-      :: List.filter_map
-           (fun n -> if n = 0 then None else Some (Runner.Perfect_reopt (n, 32.0)))
-           (List.init (n_max + 1) Fun.id)
-  | "fig9" -> [ Runner.Default; Runner.Reopt 32.0; Runner.Perfect_all ]
-  | "sampling" -> sampling_configs
-  | "robust" -> robust_configs
-  | "adaptive" -> adaptive_configs
-  | _ -> []
-
-let prewarm ~jobs lab name =
-  if jobs > 1 then
-    match name with
-    | "fig1" ->
-      (* fig1 measures only the top-20 queries by default execution, so
-         the default workload must land first to pick them. *)
-      ignore (Runner.run_grid ~jobs lab [ Runner.Default ]);
-      let top20 = List.map (Runner.query lab) (top20_queries lab) in
-      ignore (Runner.run_grid ~jobs ~queries:top20 lab fig1_configs)
-    | "feedback" ->
-      (* The sweep orders its own phases (learn before freeze before
-         measure); the cheap re-run inside [feedback_exp] then hits the
-         measurement cache. *)
-      ignore (Feedback_sweep.run ~jobs lab)
-    | name ->
-      (match grid_configs lab name with
-       | [] -> ()
-       | configs -> ignore (Runner.run_grid ~jobs lab configs))
-
 let named =
   [
-    ("table1", `Lab table1);
-    ("table2", `Lab table2);
-    ("table3", `Unit table3);
-    ("table6", `Lab table6);
-    ("fig1", `Lab fig1);
-    ("fig2", `Lab fig2);
-    ("fig3_4", `Lab fig3_4);
-    ("skew", `Unit skew_example);
-    ("fig5", `Lab fig5);
-    ("fig6", `Lab fig6);
-    ("fig7", `Lab fig7);
-    ("fig8", `Lab fig8);
-    ("fig9", `Lab fig9);
-    ("cords", `Unit cords_ablation);
-    ("sampling", `Lab sampling);
-    ("robust", `Lab robust);
-    ("qerror", `Lab qerror);
-    ("leo", `Lab leo);
-    ("feedback", `Lab feedback_exp);
-    ("adaptive", `Lab adaptive);
+    ("table1", table1);
+    ("table2", table2);
+    ("table3", table3);
+    ("table6", table6);
+    ("fig1", fig1);
+    ("fig2", fig2);
+    ("fig3_4", fig3_4);
+    ("skew", skew);
+    ("fig5", fig5);
+    ("fig6", fig6);
+    ("fig7", fig7);
+    ("fig8", fig8);
+    ("fig9", fig9);
+    ("cords", cords);
+    ("sampling", sampling);
+    ("robust", robust);
+    ("qerror", qerror);
+    ("leo", leo);
+    ("feedback", feedback);
+    ("adaptive", adaptive);
   ]
 
 let names = List.map fst named
 
 let run ?(jobs = 1) lab name =
   match List.assoc_opt name named with
-  | Some (`Lab f) ->
+  | Some f ->
     Rdb_obs.Trace.span "experiment" ~attrs:[ ("name", name) ] (fun () ->
-        prewarm ~jobs lab name;
-        f lab)
-  | Some (`Unit f) ->
-    Rdb_obs.Trace.span "experiment" ~attrs:[ ("name", name) ] f
+        f ~jobs lab)
   | None -> invalid_arg ("Experiments.run: unknown experiment " ^ name)
-
-let all ?jobs lab =
-  String.concat "\n\n" (List.map (fun name -> run ?jobs lab name) names)

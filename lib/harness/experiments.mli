@@ -1,94 +1,14 @@
-(** One function per table/figure of the paper. Each returns a printable
-    report whose rows/series mirror what the paper plots; EXPERIMENTS.md
-    records the shape comparison. All functions share the lab's caches, so
-    running the whole suite costs little more than its most expensive
-    member. *)
-
-val table1 : Runner.lab -> string
-(** Number of cardinality estimates on joins of N tables, summed over the
-    workload (the estimates the default optimizer actually requests). *)
-
-val table2 : Runner.lab -> string
-(** Histogram of per-query execution time relative to perfect-(17), with
-    PostgreSQL-style estimation. *)
-
-val table3 : unit -> string
-(** Queries per relation count — a static property of the workload. *)
-
-val table6 : Runner.lab -> string
-(** Histogram of per-query execution time relative to perfect-(17), after
-    re-optimization at threshold 32. *)
-
-val fig1 : Runner.lab -> string
-(** Planning + execution of the top-20 longest-running queries under
-    default, perfect-(3), perfect-(4), re-optimization, perfect-(17). *)
-
-val fig2 : Runner.lab -> string
-(** Whole-workload planning + execution for perfect-(n), n = 0..17. *)
-
-val fig3_4 : Runner.lab -> string
-(** GraphViz join graphs of the 6d and 18a analogs. *)
-
-val skew_example : unit -> string
-(** Tables IV/V and the Nasdaq skew mis-estimate of §IV-C, on a
-    self-contained companies/trades database. *)
-
-val fig5 : Runner.lab -> string
-(** LEO-style iterative estimate correction on 16b, 25c, 30a: execution
-    time per correction step vs the perfect-plan time. *)
-
-val fig6 : Runner.lab -> string
-(** The re-optimization rewrite, shown as SQL: original query, temp-table
-    creations, final SELECT. *)
-
-val fig7 : Runner.lab -> string
-(** Re-optimization threshold sweep (2..256) vs default and perfect. *)
-
-val fig8 : Runner.lab -> string
-(** perfect-(n) with and without re-optimization, n = 0..17. *)
-
-val fig9 : Runner.lab -> string
-(** Per-query execution time: default vs re-optimized vs perfect, ordered
-    by default execution time. *)
-
-val all : ?jobs:int -> Runner.lab -> string
-(** Every experiment, in paper order. *)
+(** The paper's tables and figures, one experiment per name. Each returns a
+    printable report whose rows/series mirror what the paper plots;
+    EXPERIMENTS.md records the shape comparison and DESIGN.md indexes the
+    names. Experiments share the lab's measurement cache, so running the
+    whole suite costs little more than its most expensive member. *)
 
 val names : string list
-(** Experiment selector names accepted by {!run}. *)
+(** Experiment names accepted by {!run}, in paper order. *)
 
 val run : ?jobs:int -> Runner.lab -> string -> string
 (** Run one experiment by name; raises [Invalid_argument] for unknown
-    names. With [jobs > 1] the experiment's (config, query) grid is first
-    computed in parallel through {!Runner.run_grid} — the report itself is
-    then assembled from the lab's cache, so its deterministic content is
-    identical to a sequential run. *)
-
-val cords_ablation : unit -> string
-(** §IV-B ablation: CORDS-discovered column-group statistics fix same-table
-    correlated predicates but cannot see the identical correlation one join
-    edge away. *)
-
-val sampling : Runner.lab -> string
-(** §II-C ablation: planning + execution when the estimator is index-based
-    join sampling, at several sample sizes, vs default / re-opt / perfect. *)
-
-val robust : Runner.lab -> string
-(** Rio-style ablation (§V / conclusion): proactive worst-case planning vs
-    reactive re-optimization. *)
-
-val qerror : Runner.lab -> string
-(** §IV evidence: median/p95/max Q-error of the default estimator per join
-    size over every connected sub-join in the workload. *)
-
-val leo : Runner.lab -> string
-(** §IV-E: a LEO-style feedback loop — execute, remember true
-    cardinalities, re-plan future passes with them. *)
-
-val feedback_exp : Runner.lab -> string
-(** §IV-E done right: the {!Feedback_sweep} comparison of naive vs
-    fragility-gated corrections against default and perfect-(n). *)
-
-val adaptive : Runner.lab -> string
-(** §II-D ablation: Cuttlefish-style runtime operator switching, which
-    cannot repair join order, vs re-optimization, which can. *)
+    names. Each experiment fetches its (config, query) cells through
+    {!Runner.run_grid} with [jobs] (default 1), so its deterministic
+    content is identical at every [jobs]; only wall-clock figures move. *)

@@ -95,7 +95,7 @@ let feedback lab =
   | Some fb -> fb
   | None -> invalid_arg "Runner.feedback: lab has no feedback store"
 
-let mode_of_config lab q = function
+let rec mode_of_config lab q = function
   | Default | Reopt _ | Robust _ | Adaptive -> Estimator.Default
   | Feedback_naive -> Session.feedback_mode (prepared_of lab q) (feedback lab)
   | Feedback_gated ->
@@ -104,15 +104,22 @@ let mode_of_config lab q = function
     Estimator.Sampling
       (Rdb_card.Join_sample.create ~sample_size:size
          (Session.catalog lab.session) q)
-  | Perfect n ->
+  | Perfect n | Perfect_reopt (n, _) ->
     Oracle.ensure_up_to (Session.oracle (prepared_of lab q)) n;
     Estimator.Perfect n
-  | Perfect_all ->
-    Oracle.ensure_up_to (Session.oracle (prepared_of lab q)) (Query.n_rels q);
-    Estimator.Perfect_all
-  | Perfect_reopt (n, _) ->
-    Oracle.ensure_up_to (Session.oracle (prepared_of lab q)) n;
-    Estimator.Perfect n
+  | Perfect_all -> mode_of_config lab q (Perfect (Query.n_rels q))
+
+(* A cell whose execution ran out of work budget. *)
+let capped q ~plan_ms ~spent ~elapsed_ms =
+  {
+    m_query = q.Query.name;
+    m_rels = Query.n_rels q;
+    m_plan_ms = plan_ms;
+    m_exec_ms = elapsed_ms;
+    m_work = spent;
+    m_capped = true;
+    m_steps = 0;
+  }
 
 let measure_plain lab config q =
   let prepared = prepared_of lab q in
@@ -135,44 +142,25 @@ let measure_plain lab config q =
       m_steps = 0;
     }
   with Executor.Work_budget_exceeded { spent; elapsed_ms } ->
-    {
-      m_query = q.Query.name;
-      m_rels = Query.n_rels q;
-      m_plan_ms = pstats.Optimizer.plan_ms;
-      m_exec_ms = elapsed_ms;
-      m_work = spent;
-      m_capped = true;
-      m_steps = 0;
-    }
+    capped q ~plan_ms:pstats.Optimizer.plan_ms ~spent ~elapsed_ms
 
 let measure_reopt lab config q threshold =
   let prepared = prepared_of lab q in
   let mode = mode_of_config lab q config in
   let trigger = Trigger.create threshold in
-  try
-    let outcome =
-      Reopt.run ~work_budget:lab.work_budget ~deadline_ms:lab.deadline_ms
-        ~initial:prepared lab.session ~trigger ~mode q
-    in
-    {
-      m_query = q.Query.name;
-      m_rels = Query.n_rels q;
-      m_plan_ms = outcome.Reopt.total_plan_ms;
-      m_exec_ms = outcome.Reopt.total_exec_ms;
-      m_work = outcome.Reopt.total_work;
-      m_capped = false;
-      m_steps = List.length outcome.Reopt.steps;
-    }
-  with Executor.Work_budget_exceeded { spent; elapsed_ms } ->
-    {
-      m_query = q.Query.name;
-      m_rels = Query.n_rels q;
-      m_plan_ms = 0.0;
-      m_exec_ms = elapsed_ms;
-      m_work = spent;
-      m_capped = true;
-      m_steps = 0;
-    }
+  let outcome =
+    Reopt.run ~work_budget:lab.work_budget ~deadline_ms:lab.deadline_ms
+      ~initial:prepared lab.session ~trigger ~mode q
+  in
+  {
+    m_query = q.Query.name;
+    m_rels = Query.n_rels q;
+    m_plan_ms = outcome.Reopt.total_plan_ms;
+    m_exec_ms = outcome.Reopt.total_exec_ms;
+    m_work = outcome.Reopt.total_work;
+    m_capped = false;
+    m_steps = List.length outcome.Reopt.steps;
+  }
 
 let run_query lab config q =
   let key = (config_name config, q.Query.name) in
@@ -183,10 +171,9 @@ let run_query lab config q =
       Rdb_obs.Trace.span "runner.cell"
         ~attrs:[ ("config", config_name config); ("query", q.Query.name) ]
         (fun () ->
-          (* A budget blowup anywhere in a cell — including the paths
-             outside measure_*'s own guards, like planning-time sampling
-             probes — must cap that one cell, never abort the whole
-             sweep. *)
+          (* A budget blowup anywhere in a cell — a re-optimization's
+             materialization, a planning-time sampling probe — must cap
+             that one cell, never abort the whole sweep. *)
           try
             match config with
             | Default | Perfect _ | Perfect_all | Sampling_est _ | Robust _
@@ -195,15 +182,7 @@ let run_query lab config q =
             | Reopt thr | Perfect_reopt (_, thr) ->
               measure_reopt lab config q thr
           with Executor.Work_budget_exceeded { spent; elapsed_ms } ->
-            {
-              m_query = q.Query.name;
-              m_rels = Query.n_rels q;
-              m_plan_ms = 0.0;
-              m_exec_ms = elapsed_ms;
-              m_work = spent;
-              m_capped = true;
-              m_steps = 0;
-            })
+            capped q ~plan_ms:0.0 ~spent ~elapsed_ms)
     in
     Hashtbl.replace lab.cache key m;
     m

@@ -211,9 +211,9 @@ let count_admitted t =
 
 (* The re-optimizing execution path: run the loop, write the improved plan
    (replanned with the first materialized sub-join's now-known true
-   cardinality pinned, [Estimator.Overrides]) back to the cache with a
-   fresh certificate — so the next hit starts from what the re-optimizer
-   learned instead of re-triggering. *)
+   cardinality pinned through an [Estimator.Feedback] lookup) back to the
+   cache with a fresh certificate — so the next hit starts from what the
+   re-optimizer learned instead of re-triggering. *)
 let reopt_execute t sess ?deadline_ms ~prepared ~key ~cqnf ~epoch ~threshold
     canonical =
   let outcome =
@@ -232,7 +232,8 @@ let reopt_execute t sess ?deadline_ms ~prepared ~key ~cqnf ~epoch ~threshold
       Hashtbl.replace overrides first.Reopt.materialized_set
         (float_of_int (max 1 first.Reopt.temp_rows));
       let plan, _, _ =
-        Session.plan prepared ~mode:(Estimator.Overrides overrides)
+        Session.plan prepared
+          ~mode:(Estimator.Feedback (Hashtbl.find_opt overrides))
       in
       Metrics.incr "cache.writebacks";
       (* Reopt.run has already recorded the materialized true

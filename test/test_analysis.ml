@@ -348,7 +348,7 @@ let test_rdb_lint_env_enables_hook () =
   let prepared = Session.prepare session q in
   let pinned = Hashtbl.create 1 in
   Hashtbl.replace pinned (Relset.full 2) Float.infinity;
-  let broken = Estimator.Overrides pinned in
+  let broken = Estimator.Feedback (Hashtbl.find_opt pinned) in
   let raises_lint () =
     match Session.plan prepared ~mode:broken with
     | _ -> false
@@ -389,7 +389,7 @@ let test_reopt_verify_checks_plans () =
   Session.analyze session;
   let pinned = Hashtbl.create 1 in
   Hashtbl.replace pinned (Relset.full 2) 1e12;
-  let mode = Estimator.Overrides pinned in
+  let mode = Estimator.Feedback (Hashtbl.find_opt pinned) in
   (match
      Reopt.run ~checks:[ Checks.Verify ] session ~trigger:(Trigger.create 2.0)
        ~mode q

@@ -296,7 +296,8 @@ let test_estimator_overrides () =
       let s = Relset.of_list [ 1; 2 ] in
       Hashtbl.replace overrides s 12345.0;
       let est =
-        Estimator.create ~mode:(Estimator.Overrides overrides) ~catalog
+        Estimator.create
+          ~mode:(Estimator.Feedback (Hashtbl.find_opt overrides)) ~catalog
           ~stats:(Rdb_core.Session.stats session) q
       in
       check (Alcotest.float 1e-9) "pinned" 12345.0 (Estimator.card est s))
@@ -322,7 +323,8 @@ let test_estimator_requires_oracle_for_perfect () =
         (Invalid_argument "Estimator.create: perfect modes require an oracle")
         (fun () ->
           ignore
-            (Estimator.create ~mode:Estimator.Perfect_all ~catalog
+            (Estimator.create
+               ~mode:(Estimator.Perfect (Rdb_query.Query.n_rels q)) ~catalog
                ~stats:(Rdb_core.Session.stats session) q)))
 
 let prop_estimator_cards_at_least_one =

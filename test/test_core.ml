@@ -138,7 +138,8 @@ let test_reopt_no_trigger_no_steps () =
   let q = Rdb_imdb.Job_queries.find catalog "1a" in
   (* With perfect estimates nothing can trip the trigger. *)
   let outcome =
-    Reopt.run session ~trigger:(Trigger.create 32.0) ~mode:Estimator.Perfect_all q
+    Reopt.run session ~trigger:(Trigger.create 32.0)
+      ~mode:(Estimator.Perfect (Query.n_rels q)) q
   in
   check Alcotest.int "no steps" 0 (List.length outcome.Reopt.steps)
 
@@ -174,7 +175,9 @@ let test_reopt_composes_with_perfect () =
   in
   (* still correct *)
   let prepared = Session.prepare session q in
-  let plan, _, _ = Session.plan prepared ~mode:Estimator.Perfect_all in
+  let plan, _, _ =
+    Session.plan prepared ~mode:(Estimator.Perfect (Query.n_rels q))
+  in
   let direct = Session.execute prepared plan in
   check Alcotest.int "rows agree" direct.Executor.out_rows
     outcome.Reopt.final_exec.Executor.out_rows

@@ -222,9 +222,9 @@ let gen_query rng i =
 (* ---- checks ---- *)
 
 let perfect_all prepared =
-  Oracle.ensure_up_to (Session.oracle prepared)
-    (Query.n_rels (Session.query prepared));
-  Estimator.Perfect_all
+  let n = Query.n_rels (Session.query prepared) in
+  Oracle.ensure_up_to (Session.oracle prepared) n;
+  Estimator.Perfect n
 
 let perfect n prepared =
   Oracle.ensure_up_to (Session.oracle prepared) n;

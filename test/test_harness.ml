@@ -52,27 +52,61 @@ let test_perfect_beats_default_on_workload () =
     (Runner.total_exec_ms perfect <= Runner.total_exec_ms default)
 
 let test_table3_text () =
-  let s = Experiments.table3 () in
+  let s = Experiments.run (Lazy.force lab) "table3" in
   check Alcotest.bool "has 17-row" true (contains ~needle:"17" s);
   check Alcotest.bool "has counts" true (contains ~needle:"113" s || contains ~needle:"21" s)
 
 let test_skew_example_underestimates () =
-  let s = Experiments.skew_example () in
+  let s = Experiments.run (Lazy.force lab) "skew" in
   check Alcotest.bool "reports underestimate" true
     (contains ~needle:"under-estimation factor" s)
 
+(* The second probe restricts the join column itself, where the MCV list
+   of trades.company_id sees the skew. *)
+let test_skew_join_column_probe () =
+  let s = Experiments.run (Lazy.force lab) "skew" in
+  check Alcotest.bool "join-column probe" true
+    (contains ~needle:"WHERE c.id = 1 AND c.id = tr.company_id;" s)
+
 let test_fig3_4_text () =
   let lab = Lazy.force lab in
-  let s = Experiments.fig3_4 lab in
+  let s = Experiments.run lab "fig3_4" in
   check Alcotest.bool "6d graph" true (contains ~needle:"graph 6d" s);
   check Alcotest.bool "18a graph" true (contains ~needle:"graph 18a" s)
 
 let test_fig6_text () =
   let lab = Lazy.force lab in
-  let s = Experiments.fig6 lab in
+  let s = Experiments.run lab "fig6" in
   check Alcotest.bool "has CREATE TEMP" true
     (contains ~needle:"CREATE TEMPORARY TABLE" s);
   check Alcotest.bool "has final select" true (contains ~needle:"Final SELECT" s)
+
+(* fig1's query list is the 20 Default cells with the most work, ties
+   broken by name: deterministic, unlike a wall-clock ranking. *)
+let test_fig1_top20_by_work () =
+  let lab = Lazy.force lab in
+  let s = Experiments.run lab "fig1" in
+  let prefix = "top-20 queries (by default work): " in
+  let printed =
+    List.find_map
+      (fun line ->
+        if String.starts_with ~prefix line then
+          Some
+            (String.split_on_char ' '
+               (String.sub line (String.length prefix)
+                  (String.length line - String.length prefix)))
+        else None)
+      (String.split_on_char '\n' s)
+  in
+  let expected =
+    Runner.run_workload lab Runner.Default
+    |> List.map (fun (m : Runner.measurement) -> (- m.Runner.m_work, m.Runner.m_query))
+    |> List.sort compare
+    |> List.filteri (fun i _ -> i < 20)
+    |> List.map snd
+  in
+  check Alcotest.(option (list string)) "top-20 by work, then name"
+    (Some expected) printed
 
 let test_experiment_names () =
   check Alcotest.bool "all present" true
@@ -155,8 +189,11 @@ let () =
         [
           Alcotest.test_case "table3 text" `Quick test_table3_text;
           Alcotest.test_case "skew example" `Quick test_skew_example_underestimates;
+          Alcotest.test_case "skew join-column probe" `Quick
+            test_skew_join_column_probe;
           Alcotest.test_case "fig3_4 text" `Quick test_fig3_4_text;
           Alcotest.test_case "fig6 text" `Quick test_fig6_text;
+          Alcotest.test_case "fig1 top-20 by work" `Slow test_fig1_top20_by_work;
           Alcotest.test_case "experiment names" `Quick test_experiment_names;
           Alcotest.test_case "unknown rejected" `Quick test_unknown_experiment;
         ] );
