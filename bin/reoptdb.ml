@@ -17,6 +17,10 @@
      reoptdb exnflow                    source-level exception-flow lint
      reoptdb json-check report.json     strictly validate a JSON report
 
+   This file holds flags and rendering only: Rdb_harness.Runner builds the
+   database and resolves --mode, Rdb_harness.Sweep and Feedback_sweep run
+   the analysis sweeps, and Rdb_analysis.Finding collects their findings.
+
    The common flags are defined once and mean the same on every command
    that takes them: --scale, --seed, --json PATH, --reopt, --perfect,
    --jobs. The serving benchmark is the ledger's serve-hot workload (see
@@ -24,8 +28,8 @@
 
    Exit codes are uniform across the analysis commands (lint, verify,
    resources, fragility, feedback, racecheck, exnflow, json-check): 0
-   clean, 1 error-severity findings, 2 usage error (a bad flag, an unknown
-   query or experiment name).
+   clean, 1 error-severity findings, 2 usage error (a bad or out-of-range
+   flag value, an unknown query or experiment name).
 
    Set RDB_TRACE=stderr (or =path for JSON-lines) to trace every pipeline
    phase as nested timed spans.
@@ -36,21 +40,42 @@
 open Cmdliner
 
 module Session = Rdb_core.Session
-module Estimator = Rdb_card.Estimator
-module Oracle = Rdb_card.Oracle
 module Executor = Rdb_exec.Executor
 module Reopt = Rdb_core.Reopt
 module Trigger = Rdb_core.Trigger
-module Checks = Rdb_core.Checks
 module Finding = Rdb_analysis.Finding
+module Runner = Rdb_harness.Runner
+module Sweep = Rdb_harness.Sweep
 module Srclint = Rdb_srclint.Srclint
 module J = Rdb_obs.Json
 module Clock = Rdb_obs.Clock
 
 (* ---- common flags ---- *)
 
+(* A converter that also rejects out-of-range values, so a malformed flag
+   is a usage error (exit 2) before any database is built. *)
+let checked base ok ~expected =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when not (ok v) ->
+      Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | result -> result
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let positive_float =
+  checked Arg.float
+    (fun x -> Float.is_finite x && x > 0.0)
+    ~expected:"a positive number"
+
+let positive_int =
+  checked Arg.int (fun n -> n >= 1) ~expected:"a positive integer"
+
+let non_negative_int =
+  checked Arg.int (fun n -> n >= 0) ~expected:"a non-negative integer"
+
 let scale_arg default =
-  Arg.(value & opt float default & info [ "scale" ] ~docv:"FACTOR"
+  Arg.(value & opt positive_float default & info [ "scale" ] ~docv:"FACTOR"
          ~doc:"Database scale factor (1.0 = default benchmark size).")
 
 let seed_arg =
@@ -73,55 +98,16 @@ let reopt_opt =
 let reopt_arg = Term.(const (Option.value ~default:32.0) $ reopt_opt)
 
 let perfect_arg =
-  Arg.(value & opt int 4 & info [ "perfect" ] ~docv:"N"
+  Arg.(value & opt positive_int 4 & info [ "perfect" ] ~docv:"N"
          ~doc:"Size of the perfect-(N) estimator configuration.")
 
 let jobs_arg default =
   let resolve jobs = if jobs = 0 then Rdb_util.Pool.default_jobs () else jobs in
   Term.(
     const resolve
-    $ Arg.(value & opt int default & info [ "jobs"; "j" ] ~docv:"N"
+    $ Arg.(value & opt non_negative_int default & info [ "jobs"; "j" ] ~docv:"N"
              ~doc:"Worker domains (0 = one per core). Deterministic \
                    measurements are identical at any count."))
-
-(* ---- the report path of the analysis commands ---- *)
-
-let add_findings acc ctx findings =
-  List.iter (fun (f : Finding.t) -> acc := (ctx, f) :: !acc) findings
-
-(* Print the collected (context, finding) pairs as "ctx: finding" and
-   return the error and warning counts. With [key], a finding already
-   printed under the same key is dropped and the rest are sorted errors
-   first, then by context and text, so CI output diffs cleanly across runs;
-   without it they print in collection order. [shown] filters what is
-   printed, not what is counted. *)
-let print_findings ?key ?(shown = fun _ -> true) acc =
-  let fs = List.rev !acc in
-  let fs =
-    match key with
-    | None -> fs
-    | Some key ->
-      let seen = Hashtbl.create 256 in
-      List.filter
-        (fun (ctx, f) ->
-          let k = (key ctx, Finding.to_string f) in
-          if Hashtbl.mem seen k then false else (Hashtbl.add seen k (); true))
-        fs
-      |> List.stable_sort (fun (c1, f1) (c2, f2) ->
-             compare
-               (Finding.rank f1, c1, Finding.to_string f1)
-               (Finding.rank f2, c2, Finding.to_string f2))
-  in
-  List.iter
-    (fun (ctx, f) ->
-      if shown f then Printf.printf "%s: %s\n" ctx (Finding.to_string f))
-    fs;
-  let count sev =
-    List.length (List.filter (fun (_, (f : Finding.t)) -> f.severity = sev) fs)
-  in
-  (count Finding.Error, count Finding.Warning)
-
-let exit_code n_errors = if n_errors > 0 then 1 else 0
 
 let write_json path doc =
   Option.iter
@@ -132,9 +118,25 @@ let write_json path doc =
       Printf.eprintf "report written to %s\n%!" path)
     path
 
-(* ---- sessions and estimation modes ---- *)
+(* An unknown query name is a usage error (exit 2), caught before the
+   database is generated. *)
+let query_name =
+  let parse name =
+    match Rdb_imdb.Job_queries.sql_of name with
+    | Some _ -> Ok name
+    | None -> Error (`Msg ("unknown query " ^ name))
+  in
+  Arg.conv (parse, Format.pp_print_string)
+
+(* ---- estimation modes and the feedback store ---- *)
 
 let mode_arg =
+  let parse s =
+    match Runner.config_of_name s with
+    | Some config -> Ok config
+    | None -> Error (`Msg ("bad mode " ^ s))
+  in
+  let print ppf config = Format.pp_print_string ppf (Runner.config_name config) in
   let doc =
     "Estimation mode: 'default', 'perfect' or 'perfect-N' (true \
      cardinalities for joins of at most N relations), 'feedback' (serve \
@@ -142,40 +144,8 @@ let mode_arg =
      'feedback-gated' (suppress corrections the fragility analysis marks \
      as plan-flipping)."
   in
-  Arg.(value & opt string "default" & info [ "mode" ] ~docv:"MODE" ~doc)
-
-let parse_mode s =
-  match String.lowercase_ascii s with
-  | "default" -> Ok `Default
-  | "perfect" -> Ok `Perfect_all
-  | "feedback" -> Ok `Feedback
-  | "feedback-gated" -> Ok `Feedback_gated
-  | s ->
-    (match String.index_opt s '-' with
-     | Some i when String.sub s 0 i = "perfect" ->
-       (try Ok (`Perfect (int_of_string (String.sub s (i + 1) (String.length s - i - 1))))
-        with Failure _ -> Error ("bad mode " ^ s))
-     | _ -> Error ("bad mode " ^ s))
-
-let make_session ?feedback ~scale ~seed () =
-  let catalog = Rdb_imdb.Imdb_gen.generate ~seed ~scale () in
-  let session = Session.create ?feedback catalog in
-  Session.analyze session;
-  (catalog, session)
-
-let rec resolve_mode ?feedback prepared = function
-  | `Default -> Estimator.Default
-  | `Perfect n ->
-    Oracle.ensure_up_to (Session.oracle prepared) n;
-    Estimator.Perfect n
-  | `Perfect_all ->
-    let q = Session.query prepared in
-    resolve_mode ?feedback prepared (`Perfect (Rdb_query.Query.n_rels q))
-  | (`Feedback | `Feedback_gated) as m ->
-    (match feedback with
-     | Some fb ->
-       Session.feedback_mode ~gated:(m = `Feedback_gated) prepared fb
-     | None -> Estimator.Default)
+  Arg.(value & opt (conv (parse, print)) Runner.Default
+       & info [ "mode" ] ~docv:"MODE" ~doc)
 
 (* --feedback PATH on explain/run: corrections learned by one invocation
    carry over to the next. The store is loaded before planning (silently
@@ -190,12 +160,10 @@ let feedback_path_arg =
                --mode feedback and --mode feedback-gated to have any \
                corrections to serve.")
 
-let feedback_store_of = function
+let feedback_store_of path =
+  match Option.bind path Rdb_core.Feedback.load with
+  | Some fb -> fb
   | None -> Rdb_core.Feedback.create ()
-  | Some path ->
-    (match Rdb_core.Feedback.load path with
-     | Some fb -> fb
-     | None -> Rdb_core.Feedback.create ())
 
 let feedback_store_save fb = function
   | None -> ()
@@ -214,16 +182,8 @@ let cmd_queries =
   Cmd.v (Cmd.info "queries" ~doc:"List the 113 workload queries.")
     Term.(const run $ const ())
 
-(* An unknown name is a usage error (exit 2), caught before the database
-   is generated. *)
 let query_pos =
-  let parse name =
-    match Rdb_imdb.Job_queries.sql_of name with
-    | Some _ -> Ok name
-    | None -> Error (`Msg ("unknown query " ^ name))
-  in
-  Arg.(required
-       & pos 0 (some (conv (parse, Format.pp_print_string))) None
+  Arg.(required & pos 0 (some query_name) None
        & info [] ~docv:"QUERY" ~doc:"Workload query name, e.g. 6d or 16b.")
 
 let cmd_sql =
@@ -242,22 +202,19 @@ let pessimistic_arg =
                sound [lo, hi] interval before costing. Changes plan choice \
                only, never query results.")
 
-(* explain and run share their set-up: parse --mode, load the --feedback
-   store, build the database and prepare the query. Once [k] has printed
-   its result, the store is saved back. *)
+(* explain and run share their set-up: load the --feedback store, build
+   the database around it, prepare the query and resolve --mode. Once [k]
+   has printed its result, the store is saved back. *)
 let with_query_arg =
-  let with_query name scale seed mode_str feedback_path k =
-    match parse_mode mode_str with
-    | Error e -> prerr_endline e; 2
-    | Ok mode ->
-      let fb = feedback_store_of feedback_path in
-      let catalog, session = make_session ~feedback:fb ~scale ~seed () in
-      let q = Rdb_imdb.Job_queries.find catalog name in
-      let prepared = Session.prepare session q in
-      k ~catalog ~session q prepared (resolve_mode ~feedback:fb prepared mode);
-      feedback_store_save fb feedback_path;
-      Rdb_obs.Trace.flush ();
-      0
+  let with_query name scale seed config feedback_path k =
+    let feedback = feedback_store_of feedback_path in
+    let lab = Runner.create_lab ~feedback ~seed ~scale () in
+    let q = Runner.query lab name in
+    k (Runner.session lab) q (Runner.prepared_of lab q)
+      (Runner.mode_of_config lab q config);
+    feedback_store_save feedback feedback_path;
+    Rdb_obs.Trace.flush ();
+    0
   in
   Term.(const with_query $ query_pos $ scale_arg 0.3 $ seed_arg $ mode_arg
         $ feedback_path_arg)
@@ -283,7 +240,7 @@ let cmd_explain =
                  next to each operator's estimated (and actual) rows.")
   in
   let run with_query analyze adaptive threshold pessimistic bounds =
-    with_query (fun ~catalog ~session q prepared mode ->
+    with_query (fun session q prepared mode ->
         let plan, pstats, _ = Session.plan ~pessimistic prepared ~mode in
         Printf.printf "planning: %d csg-cmp pairs, %.2fms\n\n"
           pstats.Rdb_plan.Optimizer.pairs_considered
@@ -301,7 +258,7 @@ let cmd_explain =
             if not bounds then fun _ -> []
             else begin
               let ctx =
-                Rdb_verify.Card_bound.create ~catalog
+                Rdb_verify.Card_bound.create ~catalog:(Session.catalog session)
                   ~stats:(Session.stats session) q
               in
               fun set ->
@@ -311,7 +268,7 @@ let cmd_explain =
           in
           print_string
             (Rdb_plan.Explain.render
-               ~actuals:(fun set -> Some (Oracle.true_card oracle set))
+               ~actuals:(fun set -> Some (Rdb_card.Oracle.true_card oracle set))
                ~notes q plan)
         end)
   in
@@ -330,7 +287,7 @@ let cmd_explain =
 
 let cmd_run =
   let run with_query reopt pessimistic =
-    with_query (fun ~catalog:_ ~session q prepared mode ->
+    with_query (fun session q prepared mode ->
         match reopt with
         | None ->
           let plan, pstats, _ = Session.plan ~pessimistic prepared ~mode in
@@ -381,7 +338,7 @@ let cmd_experiment =
   in
   let run names scale seed jobs json_path =
     let names = if List.mem "all" names then Experiments.names else names in
-    let lab = Rdb_harness.Runner.create_lab ~seed ~scale () in
+    let lab = Runner.create_lab ~seed ~scale () in
     (* Per-experiment engine counters (plans built, DP pairs, re-opt
        steps, work, switches) plus run totals: deterministic at a fixed
        scale and seed, so reports are comparable across commits. Only the
@@ -423,27 +380,9 @@ let cmd_experiment =
     Term.(const run $ names_arg $ scale_arg 0.3 $ seed_arg $ jobs_arg 1
           $ json_arg)
 
-(* ---- lint, resources, verify ---- *)
-
-(* The re-optimization pass of the lint and verify sweeps: budgeted like
-   the experiments, with the temp tables kept in the catalog while [k]
-   inspects the outcome and dropped afterwards. *)
-let reopt_sweep ?checks ~threshold session prepared q k =
-  let outcome =
-    Reopt.run ?checks ~work_budget:60_000_000 ~deadline_ms:4000.0 ~cleanup:false
-      ~initial:prepared session ~trigger:(Trigger.create threshold)
-      ~mode:Estimator.Default q
-  in
-  k outcome;
-  List.iter
-    (fun (s : Reopt.step) ->
-      Catalog.drop_table (Session.catalog session) s.Reopt.temp_name;
-      Rdb_stats.Db_stats.drop (Session.stats session) ~table:s.Reopt.temp_name)
-    outcome.Reopt.steps
+(* ---- lint, resources, verify, fragility ---- *)
 
 let cmd_lint =
-  let module Query_lint = Rdb_analysis.Query_lint in
-  let module Plan_lint = Rdb_analysis.Plan_lint in
   let source_arg =
     Arg.(value & flag & info [ "source" ]
            ~doc:"Also run the source-level concurrency analyzer (racecheck) \
@@ -451,119 +390,20 @@ let cmd_lint =
                  with the same dedupe and stable sort.")
   in
   let run scale seed threshold perfect_n source =
-    let catalog, session = make_session ~scale ~seed () in
-    let queries = Rdb_imdb.Job_queries.all catalog in
-    let n_plans = ref 0 and n_steps = ref 0 and n_capped = ref 0 in
-    let collected = ref [] in
-    let report = add_findings collected in
-    List.iter
-      (fun (q : Rdb_query.Query.t) ->
-        let name = q.Rdb_query.Query.name in
-        report name (Query_lint.check ~catalog q);
-        let prepared = Session.prepare session q in
-        (* Planned configurations: lint each chosen plan against a fresh
-           estimator query. *)
-        List.iter
-          (fun (label, mode) ->
-            (match mode with
-             | Estimator.Perfect n ->
-               Oracle.ensure_up_to (Session.oracle prepared) n
-             | _ -> ());
-            match Session.plan prepared ~mode with
-            | plan, _, est ->
-              incr n_plans;
-              report
-                (Printf.sprintf "%s [%s]" name label)
-                (Plan_lint.check ~catalog ~estimator:est q plan);
-              (* Third finding source, on the default config only: the
-                 plan-robustness analyzer, with a few corner replans to
-                 surface joins whose estimate the plan choice hinges on. *)
-              if mode = Estimator.Default then begin
-                report
-                  (Printf.sprintf "%s [%s]" name label)
-                  (Rdb_analysis.Sensitivity.check ~threshold
-                     ~corner_replans:true ~corner_limit:4
-                     ~space:(Session.space prepared) ~catalog ~estimator:est
-                     q plan);
-                (* Fourth finding source: the static resource certifier —
-                   well-formedness of the sound memory/work envelope (the
-                   full certified-vs-observed sweep is `reoptdb
-                   resources`). *)
-                let cert = Session.certify ~estimator:est prepared plan in
-                report
-                  (Printf.sprintf "%s [%s]" name label)
-                  (Rdb_analysis.Resource.findings q cert)
-              end
-            (* With RDB_CHECKS set the inline checks raise before we can
-               report; keep sweeping the other configs. *)
-            | exception Checks.Check_failed (_, findings) ->
-              report (Printf.sprintf "%s [%s]" name label) findings)
-          [ ("default", Estimator.Default);
-            (Printf.sprintf "perfect-%d" perfect_n,
-             Estimator.Perfect perfect_n) ];
-        (* Re-optimization sweep: with the Lint check every intermediate
-           plan and every rewritten query is invariant-checked in the loop
-           itself (raising on error findings); on success, re-lint the
-           rewrite steps here to surface warning-severity findings too. *)
-        (match
-           reopt_sweep ~checks:(Checks.Lint :: Checks.env ()) ~threshold
-             session prepared q (fun outcome ->
-               incr n_plans;
-               List.iter
-                 (fun (s : Reopt.step) ->
-                   incr n_steps;
-                   report
-                     (Printf.sprintf "%s [reopt step %s]" name s.Reopt.temp_name)
-                     (Query_lint.check ~catalog s.Reopt.query_after))
-                 outcome.Reopt.steps;
-               report
-                 (Printf.sprintf "%s [reopt final]" name)
-                 (Plan_lint.check ~catalog outcome.Reopt.final_query
-                    outcome.Reopt.final_plan))
-         with
-         | () -> ()
-         | exception Executor.Work_budget_exceeded _ -> incr n_capped
-         | exception Checks.Check_failed (_, findings) ->
-           report (Printf.sprintf "%s [reopt]" name) findings))
-      queries;
-    (* Fifth and sixth finding sources, opt-in: the source-level
-       concurrency and exception-flow analyzers over the repository's own
-       .ml tree. Context is the space-free "file:line" so the dedupe key
-       stays per-site; annotation-hygiene findings appear in both reports
-       with identical site and message, so the key folds them. *)
-    let n_source_files = ref 0 in
-    if source then begin
-      match Srclint.find_default_root () with
-      | None ->
-        report "source"
-          [ Finding.warning ~code:"src-no-root"
-              "cannot locate the repository's lib/ tree for --source" ]
-      | Some root ->
-        let races = Srclint.analyze_tree Srclint.Racecheck ~root () in
-        let flows = Srclint.analyze_tree Srclint.Exnflow ~root () in
-        n_source_files := List.length races.Srclint.files;
-        List.iter
-          (fun (i : Srclint.item) ->
-            report (Printf.sprintf "%s:%d" i.file i.line) [ i.finding ])
-          (races.Srclint.items @ flows.Srclint.items)
-    end;
-    (* The same finding reported for the same query by several hooks or
-       configs is one finding: the config label after the first space of
-       the context does not make it a different one. *)
-    let base ctx =
-      match String.index_opt ctx ' ' with
-      | Some i -> String.sub ctx 0 i
-      | None -> ctx
+    let lab = Runner.create_lab ~seed ~scale () in
+    let c, findings = Sweep.lint ~threshold ~perfect_n lab in
+    let n_files, src =
+      if source then Srclint.default_tree_findings () else (0, [])
     in
-    let n_errors, n_warnings = print_findings ~key:base collected in
+    let s = Finding.summarize ~key:Sweep.query_of (findings @ src) in
+    print_string s.Finding.lines;
     Printf.printf
       "lint: %d queries, %d plans, %d rewrite steps%s checked (%d runaway \
        cells capped); %d errors, %d warnings\n"
-      (List.length queries) !n_plans !n_steps
-      (if source then Printf.sprintf ", %d source files" !n_source_files
-       else "")
-      !n_capped n_errors n_warnings;
-    exit_code n_errors
+      (List.length (Runner.queries lab)) c.Sweep.n_plans c.Sweep.n_steps
+      (if source then Printf.sprintf ", %d source files" n_files else "")
+      c.Sweep.n_capped s.Finding.errors s.Finding.warnings;
+    Finding.exit_code s
   in
   Cmd.v
     (Cmd.info "lint"
@@ -580,11 +420,8 @@ let cmd_lint =
     Term.(const run $ scale_arg 0.1 $ seed_arg $ reopt_arg $ perfect_arg
           $ source_arg)
 
-(* ---- resources ---- *)
-
 let cmd_resources =
   let module Resource = Rdb_analysis.Resource in
-  let module Interval = Rdb_cost.Interval in
   let budget_arg =
     Arg.(value & opt (some float) None & info [ "budget" ] ~docv:"SLOTS"
            ~doc:"Report an error finding for every query whose certified \
@@ -592,92 +429,39 @@ let cmd_resources =
                  decision `reoptdb serve --mem-budget` would make, as an \
                  offline sweep.")
   in
+  let row_doc (row : Sweep.resource_row) =
+    let cert = row.Sweep.rr_cert in
+    J.Obj
+      ((("query", J.Str row.Sweep.rr_query) :: Resource.envelope_fields cert)
+       @ (match cert.Resource.cert_reopt with
+          | None -> []
+          | Some ro ->
+            [ ("predicted_replans", J.Int ro.Resource.ro_predicted_replans);
+              ("thrashing", J.Bool (ro.Resource.ro_thrashing <> None)) ])
+       @ [ ("observed_peak", J.Int row.Sweep.rr_peak);
+           ("observed_work", J.Int row.Sweep.rr_work);
+           ("capped", J.Bool row.Sweep.rr_capped) ])
+  in
+  let thrashing (row : Sweep.resource_row) =
+    match row.Sweep.rr_cert.Resource.cert_reopt with
+    | Some ro -> ro.Resource.ro_thrashing <> None
+    | None -> false
+  in
   let run scale seed threshold budget json_path =
-    let catalog, session = make_session ~scale ~seed () in
-    let queries = Rdb_imdb.Job_queries.all catalog in
+    let lab = Runner.create_lab ~seed ~scale () in
     let t0 = Clock.now_ms () in
-    let collected = ref [] in
-    let report = add_findings collected in
-    let n_capped = ref 0 and n_thrash = ref 0 and rows = ref [] in
-    (* Tolerance for holding integer executor counters against float
-       interval endpoints. *)
-    let slack = 0.5 in
-    List.iter
-      (fun (q : Rdb_query.Query.t) ->
-        let name = q.Rdb_query.Query.name in
-        let prepared = Session.prepare session q in
-        let plan, _, estimator = Session.plan prepared ~mode:Estimator.Default in
-        let cert =
-          Session.certify ~transitions:true ~threshold ~estimator prepared plan
-        in
-        report name (Resource.findings ?budget q cert);
-        (match cert.Resource.cert_reopt with
-         | Some ro when ro.Resource.ro_thrashing <> None -> incr n_thrash
-         | Some _ | None -> ());
-        (* Dynamic validation: the certificate must dominate a real
-           (non-adaptive) execution. A capped run still observed a prefix
-           of the full execution, so hi-bounds apply; lo-bounds only
-           constrain complete runs. *)
-        let unsound what v (i : Interval.t) ~capped =
-          let v = float_of_int v in
-          let escape verb side bound =
-            [ Finding.error ~code:"resource-cert-unsound"
-                (Printf.sprintf "observed %s %.0f %s certified %s-bound %.1f"
-                   what v verb side bound) ]
-          in
-          (if (not capped) && v < i.Interval.lo -. slack then
-             escape "undercuts" "lo" i.Interval.lo
-           else [])
-          @
-          if v > i.Interval.hi +. slack then escape "exceeds" "hi" i.Interval.hi
-          else []
-        in
-        let peak, work, capped =
-          match
-            Session.execute ~work_budget:60_000_000 ~deadline_ms:4000.0
-              prepared plan
-          with
-          | res ->
-            List.iter
-              (fun (what, v, i) -> report name (unsound what v i ~capped:false))
-              [ ("work", res.Executor.work, cert.Resource.cert_work);
-                ("peak memory", res.Executor.peak_rows, cert.Resource.cert_mem);
-                ("output rows", res.Executor.out_rows, cert.Resource.cert_out) ];
-            (res.Executor.peak_rows, res.Executor.work, false)
-          | exception Executor.Work_budget_exceeded { spent; _ } ->
-            incr n_capped;
-            report name
-              (unsound "work" spent cert.Resource.cert_work ~capped:true);
-            (0, spent, true)
-        in
-        let iv_doc (i : Interval.t) =
-          J.Obj [ ("lo", J.Float i.Interval.lo); ("hi", J.Float i.Interval.hi) ]
-        in
-        rows :=
-          J.Obj
-            ([ ("query", J.Str name);
-               ("shape", J.Str cert.Resource.cert_shape);
-               ("mem", iv_doc cert.Resource.cert_mem);
-               ("work", iv_doc cert.Resource.cert_work);
-               ("out", iv_doc cert.Resource.cert_out);
-               ("replans_hi", J.Int cert.Resource.cert_replans_hi) ]
-             @ (match cert.Resource.cert_reopt with
-                | None -> []
-                | Some ro ->
-                  [ ("predicted_replans", J.Int ro.Resource.ro_predicted_replans);
-                    ("thrashing", J.Bool (ro.Resource.ro_thrashing <> None)) ])
-             @ [ ("observed_peak", J.Int peak);
-                 ("observed_work", J.Int work);
-                 ("capped", J.Bool capped) ])
-          :: !rows)
-      queries;
-    (* Same reporting discipline as lint, deduplicated per query. *)
-    let n_errors, n_warnings = print_findings ~key:Fun.id collected in
+    let rows, findings = Sweep.resources ?budget ~threshold lab in
+    (* Same reporting discipline as lint, deduplicated per context. *)
+    let s = Finding.summarize ~key:Fun.id findings in
+    print_string s.Finding.lines;
     let wall_ms = Clock.ms_since t0 in
+    let count p = List.length (List.filter p rows) in
     Printf.printf
       "resources: %d queries certified and executed (%d capped, %d \
        simulated thrashers) in %.0fms; %d errors, %d warnings\n"
-      (List.length queries) !n_capped !n_thrash wall_ms n_errors n_warnings;
+      (List.length rows)
+      (count (fun row -> row.Sweep.rr_capped))
+      (count thrashing) wall_ms s.Finding.errors s.Finding.warnings;
     write_json json_path
       (J.Obj
          [ ("report", J.Str "resources");
@@ -686,10 +470,10 @@ let cmd_resources =
            ("threshold", J.Float threshold);
            ("budget", match budget with Some b -> J.Float b | None -> J.Null);
            ("wall_ms", J.Float wall_ms);
-           ("errors", J.Int n_errors);
-           ("warnings", J.Int n_warnings);
-           ("queries", J.List (List.rev !rows)) ]);
-    exit_code n_errors
+           ("errors", J.Int s.Finding.errors);
+           ("warnings", J.Int s.Finding.warnings);
+           ("queries", J.List (List.map row_doc rows)) ]);
+    Finding.exit_code s
   in
   Cmd.v
     (Cmd.info "resources"
@@ -707,124 +491,35 @@ let cmd_resources =
     Term.(const run $ scale_arg 0.1 $ seed_arg $ reopt_arg $ budget_arg
           $ json_arg)
 
-(* ---- verify ---- *)
-
 let cmd_verify =
-  let module Card_bound = Rdb_verify.Card_bound in
-  let module Equiv = Rdb_verify.Equiv in
   let gen_arg =
-    Arg.(value & opt int 20 & info [ "gen" ] ~docv:"N"
+    Arg.(value & opt non_negative_int 20 & info [ "gen" ] ~docv:"N"
            ~doc:"Also bound-check the plans of N generated queries (random \
                  FK-joins with sampled predicates), seeded by --seed.")
   in
-  let run scale seed threshold perfect_n n_gen =
-    let catalog, session = make_session ~scale ~seed () in
-    let stats = Session.stats session in
-    let queries = Rdb_imdb.Job_queries.all catalog in
+  let run scale seed threshold perfect_n gen =
+    let lab = Runner.create_lab ~seed ~scale () in
     (* The header logs the seed: it drives both the data generator and the
        generated-query sweep, so a failure line below is reproducible by
        rerunning with the same --seed. *)
     Printf.printf
       "verify: seed=%d scale=%g reopt-threshold=%g perfect=%d gen=%d\n" seed
-      scale threshold perfect_n n_gen;
-    let n_plans = ref 0 and n_capped = ref 0 in
-    let collected = ref [] in
-    let report = add_findings collected in
-    (* The generated data must actually satisfy the schema's declared
-       keys/FKs — they are what make the bounds sound. Checked once. *)
-    report "constraints" (Card_bound.check_constraints catalog);
-    List.iter
-      (fun (q : Rdb_query.Query.t) ->
-        let name = q.Rdb_query.Query.name in
-        let prepared = Session.prepare session q in
-        let bounds = Card_bound.create ~catalog ~stats q in
-        (* Bound-check the chosen plan of each estimator configuration;
-           the bounds depend only on data + constraints, so one context
-           serves all three. *)
-        List.iter
-          (fun (label, mode, pessimistic) ->
-            (match mode with
-             | Estimator.Perfect n ->
-               Oracle.ensure_up_to (Session.oracle prepared) n
-             | _ -> ());
-            let plan, _, _ = Session.plan ~pessimistic prepared ~mode in
-            incr n_plans;
-            report
-              (Printf.sprintf "%s [%s]" name label)
-              (Card_bound.check_plan bounds plan))
-          [ ("default", Estimator.Default, false);
-            (Printf.sprintf "perfect-%d" perfect_n,
-             Estimator.Perfect perfect_n, false);
-            ("pessimistic", Estimator.Default, true) ];
-        (* Re-optimization sweep: prove every rewrite step equivalent to
-           its pre-step query, and bound-check the final plan against the
-           final query (temp tables still in the catalog). *)
-        (match
-           reopt_sweep ~threshold session prepared q (fun outcome ->
-               let q_prev = ref q in
-               List.iter
-                 (fun (s : Reopt.step) ->
-                   let temp_cols =
-                     Reopt.needed_cols !q_prev s.Reopt.materialized_set
-                   in
-                   report
-                     (Printf.sprintf "%s [reopt step %s]" name s.Reopt.temp_name)
-                     (Equiv.check_step ~catalog ~original:!q_prev
-                        ~set:s.Reopt.materialized_set ~temp_cols
-                        ~temp_name:s.Reopt.temp_name s.Reopt.query_after);
-                   q_prev := s.Reopt.query_after)
-                 outcome.Reopt.steps;
-               if outcome.Reopt.steps <> [] then begin
-                 let fbounds =
-                   Card_bound.create ~catalog ~stats outcome.Reopt.final_query
-                 in
-                 incr n_plans;
-                 report
-                   (Printf.sprintf "%s [reopt final]" name)
-                   (Card_bound.check_plan fbounds outcome.Reopt.final_plan)
-               end)
-         with
-         | () -> ()
-         | exception Executor.Work_budget_exceeded _ -> incr n_capped
-         | exception Checks.Check_failed (_, findings) ->
-           report (Printf.sprintf "%s [reopt]" name) findings))
-      queries;
-    (* Generated-query sweep: the workload exercises 113 fixed shapes; the
-       seeded generator adds fresh FK-join shapes and predicate constants,
-       all bound-checked against the same sound intervals. *)
-    (if n_gen > 0 then begin
-       let gen = Rdb_verify.Query_gen.create ~catalog in
-       let prng = Rdb_util.Prng.create seed in
-       for i = 1 to n_gen do
-         let q =
-           Rdb_verify.Query_gen.gen gen prng
-             ~name:(Printf.sprintf "gen%d" i)
-         in
-         let prepared = Session.prepare session q in
-         let bounds = Card_bound.create ~catalog ~stats q in
-         let plan, _, _ = Session.plan prepared ~mode:Estimator.Default in
-         incr n_plans;
-         report
-           (Printf.sprintf "%s [default]" q.Rdb_query.Query.name)
-           (Card_bound.check_plan bounds plan)
-       done
-     end);
+      scale threshold perfect_n gen;
+    let c, findings = Sweep.verify ~threshold ~perfect_n ~gen ~seed lab in
     (* Every finding in sweep order; the proofs are info-severity and only
        counted. *)
-    let n_errors, n_warnings =
-      print_findings collected ~shown:(fun f -> f.Finding.severity <> Finding.Info)
+    let s =
+      Finding.summarize findings
+        ~shown:(fun f -> f.Finding.severity <> Finding.Info)
     in
-    let n_proved =
-      List.length
-        (List.filter (fun (_, f) -> f.Finding.code = "rewrite-proved") !collected)
-    in
+    print_string s.Finding.lines;
     Printf.printf
       "verify: %d workload + %d generated queries, %d plans bound-checked, \
        %d rewrite steps proved equivalent (%d runaway cells capped); %d \
        errors, %d warnings\n"
-      (List.length queries) n_gen !n_plans n_proved !n_capped n_errors
-      n_warnings;
-    exit_code n_errors
+      (List.length (Runner.queries lab)) gen c.Sweep.n_plans c.Sweep.n_steps
+      c.Sweep.n_capped s.Finding.errors s.Finding.warnings;
+    Finding.exit_code s
   in
   Cmd.v
     (Cmd.info "verify"
@@ -840,12 +535,8 @@ let cmd_verify =
     Term.(const run $ scale_arg 0.1 $ seed_arg $ reopt_arg $ perfect_arg
           $ gen_arg)
 
-(* ---- fragility ---- *)
-
 let cmd_fragility =
   let module Sensitivity = Rdb_analysis.Sensitivity in
-  let module Card_bound = Rdb_verify.Card_bound in
-  let thresholds = [ 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 ] in
   let envelope_arg =
     Arg.(value & opt float 64.0 & info [ "envelope" ] ~docv:"Q"
            ~doc:"Q-error envelope factor: each estimate's true value is \
@@ -858,164 +549,111 @@ let cmd_fragility =
                  cardinality bounds.")
   in
   let corner_limit_arg =
-    Arg.(value & opt int 0 & info [ "corner-limit" ] ~docv:"N"
+    Arg.(value & opt non_negative_int 0 & info [ "corner-limit" ] ~docv:"N"
            ~doc:"Corner-replan at most the N joins with the widest \
                  envelopes per query (each costs two optimizer runs); 0 \
                  replans every join.")
   in
   let queries_arg =
-    Arg.(value & opt (some string) None & info [ "queries" ] ~docv:"LIST"
+    Arg.(value & opt (some (list query_name)) None & info [ "queries" ]
+           ~docv:"LIST"
            ~doc:"Comma-separated query names to sweep (default: all 113).")
   in
-  let run scale seed env_factor no_bounds corner_limit queries_filter
-      json_path =
-    let catalog, session = make_session ~scale ~seed () in
-    let queries = Rdb_imdb.Job_queries.all catalog in
+  let certain (a : Sweep.at_threshold) =
+    match a.Sweep.at_predicted with
+    | Some p -> p.Sensitivity.pred_certain
+    | None -> false
+  in
+  let at_doc t (a : Sweep.at_threshold) =
+    J.Obj
+      [ ("threshold", J.Float t);
+        ( "predicted_trigger",
+          match a.Sweep.at_predicted with
+          | None -> J.Null
+          | Some p -> J.Str (String.concat "," p.Sensitivity.pred_aliases) );
+        ("trigger_certain", J.Bool (certain a));
+        ("fragile_joins", J.Int a.Sweep.at_fragile);
+        ("reopt_blind_spots", J.Int a.Sweep.at_blind);
+        ("robust", J.Bool a.Sweep.at_robust) ]
+  in
+  let query_doc (fq : Sweep.fragile_query) =
+    J.Obj
+      [ ("query", J.Str fq.Sweep.fq_query);
+        ("joins", J.Int fq.Sweep.fq_joins);
+        ("shape", J.Str fq.Sweep.fq_report.Sensitivity.plan_shape);
+        ( "root_cost",
+          Rdb_analysis.Resource.json_interval
+            fq.Sweep.fq_report.Sensitivity.root_cost );
+        ("plan_flips", J.Int (List.length fq.Sweep.fq_flips));
+        ( "by_threshold",
+          J.List
+            (List.map2 at_doc Sweep.fragility_thresholds fq.Sweep.fq_by_threshold)
+        ) ]
+  in
+  let run scale seed envelope no_bounds corner_limit names json_path =
+    let lab = Runner.create_lab ~seed ~scale () in
     let queries =
-      match queries_filter with
-      | None -> queries
-      | Some list ->
-        let wanted = String.split_on_char ',' list in
-        List.filter
-          (fun (q : Rdb_query.Query.t) ->
-            List.mem q.Rdb_query.Query.name wanted)
-          queries
+      Option.map
+        (fun names ->
+          List.filter
+            (fun (q : Rdb_query.Query.t) -> List.mem q.Rdb_query.Query.name names)
+            (Runner.queries lab))
+        names
     in
-    let corner_limit = if corner_limit <= 0 then max_int else corner_limit in
+    let fqs, findings =
+      Sweep.fragility ?queries ~envelope ~bounds:(not no_bounds) ~corner_limit
+        lab
+    in
+    let thresholds = Sweep.fragility_thresholds in
     Printf.printf
       "fragility: seed=%d scale=%g envelope=%g bounds=%b queries=%d \
        thresholds={%s}\n"
-      seed scale env_factor (not no_bounds) (List.length queries)
-      (String.concat ","
-         (List.map (fun t -> Printf.sprintf "%g" t) thresholds));
-    (* Per (threshold, metric) totals, accumulated query by query. *)
-    let collected = ref [] in
-    let tally = Hashtbl.create 16 in
-    let bump t key =
-      let k = (t, key) in
-      Hashtbl.replace tally k (1 + Option.value ~default:0 (Hashtbl.find_opt tally k))
-    in
-    let query_docs =
-      List.map
-        (fun (q : Rdb_query.Query.t) ->
-          let name = q.Rdb_query.Query.name in
-          let prepared = Session.prepare session q in
-          let plan, _, est = Session.plan prepared ~mode:Estimator.Default in
-          let envelope =
-            let q_env = Sensitivity.q_envelope env_factor in
-            if no_bounds then q_env
-            else begin
-              let ctx =
-                Card_bound.create ~catalog ~stats:(Session.stats session) q
-              in
-              Sensitivity.intersect q_env
-                (Sensitivity.of_intervals (Card_bound.interval ctx))
-            end
-          in
-          (* One interval interpretation + one set of corner replans per
-             query: the envelope is fixed, only the trigger threshold is
-             swept, so flips are classified per threshold afterwards. *)
-          let report =
-            Sensitivity.analyze ~envelope ~threshold:(List.hd thresholds)
-              ~corner_replans:true ~corner_limit
-              ~space:(Session.space prepared) ~catalog ~estimator:est q plan
-          in
-          (* uniform exit-code contract: error-severity findings (interval
-             cost-model mismatches) make the sweep exit 1 like lint/verify;
-             the per-join findings are what the flip lines below report *)
-          add_findings collected name
-            (Finding.errors (Sensitivity.findings q report));
-          let flips =
-            List.filter
-              (fun (f : Sensitivity.fragility) -> f.Sensitivity.frag_flips <> None)
-              report.Sensitivity.fragilities
-          in
-          List.iter
-            (fun (f : Sensitivity.fragility) ->
-              match f.Sensitivity.frag_flips with
-              | Some (corner, shape) ->
+      seed scale envelope (not no_bounds) (List.length fqs)
+      (String.concat "," (List.map (Printf.sprintf "%g") thresholds));
+    List.iter
+      (fun (fq : Sweep.fragile_query) ->
+        List.iter
+          (fun (f : Sensitivity.fragility) ->
+            Option.iter
+              (fun (corner, shape) ->
                 Printf.printf
                   "%s: flip {%s} est %.0f -> %.0f changes plan to %s (worst \
                    q-error %.1f)\n"
-                  name
+                  fq.Sweep.fq_query
                   (String.concat "," f.Sensitivity.frag_aliases)
-                  f.Sensitivity.frag_est corner shape
-                  f.Sensitivity.frag_q_error
-              | None -> ())
-            flips;
-          let by_threshold =
-            List.map
-              (fun t ->
-                let predicted =
-                  Sensitivity.predict_trigger ~envelope ~threshold:t q plan
-                in
-                let fragile, blind =
-                  List.partition
-                    (fun (f : Sensitivity.fragility) ->
-                      f.Sensitivity.frag_q_error >= t)
-                    flips
-                in
-                let robust = predicted = None && flips = [] in
-                (match predicted with
-                 | Some p ->
-                   bump t "predicted";
-                   if p.Sensitivity.pred_certain then bump t "certain"
-                 | None -> ());
-                if fragile <> [] then bump t "fragile";
-                if blind <> [] then bump t "blind";
-                if robust then bump t "robust";
-                J.Obj
-                  [ ("threshold", J.Float t);
-                    ( "predicted_trigger",
-                      match predicted with
-                      | None -> J.Null
-                      | Some p ->
-                        J.Str
-                          (String.concat "," p.Sensitivity.pred_aliases) );
-                    ( "trigger_certain",
-                      J.Bool
-                        (match predicted with
-                         | Some p -> p.Sensitivity.pred_certain
-                         | None -> false) );
-                    ("fragile_joins", J.Int (List.length fragile));
-                    ("reopt_blind_spots", J.Int (List.length blind));
-                    ("robust", J.Bool robust) ])
-              thresholds
-          in
-          J.Obj
-            [ ("query", J.Str name);
-              ("joins", J.Int (Rdb_plan.Plan.n_joins plan));
-              ("shape", J.Str report.Sensitivity.plan_shape);
-              ( "root_cost",
-                J.Obj
-                  [ ("lo", J.Float report.Sensitivity.root_cost.Rdb_cost.Interval.lo);
-                    ("hi", J.Float report.Sensitivity.root_cost.Rdb_cost.Interval.hi) ] );
-              ("plan_flips", J.Int (List.length flips));
-              ("by_threshold", J.List by_threshold) ])
-        queries
-    in
-    let count t key = Option.value ~default:0 (Hashtbl.find_opt tally (t, key)) in
-    List.iter
-      (fun t ->
+                  f.Sensitivity.frag_est corner shape f.Sensitivity.frag_q_error)
+              f.Sensitivity.frag_flips)
+          fq.Sweep.fq_flips)
+      fqs;
+    List.iteri
+      (fun i t ->
+        let ats = List.map (fun fq -> List.nth fq.Sweep.fq_by_threshold i) fqs in
+        let count p = List.length (List.filter p ats) in
         Printf.printf
           "threshold %3g: trigger predicted %d (certain %d) | fragile %d | \
            re-opt blind spots %d | robust %d of %d\n"
-          t (count t "predicted") (count t "certain") (count t "fragile")
-          (count t "blind") (count t "robust") (List.length queries))
+          t
+          (count (fun a -> a.Sweep.at_predicted <> None))
+          (count certain)
+          (count (fun a -> a.Sweep.at_fragile > 0))
+          (count (fun a -> a.Sweep.at_blind > 0))
+          (count (fun a -> a.Sweep.at_robust))
+          (List.length fqs))
       thresholds;
-    let n_errors, _ = print_findings collected in
+    let s = Finding.summarize findings in
+    print_string s.Finding.lines;
     write_json json_path
       (J.Obj
          [ ("report", J.Str "fragility");
            ("scale", J.Float scale);
            ("seed", J.Int seed);
-           ("envelope", J.Float env_factor);
+           ("envelope", J.Float envelope);
            ("bounds", J.Bool (not no_bounds));
            ("thresholds", J.List (List.map (fun t -> J.Float t) thresholds));
-           ("queries", J.List query_docs) ]);
-    if n_errors > 0 then
-      Printf.printf "fragility: %d error findings\n" n_errors;
-    exit_code n_errors
+           ("queries", J.List (List.map query_doc fqs)) ]);
+    if s.Finding.errors > 0 then
+      Printf.printf "fragility: %d error findings\n" s.Finding.errors;
+    Finding.exit_code s
   in
   Cmd.v
     (Cmd.info "fragility"
@@ -1032,7 +670,6 @@ let cmd_fragility =
 (* ---- feedback ---- *)
 
 let cmd_feedback =
-  let module Runner = Rdb_harness.Runner in
   let module FS = Rdb_harness.Feedback_sweep in
   let reopt_learn_arg =
     Arg.(value & opt float 32.0 & info [ "reopt-learn" ] ~docv:"THRESHOLD"
@@ -1050,38 +687,37 @@ let cmd_feedback =
   let delta_doc (q, ratio) =
     J.Obj [ ("query", J.Str q); ("work_ratio", J.Float ratio) ]
   in
+  let row_doc (row : FS.row) =
+    J.Obj
+      [ ("query", J.Str row.FS.fs_query);
+        ("rels", J.Int row.FS.fs_rels);
+        ("default", measurement_doc row.FS.fs_default);
+        ("naive", measurement_doc row.FS.fs_naive);
+        ("gated", measurement_doc row.FS.fs_gated);
+        ("perfect", measurement_doc row.FS.fs_perfect) ]
+  in
   let run scale seed jobs perfect_n reopt_learn json_path =
     Printf.printf
       "feedback: seed=%d scale=%g jobs=%d perfect=%d reopt-learn=%g\n%!"
       seed scale jobs perfect_n reopt_learn;
     let lab = Runner.create_lab ~seed ~scale () in
     let r = FS.run ~jobs ~perfect_n ~reopt_learn lab in
+    let v = FS.verdict r in
     Printf.printf
       "learned %d corrections (default pass + re-opt pass at threshold %g), \
        store frozen\n"
       r.FS.fr_store_size r.FS.fr_reopt_learn;
-    let total get =
-      List.fold_left (fun acc row -> acc + (get row).Runner.m_work) 0
-        r.FS.fr_rows
-    and capped get =
-      List.fold_left
-        (fun acc row -> if (get row).Runner.m_capped then acc + 1 else acc)
-        0 r.FS.fr_rows
+    let label = function
+      | "default" -> "default"
+      | "perfect" -> Printf.sprintf "perfect-(%d)" perfect_n
+      | mode -> "feedback-" ^ mode
     in
-    let d_work = total (fun row -> row.FS.fs_default)
-    and n_work = total (fun row -> row.FS.fs_naive)
-    and g_work = total (fun row -> row.FS.fs_gated)
-    and p_work = total (fun row -> row.FS.fs_perfect) in
-    let d_capped = capped (fun row -> row.FS.fs_default)
-    and n_capped = capped (fun row -> row.FS.fs_naive)
-    and g_capped = capped (fun row -> row.FS.fs_gated)
-    and p_capped = capped (fun row -> row.FS.fs_perfect) in
     Printf.printf "workload work (%d queries, capped cells in parens):\n"
       (List.length r.FS.fr_rows);
-    Printf.printf "  default          %12d (%d)\n" d_work d_capped;
-    Printf.printf "  feedback-naive   %12d (%d)\n" n_work n_capped;
-    Printf.printf "  feedback-gated   %12d (%d)\n" g_work g_capped;
-    Printf.printf "  perfect-(%d)      %12d (%d)\n" perfect_n p_work p_capped;
+    List.iter
+      (fun (mode, t) ->
+        Printf.printf "  %-17s%12d (%d)\n" (label mode) t.FS.t_work t.FS.t_capped)
+      v.FS.v_totals;
     let show label deltas =
       Printf.printf "%s: %d\n" label (List.length deltas);
       List.iter
@@ -1098,30 +734,14 @@ let cmd_feedback =
        (bound %d)\n"
       r.FS.fr_default_pairs r.FS.fr_naive_pairs r.FS.fr_gated_pairs
       r.FS.fr_naive_lookups r.FS.fr_lookup_bound;
-    (* The exit-code contract: planning-work invariants (enumeration is
-       estimate-independent; lookups are demand-driven) plus the paper's
-       §IV-E/§V shape — naive corrections hurt at least one query, gated
-       corrections never materially hurt any. *)
-    let pairs_ok =
-      r.FS.fr_naive_pairs = r.FS.fr_default_pairs
-      && r.FS.fr_gated_pairs = r.FS.fr_default_pairs
-    in
-    let lookups_ok = r.FS.fr_naive_lookups <= r.FS.fr_lookup_bound in
-    let gated_ok = r.FS.fr_gated_regressions = [] in
-    let naive_hurts = r.FS.fr_naive_regressions <> [] in
-    let check name ok detail =
-      Printf.printf "check %-32s %s (%s)\n" name (if ok then "ok" else "FAIL")
-        detail
-    in
-    check "dp-pairs-identical" pairs_ok
-      (Printf.sprintf "%d/%d/%d" r.FS.fr_default_pairs r.FS.fr_naive_pairs
-         r.FS.fr_gated_pairs);
-    check "lookups-within-demand-bound" lookups_ok
-      (Printf.sprintf "%d <= %d" r.FS.fr_naive_lookups r.FS.fr_lookup_bound);
-    check "gated-never-materially-worse" gated_ok
-      (Printf.sprintf "%d regressions" (List.length r.FS.fr_gated_regressions));
-    check "naive-corrections-hurt-somewhere" naive_hurts
-      (Printf.sprintf "%d regressions" (List.length r.FS.fr_naive_regressions));
+    List.iter
+      (fun (c : FS.check) ->
+        Printf.printf "check %-32s %s (%s)\n"
+          (String.map (fun ch -> if ch = '_' then '-' else ch) c.FS.name)
+          (if c.FS.ok then "ok" else "FAIL")
+          c.FS.detail)
+      v.FS.v_checks;
+    let totals field = List.map (fun (mode, t) -> field mode t) v.FS.v_totals in
     write_json json_path
       (J.Obj
          [ ("report", J.Str "feedback");
@@ -1139,14 +759,8 @@ let cmd_feedback =
                  ("lookup_bound", J.Int r.FS.fr_lookup_bound) ] );
            ( "totals",
              J.Obj
-               [ ("default_work", J.Int d_work);
-                 ("naive_work", J.Int n_work);
-                 ("gated_work", J.Int g_work);
-                 ("perfect_work", J.Int p_work);
-                 ("default_capped", J.Int d_capped);
-                 ("naive_capped", J.Int n_capped);
-                 ("gated_capped", J.Int g_capped);
-                 ("perfect_capped", J.Int p_capped) ] );
+               (totals (fun key t -> (key ^ "_work", J.Int t.FS.t_work))
+                @ totals (fun key t -> (key ^ "_capped", J.Int t.FS.t_capped))) );
            ( "naive_regressions",
              J.List (List.map delta_doc r.FS.fr_naive_regressions) );
            ( "naive_improvements",
@@ -1157,23 +771,10 @@ let cmd_feedback =
              J.List (List.map delta_doc r.FS.fr_gated_improvements) );
            ( "checks",
              J.Obj
-               [ ("dp_pairs_identical", J.Bool pairs_ok);
-                 ("lookups_within_demand_bound", J.Bool lookups_ok);
-                 ("gated_never_materially_worse", J.Bool gated_ok);
-                 ("naive_corrections_hurt_somewhere", J.Bool naive_hurts) ] );
-           ( "queries",
-             J.List
-               (List.map
-                  (fun (row : FS.row) ->
-                    J.Obj
-                      [ ("query", J.Str row.FS.fs_query);
-                        ("rels", J.Int row.FS.fs_rels);
-                        ("default", measurement_doc row.FS.fs_default);
-                        ("naive", measurement_doc row.FS.fs_naive);
-                        ("gated", measurement_doc row.FS.fs_gated);
-                        ("perfect", measurement_doc row.FS.fs_perfect) ])
-                  r.FS.fr_rows) ) ]);
-    if pairs_ok && lookups_ok && gated_ok && naive_hurts then 0 else 1
+               (List.map (fun (c : FS.check) -> (c.FS.name, J.Bool c.FS.ok))
+                  v.FS.v_checks) );
+           ("queries", J.List (List.map row_doc r.FS.fr_rows)) ]);
+    if FS.passed v then 0 else 1
   in
   Cmd.v
     (Cmd.info "feedback"
@@ -1195,7 +796,7 @@ let cmd_feedback =
 
 let cmd_serve =
   let cache_arg =
-    Arg.(value & opt int 256 & info [ "cache" ] ~docv:"N"
+    Arg.(value & opt positive_int 256 & info [ "cache" ] ~docv:"N"
            ~doc:"Plan cache capacity (LRU entries).")
   in
   let revalidate_arg =
@@ -1229,9 +830,7 @@ let cmd_serve =
     (* The serving session carries a feedback store: executions behind cache
        hits and re-opt write-backs observe true cardinalities as a side
        effect of serving, so replans after invalidation start corrected. *)
-    let _catalog, session =
-      make_session ~feedback:(Rdb_core.Feedback.create ()) ~scale ~seed ()
-    in
+    let session = Runner.session (Runner.create_lab ~seed ~scale ()) in
     let config =
       {
         Rdb_server.Service.default_config with
@@ -1373,7 +972,7 @@ let cmd_json_check =
     Term.(const run $ path_pos)
 
 let () =
-  (match Checks.env () with
+  (match Rdb_core.Checks.env () with
    | _ -> ()
    | exception Invalid_argument msg ->
      Printf.eprintf "reoptdb: %s\n" msg;

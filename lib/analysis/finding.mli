@@ -37,3 +37,32 @@ val render : t list -> string
 (** One finding per line. *)
 
 val pp : Format.formatter -> t -> unit
+
+(** {2 Collecting findings across a sweep}
+
+    The analysis sweeps report every finding under a context — a query
+    name, optionally followed by a space and a bracketed configuration
+    label, or a ["file:line"] source site. *)
+
+val add : (string * t) list ref -> string -> t list -> unit
+(** [add acc ctx fs] records each of [fs] under [ctx]; [acc] holds the
+    pairs newest first. *)
+
+type summary = {
+  lines : string;   (** one ["ctx: finding\n"] line per shown finding *)
+  errors : int;
+  warnings : int;
+}
+
+val summarize :
+  ?key:(string -> string) -> ?shown:(t -> bool) -> (string * t) list ->
+  summary
+(** Render (context, finding) pairs given in collection order and count
+    their errors and warnings. With [key], a finding already seen under
+    the same [key ctx] is dropped and the rest are sorted errors first,
+    then by context and text, so output diffs cleanly across runs; without
+    it they keep collection order. [shown] filters what is rendered, not
+    what is counted. *)
+
+val exit_code : summary -> int
+(** The analysis commands' contract: 1 when any error was counted, else 0. *)

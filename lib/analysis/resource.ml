@@ -538,6 +538,15 @@ let check ?bounds ?budget ?transitions ?threshold ?space ?cost_params
 let json_interval (i : Interval.t) =
   Json.Obj [ ("lo", Json.Float i.Interval.lo); ("hi", Json.Float i.Interval.hi) ]
 
+let envelope_fields cert =
+  [
+    ("shape", Json.Str cert.cert_shape);
+    ("mem", json_interval cert.cert_mem);
+    ("work", json_interval cert.cert_work);
+    ("out", json_interval cert.cert_out);
+    ("replans_hi", Json.Int cert.cert_replans_hi);
+  ]
+
 let to_json cert =
   let transition t =
     Json.Obj
@@ -554,13 +563,7 @@ let to_json cert =
       ]
   in
   Json.Obj
-    ([
-       ("shape", Json.Str cert.cert_shape);
-       ("mem", json_interval cert.cert_mem);
-       ("work", json_interval cert.cert_work);
-       ("out", json_interval cert.cert_out);
-       ("replans_hi", Json.Int cert.cert_replans_hi);
-     ]
+    (envelope_fields cert
     @
     match cert.cert_reopt with
     | None -> []

@@ -153,9 +153,18 @@ val check :
 (** [certify] followed by [findings] — the shape [Rdb_core.Checks] and
     the [reoptdb] sweeps consume. *)
 
+val json_interval : Interval.t -> Json.t
+(** [{"lo": ..., "hi": ...}], the JSON form of every interval in the
+    analysis reports. *)
+
+val envelope_fields : cert -> (string * Json.t) list
+(** The certificate's shape, [mem], [work] and [out] intervals and
+    [replans_hi] as JSON fields, shared by {!to_json} and the
+    [reoptdb resources --json] rows. *)
+
 val to_json : cert -> Json.t
-(** The certificate as strict JSON, shared by [reoptdb resources --json]
-    and the server's [\resources] command. *)
+(** The certificate as strict JSON, for the server's [\resources]
+    command. *)
 
 val mem_hi : cert -> float
 (** [cert.cert_mem.hi] — the admission controller's comparison key. *)

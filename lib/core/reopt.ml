@@ -316,13 +316,7 @@ let run ?(checks = Checks.env ()) ?work_budget ?deadline_ms ?(cleanup = true)
       in
       loop q' origin' (step :: steps) plan_times (step_count + 1)
   in
-  let cleanup_temps () =
-    List.iter
-      (fun name ->
-        Catalog.drop_table (Session.catalog session) name;
-        Rdb_stats.Db_stats.drop (Session.stats session) ~table:name)
-      !temp_names
-  in
+  let cleanup_temps () = List.iter (Session.drop_temp session) !temp_names in
   match loop q0 (Array.init (Query.n_rels q0) Relset.singleton) [] [] 0 with
   | final_query, final_plan, final_exec, steps, plan_times ->
     if cleanup then cleanup_temps ();

@@ -63,6 +63,10 @@ let fresh_temp_name t =
   t.temp_counter <- t.temp_counter + 1;
   Printf.sprintf "temp_%d" t.temp_counter
 
+let drop_temp t name =
+  Catalog.drop_table t.catalog name;
+  Db_stats.drop t.stats ~table:name
+
 type prepared = {
   session : t;
   q : Query.t;

@@ -48,6 +48,9 @@ val analyze_table : t -> string -> unit
 
 val fresh_temp_name : t -> string
 
+val drop_temp : t -> string -> unit
+(** Drop a temp table from the catalog and its statistics. *)
+
 type prepared
 
 val prepare : t -> Query.t -> prepared

@@ -307,7 +307,7 @@ let fig5_one lab (perfect : Runner.measurement) =
       in
       let exec_ms =
         try
-          (Session.execute ~work_budget:60_000_000 prepared plan)
+          (Session.execute ~work_budget:(Runner.work_budget lab) prepared plan)
             .Executor.elapsed_ms
         with Executor.Work_budget_exceeded { elapsed_ms; _ } -> elapsed_ms
       in
@@ -399,9 +399,7 @@ let fig6 ~jobs:_ lab =
   Buffer.add_string buf "\n";
   (* Drop the temp tables we kept alive for rendering. *)
   List.iter
-    (fun (step : Reopt.step) ->
-      Catalog.drop_table catalog step.Reopt.temp_name;
-      Rdb_stats.Db_stats.drop (Session.stats session) ~table:step.Reopt.temp_name)
+    (fun (step : Reopt.step) -> Session.drop_temp session step.Reopt.temp_name)
     outcome.Reopt.steps;
   Buffer.contents buf
 
@@ -688,8 +686,8 @@ let leo ~jobs lab =
             let res =
               (* learn:false — this experiment's private store, not the
                  session's, decides what is remembered per pass. *)
-              Session.execute ~work_budget:60_000_000 ~deadline_ms:4_000.0
-                ~learn:false prepared plan
+              Session.execute ~work_budget:(Runner.work_budget lab)
+                ~deadline_ms:(Runner.deadline_ms lab) ~learn:false prepared plan
             in
             if learn then Rdb_core.Feedback.observe feedback ~catalog q res;
             res.Executor.elapsed_ms

@@ -94,36 +94,24 @@ let run ?(jobs = 1) ?(perfect_n = 4) ?(reopt_learn = 32.0) lab =
   let gated_pairs =
     count_pairs lab (fun prepared -> Session.feedback_mode ~gated:true prepared fb)
   in
-  let cells =
-    Runner.run_grid ~jobs lab
-      [
-        Runner.Default;
-        Runner.Feedback_naive;
-        Runner.Feedback_gated;
-        Runner.Perfect perfect_n;
-      ]
-  in
-  let of_config c =
-    match List.assoc_opt c cells with
-    | Some ms -> ms
-    | None -> assert false
-  in
+  ignore
+    (Runner.run_grid ~jobs lab
+       [ Runner.Default; Runner.Feedback_naive; Runner.Feedback_gated;
+         Runner.Perfect perfect_n ]);
+  (* Every cell is in the lab's measurement cache now. *)
   let rows =
     List.map
-      (fun (d, n, (g, p)) ->
+      (fun q ->
+        let cell config = Runner.run_query lab config q in
         {
-          fs_query = d.Runner.m_query;
-          fs_rels = d.Runner.m_rels;
-          fs_default = d;
-          fs_naive = n;
-          fs_gated = g;
-          fs_perfect = p;
+          fs_query = q.Query.name;
+          fs_rels = Query.n_rels q;
+          fs_default = cell Runner.Default;
+          fs_naive = cell Runner.Feedback_naive;
+          fs_gated = cell Runner.Feedback_gated;
+          fs_perfect = cell (Runner.Perfect perfect_n);
         })
-      (List.combine (of_config Runner.Default)
-         (List.combine (of_config Runner.Feedback_naive)
-            (List.combine (of_config Runner.Feedback_gated)
-               (of_config (Runner.Perfect perfect_n))))
-       |> List.map (fun (d, (n, gp)) -> (d, n, gp)))
+      (Runner.queries lab)
   in
   let classify get =
     List.fold_left
@@ -154,3 +142,44 @@ let run ?(jobs = 1) ?(perfect_n = 4) ?(reopt_learn = 32.0) lab =
     fr_naive_lookups = naive_lookups;
     fr_lookup_bound = lookup_bound;
   }
+
+type totals = { t_work : int; t_capped : int }
+type check = { name : string; ok : bool; detail : string }
+
+type verdict = { v_totals : (string * totals) list; v_checks : check list }
+
+let verdict r =
+  let totals get =
+    List.fold_left
+      (fun t row ->
+        let m : Runner.measurement = get row in
+        { t_work = t.t_work + m.Runner.m_work;
+          t_capped = t.t_capped + Bool.to_int m.Runner.m_capped })
+      { t_work = 0; t_capped = 0 } r.fr_rows
+  in
+  let check name ok detail = { name; ok; detail } in
+  let regressions l = Printf.sprintf "%d regressions" (List.length l) in
+  {
+    v_totals =
+      [ ("default", totals (fun row -> row.fs_default));
+        ("naive", totals (fun row -> row.fs_naive));
+        ("gated", totals (fun row -> row.fs_gated));
+        ("perfect", totals (fun row -> row.fs_perfect)) ];
+    v_checks =
+      [ check "dp_pairs_identical"
+          (r.fr_naive_pairs = r.fr_default_pairs
+           && r.fr_gated_pairs = r.fr_default_pairs)
+          (Printf.sprintf "%d/%d/%d" r.fr_default_pairs r.fr_naive_pairs
+             r.fr_gated_pairs);
+        check "lookups_within_demand_bound"
+          (r.fr_naive_lookups <= r.fr_lookup_bound)
+          (Printf.sprintf "%d <= %d" r.fr_naive_lookups r.fr_lookup_bound);
+        check "gated_never_materially_worse"
+          (r.fr_gated_regressions = [])
+          (regressions r.fr_gated_regressions);
+        check "naive_corrections_hurt_somewhere"
+          (r.fr_naive_regressions <> [])
+          (regressions r.fr_naive_regressions) ];
+  }
+
+let passed v = List.for_all (fun c -> c.ok) v.v_checks

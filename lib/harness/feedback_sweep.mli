@@ -56,3 +56,25 @@ val run : ?jobs:int -> ?perfect_n:int -> ?reopt_learn:float -> Runner.lab -> rep
 (** Learn, freeze, measure. [perfect_n] (default 4) sizes the perfect-(n)
     yardstick; [reopt_learn] (default 32) is the learning pass's trigger
     threshold. *)
+
+type totals = { t_work : int; t_capped : int }
+(** Work and capped cells of one mode over the whole workload. *)
+
+type check = { name : string; ok : bool; detail : string }
+
+type verdict = {
+  v_totals : (string * totals) list;
+      (** per measured mode, keyed ["default"], ["naive"], ["gated"] and
+          ["perfect"] *)
+  v_checks : check list;
+      (** in order: [dp_pairs_identical] (enumeration is
+          estimate-independent), [lookups_within_demand_bound],
+          [gated_never_materially_worse] and
+          [naive_corrections_hurt_somewhere] (the paper's §IV-E/§V
+          shape) *)
+}
+
+val verdict : report -> verdict
+
+val passed : verdict -> bool
+(** Every check holds: the sweep's exit-code contract. *)

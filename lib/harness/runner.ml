@@ -31,6 +31,18 @@ let config_name = function
   | Feedback_naive -> "feedback-naive"
   | Feedback_gated -> "feedback-gated"
 
+let config_of_name s =
+  match String.lowercase_ascii s with
+  | "default" -> Some Default
+  | "perfect" | "perfect-all" -> Some Perfect_all
+  | "feedback" | "feedback-naive" -> Some Feedback_naive
+  | "feedback-gated" -> Some Feedback_gated
+  | s ->
+    (match Scanf.sscanf s "perfect-%u%!" Fun.id with
+     | n when n >= 1 -> Some (Perfect n)
+     | _ -> None
+     | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None)
+
 type measurement = {
   m_query : string;
   m_rels : int;
@@ -53,14 +65,14 @@ type lab = {
   scale : float;
 }
 
-let create_lab ?(seed = 42) ?(scale = 1.0) ?(work_budget = 60_000_000)
-    ?(deadline_ms = 4_000.0) () =
+let create_lab ?(feedback = Rdb_core.Feedback.create ()) ?(seed = 42)
+    ?(scale = 1.0) ?(work_budget = 60_000_000) ?(deadline_ms = 4_000.0) () =
   let catalog = Rdb_imdb.Imdb_gen.generate ~seed ~scale () in
   (* Every lab carries a feedback store: executions learn true
      cardinalities as they run, and the feedback configurations below
      plan from what has been learned. Estimation is unaffected unless a
      feedback configuration is asked for. *)
-  let session = Session.create ~feedback:(Rdb_core.Feedback.create ()) catalog in
+  let session = Session.create ~feedback catalog in
   Session.analyze session;
   let queries = Rdb_imdb.Job_queries.all catalog in
   {
@@ -76,6 +88,8 @@ let create_lab ?(seed = 42) ?(scale = 1.0) ?(work_budget = 60_000_000)
 let session lab = lab.session
 let queries lab = lab.queries
 let scale lab = lab.scale
+let work_budget lab = lab.work_budget
+let deadline_ms lab = lab.deadline_ms
 
 let query lab name =
   match List.find_opt (fun q -> String.equal q.Query.name name) lab.queries with

@@ -9,19 +9,24 @@ module Session := Rdb_core.Session
 type lab
 
 val create_lab :
-  ?seed:int -> ?scale:float -> ?work_budget:int -> ?deadline_ms:float ->
-  unit -> lab
+  ?feedback:Rdb_core.Feedback.t -> ?seed:int -> ?scale:float ->
+  ?work_budget:int -> ?deadline_ms:float -> unit -> lab
 (** Generate the database (default scale 1.0, seed 42), ANALYZE it, and
     bind the workload. [work_budget] (default [60_000_000] work units) and
     [deadline_ms] (default 4s) cap catastrophic plan executions. The lab's
-    session carries a feedback store, so every executed cell contributes
-    true cardinalities the feedback configurations can plan from. *)
+    session carries [feedback] (default: a fresh store), so every executed
+    cell contributes true cardinalities the feedback configurations can
+    plan from. *)
 
 val session : lab -> Session.t
 val queries : lab -> Query.t list
 val query : lab -> string -> Query.t
 val prepared_of : lab -> Query.t -> Session.prepared
 val scale : lab -> float
+
+val work_budget : lab -> int
+val deadline_ms : lab -> float
+(** The lab's caps on one execution, as given to {!create_lab}. *)
 
 val feedback : lab -> Rdb_core.Feedback.t
 (** The lab session's feedback store. *)
@@ -39,6 +44,17 @@ type config =
   | Feedback_gated                 (** corrections gated by fragility analysis *)
 
 val config_name : config -> string
+
+val config_of_name : string -> config option
+(** The inverse of {!config_name} on the configurations that only choose
+    an estimation mode — [default], [perfect-N] (N >= 1), [perfect-all],
+    [feedback-naive], [feedback-gated] — plus the short spellings
+    [perfect] (perfect-all) and [feedback] (feedback-naive);
+    case-insensitive. [None] for anything else. *)
+
+val mode_of_config : lab -> Query.t -> config -> Rdb_card.Estimator.mode
+(** The estimation mode a configuration plans [q] under, filling the
+    query's oracle up to [n] relations for perfect-(n). *)
 
 type measurement = {
   m_query : string;

@@ -17,13 +17,16 @@ let default =
         { suffix = "obs/trace.ml"; required = [ "sink"; "depth_key" ] };
         { suffix = "harness/runner.ml"; required = [ "prepared"; "cache" ] } ];
     (* The only places allowed to consume a control exception: the harness
-       catches budget/deadline aborts to record a capped cell. The serving
-       stack converts aborts into responses via result types, not
-       handlers. *)
+       catches budget/deadline aborts to record a capped cell, and the
+       analysis sweeps also catch a failed inline check to report its
+       findings. The serving stack converts aborts into responses via
+       result types, not handlers. *)
     handlers =
       [ { hsuffix = "harness/runner.ml"; hexns = [ "Work_budget_exceeded" ] };
         { hsuffix = "harness/experiments.ml";
-          hexns = [ "Work_budget_exceeded" ] } ];
+          hexns = [ "Work_budget_exceeded" ] };
+        { hsuffix = "harness/sweep.ml";
+          hexns = [ "Work_budget_exceeded"; "Check_failed" ] } ];
     (* Serving-stack files that must be present (and hence analyzed to zero
        errors) for the exnflow gate to mean anything. *)
     pinned =

@@ -105,6 +105,21 @@ let errors r =
 
 let exit_code r = if errors r <> [] then 1 else 0
 
+let findings r =
+  List.map (fun i -> (Printf.sprintf "%s:%d" i.file i.line, i.finding)) r.items
+
+let default_tree_findings () =
+  match find_default_root () with
+  | None ->
+    ( 0,
+      [ ( "source",
+          Finding.warning ~code:"src-no-root"
+            "cannot locate the repository's lib/ tree for --source" ) ] )
+  | Some root ->
+    let races = analyze_tree Racecheck ~root () in
+    let flows = analyze_tree Exnflow ~root () in
+    (List.length races.files, findings races @ findings flows)
+
 let render r =
   let b = Buffer.create 1024 in
   let nfiles = List.length r.files in
@@ -118,12 +133,7 @@ let render r =
        Printf.sprintf
          "exnflow: %d files, %d functions summarized, %d tracked acquisitions\n"
          nfiles (List.length summaries) resources);
-  List.iter
-    (fun i ->
-      Buffer.add_string b
-        (Printf.sprintf "%s:%d: %s\n" i.file i.line
-           (Finding.to_string i.finding)))
-    r.items;
+  Buffer.add_string b (Finding.summarize (findings r)).Finding.lines;
   Buffer.add_string b
     (Printf.sprintf "%s: %d findings (%d errors)\n" (tool r)
        (List.length r.items) (List.length (errors r)));

@@ -53,6 +53,14 @@ val errors : report -> item list
 val exit_code : report -> int
 (** 0 clean, 1 if any error-severity finding. *)
 
+val default_tree_findings : unit -> int * (string * Rdb_analysis.Finding.t) list
+(** Both analyzers over {!find_default_root}: the number of files and
+    every finding as a (["file:line"], finding) pair, races first. Sites are
+    space-free, so a dedupe keyed on the context stays per-site, and an
+    annotation-hygiene finding both analyzers report folds into one. A
+    missing root is one warning under ["source"]. For
+    [reoptdb lint --source]. *)
+
 val render : report -> string
 
 val to_json : report -> Rdb_obs.Json.t

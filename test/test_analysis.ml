@@ -770,6 +770,48 @@ let test_rdb_sensitivity_env () =
       check Alcotest.bool "planned under RDB_CHECKS=sensitivity" true
         (Relset.equal (Plan.rel_set plan) (Relset.full 2)))
 
+(* ---- collecting findings across a sweep ---- *)
+
+let test_finding_summary () =
+  let acc = ref [] in
+  let w = Finding.warning ~code:"dup-pred" "duplicate predicate" in
+  let e = Finding.error ~code:"stale-estimate" "stale estimate" in
+  let i = Finding.info ~code:"rewrite-proved" "proved" in
+  Finding.add acc "6d [default]" [ w; i ];
+  Finding.add acc "6d [perfect-4]" [ w ];
+  Finding.add acc "1a [default]" [ w ];
+  Finding.add acc "6d [reopt]" [ e ];
+  let collected = List.rev !acc in
+  let query ctx = List.hd (String.split_on_char ' ' ctx) in
+  let s = Finding.summarize ~key:query collected in
+  (* one finding under several labels of one query prints once, under the
+     first label it was seen with; errors first, then context, then text *)
+  check Alcotest.string "deduped and sorted"
+    "6d [reopt]: error[stale-estimate]: stale estimate\n\
+     1a [default]: warning[dup-pred]: duplicate predicate\n\
+     6d [default]: warning[dup-pred]: duplicate predicate\n\
+     6d [default]: info[rewrite-proved]: proved\n"
+    s.Finding.lines;
+  check Alcotest.(pair int int) "deduped counts" (1, 2)
+    (s.Finding.errors, s.Finding.warnings);
+  check Alcotest.int "errors exit 1" 1 (Finding.exit_code s);
+  (* without a key: collection order, nothing dropped; [shown] filters the
+     lines but not the counts *)
+  let s =
+    Finding.summarize collected
+      ~shown:(fun f -> f.Finding.severity <> Finding.Info)
+  in
+  check Alcotest.string "collection order, info hidden"
+    "6d [default]: warning[dup-pred]: duplicate predicate\n\
+     6d [perfect-4]: warning[dup-pred]: duplicate predicate\n\
+     1a [default]: warning[dup-pred]: duplicate predicate\n\
+     6d [reopt]: error[stale-estimate]: stale estimate\n"
+    s.Finding.lines;
+  check Alcotest.(pair int int) "hidden findings still counted" (1, 3)
+    (s.Finding.errors, s.Finding.warnings);
+  check Alcotest.int "clean exit 0" 0
+    (Finding.exit_code (Finding.summarize [ ("1a", w) ]))
+
 let () =
   Alcotest.run "rdb_analysis"
     [
@@ -819,6 +861,9 @@ let () =
           Alcotest.test_case "Checks.of_string table" `Quick
             test_checks_of_string;
         ] );
+      ( "finding",
+        [ Alcotest.test_case "summary dedupe, order, shown" `Quick
+            test_finding_summary ] );
       ( "sensitivity",
         [
           qtest prop_cost_model_monotone;

@@ -1,5 +1,8 @@
 module Runner = Rdb_harness.Runner
 module Experiments = Rdb_harness.Experiments
+module Sweep = Rdb_harness.Sweep
+module FS = Rdb_harness.Feedback_sweep
+module Finding = Rdb_analysis.Finding
 
 let check = Alcotest.check
 
@@ -32,7 +35,21 @@ let test_config_names () =
   check Alcotest.string "perfect" "perfect-4" (Runner.config_name (Runner.Perfect 4));
   check Alcotest.string "reopt" "reopt-32" (Runner.config_name (Runner.Reopt 32.0));
   check Alcotest.string "combo" "perfect-3+reopt-32"
-    (Runner.config_name (Runner.Perfect_reopt (3, 32.0)))
+    (Runner.config_name (Runner.Perfect_reopt (3, 32.0)));
+  (* config_of_name inverts config_name on the estimation modes, keeps the
+     CLI's short spellings, and rejects everything else *)
+  List.iter
+    (fun c ->
+      check Alcotest.bool (Runner.config_name c) true
+        (Runner.config_of_name (Runner.config_name c) = Some c))
+    [ Runner.Default; Runner.Perfect 1; Runner.Perfect 17; Runner.Perfect_all;
+      Runner.Feedback_naive; Runner.Feedback_gated ];
+  List.iter
+    (fun (s, want) ->
+      check Alcotest.bool s true (Runner.config_of_name s = want))
+    [ ("PERFECT", Some Runner.Perfect_all); ("feedback", Some Runner.Feedback_naive);
+      ("perfect--3", None); ("perfect-0", None); ("perfect-4x", None);
+      ("perfect-", None); ("reopt-32", None); ("nosuch", None) ]
 
 let test_measurements_sane () =
   let lab = Lazy.force lab in
@@ -169,6 +186,83 @@ let test_unknown_experiment () =
     (try ignore (Experiments.run lab "nope"); false
      with Invalid_argument _ -> true)
 
+(* ---- the analysis sweeps ---- *)
+
+let sweep_queries lab =
+  List.map (Runner.query lab) [ "1a"; "6d"; "16b"; "18a"; "25c" ]
+
+let test_lint_sweep () =
+  let lab = Lazy.force lab in
+  let c, findings =
+    Sweep.lint ~queries:(sweep_queries lab) ~threshold:32.0 ~perfect_n:4 lab
+  in
+  let s = Finding.summarize ~key:Sweep.query_of findings in
+  check Alcotest.int "no errors" 0 s.Finding.errors;
+  check Alcotest.int "plans: 2 configs + 1 reopt final per query" 15
+    c.Sweep.n_plans;
+  check Alcotest.int "rewrite steps linted" 5 c.Sweep.n_steps;
+  check Alcotest.int "nothing capped" 0 c.Sweep.n_capped
+
+let test_verify_sweep () =
+  let lab = Lazy.force lab in
+  let c, findings =
+    Sweep.verify ~queries:(sweep_queries lab) ~threshold:32.0 ~perfect_n:4
+      ~gen:2 ~seed:42 lab
+  in
+  let s = Finding.summarize findings in
+  check Alcotest.int "no errors" 0 s.Finding.errors;
+  check Alcotest.int "plans: 3 configs per query, reopt finals, 2 generated"
+    22 c.Sweep.n_plans;
+  check Alcotest.int "rewrite steps proved" 5 c.Sweep.n_steps;
+  check Alcotest.int "nothing capped" 0 c.Sweep.n_capped
+
+(* The feedback verdict on hand-built reports: the passing shape, a gated
+   regression, and naive corrections that hurt nowhere. *)
+let fs_report ~naive_regressions ~gated_regressions =
+  let cell ?(capped = false) work =
+    { Runner.m_query = "1a"; m_rels = 3; m_plan_ms = 0.0; m_exec_ms = 0.0;
+      m_work = work; m_capped = capped; m_steps = 0 }
+  in
+  { FS.fr_perfect_n = 4; fr_reopt_learn = 32.0; fr_store_size = 1;
+    fr_rows =
+      [ { FS.fs_query = "1a"; fs_rels = 3; fs_default = cell 1_000;
+          fs_naive = cell ~capped:true 70_000; fs_gated = cell 900;
+          fs_perfect = cell 500 } ];
+    fr_naive_regressions = naive_regressions; fr_naive_improvements = [];
+    fr_gated_regressions = gated_regressions; fr_gated_improvements = [];
+    fr_default_pairs = 10; fr_naive_pairs = 10; fr_gated_pairs = 10;
+    fr_naive_lookups = 5; fr_lookup_bound = 26 }
+
+let failing v =
+  List.filter_map
+    (fun (c : FS.check) -> if c.FS.ok then None else Some c.FS.name)
+    v.FS.v_checks
+
+let test_feedback_verdict () =
+  let ok =
+    FS.verdict
+      (fs_report ~naive_regressions:[ ("1a", 70.0) ] ~gated_regressions:[])
+  in
+  check Alcotest.bool "passing shape" true (FS.passed ok);
+  check Alcotest.(list (pair string (pair int int))) "totals"
+    [ ("default", (1_000, 0)); ("naive", (70_000, 1)); ("gated", (900, 0));
+      ("perfect", (500, 0)) ]
+    (List.map (fun (m, t) -> (m, (t.FS.t_work, t.FS.t_capped))) ok.FS.v_totals);
+  let gated =
+    FS.verdict
+      (fs_report ~naive_regressions:[ ("1a", 70.0) ]
+         ~gated_regressions:[ ("1a", 2.0) ])
+  in
+  check Alcotest.bool "gated regression fails" false (FS.passed gated);
+  check Alcotest.(list string) "gated check" [ "gated_never_materially_worse" ]
+    (failing gated);
+  let harmless =
+    FS.verdict (fs_report ~naive_regressions:[] ~gated_regressions:[])
+  in
+  check Alcotest.bool "no naive regression fails" false (FS.passed harmless);
+  check Alcotest.(list string) "naive check"
+    [ "naive_corrections_hurt_somewhere" ] (failing harmless)
+
 let () =
   Alcotest.run "rdb_harness"
     [
@@ -196,5 +290,11 @@ let () =
           Alcotest.test_case "fig1 top-20 by work" `Slow test_fig1_top20_by_work;
           Alcotest.test_case "experiment names" `Quick test_experiment_names;
           Alcotest.test_case "unknown rejected" `Quick test_unknown_experiment;
+        ] );
+      ( "sweeps",
+        [
+          Alcotest.test_case "lint sweep" `Quick test_lint_sweep;
+          Alcotest.test_case "verify sweep" `Quick test_verify_sweep;
+          Alcotest.test_case "feedback verdict" `Quick test_feedback_verdict;
         ] );
     ]
