@@ -389,12 +389,24 @@ let cmd_lint =
                  over the repository's lib/ tree and merge its findings, \
                  with the same dedupe and stable sort.")
   in
+  (* The source analyzers over the repository's own lib/ tree, each
+     finding under its space-free "file:line" site so the dedupe is
+     per-site and folds a hygiene finding both analyzers report. *)
+  let source_findings () =
+    match Srclint.find_default_root () with
+    | None ->
+      let msg = "cannot locate the repository's lib/ tree for --source" in
+      (0, [ ("source", Finding.warning ~code:"src-no-root" msg) ])
+    | Some root ->
+      let races = Srclint.analyze_tree Srclint.Racecheck ~root () in
+      let flows = Srclint.analyze_tree Srclint.Exnflow ~root () in
+      ( List.length races.Srclint.files,
+        Srclint.findings races @ Srclint.findings flows )
+  in
   let run scale seed threshold perfect_n source =
     let lab = Runner.create_lab ~seed ~scale () in
     let c, findings = Sweep.lint ~threshold ~perfect_n lab in
-    let n_files, src =
-      if source then Srclint.default_tree_findings () else (0, [])
-    in
+    let n_files, src = if source then source_findings () else (0, []) in
     let s = Finding.summarize ~key:Sweep.query_of (findings @ src) in
     print_string s.Finding.lines;
     Printf.printf
@@ -443,9 +455,8 @@ let cmd_resources =
            ("capped", J.Bool row.Sweep.rr_capped) ])
   in
   let thrashing (row : Sweep.resource_row) =
-    match row.Sweep.rr_cert.Resource.cert_reopt with
-    | Some ro -> ro.Resource.ro_thrashing <> None
-    | None -> false
+    Option.fold row.Sweep.rr_cert.Resource.cert_reopt ~none:false
+      ~some:(fun ro -> ro.Resource.ro_thrashing <> None)
   in
   let run scale seed threshold budget json_path =
     let lab = Runner.create_lab ~seed ~scale () in
@@ -508,10 +519,8 @@ let cmd_verify =
     let c, findings = Sweep.verify ~threshold ~perfect_n ~gen ~seed lab in
     (* Every finding in sweep order; the proofs are info-severity and only
        counted. *)
-    let s =
-      Finding.summarize findings
-        ~shown:(fun f -> f.Finding.severity <> Finding.Info)
-    in
+    let shown f = f.Finding.severity <> Finding.Info in
+    let s = Finding.summarize ~shown findings in
     print_string s.Finding.lines;
     Printf.printf
       "verify: %d workload + %d generated queries, %d plans bound-checked, \
@@ -560,9 +569,8 @@ let cmd_fragility =
            ~doc:"Comma-separated query names to sweep (default: all 113).")
   in
   let certain (a : Sweep.at_threshold) =
-    match a.Sweep.at_predicted with
-    | Some p -> p.Sensitivity.pred_certain
-    | None -> false
+    Option.fold a.Sweep.at_predicted ~none:false
+      ~some:(fun p -> p.Sensitivity.pred_certain)
   in
   let at_doc t (a : Sweep.at_threshold) =
     J.Obj
@@ -592,17 +600,12 @@ let cmd_fragility =
   in
   let run scale seed envelope no_bounds corner_limit names json_path =
     let lab = Runner.create_lab ~seed ~scale () in
-    let queries =
-      Option.map
-        (fun names ->
-          List.filter
-            (fun (q : Rdb_query.Query.t) -> List.mem q.Rdb_query.Query.name names)
-            (Runner.queries lab))
-        names
+    let selected (q : Rdb_query.Query.t) =
+      Option.fold names ~none:true ~some:(List.mem q.Rdb_query.Query.name)
     in
     let fqs, findings =
-      Sweep.fragility ?queries ~envelope ~bounds:(not no_bounds) ~corner_limit
-        lab
+      Sweep.fragility ~queries:(List.filter selected (Runner.queries lab))
+        ~envelope ~bounds:(not no_bounds) ~corner_limit lab
     in
     let thresholds = Sweep.fragility_thresholds in
     Printf.printf
@@ -707,17 +710,18 @@ let cmd_feedback =
       "learned %d corrections (default pass + re-opt pass at threshold %g), \
        store frozen\n"
       r.FS.fr_store_size r.FS.fr_reopt_learn;
-    let label = function
-      | "default" -> "default"
-      | "perfect" -> Printf.sprintf "perfect-(%d)" perfect_n
-      | mode -> "feedback-" ^ mode
+    let modes =
+      [ ("default", "default", v.FS.v_default);
+        ("naive", "feedback-naive", v.FS.v_naive);
+        ("gated", "feedback-gated", v.FS.v_gated);
+        ("perfect", Printf.sprintf "perfect-(%d)" perfect_n, v.FS.v_perfect) ]
     in
     Printf.printf "workload work (%d queries, capped cells in parens):\n"
       (List.length r.FS.fr_rows);
     List.iter
-      (fun (mode, t) ->
-        Printf.printf "  %-17s%12d (%d)\n" (label mode) t.FS.t_work t.FS.t_capped)
-      v.FS.v_totals;
+      (fun (_, label, t) ->
+        Printf.printf "  %-17s%12d (%d)\n" label t.FS.t_work t.FS.t_capped)
+      modes;
     let show label deltas =
       Printf.printf "%s: %d\n" label (List.length deltas);
       List.iter
@@ -736,12 +740,11 @@ let cmd_feedback =
       r.FS.fr_naive_lookups r.FS.fr_lookup_bound;
     List.iter
       (fun (c : FS.check) ->
-        Printf.printf "check %-32s %s (%s)\n"
-          (String.map (fun ch -> if ch = '_' then '-' else ch) c.FS.name)
+        Printf.printf "check %-32s %s (%s)\n" c.FS.name
           (if c.FS.ok then "ok" else "FAIL")
           c.FS.detail)
       v.FS.v_checks;
-    let totals field = List.map (fun (mode, t) -> field mode t) v.FS.v_totals in
+    let totals field = List.map (fun (key, _, t) -> field key t) modes in
     write_json json_path
       (J.Obj
          [ ("report", J.Str "feedback");
@@ -771,7 +774,7 @@ let cmd_feedback =
              J.List (List.map delta_doc r.FS.fr_gated_improvements) );
            ( "checks",
              J.Obj
-               (List.map (fun (c : FS.check) -> (c.FS.name, J.Bool c.FS.ok))
+               (List.map (fun (c : FS.check) -> (c.FS.key, J.Bool c.FS.ok))
                   v.FS.v_checks) );
            ("queries", J.List (List.map row_doc r.FS.fr_rows)) ]);
     if FS.passed v then 0 else 1

@@ -94,24 +94,31 @@ let run ?(jobs = 1) ?(perfect_n = 4) ?(reopt_learn = 32.0) lab =
   let gated_pairs =
     count_pairs lab (fun prepared -> Session.feedback_mode ~gated:true prepared fb)
   in
-  ignore
-    (Runner.run_grid ~jobs lab
-       [ Runner.Default; Runner.Feedback_naive; Runner.Feedback_gated;
-         Runner.Perfect perfect_n ]);
-  (* Every cell is in the lab's measurement cache now. *)
+  let cells =
+    Runner.run_grid ~jobs lab
+      [
+        Runner.Default;
+        Runner.Feedback_naive;
+        Runner.Feedback_gated;
+        Runner.Perfect perfect_n;
+      ]
+  in
+  let column c = Array.of_list (List.assoc c cells) in
+  let naive = column Runner.Feedback_naive
+  and gated = column Runner.Feedback_gated
+  and perfect = column (Runner.Perfect perfect_n) in
   let rows =
-    List.map
-      (fun q ->
-        let cell config = Runner.run_query lab config q in
+    List.mapi
+      (fun i (d : Runner.measurement) ->
         {
-          fs_query = q.Query.name;
-          fs_rels = Query.n_rels q;
-          fs_default = cell Runner.Default;
-          fs_naive = cell Runner.Feedback_naive;
-          fs_gated = cell Runner.Feedback_gated;
-          fs_perfect = cell (Runner.Perfect perfect_n);
+          fs_query = d.Runner.m_query;
+          fs_rels = d.Runner.m_rels;
+          fs_default = d;
+          fs_naive = naive.(i);
+          fs_gated = gated.(i);
+          fs_perfect = perfect.(i);
         })
-      (Runner.queries lab)
+      (List.assoc Runner.Default cells)
   in
   let classify get =
     List.fold_left
@@ -144,9 +151,15 @@ let run ?(jobs = 1) ?(perfect_n = 4) ?(reopt_learn = 32.0) lab =
   }
 
 type totals = { t_work : int; t_capped : int }
-type check = { name : string; ok : bool; detail : string }
+type check = { name : string; key : string; ok : bool; detail : string }
 
-type verdict = { v_totals : (string * totals) list; v_checks : check list }
+type verdict = {
+  v_default : totals;
+  v_naive : totals;
+  v_gated : totals;
+  v_perfect : totals;
+  v_checks : check list;
+}
 
 let verdict r =
   let totals get =
@@ -157,27 +170,29 @@ let verdict r =
           t_capped = t.t_capped + Bool.to_int m.Runner.m_capped })
       { t_work = 0; t_capped = 0 } r.fr_rows
   in
-  let check name ok detail = { name; ok; detail } in
+  let check name ok detail =
+    { name; key = String.map (fun c -> if c = '-' then '_' else c) name; ok;
+      detail }
+  in
   let regressions l = Printf.sprintf "%d regressions" (List.length l) in
   {
-    v_totals =
-      [ ("default", totals (fun row -> row.fs_default));
-        ("naive", totals (fun row -> row.fs_naive));
-        ("gated", totals (fun row -> row.fs_gated));
-        ("perfect", totals (fun row -> row.fs_perfect)) ];
+    v_default = totals (fun row -> row.fs_default);
+    v_naive = totals (fun row -> row.fs_naive);
+    v_gated = totals (fun row -> row.fs_gated);
+    v_perfect = totals (fun row -> row.fs_perfect);
     v_checks =
-      [ check "dp_pairs_identical"
+      [ check "dp-pairs-identical"
           (r.fr_naive_pairs = r.fr_default_pairs
            && r.fr_gated_pairs = r.fr_default_pairs)
           (Printf.sprintf "%d/%d/%d" r.fr_default_pairs r.fr_naive_pairs
              r.fr_gated_pairs);
-        check "lookups_within_demand_bound"
+        check "lookups-within-demand-bound"
           (r.fr_naive_lookups <= r.fr_lookup_bound)
           (Printf.sprintf "%d <= %d" r.fr_naive_lookups r.fr_lookup_bound);
-        check "gated_never_materially_worse"
+        check "gated-never-materially-worse"
           (r.fr_gated_regressions = [])
           (regressions r.fr_gated_regressions);
-        check "naive_corrections_hurt_somewhere"
+        check "naive-corrections-hurt-somewhere"
           (r.fr_naive_regressions <> [])
           (regressions r.fr_naive_regressions) ];
   }

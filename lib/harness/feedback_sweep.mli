@@ -60,17 +60,23 @@ val run : ?jobs:int -> ?perfect_n:int -> ?reopt_learn:float -> Runner.lab -> rep
 type totals = { t_work : int; t_capped : int }
 (** Work and capped cells of one mode over the whole workload. *)
 
-type check = { name : string; ok : bool; detail : string }
+type check = {
+  name : string;    (** as printed: ["dp-pairs-identical"] *)
+  key : string;     (** its JSON field: ["dp_pairs_identical"] *)
+  ok : bool;
+  detail : string;
+}
 
 type verdict = {
-  v_totals : (string * totals) list;
-      (** per measured mode, keyed ["default"], ["naive"], ["gated"] and
-          ["perfect"] *)
+  v_default : totals;
+  v_naive : totals;
+  v_gated : totals;
+  v_perfect : totals;
   v_checks : check list;
-      (** in order: [dp_pairs_identical] (enumeration is
-          estimate-independent), [lookups_within_demand_bound],
-          [gated_never_materially_worse] and
-          [naive_corrections_hurt_somewhere] (the paper's §IV-E/§V
+      (** in order: [dp-pairs-identical] (enumeration is
+          estimate-independent), [lookups-within-demand-bound],
+          [gated-never-materially-worse] and
+          [naive-corrections-hurt-somewhere] (the paper's §IV-E/§V
           shape) *)
 }
 

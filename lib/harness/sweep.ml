@@ -217,8 +217,8 @@ let unsound what v (i : Interval.t) ~capped =
   if v > i.Interval.hi +. slack then escape "exceeds" "hi" i.Interval.hi
   else []
 
-let resources ?queries ?budget ~threshold lab =
-  per_query ?queries lab (fun report q prepared ->
+let resources ?budget ~threshold lab =
+  per_query lab (fun report q prepared ->
       let name = q.Query.name in
       let plan, _, estimator = Session.plan prepared ~mode:Estimator.Default in
       let cert =
@@ -229,7 +229,7 @@ let resources ?queries ?budget ~threshold lab =
                   rr_capped = false } in
       match
         Session.execute ~work_budget:(Runner.work_budget lab)
-          ~deadline_ms:(Runner.deadline_ms lab) prepared plan
+          ~deadline_ms:(Runner.deadline_ms lab) ~learn:false prepared plan
       with
       | res ->
         List.iter

@@ -9,7 +9,7 @@
     optionally followed by a space and a bracketed configuration label:
     ["6d"], ["6d [default]"], ["6d [perfect-4]"], ["6d [reopt step temp_3]"],
     ["6d [reopt final]"], or ["6d [reopt]"] for a failed inline check.
-    Every sweep takes [?queries] (default: the lab's whole workload). *)
+    A sweep's [?queries] defaults to the lab's whole workload. *)
 
 module Query := Rdb_query.Query
 module Sensitivity := Rdb_analysis.Sensitivity
@@ -57,8 +57,7 @@ type resource_row = {
 }
 
 val resources :
-  ?queries:Query.t list -> ?budget:float -> threshold:float -> Runner.lab ->
-  resource_row list * findings
+  ?budget:float -> threshold:float -> Runner.lab -> resource_row list * findings
 (** Certify every default plan (with the re-opt transition simulation at
     [threshold]), execute it within the lab's budget, and report any
     observed counter outside its certified interval, any malformed

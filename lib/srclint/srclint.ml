@@ -108,18 +108,6 @@ let exit_code r = if errors r <> [] then 1 else 0
 let findings r =
   List.map (fun i -> (Printf.sprintf "%s:%d" i.file i.line, i.finding)) r.items
 
-let default_tree_findings () =
-  match find_default_root () with
-  | None ->
-    ( 0,
-      [ ( "source",
-          Finding.warning ~code:"src-no-root"
-            "cannot locate the repository's lib/ tree for --source" ) ] )
-  | Some root ->
-    let races = analyze_tree Racecheck ~root () in
-    let flows = analyze_tree Exnflow ~root () in
-    (List.length races.files, findings races @ findings flows)
-
 let render r =
   let b = Buffer.create 1024 in
   let nfiles = List.length r.files in

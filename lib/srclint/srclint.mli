@@ -53,13 +53,8 @@ val errors : report -> item list
 val exit_code : report -> int
 (** 0 clean, 1 if any error-severity finding. *)
 
-val default_tree_findings : unit -> int * (string * Rdb_analysis.Finding.t) list
-(** Both analyzers over {!find_default_root}: the number of files and
-    every finding as a (["file:line"], finding) pair, races first. Sites are
-    space-free, so a dedupe keyed on the context stays per-site, and an
-    annotation-hygiene finding both analyzers report folds into one. A
-    missing root is one warning under ["source"]. For
-    [reoptdb lint --source]. *)
+val findings : report -> (string * Rdb_analysis.Finding.t) list
+(** Each item as a (["file:line"], finding) pair, in report order. *)
 
 val render : report -> string
 
