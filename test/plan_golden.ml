@@ -4,7 +4,15 @@
    then the plan tree with each node's algorithm or access path and its
    estimate and cost in exact hexadecimal. The test rule diffs this output
    against plan_golden.expected, so no change to the DP, the cost rule or
-   the estimator can silently move a plan, an estimate or a cost. *)
+   the estimator can silently move a plan, an estimate or a cost.
+
+   Then every query's re-optimization run at thresholds 2 and 32 under
+   Default estimates: the CQNF fingerprint of the original query, one line
+   per step (materialized aliases, trigger estimate and Q-error in exact
+   hexadecimal, temp-table rows, and the fingerprint of the rewritten
+   query), and the final plan. This pins the estimates on rewritten
+   queries — temp-table columns plus constants implied through join
+   classes — and the CQNF variable numbering. *)
 
 module Query = Rdb_query.Query
 module Estimator = Rdb_card.Estimator
@@ -12,6 +20,9 @@ module Oracle = Rdb_card.Oracle
 module Plan = Rdb_plan.Plan
 module Optimizer = Rdb_plan.Optimizer
 module Session = Rdb_core.Session
+module Reopt = Rdb_core.Reopt
+module Trigger = Rdb_core.Trigger
+module Cqnf = Rdb_verify.Cqnf
 
 let rec render q buf = function
   | Plan.Scan s ->
@@ -58,4 +69,31 @@ let () =
           ("robust-2", Estimator.Default, Some 2.0);
           ("robust-8", Estimator.Default, Some 8.0);
         ])
+    (Rdb_imdb.Job_queries.all catalog);
+  let fingerprint q = Cqnf.fingerprint (Cqnf.of_query ~catalog q) in
+  List.iter
+    (fun (q : Query.t) ->
+      Printf.printf "%s cqnf %s\n" q.Query.name (fingerprint q);
+      List.iter
+        (fun threshold ->
+          let label = Printf.sprintf "reopt-%g" threshold in
+          let o =
+            Reopt.run ~checks:[] ~cleanup:false session
+              ~trigger:(Trigger.create threshold) ~mode:Estimator.Default q
+          in
+          List.iter
+            (fun (s : Reopt.step) ->
+              Printf.printf "%s %s step %s %h %h %d %s\n" q.Query.name label
+                (String.concat "," s.Reopt.materialized_aliases)
+                s.Reopt.trigger_est s.Reopt.trigger_q_error s.Reopt.temp_rows
+                (fingerprint s.Reopt.query_after))
+            o.Reopt.steps;
+          let buf = Buffer.create 512 in
+          render o.Reopt.final_query buf o.Reopt.final_plan;
+          Printf.printf "%s %s final %s\n" q.Query.name label
+            (Buffer.contents buf);
+          List.iter
+            (fun (s : Reopt.step) -> Session.drop_temp session s.Reopt.temp_name)
+            o.Reopt.steps)
+        [ 2.0; 32.0 ])
     (Rdb_imdb.Job_queries.all catalog)
