@@ -2,6 +2,7 @@ module Relset = Rdb_util.Relset
 module Db_stats = Rdb_stats.Db_stats
 module Query = Rdb_query.Query
 module Join_graph = Rdb_query.Join_graph
+module Eq_classes = Rdb_query.Eq_classes
 
 type mode =
   | Default
@@ -31,42 +32,20 @@ type t = {
    equi-join edges. The join clauses inside such a class become implied
    (selectivity 1): both sides are already restricted to the constant. *)
 let compute_implied (q : Query.t) =
-  let parent : (Query.colref, Query.colref) Hashtbl.t = Hashtbl.create 16 in
-  let rec find cr =
-    match Hashtbl.find_opt parent cr with
-    | None -> cr
-    | Some p ->
-      let root = find p in
-      if root <> p then Hashtbl.replace parent cr root;
-      root
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then
-      if ra < rb then Hashtbl.replace parent rb ra else Hashtbl.replace parent ra rb
-  in
-  List.iter (fun { Query.l; r } -> union l r) q.Query.edges;
-  let const_of_root : (Query.colref, Value.t) Hashtbl.t = Hashtbl.create 8 in
+  let classes = Eq_classes.make q.Query.edges in
+  let const_of_class = Array.make (Eq_classes.n_classes classes) None in
   List.iter
     (fun ({ Query.target; p } : Query.pred) ->
-      match p with
-      | Rdb_query.Predicate.Cmp (Rdb_query.Predicate.Eq, (Value.Int _ as v)) ->
-        Hashtbl.replace const_of_root (find target) v
+      match (p, Eq_classes.class_of classes target) with
+      | ( Rdb_query.Predicate.Cmp (Rdb_query.Predicate.Eq, (Value.Int _ as v)),
+          Some c ) ->
+        const_of_class.(c) <- Some v
       | _ -> ())
     q.Query.preds;
   let implied = Hashtbl.create 16 in
-  let members = Hashtbl.create 16 in
   List.iter
-    (fun { Query.l; r } ->
-      Hashtbl.replace members l ();
-      Hashtbl.replace members r ())
-    q.Query.edges;
-  Hashtbl.iter
-    (fun cr () ->
-      match Hashtbl.find_opt const_of_root (find cr) with
-      | Some v -> Hashtbl.replace implied cr v
-      | None -> ())
-    members;
+    (fun (cr, c) -> Option.iter (Hashtbl.replace implied cr) const_of_class.(c))
+    (Eq_classes.members classes);
   implied
 
 let create ?log ?bound ~mode ~catalog ~stats ?oracle q =

@@ -2,6 +2,8 @@ module Relset = Rdb_util.Relset
 module Int_vec = Rdb_util.Int_vec
 module Query = Rdb_query.Query
 module Join_graph = Rdb_query.Join_graph
+module Eq_classes = Rdb_query.Eq_classes
+module Union_find = Rdb_util.Union_find
 module Predicate = Rdb_query.Predicate
 
 (* ------------------------------------------------------------------ *)
@@ -141,46 +143,16 @@ type t = {
 
 (* ---- class analysis ---- *)
 
-(* Union-find over the column references appearing in join edges. *)
+(* The join-column classes, and whether the bipartite relation/class graph
+   is a forest. *)
 let analyze_classes (q : Query.t) =
-  let parent : (Query.colref, Query.colref) Hashtbl.t = Hashtbl.create 32 in
-  let rec find cr =
-    match Hashtbl.find_opt parent cr with
-    | None -> cr
-    | Some p ->
-      let root = find p in
-      if root <> p then Hashtbl.replace parent cr root;
-      root
-  in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then if ra < rb then Hashtbl.replace parent rb ra
-      else Hashtbl.replace parent ra rb
-  in
-  List.iter (fun { Query.l; r } -> union l r) q.Query.edges;
-  (* Assign dense ids to class roots. *)
-  let ids : (Query.colref, int) Hashtbl.t = Hashtbl.create 16 in
-  let id_of root =
-    match Hashtbl.find_opt ids root with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids in
-      Hashtbl.add ids root i;
-      i
-  in
+  let classes = Eq_classes.make q.Query.edges in
   let n = Query.n_rels q in
   let ports = Array.make n [] in
-  let add_port (cr : Query.colref) =
-    let cls = id_of (find cr) in
-    let entry = (cls, cr.Query.col) in
-    if not (List.mem entry ports.(cr.Query.rel)) then
-      ports.(cr.Query.rel) <- entry :: ports.(cr.Query.rel)
-  in
   List.iter
-    (fun { Query.l; r } ->
-      add_port l;
-      add_port r)
-    q.Query.edges;
+    (fun ((cr : Query.colref), cls) ->
+      ports.(cr.Query.rel) <- (cls, cr.Query.col) :: ports.(cr.Query.rel))
+    (Eq_classes.members classes);
   (* A relation whose two different columns land in one class would break
      the single-column-per-port invariant; treat as non-tree. *)
   let single_col_ports =
@@ -190,18 +162,15 @@ let analyze_classes (q : Query.t) =
         List.length classes = List.length (List.sort_uniq compare classes))
       ports
   in
-  (* Acyclicity of the bipartite relation/class graph via union-find over
-     nodes: relations are 0..n-1, classes are n, n+1, ... *)
-  let n_classes = Hashtbl.length ids in
-  let uf = Array.init (n + n_classes) Fun.id in
-  let rec root i = if uf.(i) = i then i else begin uf.(i) <- root uf.(i); uf.(i) end in
+  (* Acyclicity via union-find over nodes: relations are 0..n-1, classes
+     are n, n+1, ... *)
+  let uf = Union_find.create (n + Eq_classes.n_classes classes) in
   let acyclic = ref single_col_ports in
   Array.iteri
     (fun rel ps ->
       List.iter
         (fun (cls, _) ->
-          let a = root rel and b = root (n + cls) in
-          if a = b then acyclic := false else uf.(a) <- b)
+          if not (Union_find.union uf rel (n + cls)) then acyclic := false)
         ps)
     ports;
   (!acyclic, ports)

@@ -1,6 +1,7 @@
 module Relset = Rdb_util.Relset
 module Stat_utils = Rdb_util.Stat_utils
 module Query = Rdb_query.Query
+module Eq_classes = Rdb_query.Eq_classes
 module Oracle = Rdb_card.Oracle
 module Plan = Rdb_plan.Plan
 module Executor = Rdb_exec.Executor
@@ -32,40 +33,19 @@ type outcome = {
   peak_rows : int;
 }
 
-(* Union-find over column references, used to collapse columns that the
-   materialized sub-join's internal equi-joins force to be equal: the temp
-   table then exposes a single column per class, as in the paper's Fig. 6
-   where one movie_id column replaces k.id/mk.keyword_id chains. *)
-module Colref_uf = struct
-  type t = (Query.colref, Query.colref) Hashtbl.t
-
-  let create () : t = Hashtbl.create 16
-
-  let rec find t cr =
-    match Hashtbl.find_opt t cr with
-    | None -> cr
-    | Some parent ->
-      let root = find t parent in
-      if root <> parent then Hashtbl.replace t cr root;
-      root
-
-  let union t a b =
-    let ra = find t a and rb = find t b in
-    if ra <> rb then
-      (* Deterministic representative: smallest (rel, col). *)
-      if ra < rb then Hashtbl.replace t rb ra else Hashtbl.replace t ra rb
-end
-
 let inside set (cr : Query.colref) = Relset.mem cr.Query.rel set
 
+(* The classes the materialized sub-join's internal equi-joins force to be
+   equal: the temp table exposes a single column per class, as in the
+   paper's Fig. 6 where one movie_id column replaces k.id/mk.keyword_id
+   chains. *)
+let inner_classes (q : Query.t) set =
+  Eq_classes.make (Query.edges_within q set)
+
 let needed_cols (q : Query.t) set =
-  let uf = Colref_uf.create () in
-  List.iter
-    (fun { Query.l; r } ->
-      if inside set l && inside set r then Colref_uf.union uf l r)
-    q.Query.edges;
+  let classes = inner_classes q set in
   let referenced = ref [] in
-  let add cr = referenced := Colref_uf.find uf cr :: !referenced in
+  let add cr = referenced := Eq_classes.repr classes cr :: !referenced in
   List.iter
     (fun { Query.l; r } ->
       if inside set l && not (inside set r) then add l;
@@ -90,11 +70,7 @@ let needed_cols (q : Query.t) set =
 
 let rewrite (q : Query.t) ~set ~temp_name ~temp_cols =
   let n = Query.n_rels q in
-  let uf = Colref_uf.create () in
-  List.iter
-    (fun { Query.l; r } ->
-      if inside set l && inside set r then Colref_uf.union uf l r)
-    q.Query.edges;
+  let classes = inner_classes q set in
   let keep =
     List.filter (fun i -> not (Relset.mem i set)) (List.init n Fun.id)
   in
@@ -102,7 +78,7 @@ let rewrite (q : Query.t) ~set ~temp_name ~temp_cols =
   List.iteri (fun new_idx old_idx -> remap.(old_idx) <- new_idx) keep;
   let temp_idx = List.length keep in
   let temp_pos cr =
-    let canonical = Colref_uf.find uf cr in
+    let canonical = Eq_classes.repr classes cr in
     let rec scan i = function
       | [] -> invalid_arg "Reopt.rewrite: column not materialized"
       | c :: rest -> if c = canonical then i else scan (i + 1) rest

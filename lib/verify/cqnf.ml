@@ -1,10 +1,11 @@
 module Query = Rdb_query.Query
 module Predicate = Rdb_query.Predicate
+module Eq_classes = Rdb_query.Eq_classes
 
 (* A conjunctive-query normal form for the engine's SPJ fragment.
 
    Every (relation occurrence, column) position is a variable; equi-join
-   edges merge variables (transitive closure via union-find), so a chain
+   edges merge variables (one per {!Eq_classes} class), so a chain
    [a.x = b.y, b.y = c.z] becomes one shared variable regardless of how the
    SQL spelled it. Atoms are full-arity — projected-away columns hold
    fresh singleton variables — which makes homomorphism checking a plain
@@ -107,62 +108,34 @@ let preds_equivalent ps qs =
 
 (* ---- building the form ---- *)
 
-module Uf = struct
-  let create n = Array.init n Fun.id
-
-  let rec find t i = if t.(i) = i then i else begin
-    let r = find t t.(i) in
-    t.(i) <- r;
-    r
-  end
-
-  (* returns true when the union actually merged two classes *)
-  let union t a b =
-    let ra = find t a and rb = find t b in
-    if ra = rb then false
-    else begin
-      if ra < rb then t.(rb) <- ra else t.(ra) <- rb;
-      true
-    end
-end
-
-let arity_of ~catalog (q : Query.t) rel =
-  Schema.arity
-    (Table.schema (Catalog.table_exn catalog q.Query.rels.(rel).Query.table))
-
 let of_query_raw ~catalog (q : Query.t) =
   let n = Query.n_rels q in
-  let arities = Array.init n (arity_of ~catalog q) in
-  let offsets = Array.make n 0 in
-  let total = ref 0 in
-  for i = 0 to n - 1 do
-    offsets.(i) <- !total;
-    total := !total + arities.(i)
-  done;
-  let pos (cr : Query.colref) = offsets.(cr.Query.rel) + cr.Query.col in
-  let uf = Uf.create !total in
-  let redundant = ref 0 in
-  List.iter
-    (fun { Query.l; r } ->
-      if not (Uf.union uf (pos l) (pos r)) then incr redundant)
-    q.Query.edges;
-  (* dense variable ids per class root, in position order *)
-  let var_of_root = Hashtbl.create 64 in
+  let classes = Eq_classes.make q.Query.edges in
+  (* dense variable ids in position order: one per class, one per column
+     on no edge *)
+  let var_of_class = Array.make (Eq_classes.n_classes classes) (-1) in
   let n_vars = ref 0 in
-  let var_of_pos p =
-    let root = Uf.find uf p in
-    match Hashtbl.find_opt var_of_root root with
-    | Some v -> v
-    | None ->
-      let v = !n_vars in
-      incr n_vars;
-      Hashtbl.add var_of_root root v;
-      v
+  let fresh () =
+    let v = !n_vars in
+    incr n_vars;
+    v
+  in
+  let var_of_colref cr =
+    match Eq_classes.class_of classes cr with
+    | None -> fresh ()
+    | Some c ->
+      if var_of_class.(c) < 0 then var_of_class.(c) <- fresh ();
+      var_of_class.(c)
   in
   let atoms =
-    Array.init n (fun i ->
-        { table = q.Query.rels.(i).Query.table;
-          args = Array.init arities.(i) (fun c -> var_of_pos (offsets.(i) + c)) })
+    Array.init n (fun rel ->
+        let table = q.Query.rels.(rel).Query.table in
+        let arity =
+          Schema.arity (Table.schema (Catalog.table_exn catalog table))
+        in
+        { table;
+          args = Array.init arity (fun col -> var_of_colref { Query.rel; col })
+        })
   in
   let var_of_colref cr = atoms.(cr.Query.rel).args.(cr.Query.col) in
   let var_preds = Array.make !n_vars [] in
@@ -188,7 +161,7 @@ let of_query_raw ~catalog (q : Query.t) =
     var_preds;
     select;
     n_vars = !n_vars;
-    redundant_eqs = !redundant;
+    redundant_eqs = Eq_classes.redundant classes;
   }
 
 (* ---- canonical renaming: WL-style color refinement ---- *)
