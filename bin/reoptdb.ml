@@ -90,7 +90,12 @@ let json_arg =
    command sweeps or marks a trigger, at the paper's best threshold by
    default. *)
 let reopt_opt =
-  Arg.(value & opt (some float) None & info [ "reopt" ] ~docv:"THRESHOLD"
+  let threshold =
+    checked Arg.float
+      (fun x -> Float.is_finite x && x >= 1.0)
+      ~expected:"a finite number >= 1"
+  in
+  Arg.(value & opt (some threshold) None & info [ "reopt" ] ~docv:"THRESHOLD"
          ~doc:"Q-error threshold of the re-optimization trigger. On run and \
                serve it enables re-optimization; elsewhere it defaults to \
                32.")

@@ -242,8 +242,7 @@ let check ~catalog (q : Query.t) =
     | comps ->
       let render c =
         "{"
-        ^ String.concat ","
-            (List.map (Query.rel_alias q) (Relset.to_list c))
+        ^ String.concat "," (Query.aliases q c)
         ^ "}"
       in
       add

@@ -3,10 +3,8 @@ module Stat_utils = Rdb_util.Stat_utils
 module Query = Rdb_query.Query
 module Join_graph = Rdb_query.Join_graph
 module Estimator = Rdb_card.Estimator
-module Cost_model = Rdb_cost.Cost_model
 module Interval = Rdb_cost.Interval
 module Plan = Rdb_plan.Plan
-module Optimizer = Rdb_plan.Optimizer
 module Search_space = Rdb_plan.Search_space
 module Db_stats = Rdb_stats.Db_stats
 module Col_stats = Rdb_stats.Col_stats
@@ -238,29 +236,10 @@ let interp ~bounds ~catalog ~stats (q : Query.t) plan =
    the query around the temp table and replans. Abstractly, the effect of a
    materialization on planning is that the set's cardinality becomes known:
    we confirm the triggered set at its worst admissible corner (a point
-   envelope) and replan the *original* query with that subset pinned — the
-   same machinery as {!Sensitivity.replan}, extended to a set of pinned
-   subsets. A confirmed set can never re-trigger (its estimate now equals
-   its envelope), so every simulated step confirms a fresh subset and the
-   trajectory terminates. *)
-
-let replan_pinned ~space ~cost_params ~catalog ~estimator (q : Query.t)
-    confirmed =
-  Metrics.incr "analysis.resource_replans";
-  let pinned =
-    Estimator.create
-      ~bound:(fun s v ->
-        match List.find_opt (fun (s', _) -> Relset.equal s' s) confirmed with
-        | Some (_, c) -> c
-        | None -> v)
-      ~mode:(Estimator.mode estimator) ~catalog
-      ~stats:(Estimator.db_stats estimator)
-      ?oracle:(Estimator.oracle estimator) q
-  in
-  let p, _stats =
-    Optimizer.plan ~space ~cost_params ~catalog ~estimator:pinned q
-  in
-  p
+   envelope) and replan the *original* query with every confirmed subset
+   pinned ({!Sensitivity.replan}). A confirmed set can never re-trigger (its
+   estimate now equals its envelope), so every simulated step confirms a
+   fresh subset and the trajectory terminates. *)
 
 (* Upper bound on the materialized temp table's column count: Reopt keeps
    one representative per equivalence class of the crossing-edge endpoints
@@ -318,10 +297,8 @@ let detect_oscillation shapes =
    with Exit -> ());
   !found
 
-let aliases_of q set = List.map (Query.rel_alias q) (Relset.to_list set)
-
-let simulate ~bounds ~threshold ~min_actual_rows ~max_steps ~space
-    ~cost_params ~catalog ~estimator (q : Query.t) plan0 =
+let simulate ~bounds ~threshold ~max_steps ~space ~catalog ~estimator
+    (q : Query.t) plan0 =
   let space =
     match space with
     | Some s -> s
@@ -331,7 +308,10 @@ let simulate ~bounds ~threshold ~min_actual_rows ~max_steps ~space
     Sensitivity.intersect (Sensitivity.q_envelope threshold)
       (Sensitivity.of_intervals bounds)
   in
-  let replan = replan_pinned ~space ~cost_params ~catalog ~estimator q in
+  let replan confirmed =
+    Metrics.incr "analysis.resource_replans";
+    Sensitivity.replan ~space ~catalog ~estimator q confirmed
+  in
   let confirmed = ref [] in
   let transitions = ref [] in
   let shapes = ref [ Plan.shape q plan0 ] in
@@ -346,8 +326,7 @@ let simulate ~bounds ~threshold ~min_actual_rows ~max_steps ~space
         | None -> envelope s ~est
       in
       match
-        Sensitivity.predict_trigger ~min_actual_rows ~envelope:env ~threshold
-          q plan
+        Sensitivity.predict_trigger ~envelope:env ~threshold q plan
       with
       | None -> true
       | Some p ->
@@ -384,7 +363,7 @@ let simulate ~bounds ~threshold ~min_actual_rows ~max_steps ~space
         transitions :=
           {
             tr_set = set;
-            tr_aliases = aliases_of q set;
+            tr_aliases = Query.aliases q set;
             tr_est = est;
             tr_interval = (lo, hi);
             tr_assumed = assumed;
@@ -411,13 +390,11 @@ let simulate ~bounds ~threshold ~min_actual_rows ~max_steps ~space
       List.fold_left (fun acc t -> acc +. t.tr_temp_slots_hi) 0.0 transitions;
   }
 
-let default_threshold = 32.0
-let default_max_steps = 32
+(* [Rdb_core.Reopt.run]'s default step limit. *)
+let reopt_max_steps = 32
 
-let certify ?bounds ?(transitions = false) ?(threshold = default_threshold)
-    ?(min_actual_rows = 0) ?(max_steps = default_max_steps) ?space
-    ?(cost_params = Cost_model.default) ~catalog ~estimator (q : Query.t)
-    plan =
+let certify ?bounds ?(transitions = false) ?(threshold = 32.0) ?space
+    ~catalog ~estimator (q : Query.t) plan =
   Metrics.incr "analysis.resource_certs";
   let bounds =
     match bounds with Some b -> b | None -> trivial_bounds ~catalog q
@@ -427,14 +404,13 @@ let certify ?bounds ?(transitions = false) ?(threshold = default_threshold)
   (* Each re-opt step materializes a join of >= 2 relations, so the
      rewritten query has at least one relation fewer; a single-relation
      query has no joins to trigger on. *)
-  let replans_hi = Int.max 0 (Int.min max_steps (Query.n_rels q - 1)) in
+  let replans_hi = Int.max 0 (Int.min reopt_max_steps (Query.n_rels q - 1)) in
   let cert_reopt =
     if not transitions then None
     else
       Some
-        (simulate ~bounds ~threshold ~min_actual_rows
-           ~max_steps:replans_hi ~space ~cost_params ~catalog ~estimator q
-           plan)
+        (simulate ~bounds ~threshold ~max_steps:replans_hi ~space ~catalog
+           ~estimator q plan)
   in
   {
     cert_shape = Plan.shape q plan;
@@ -446,16 +422,6 @@ let certify ?bounds ?(transitions = false) ?(threshold = default_threshold)
   }
 
 let mem_hi cert = cert.cert_mem.Interval.hi
-
-let rows_str v =
-  if Float.abs v < 1e7 && Float.equal (Float.round v) v then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.3g" v
-
-let interval_str (i : Interval.t) =
-  Printf.sprintf "[%s, %s]" (rows_str i.Interval.lo) (rows_str i.Interval.hi)
-
-let string_of_aliases aliases = String.concat "," aliases
 
 let findings ?budget (_q : Query.t) cert =
   let fs = ref [] in
@@ -470,7 +436,7 @@ let findings ?budget (_q : Query.t) cert =
         add
           (Finding.error ~code:"resource-cert-invalid"
              (Printf.sprintf "%s interval %s of plan %s is malformed" name
-                (interval_str i) cert.cert_shape)))
+                (Interval.to_string i) cert.cert_shape)))
     [ ("memory", cert.cert_mem); ("work", cert.cert_work);
       ("output", cert.cert_out) ];
   (match budget with
@@ -480,7 +446,7 @@ let findings ?budget (_q : Query.t) cert =
          (Printf.sprintf
             "plan %s: certified peak memory %s row-slots exceeds the budget \
              of %s — admission control must reject or downgrade it"
-            cert.cert_shape (interval_str cert.cert_mem) (rows_str b)))
+            cert.cert_shape (Interval.to_string cert.cert_mem) (Interval.rows_to_string b)))
   | Some _ | None -> ());
   (match cert.cert_reopt with
   | None -> ()
@@ -504,11 +470,11 @@ let findings ?budget (_q : Query.t) cert =
                   "materializing join {%s} (est %s, plausible %s) cannot \
                    change the DP choice at any admissible cardinality — \
                    the trigger would pay up to %s temp cells for nothing"
-                  (string_of_aliases t.tr_aliases) (rows_str t.tr_est)
-                  (Printf.sprintf "[%s, %s]"
-                     (rows_str (fst t.tr_interval))
-                     (rows_str (snd t.tr_interval)))
-                  (rows_str t.tr_temp_slots_hi))))
+                  (String.concat "," t.tr_aliases)
+                  (Interval.rows_to_string t.tr_est)
+                  (let lo, hi = t.tr_interval in
+                   Interval.to_string { Interval.lo; hi })
+                  (Interval.rows_to_string t.tr_temp_slots_hi))))
       ro.ro_transitions);
   if not (List.exists (fun f -> f.Finding.severity = Finding.Error) !fs) then
     add
@@ -516,9 +482,9 @@ let findings ?budget (_q : Query.t) cert =
          (Printf.sprintf
             "plan %s: peak memory %s row-slots, work %s units, output %s \
              rows, at most %d replans%s"
-            cert.cert_shape (interval_str cert.cert_mem)
-            (interval_str cert.cert_work)
-            (interval_str cert.cert_out)
+            cert.cert_shape (Interval.to_string cert.cert_mem)
+            (Interval.to_string cert.cert_work)
+            (Interval.to_string cert.cert_out)
             cert.cert_replans_hi
             (match cert.cert_reopt with
             | Some ro ->
@@ -527,13 +493,8 @@ let findings ?budget (_q : Query.t) cert =
             | None -> "")));
   List.rev !fs
 
-let check ?bounds ?budget ?transitions ?threshold ?space ?cost_params
-    ~catalog ~estimator q plan =
-  let cert =
-    certify ?bounds ?transitions ?threshold ?space ?cost_params ~catalog
-      ~estimator q plan
-  in
-  findings ?budget q cert
+let check ~catalog ~estimator q plan =
+  findings q (certify ~catalog ~estimator q plan)
 
 let json_interval (i : Interval.t) =
   Json.Obj [ ("lo", Json.Float i.Interval.lo); ("hi", Json.Float i.Interval.hi) ]

@@ -94,7 +94,8 @@ type cert = {
   cert_work : Interval.t;    (** executor work units *)
   cert_out : Interval.t;     (** rows into the aggregates *)
   cert_replans_hi : int;     (** structural worst case on re-opt steps:
-                                 min(max_steps, relations - 1) *)
+                                 min(32, relations - 1), 32 being
+                                 [Rdb_core.Reopt.run]'s step limit *)
   cert_reopt : reopt_report option;  (** the transition simulation, when
                                          requested *)
 }
@@ -103,10 +104,7 @@ val certify :
   ?bounds:bounds ->
   ?transitions:bool ->
   ?threshold:float ->
-  ?min_actual_rows:int ->
-  ?max_steps:int ->
   ?space:Search_space.t ->
-  ?cost_params:Rdb_cost.Cost_model.params ->
   catalog:Catalog.t ->
   estimator:Estimator.t ->
   Query.t ->
@@ -116,9 +114,8 @@ val certify :
     loose — pass the verifier's intervals). [transitions] (default [false];
     each simulated step costs up to three DP replans) runs the re-opt
     transition analysis with trigger [threshold] (default 32, the paper's
-    sweet spot), [min_actual_rows] as in [Rdb_core.Trigger], and at most
-    [max_steps] (default 32, mirroring [Rdb_core.Reopt.run]) simulated
-    steps. [space] reuses a prebuilt search space across the replans. *)
+    sweet spot) for at most [cert_replans_hi] simulated steps. [space]
+    reuses a prebuilt search space across the replans. *)
 
 val detect_oscillation : string list -> (string * int * int) option
 (** [(shape, i, j)] when the [i]-th shape of the sequence reappears at
@@ -139,19 +136,10 @@ val findings : ?budget:float -> Query.t -> cert -> Finding.t list
     - [resource-certificate] (info): the one-line certificate summary. *)
 
 val check :
-  ?bounds:bounds ->
-  ?budget:float ->
-  ?transitions:bool ->
-  ?threshold:float ->
-  ?space:Search_space.t ->
-  ?cost_params:Rdb_cost.Cost_model.params ->
-  catalog:Catalog.t ->
-  estimator:Estimator.t ->
-  Query.t ->
-  Plan.t ->
+  catalog:Catalog.t -> estimator:Estimator.t -> Query.t -> Plan.t ->
   Finding.t list
-(** [certify] followed by [findings] — the shape [Rdb_core.Checks] and
-    the [reoptdb] sweeps consume. *)
+(** [certify] with its defaults followed by [findings] without a budget —
+    the shape [Rdb_core.Checks] consumes. *)
 
 val json_interval : Interval.t -> Json.t
 (** [{"lo": ..., "hi": ...}], the JSON form of every interval in the

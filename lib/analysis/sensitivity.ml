@@ -13,7 +13,8 @@ module Metrics = Rdb_obs.Metrics
 type envelope = Relset.t -> est:float -> float * float
 
 let q_envelope factor =
-  if factor < 1.0 then invalid_arg "Sensitivity.q_envelope: factor must be >= 1";
+  if not (factor >= 1.0) then
+    invalid_arg "Sensitivity.q_envelope: factor must be >= 1";
   fun _ ~est -> (est /. factor, est *. factor)
 
 let point_envelope f =
@@ -81,8 +82,6 @@ type report = {
   cost_mismatches : (Relset.t * float * float) list;
 }
 
-let aliases_of q set = List.map (Query.rel_alias q) (Relset.to_list set)
-
 (* One bottom-up walk computes, per node: the envelope interval on its true
    output rows, the interval of its subtree cost (Plan.join_cost at the
    all-lo and all-hi corners — exact because the rule is monotone in every
@@ -90,8 +89,8 @@ let aliases_of q set = List.map (Query.rel_alias q) (Relset.to_list set)
    children's *recorded* costs, which must agree with the recorded cost on
    an uncorrupted plan; the joins where it does not are collected in
    post-order. *)
-let interp ~envelope ~cost_params (q : Query.t) plan =
-  let cp = cost_params in
+let interp ~envelope (q : Query.t) plan =
+  let cp = Cost_model.default in
   let nodes = ref [] and mismatches = ref [] in
   let push n = nodes := n :: !nodes in
   let rec go p =
@@ -158,19 +157,18 @@ let interp ~envelope ~cost_params (q : Query.t) plan =
   let root_cost, _ = go plan in
   (root_cost, List.rev !nodes, List.rev !mismatches)
 
-let predict_trigger ?(min_actual_rows = 0) ~envelope ~threshold (q : Query.t)
-    plan =
+let predict_trigger ~envelope ~threshold (q : Query.t) plan =
   (* Mirror of Reopt.find_trigger: the first candidate in trigger order. *)
   List.find_map
     (fun ((j : Plan.join), set) ->
       let est = j.Plan.join_est in
       let lo, hi = envelope set ~est in
-      let lo = Float.max lo (float_of_int min_actual_rows) in
+      let lo = Float.max lo 0.0 in
       if lo <= hi && worst_q ~est (lo, hi) >= threshold then
         Some
           {
             pred_set = set;
-            pred_aliases = aliases_of q set;
+            pred_aliases = Query.aliases q set;
             pred_est = est;
             pred_interval = (lo, hi);
             pred_q_error = worst_q ~est (lo, hi);
@@ -179,35 +177,34 @@ let predict_trigger ?(min_actual_rows = 0) ~envelope ~threshold (q : Query.t)
       else None)
     (Plan.trigger_order plan)
 
-(* Re-run the DP with one subset's estimate pinned to [card]. The bound hook
-   intercepts exactly that subset's memoized estimate; every other estimate
-   reproduces the base estimator bit-for-bit, so a plan diff is attributable
-   to the one perturbed cardinality. *)
-let replan ~space ~cost_params ~catalog ~estimator (q : Query.t) ~set ~card =
+(* Re-run the DP with the pinned subsets' estimates replaced. The bound hook
+   intercepts exactly those subsets' memoized estimates; every other
+   estimate reproduces the base estimator bit-for-bit, so a plan diff is
+   attributable to the pinned cardinalities. *)
+let replan ~space ~catalog ~estimator (q : Query.t) pins =
   let pinned =
     Estimator.create
-      ~bound:(fun s v -> if Relset.equal s set then card else v)
-      ~mode:(Estimator.mode estimator) ~catalog ~stats:(Estimator.db_stats estimator)
+      ~bound:(fun s v ->
+        match List.find_opt (fun (s', _) -> Relset.equal s' s) pins with
+        | Some (_, c) -> c
+        | None -> v)
+      ~mode:(Estimator.mode estimator) ~catalog
+      ~stats:(Estimator.db_stats estimator)
       ?oracle:(Estimator.oracle estimator) q
   in
-  let p, _stats =
-    Optimizer.plan ~space ~cost_params ~catalog ~estimator:pinned q
-  in
+  let p, _stats = Optimizer.plan ~space ~catalog ~estimator:pinned q in
   p
 
 let default_threshold = 32.0
 
-let analyze ?envelope ?(threshold = default_threshold) ?(min_actual_rows = 0)
-    ?(corner_replans = true) ?(corner_limit = max_int) ?space
-    ?(cost_params = Cost_model.default) ~catalog ~estimator (q : Query.t) plan =
+let analyze ?envelope ?(threshold = default_threshold) ?(corner_replans = true)
+    ?(corner_limit = max_int) ?space ~catalog ~estimator (q : Query.t) plan =
   Metrics.incr "analysis.sensitivity_runs";
   let envelope =
     match envelope with Some e -> e | None -> q_envelope threshold
   in
-  let root_cost, nodes, cost_mismatches =
-    interp ~envelope ~cost_params q plan
-  in
-  let predicted = predict_trigger ~min_actual_rows ~envelope ~threshold q plan in
+  let root_cost, nodes, cost_mismatches = interp ~envelope q plan in
+  let predicted = predict_trigger ~envelope ~threshold q plan in
   let joins = List.filter (fun n -> n.node_is_join) nodes in
   (* Ration corner replans to the joins whose envelope admits the largest
      error: each replanned join costs two extra DP runs. *)
@@ -244,7 +241,7 @@ let analyze ?envelope ?(threshold = default_threshold) ?(min_actual_rows = 0)
         let est = n.node_est in
         let lo, hi = n.node_interval in
         let wq = worst_q ~est n.node_interval in
-        let lo_t = Float.max lo (float_of_int min_actual_rows) in
+        let lo_t = Float.max lo 0.0 in
         let trips = lo_t <= hi && worst_q ~est (lo_t, hi) >= threshold in
         let flips =
           if not (List.exists (Relset.equal n.node_set) replanned_sets) then
@@ -265,8 +262,8 @@ let analyze ?envelope ?(threshold = default_threshold) ?(min_actual_rows = 0)
                 | None ->
                   Metrics.incr "analysis.corner_replans";
                   let p' =
-                    replan ~space ~cost_params ~catalog ~estimator q
-                      ~set:n.node_set ~card:corner
+                    replan ~space ~catalog ~estimator q
+                      [ (n.node_set, corner) ]
                   in
                   if Plan.same_shape plan p' then None
                   else Some (corner, Plan.shape q p'))
@@ -278,7 +275,7 @@ let analyze ?envelope ?(threshold = default_threshold) ?(min_actual_rows = 0)
         | None -> ());
         {
           frag_set = n.node_set;
-          frag_aliases = aliases_of q n.node_set;
+          frag_aliases = Query.aliases q n.node_set;
           frag_est = est;
           frag_interval = n.node_interval;
           frag_q_error = wq;
@@ -302,15 +299,7 @@ let fragile_sets report =
     (fun f -> match f.frag_flips with Some _ -> Some f.frag_set | None -> None)
     report.fragilities
 
-let string_of_aliases aliases = String.concat "," aliases
-
-let rows_str v =
-  if Float.abs v < 1e7 && Float.equal (Float.round v) v then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.3g" v
-
-let interval_str (lo, hi) =
-  Printf.sprintf "[%s, %s]" (rows_str lo) (rows_str hi)
+let interval_str (lo, hi) = Interval.to_string { Interval.lo; hi }
 
 let findings (q : Query.t) report =
   let fs = ref [] in
@@ -322,7 +311,7 @@ let findings (q : Query.t) report =
            (Printf.sprintf
               "join {%s}: recorded cost %.3f disagrees with the cost model's \
                %.3f at the plan's own estimates"
-              (string_of_aliases (aliases_of q set))
+              (String.concat "," (Query.aliases q set))
               recorded recomputed)))
     report.cost_mismatches;
   List.iter
@@ -337,8 +326,9 @@ let findings (q : Query.t) report =
                   "join {%s} (est %s): at %s within envelope %s the \
                    DP-optimal plan changes to %s, and the error is large \
                    enough to trip re-optimization (worst q-error %.1f >= %g)"
-                  (string_of_aliases f.frag_aliases)
-                  (rows_str f.frag_est) (rows_str corner)
+                  (String.concat "," f.frag_aliases)
+                  (Interval.rows_to_string f.frag_est)
+                  (Interval.rows_to_string corner)
                   (interval_str f.frag_interval)
                   shape f.frag_q_error report.threshold))
         else
@@ -349,8 +339,9 @@ let findings (q : Query.t) report =
                    DP-optimal plan changes to %s, but the worst q-error \
                    %.1f stays below the trigger threshold %g — \
                    re-optimization would never correct this plan"
-                  (string_of_aliases f.frag_aliases)
-                  (rows_str f.frag_est) (rows_str corner)
+                  (String.concat "," f.frag_aliases)
+                  (Interval.rows_to_string f.frag_est)
+                  (Interval.rows_to_string corner)
                   (interval_str f.frag_interval)
                   shape f.frag_q_error report.threshold)))
     report.fragilities;
@@ -363,8 +354,8 @@ let findings (q : Query.t) report =
             "re-optimization %s trigger on join {%s}: est %s, envelope %s, \
              worst q-error %.1f >= %g"
             (if p.pred_certain then "will" else "may")
-            (string_of_aliases p.pred_aliases)
-            (rows_str p.pred_est)
+            (String.concat "," p.pred_aliases)
+            (Interval.rows_to_string p.pred_est)
             (interval_str p.pred_interval)
             p.pred_q_error report.threshold)));
   if !fs = [] then
@@ -376,10 +367,8 @@ let findings (q : Query.t) report =
             report.plan_shape report.threshold));
   List.rev !fs
 
-let check ?envelope ?threshold ?min_actual_rows ?corner_replans ?corner_limit
-    ?space ?cost_params ~catalog ~estimator q plan =
-  let report =
-    analyze ?envelope ?threshold ?min_actual_rows ?corner_replans ?corner_limit
-      ?space ?cost_params ~catalog ~estimator q plan
-  in
-  findings q report
+let check ?threshold ?corner_replans ?corner_limit ?space ~catalog ~estimator
+    q plan =
+  findings q
+    (analyze ?threshold ?corner_replans ?corner_limit ?space ~catalog
+       ~estimator q plan)

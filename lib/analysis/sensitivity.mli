@@ -32,7 +32,7 @@ type envelope = Relset.t -> est:float -> float * float
 
 val q_envelope : float -> envelope
 (** [[est/q, est·q]] — the factor-[q] error model of the paper's trigger
-    (§V-A). Raises [Invalid_argument] when [q < 1]. *)
+    (§V-A). Raises [Invalid_argument] unless [q >= 1] (NaN included). *)
 
 val point_envelope : (Relset.t -> float) -> envelope
 (** Degenerate intervals from exact cardinalities (e.g.
@@ -97,7 +97,6 @@ type report = {
 }
 
 val predict_trigger :
-  ?min_actual_rows:int ->
   envelope:envelope ->
   threshold:float ->
   Query.t ->
@@ -111,14 +110,23 @@ val predict_trigger :
     {!point_envelope} of the true cardinalities this reproduces the
     dynamic choice exactly. *)
 
+val replan :
+  space:Search_space.t ->
+  catalog:Catalog.t ->
+  estimator:Estimator.t ->
+  Query.t ->
+  (Relset.t * float) list ->
+  Plan.t
+(** Re-run the DPccp optimizer with each listed subset's estimate pinned
+    to the given cardinality; every other estimate is the [estimator]'s
+    own, bit for bit. *)
+
 val analyze :
   ?envelope:envelope ->
   ?threshold:float ->
-  ?min_actual_rows:int ->
   ?corner_replans:bool ->
   ?corner_limit:int ->
   ?space:Search_space.t ->
-  ?cost_params:Rdb_cost.Cost_model.params ->
   catalog:Catalog.t ->
   estimator:Estimator.t ->
   Query.t ->
@@ -127,8 +135,8 @@ val analyze :
 (** Full analysis of a chosen plan. [envelope] defaults to
     [q_envelope threshold]; [threshold] defaults to 32 (the paper's sweet
     spot). [corner_replans] (default true) re-runs the DPccp optimizer with
-    one join subset pinned to each corner of its envelope — via a fresh
-    estimator whose bound hook overrides exactly that subset — and diffs
+    one join subset pinned to each corner of its envelope ({!replan}) and
+    diffs
     the chosen plan against the original ({!Plan.same_shape}).
     [corner_limit] rations the replans to the joins with the largest
     worst-case Q-error (the lint sweep caps this; the [fragility] sweep
@@ -157,17 +165,15 @@ val findings : Query.t -> report -> Finding.t list
       no trigger is predicted. *)
 
 val check :
-  ?envelope:envelope ->
   ?threshold:float ->
-  ?min_actual_rows:int ->
   ?corner_replans:bool ->
   ?corner_limit:int ->
   ?space:Search_space.t ->
-  ?cost_params:Rdb_cost.Cost_model.params ->
   catalog:Catalog.t ->
   estimator:Estimator.t ->
   Query.t ->
   Plan.t ->
   Finding.t list
-(** [analyze] followed by [findings] — the shape [Rdb_core.Checks] and
-    the [reoptdb lint] sweep consume. *)
+(** [analyze] under the default [q_envelope threshold], followed by
+    [findings] — the shape [Rdb_core.Checks] and the [reoptdb lint] sweep
+    consume. *)

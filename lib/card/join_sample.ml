@@ -24,12 +24,12 @@ type t = {
   mutable probes : int;
 }
 
-let create ?(seed = 17) ?(sample_size = 512) catalog q =
+let create ?(sample_size = 512) catalog q =
   {
     catalog;
     q;
     graph = Join_graph.make q;
-    prng = Prng.create seed;
+    prng = Prng.create 17;
     sample_size;
     nodes = Hashtbl.create 64;
     probes = 0;

@@ -15,9 +15,9 @@ module Query := Rdb_query.Query
 
 type t
 
-val create :
-  ?seed:int -> ?sample_size:int -> Catalog.t -> Query.t -> t
-(** Default sample size 512 rows per subset. *)
+val create : ?sample_size:int -> Catalog.t -> Query.t -> t
+(** Default sample size 512 rows per subset; the sampler's seed is fixed,
+    so estimates are deterministic. *)
 
 val card : t -> Relset.t -> float
 (** Estimated cardinality of a connected subset (>= 0; 0 means the sample

@@ -62,7 +62,7 @@ let findings ~catalog ~estimator q plan = function
     Rdb_analysis.Sensitivity.check ~threshold:32.0 ~corner_replans:false
       ~catalog ~estimator q plan
   | Resource ->
-    Rdb_analysis.Resource.check ~transitions:false ~catalog ~estimator q plan
+    Rdb_analysis.Resource.check ~catalog ~estimator q plan
 
 let plan checks ~catalog ~estimator q plan =
   List.iter

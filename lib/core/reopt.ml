@@ -157,10 +157,8 @@ let temp_schema session (q : Query.t) temp_cols =
        temp_cols)
 
 let run ?(checks = Checks.env ()) ?work_budget ?deadline_ms ?(cleanup = true)
-    ?(max_steps = 32) ?initial ?feedback session ~trigger ~mode q0 =
-  let feedback =
-    match feedback with Some _ as fb -> fb | None -> Session.feedback session
-  in
+    ?(max_steps = 32) ?initial session ~trigger ~mode q0 =
+  let feedback = Session.feedback session in
   (* Rewrites renumber relations and splice in temp tables, so an
      observation on the rewritten query must not be keyed against it
      verbatim: [origin.(i)] is the set of q0's relations that rewritten
@@ -230,7 +228,7 @@ let run ?(checks = Checks.env ()) ?work_budget ?deadline_ms ?(cleanup = true)
       (q, plan, final_exec, List.rev steps, List.rev plan_times)
     | Some (jnode, set, est, q_err) ->
       let temp_cols = needed_cols q set in
-      let aliases = List.map (Query.rel_alias q) (Relset.to_list set) in
+      let aliases = Query.aliases q set in
       let mat =
         Trace.span "reopt.materialize"
           ~attrs:

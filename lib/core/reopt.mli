@@ -55,7 +55,6 @@ val run :
   ?cleanup:bool ->
   ?max_steps:int ->
   ?initial:Session.prepared ->
-  ?feedback:Feedback.t ->
   Session.t ->
   trigger:Trigger.t ->
   mode:Rdb_card.Estimator.mode ->
@@ -67,8 +66,8 @@ val run :
     catalog afterwards; [~cleanup:false] keeps them only for a run that
     returns — an aborted run always drops its temps, since the caller
     never learns their names. [max_steps] (default 32) bounds the loop.
-    [feedback] (default: the session's store, if any) receives every
-    observed true cardinality — each step's materialized row count and the
+    The session's feedback store, if any, receives every observed true
+    cardinality — each step's materialized row count and the
     final execution's per-node observations — re-keyed against the
     *original* query: rewrites renumber relations and splice in temp
     tables, so the loop composes a per-relation origin map across steps

@@ -14,25 +14,17 @@ module Trace = Rdb_obs.Trace
 type t = {
   catalog : Catalog.t;
   stats : Db_stats.t;
-  cost_params : Rdb_cost.Cost_model.params;
   feedback : Feedback.t option;
   mutable temp_counter : int;
 }
 
-let create ?(cost_params = Rdb_cost.Cost_model.default) ?feedback catalog =
-  {
-    catalog;
-    stats = Db_stats.create ();
-    cost_params;
-    feedback;
-    temp_counter = 0;
-  }
+let create ?feedback catalog =
+  { catalog; stats = Db_stats.create (); feedback; temp_counter = 0 }
 
 let with_stats_of parent =
   {
     catalog = Catalog.copy parent.catalog;
     stats = Db_stats.copy parent.stats;
-    cost_params = parent.cost_params;
     (* Deliberately shared, not copied: the store is mutex-protected and
        records true cardinalities, so parallel workers learning into one
        knowledge base always agree on values. *)
@@ -42,7 +34,6 @@ let with_stats_of parent =
 
 let catalog t = t.catalog
 let stats t = t.stats
-let cost_params t = t.cost_params
 let feedback t = t.feedback
 
 (* ANALYZE moves the statistics a plan was costed against, so it counts as
@@ -121,8 +112,8 @@ let plan ?(checks = Checks.env ()) ?(pessimistic = false) ?uncertainty ?log p
           p.q
       in
       let plan, stats =
-        Optimizer.plan ~space:p.space ~cost_params:p.session.cost_params
-          ?uncertainty ~catalog:p.session.catalog ~estimator p.q
+        Optimizer.plan ~space:p.space ?uncertainty ~catalog:p.session.catalog
+          ~estimator p.q
       in
       Checks.plan checks ~catalog:p.session.catalog ~estimator p.q plan;
       (plan, stats, estimator))
@@ -131,7 +122,7 @@ let plan ?(checks = Checks.env ()) ?(pessimistic = false) ?uncertainty ?log p
    cardinality intervals drive the memory/work corner evaluation, and the
    prepared search space is reused across the transition simulation's
    pinned replans. *)
-let certify ?transitions ?threshold ?max_steps ?estimator p plan =
+let certify ?transitions ?threshold ?estimator p plan =
   Trace.span "session.certify"
     ~attrs:[ ("query", p.q.Query.name) ]
     (fun () ->
@@ -148,8 +139,7 @@ let certify ?transitions ?threshold ?max_steps ?estimator p plan =
       in
       Rdb_analysis.Resource.certify
         ~bounds:(Rdb_verify.Card_bound.interval ctx)
-        ?transitions ?threshold ?max_steps ~space:p.space
-        ~cost_params:p.session.cost_params ~catalog:p.session.catalog
+        ?transitions ?threshold ~space:p.space ~catalog:p.session.catalog
         ~estimator p.q plan)
 
 let execute ?work_budget ?deadline_ms ?adaptive ?(learn = true) p plan =
@@ -209,8 +199,7 @@ let feedback_mode ?(gated = false) p fb =
       in
       let report =
         Rdb_analysis.Sensitivity.analyze ~envelope ~corner_replans:true
-          ~corner_limit:max_int ~space:p.space
-          ~cost_params:p.session.cost_params ~catalog ~estimator p.q chosen
+          ~corner_limit:max_int ~space:p.space ~catalog ~estimator p.q chosen
       in
       Rdb_analysis.Sensitivity.fragile_sets report
     in

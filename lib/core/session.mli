@@ -1,4 +1,4 @@
-(** A session bundles the database (catalog + statistics + cost model) and
+(** A session bundles the database (catalog + statistics) and
     provides prepared per-query contexts that share the expensive artifacts
     — the true-cardinality oracle and the DPccp search space — across every
     estimator configuration the experiments sweep over. *)
@@ -16,9 +16,7 @@ module Executor := Rdb_exec.Executor
 
 type t
 
-val create :
-  ?cost_params:Rdb_cost.Cost_model.params -> ?feedback:Feedback.t ->
-  Catalog.t -> t
+val create : ?feedback:Feedback.t -> Catalog.t -> t
 (** Wrap a populated catalog. Statistics start empty: call {!analyze}.
     [feedback], when given, makes every {!execute} record observed true
     cardinalities into the store (LEO-style learning); planning only
@@ -27,15 +25,14 @@ val create :
 val with_stats_of : t -> t
 (** A fresh session for another domain of the parallel runner: shallow
     copies of the parent's catalog and statistics (table, index and
-    per-column statistic values are shared — all immutable once built),
-    the same cost parameters, and a private temp-table counter. The clone
+    per-column statistic values are shared — all immutable once built)
+    and a private temp-table counter. The clone
     skips re-running ANALYZE, and re-optimization temp tables it creates
     never touch the parent, so clones are safe to drive concurrently as
     long as the parent's base tables are not mutated underneath them. *)
 
 val catalog : t -> Catalog.t
 val stats : t -> Db_stats.t
-val cost_params : t -> Rdb_cost.Cost_model.params
 
 val feedback : t -> Feedback.t option
 (** The session's feedback store, shared with {!with_stats_of} clones. *)
@@ -82,7 +79,6 @@ val plan :
 val certify :
   ?transitions:bool ->
   ?threshold:float ->
-  ?max_steps:int ->
   ?estimator:Estimator.t ->
   prepared ->
   Plan.t ->

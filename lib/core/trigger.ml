@@ -1,11 +1,10 @@
-type t = { threshold : float; min_actual_rows : int }
+type t = { threshold : float }
 
-let create ?(min_actual_rows = 0) threshold =
-  if threshold < 1.0 then invalid_arg "Trigger.create: threshold must be >= 1";
-  { threshold; min_actual_rows }
+let create threshold =
+  if not (threshold >= 1.0) then
+    invalid_arg "Trigger.create: threshold must be >= 1";
+  { threshold }
 
 let q_error = Rdb_util.Stat_utils.q_error
 
-let fires t ~est ~actual =
-  actual >= float_of_int t.min_actual_rows
-  && q_error ~est ~actual >= t.threshold
+let fires t ~est ~actual = q_error ~est ~actual >= t.threshold

@@ -3,13 +3,11 @@
     re-optimizes when the factor-[n] condition of §V-A holds; threshold 32
     is its sweet spot). *)
 
-type t = {
-  threshold : float;      (** minimum Q-error that triggers, >= 1 *)
-  min_actual_rows : int;  (** ignore joins whose true size is below this;
-                              0 reproduces the paper exactly *)
-}
+type t = { threshold : float  (** minimum Q-error that triggers, >= 1 *) }
 
-val create : ?min_actual_rows:int -> float -> t
+val create : float -> t
+(** Raises [Invalid_argument] unless the threshold is [>= 1] (NaN
+    included). *)
 
 val fires : t -> est:float -> actual:float -> bool
 

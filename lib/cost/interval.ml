@@ -13,10 +13,10 @@ let width iv = iv.hi -. iv.lo
 
 let ratio iv = Float.max 1.0 iv.hi /. Float.max 1.0 iv.lo
 
+let rows_to_string v =
+  if Float.abs v < 1e7 && Float.equal (Float.round v) v then
+    Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.3g" v
+
 let to_string iv =
-  let one v =
-    if Float.abs v < 1e7 && Float.equal (Float.round v) v then
-      Printf.sprintf "%.0f" v
-    else Printf.sprintf "%.3g" v
-  in
-  Printf.sprintf "[%s, %s]" (one iv.lo) (one iv.hi)
+  Printf.sprintf "[%s, %s]" (rows_to_string iv.lo) (rows_to_string iv.hi)

@@ -34,6 +34,9 @@ val ratio : t -> float
 (** [hi / lo] with both endpoints floored at one row — the Q-error-flavoured
     spread of the interval. Always [>= 1]. *)
 
+val rows_to_string : float -> string
+(** Compact rendering of a row count: an integer when small and integral,
+    three significant digits otherwise. *)
+
 val to_string : t -> string
-(** Compact rendering ["[lo, hi]"], integers when small, scientific
-    otherwise. *)
+(** ["[lo, hi]"], each end as {!rows_to_string}. *)

@@ -22,7 +22,7 @@ let check_connected graph (q : Query.t) =
   if not (Join_graph.is_connected graph full) then begin
     let render c =
       "{"
-      ^ String.concat "," (List.map (Query.rel_alias q) (Relset.to_list c))
+      ^ String.concat "," (Query.aliases q c)
       ^ "}"
     in
     let comps = Join_graph.components graph full in
@@ -97,9 +97,8 @@ type entry = {
    and selects by worst-case cost. Either way the middle scenario is the
    point estimate itself ([Estimator.card] is floored at one row and
    1 ** k = 1), and its cost is the one a plan records. *)
-let dp ?space ?(cost_params = Cost_model.default) ?uncertainty ~catalog
-    ~estimator (q : Query.t) =
-  let cp = cost_params in
+let plan ?space ?uncertainty ~catalog ~estimator (q : Query.t) =
+  let cp = Cost_model.default in
   let graph = Join_graph.make q in
   let n = Query.n_rels q in
   check_connected graph q;
@@ -185,21 +184,12 @@ let dp ?space ?(cost_params = Cost_model.default) ?uncertainty ~catalog
   Rdb_obs.Metrics.incr "plan.built";
   Rdb_obs.Metrics.incr ~by:!pairs "plan.dp_pairs";
   Rdb_obs.Metrics.observe "plan.ms" elapsed;
-  ( best,
-    {
-      pairs_considered = !pairs;
-      subsets_planned = Hashtbl.length best;
-      plan_ms = elapsed;
-    } )
-
-let plan ?space ?cost_params ?uncertainty ~catalog ~estimator q =
-  let best, stats =
-    dp ?space ?cost_params ?uncertainty ~catalog ~estimator q
-  in
-  match Hashtbl.find_opt best (Relset.full (Query.n_rels q)) with
-  | Some e -> (e.plan, stats)
+  match Hashtbl.find_opt best (Relset.full n) with
+  | Some e ->
+    ( e.plan,
+      {
+        pairs_considered = !pairs;
+        subsets_planned = Hashtbl.length best;
+        plan_ms = elapsed;
+      } )
   | None -> invalid_arg "Optimizer: no plan found for full relation set"
-
-let best_cost_of_sets ?space ?cost_params ~catalog ~estimator q =
-  let best, _ = dp ?space ?cost_params ~catalog ~estimator q in
-  fun s -> Option.map (fun e -> e.plan) (Hashtbl.find_opt best s)

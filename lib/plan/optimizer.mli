@@ -4,7 +4,6 @@
     index nested loop, nested loop, merge join) — the architecture of the
     paper's PostgreSQL 10 baseline with foreign-key indexes added. *)
 
-module Relset = Rdb_util.Relset
 module Query := Rdb_query.Query
 module Estimator := Rdb_card.Estimator
 
@@ -17,7 +16,6 @@ type stats = {
 
 val plan :
   ?space:Search_space.t ->
-  ?cost_params:Rdb_cost.Cost_model.params ->
   ?uncertainty:float ->
   catalog:Catalog.t ->
   estimator:Estimator.t ->
@@ -40,14 +38,3 @@ val plan :
     and its cost in the point scenario. Trades peak performance for
     resistance to the under-estimation disasters re-optimization would
     otherwise have to repair. *)
-
-val best_cost_of_sets :
-  ?space:Search_space.t ->
-  ?cost_params:Rdb_cost.Cost_model.params ->
-  catalog:Catalog.t ->
-  estimator:Estimator.t ->
-  Query.t ->
-  (Relset.t -> Plan.t option)
-(** Expose the full DP table of point planning (best plan per connected
-    subset); used by tests to check optimality against exhaustive
-    enumeration. *)

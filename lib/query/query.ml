@@ -45,6 +45,7 @@ let edges_within t s =
   List.filter (fun e -> Relset.mem e.l.rel s && Relset.mem e.r.rel s) t.edges
 
 let rel_alias t i = t.rels.(i).alias
+let aliases t s = List.map (rel_alias t) (Relset.to_list s)
 
 let all_rels t = Relset.full (n_rels t)
 

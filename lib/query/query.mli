@@ -45,6 +45,9 @@ val edges_within : t -> Rdb_util.Relset.t -> edge list
 
 val rel_alias : t -> int -> string
 
+val aliases : t -> Rdb_util.Relset.t -> string list
+(** The set's aliases, in relation order. *)
+
 val validate : Catalog.t -> t -> (unit, string) result
 (** Check every relation exists, every column index is in range, and every
     join column is integer-typed. *)

@@ -11,7 +11,7 @@ type entry = {
   (* @guarded_by mu *)
   mutable plan : Plan.t;
   (* @guarded_by mu *)
-  mutable cert : Resource.cert option;
+  mutable cert : Resource.cert;
   (* @guarded_by mu *)
   mutable epoch : (string * int) list;
   (* @guarded_by mu *)
@@ -30,8 +30,8 @@ type t = {
 }
 
 type lookup =
-  | Hit of Query.t * Plan.t * Resource.cert option
-  | Stale of Query.t * Plan.t * Resource.cert option
+  | Hit of Query.t * Plan.t * Resource.cert
+  | Stale of Query.t * Plan.t * Resource.cert
   | Miss
 
 let create ~capacity =
@@ -72,7 +72,7 @@ let lookup t ~key ~cqnf ~epoch =
         end
         else Stale (e.canonical, e.plan, e.cert))
 
-let insert t ~key ~cqnf ~canonical ~plan ?cert ~epoch () =
+let insert t ~key ~cqnf ~canonical ~plan ~cert ~epoch () =
   locked t (fun () ->
       (match Hashtbl.find_opt t.tbl key with
        | Some e ->
@@ -106,12 +106,11 @@ let insert t ~key ~cqnf ~canonical ~plan ?cert ~epoch () =
          Hashtbl.replace t.tbl key e;
          Metrics.incr "cache.insertions"))
 
-let refresh t ~key ~plan ~epoch =
+let refresh t ~key ~epoch =
   locked t (fun () ->
       match Hashtbl.find_opt t.tbl key with
       | None -> ()
       | Some e ->
-        (match plan with Some p -> e.plan <- p | None -> ());
         e.epoch <- epoch;
         touch_locked t e)
 

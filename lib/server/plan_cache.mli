@@ -24,11 +24,11 @@ module Resource := Rdb_analysis.Resource
 type t
 
 type lookup =
-  | Hit of Query.t * Plan.t * Resource.cert option
+  | Hit of Query.t * Plan.t * Resource.cert
       (** Same canonical form, same epoch: execute directly. The cached
-          resource certificate (when the service certified at insertion)
-          lets admission control decide without re-planning. *)
-  | Stale of Query.t * Plan.t * Resource.cert option
+          resource certificate lets admission control decide without
+          re-planning. *)
+  | Stale of Query.t * Plan.t * Resource.cert
       (** Same canonical form, but a table's modification counter moved. *)
   | Miss
 
@@ -51,7 +51,7 @@ val insert :
   cqnf:Cqnf.t ->
   canonical:Query.t ->
   plan:Plan.t ->
-  ?cert:Resource.cert ->
+  cert:Resource.cert ->
   epoch:(string * int) list ->
   unit ->
   unit
@@ -60,9 +60,9 @@ val insert :
     plan's resource certificate; it travels with the plan, so a later hit
     can make its admission decision from the cache alone. *)
 
-val refresh : t -> key:string -> plan:Plan.t option -> epoch:(string * int) list -> unit
-(** Revalidation / re-optimization write-back: update the entry's epoch
-    and, when given, replace its plan. No-op when the entry was evicted. *)
+val refresh : t -> key:string -> epoch:(string * int) list -> unit
+(** Revalidation: update the entry's epoch. No-op when the entry was
+    evicted. *)
 
 val remove : t -> key:string -> unit
 
@@ -70,8 +70,7 @@ val plan_of : t -> key:string -> Plan.t option
 
 val entries :
   t ->
-  (string * Query.t * Plan.t * (string * int) list * int * Resource.cert option)
-  list
+  (string * Query.t * Plan.t * (string * int) list * int * Resource.cert) list
 (** Snapshot of (key, canonical query, plan, epoch, hits, certificate),
     sorted by key — the stress test walks it to prove no torn entry
     exists, and the [\resources] frontend command reports it. *)

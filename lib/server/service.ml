@@ -188,14 +188,10 @@ let () =
     | Over_budget msg -> Some msg
     | _ -> None)
 
-let admission t (cert : Resource.cert option) =
-  match (t.config.mem_budget, cert) with
-  | None, _ -> `Admit
-  | Some _, None ->
-    (* Only entries inserted by pre-certificate code lack one; nothing can
-       be proved about them, so they pass. *)
-    `Admit
-  | Some budget, Some cert ->
+let admission t (cert : Resource.cert) =
+  match t.config.mem_budget with
+  | None -> `Admit
+  | Some budget ->
     let hi = Resource.mem_hi cert in
     if hi <= budget then `Admit
     else if t.config.downgrade then `Downgrade
@@ -275,7 +271,7 @@ let plan_and_execute t sess ?deadline_ms ~key ~cqnf ~epoch canonical =
        rides along, and the next request under a laxer budget — or the
        next rejection — resolves from the cache. *)
     Plan_cache.insert t.cache ~key ~cqnf ~canonical ~plan ~cert ~epoch ();
-    (match admission t (Some cert) with
+    (match admission t cert with
      | `Reject msg ->
        Metrics.incr "serve.rejected";
        raise (Over_budget msg)
@@ -299,7 +295,7 @@ let plan_and_execute t sess ?deadline_ms ~key ~cqnf ~epoch canonical =
           execution starts. *)
        let plan, _, estimator = Session.plan prepared ~mode:Estimator.Default in
        let cert = Session.certify ~estimator prepared plan in
-       (match admission t (Some cert) with
+       (match admission t cert with
         | `Reject msg ->
           Plan_cache.insert t.cache ~key ~cqnf ~canonical ~plan ~cert ~epoch ();
           Metrics.incr "serve.rejected";
@@ -356,7 +352,7 @@ let process t sess ?deadline_ms (q : Query.t) =
       cached_admit Hit canonical plan cert
     | Plan_cache.Stale (canonical, plan, cert) ->
       if t.config.revalidate && revalidates sess canonical plan then begin
-        Plan_cache.refresh t.cache ~key ~plan:None ~epoch;
+        Plan_cache.refresh t.cache ~key ~epoch;
         Metrics.incr "cache.hits";
         Metrics.incr "cache.revalidations";
         cached_admit Revalidated canonical plan cert
@@ -452,10 +448,7 @@ let resources_json t =
                    ("key", Json.Str key);
                    ("query", Json.Str canonical.Query.name);
                    ("hits", Json.Int hits);
-                   ( "cert",
-                     match cert with
-                     | Some c -> Resource.to_json c
-                     | None -> Json.Null );
+                   ("cert", Resource.to_json cert);
                  ])
              (Plan_cache.entries t.cache)) );
     ]

@@ -254,7 +254,7 @@ let clamp t s v =
 
 let render_set t s =
   "{"
-  ^ String.concat "," (List.map (Query.rel_alias t.q) (Relset.to_list s))
+  ^ String.concat "," (Query.aliases t.q s)
   ^ "}"
 
 (* Absolute slack of half a row plus relative epsilon: estimates that sit

@@ -17,15 +17,13 @@ let test_trigger_fires () =
   check Alcotest.bool "under fires too" true (Trigger.fires t ~est:330.0 ~actual:10.0);
   check Alcotest.bool "10x does not" false (Trigger.fires t ~est:10.0 ~actual:100.0)
 
-let test_trigger_min_rows () =
-  let t = Trigger.create ~min_actual_rows:100 2.0 in
-  check Alcotest.bool "small actual ignored" false (Trigger.fires t ~est:1.0 ~actual:50.0);
-  check Alcotest.bool "large actual fires" true (Trigger.fires t ~est:1.0 ~actual:500.0)
-
 let test_trigger_validation () =
   Alcotest.check_raises "threshold < 1"
     (Invalid_argument "Trigger.create: threshold must be >= 1") (fun () ->
-      ignore (Trigger.create 0.5))
+      ignore (Trigger.create 0.5));
+  Alcotest.check_raises "NaN threshold"
+    (Invalid_argument "Trigger.create: threshold must be >= 1") (fun () ->
+      ignore (Trigger.create Float.nan))
 
 (* ---- Session ---- *)
 
@@ -303,18 +301,20 @@ let test_find_trigger_smallest_first () =
   let edge i j = [ { Query.l = { Query.rel = i; col = 1 };
                      r = { Query.rel = j; col = 1 } } ] in
   (* Join(Join(Join(Join(A,B),C),D),E): the only 2-rel join {A,B} is also
-     the deepest — but make the point with the trigger's min_actual_rows
-     masking it: raise min_actual_rows above {A,B}'s 100 rows so the
-     smallest *tripping* join is the 3-relation {A,B,C}. *)
+     the deepest — so mask it: {A,B} carries its true cardinality (100) as
+     estimate and does not trip, and the smallest *tripping* join is the
+     3-relation {A,B,C}. *)
+  let exact_ab =
+    match join (scan 0) (scan 1) (edge 0 1) with
+    | Plan.Join j -> Plan.Join { j with Plan.join_est = 100.0 }
+    | Plan.Scan _ -> assert false
+  in
   let plan =
     join
-      (join (join (join (scan 0) (scan 1) (edge 0 1)) (scan 2) (edge 1 2))
-         (scan 3) (edge 2 3))
+      (join (join exact_ab (scan 2) (edge 1 2)) (scan 3) (edge 2 3))
       (scan 4) (edge 3 4)
   in
-  match
-    Reopt.find_trigger prepared plan (Trigger.create ~min_actual_rows:500 32.0)
-  with
+  match Reopt.find_trigger prepared plan (Trigger.create 32.0) with
   | None -> Alcotest.fail "expected a tripping join"
   | Some (_, set, _, _) ->
     check (Alcotest.list Alcotest.int) "smallest tripping join" [ 0; 1; 2 ]
@@ -396,12 +396,9 @@ let test_find_trigger_matches_exhaustive_walk () =
       let prepared = Session.prepare session q in
       let plan, _, _ = Session.plan prepared ~mode:Estimator.Default in
       List.iter
-        (fun (threshold, min_actual_rows) ->
-          let trigger = Trigger.create ~min_actual_rows threshold in
-          let label =
-            Printf.sprintf "%s @%g min %d" q.Query.name threshold
-              min_actual_rows
-          in
+        (fun threshold ->
+          let trigger = Trigger.create threshold in
+          let label = Printf.sprintf "%s @%g" q.Query.name threshold in
           match
             ( Reopt.find_trigger prepared plan trigger,
               reference_find_trigger prepared plan trigger )
@@ -418,8 +415,7 @@ let test_find_trigger_matches_exhaustive_walk () =
               (Float.equal q_err q_err')
           | Some _, None | None, Some _ ->
             Alcotest.failf "%s: one search trips, the other does not" label)
-        [ (2.0, 0); (2.0, 100); (32.0, 0); (32.0, 100); (1000.0, 0);
-          (1000.0, 100) ])
+        [ 2.0; 32.0; 1000.0 ])
     (Rdb_imdb.Job_queries.all catalog);
   (* both outcomes must be exercised *)
   check Alcotest.bool
@@ -724,7 +720,6 @@ let () =
       ( "trigger",
         [
           Alcotest.test_case "fires on q-error" `Quick test_trigger_fires;
-          Alcotest.test_case "min rows guard" `Quick test_trigger_min_rows;
           Alcotest.test_case "validation" `Quick test_trigger_validation;
         ] );
       ( "session",

@@ -294,19 +294,6 @@ let test_optimizer_optimal_vs_exhaustive () =
       check (Alcotest.float 0.001) (name ^ " optimal") exhaustive (Plan.cost plan))
     [ "1a"; "1b"; "2a"; "3b"; "4a"; "5c"; "6d" ]
 
-let test_best_cost_of_sets_exposes_dp () =
-  let cat = small_db () in
-  let q =
-    bind cat "SELECT COUNT(*) FROM dim AS d, fact AS f WHERE f.dim_id = d.id"
-  in
-  let stats = Rdb_stats.Db_stats.create () in
-  Rdb_stats.Analyze.all cat stats;
-  let estimator = Estimator.create ~mode:Estimator.Default ~catalog:cat ~stats q in
-  let lookup = Optimizer.best_cost_of_sets ~catalog:cat ~estimator q in
-  check Alcotest.bool "singleton present" true (lookup (Relset.of_list [ 0 ]) <> None);
-  check Alcotest.bool "full present" true (lookup (Relset.full 2) <> None);
-  check Alcotest.bool "disconnected absent" true (lookup Relset.empty = None)
-
 (* ---- Explain ---- *)
 
 let test_explain_renders () =
@@ -343,7 +330,6 @@ let () =
             test_optimizer_index_scan_for_selective_eq;
           Alcotest.test_case "optimal vs exhaustive" `Slow
             test_optimizer_optimal_vs_exhaustive;
-          Alcotest.test_case "exposes DP table" `Quick test_best_cost_of_sets_exposes_dp;
         ] );
       ( "explain",
         [ Alcotest.test_case "renders" `Quick test_explain_renders ] );
