@@ -446,7 +446,9 @@ let findings ?budget (_q : Query.t) cert =
          (Printf.sprintf
             "plan %s: certified peak memory %s row-slots exceeds the budget \
              of %s — admission control must reject or downgrade it"
-            cert.cert_shape (Interval.to_string cert.cert_mem) (Interval.rows_to_string b)))
+            cert.cert_shape
+            (Interval.to_string cert.cert_mem)
+            (Interval.rows_to_string b)))
   | Some _ | None -> ());
   (match cert.cert_reopt with
   | None -> ()

@@ -5,6 +5,5 @@ let create threshold =
     invalid_arg "Trigger.create: threshold must be >= 1";
   { threshold }
 
-let q_error = Rdb_util.Stat_utils.q_error
-
-let fires t ~est ~actual = q_error ~est ~actual >= t.threshold
+let fires t ~est ~actual =
+  Rdb_util.Stat_utils.q_error ~est ~actual >= t.threshold

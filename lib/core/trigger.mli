@@ -10,6 +10,3 @@ val create : float -> t
     included). *)
 
 val fires : t -> est:float -> actual:float -> bool
-
-val q_error : est:float -> actual:float -> float
-(** Re-exported {!Rdb_util.Stat_utils.q_error} for convenience. *)
