@@ -2,6 +2,7 @@ module Relset = Rdb_util.Relset
 module Predicate = Rdb_query.Predicate
 module Query = Rdb_query.Query
 module Join_graph = Rdb_query.Join_graph
+module Eq_classes = Rdb_query.Eq_classes
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -267,6 +268,35 @@ let test_to_dot () =
   check Alcotest.bool "mentions edge" true (contains ~needle:"a -- b" dot);
   check Alcotest.bool "mentions table" true (contains ~needle:"t0" dot)
 
+(* ---- Eq_classes ---- *)
+
+let test_eq_classes () =
+  let cr rel col = { Query.rel; col } in
+  let e l r = { Query.l; r } in
+  (* b.1 = c.0, then a.2 = c.0 joins the class; d.0 = d.1 is a second
+     class; the repeated b.1 = a.2 and the reversed c.0 = b.1 merge
+     nothing. *)
+  let classes =
+    Eq_classes.make
+      [ e (cr 1 1) (cr 2 0); e (cr 3 0) (cr 3 1); e (cr 0 2) (cr 2 0);
+        e (cr 1 1) (cr 0 2); e (cr 2 0) (cr 1 1) ]
+  in
+  check Alcotest.int "two classes" 2 (Eq_classes.n_classes classes);
+  check
+    (Alcotest.list (Alcotest.pair (Alcotest.pair Alcotest.int Alcotest.int)
+       Alcotest.int))
+    "members and class ids in first-appearance order"
+    [ ((1, 1), 0); ((2, 0), 0); ((3, 0), 1); ((3, 1), 1); ((0, 2), 0) ]
+    (List.map
+       (fun ((c : Query.colref), k) -> ((c.Query.rel, c.Query.col), k))
+       (Eq_classes.members classes));
+  check Alcotest.bool "smallest (rel, col) represents" true
+    (Eq_classes.repr classes (cr 2 0) = cr 0 2);
+  check Alcotest.bool "a column on no edge is its own class" true
+    (Eq_classes.class_of classes (cr 0 0) = None
+    && Eq_classes.repr classes (cr 0 0) = cr 0 0);
+  check Alcotest.int "redundant edges" 2 (Eq_classes.redundant classes)
+
 let () =
   Alcotest.run "rdb_query"
     [
@@ -296,4 +326,6 @@ let () =
           qtest prop_connected_subsets_complete;
           qtest prop_removable_connectivity;
         ] );
+      ( "eq_classes",
+        [ Alcotest.test_case "classes" `Quick test_eq_classes ] );
     ]
