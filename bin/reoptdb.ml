@@ -245,7 +245,7 @@ let cmd_explain =
                  next to each operator's estimated (and actual) rows.")
   in
   let run with_query analyze adaptive threshold pessimistic bounds =
-    with_query (fun session q prepared mode ->
+    with_query (fun _ q prepared mode ->
         let plan, pstats, _ = Session.plan ~pessimistic prepared ~mode in
         Printf.printf "planning: %d csg-cmp pairs, %.2fms\n\n"
           pstats.Rdb_plan.Optimizer.pairs_considered
@@ -261,15 +261,11 @@ let cmd_explain =
           let oracle = Session.oracle prepared in
           let notes =
             if not bounds then fun _ -> []
-            else begin
-              let ctx =
-                Rdb_verify.Card_bound.create ~catalog:(Session.catalog session)
-                  ~stats:(Session.stats session) q
+            else fun set ->
+              let lo, hi =
+                Rdb_verify.Card_bound.interval (Session.bounds prepared) set
               in
-              fun set ->
-                let lo, hi = Rdb_verify.Card_bound.interval ctx set in
-                [ Printf.sprintf "bounds=[%.0f, %.0f]" lo hi ]
-            end
+              [ Printf.sprintf "bounds=[%.0f, %.0f]" lo hi ]
           in
           print_string
             (Rdb_plan.Explain.render

@@ -8,17 +8,9 @@ let render ?trigger ?(bounds = false) prepared plan (res : Executor.result) =
   let q = Session.query prepared in
   let bound_interval =
     if not bounds then fun _ -> None
-    else begin
-      let session = Session.session prepared in
-      let ctx =
-        Rdb_verify.Card_bound.create
-          ~catalog:(Session.catalog session)
-          ~stats:(Session.stats session) q
-      in
-      fun set ->
-        let lo, hi = Rdb_verify.Card_bound.interval ctx set in
-        Some (Printf.sprintf "bounds=[%.0f, %.0f]" lo hi)
-    end
+    else fun set ->
+      let lo, hi = Rdb_verify.Card_bound.interval (Session.bounds prepared) set in
+      Some (Printf.sprintf "bounds=[%.0f, %.0f]" lo hi)
   in
   (* Relation sets are unique within one plan tree, so they key both the
      executor's observations and the planned join algorithms. *)

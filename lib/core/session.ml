@@ -63,6 +63,7 @@ type prepared = {
   q : Query.t;
   oracle : Oracle.t;
   space : Search_space.t;
+  bounds : Rdb_verify.Card_bound.t;
 }
 
 let prepare t q =
@@ -78,28 +79,26 @@ let prepare t q =
         q;
         oracle = Oracle.create t.catalog q;
         space = Search_space.build graph;
+        bounds =
+          Rdb_verify.Card_bound.create ~catalog:t.catalog ~stats:t.stats q;
       })
 
 let query p = p.q
 let oracle p = p.oracle
 let space p = p.space
 let session p = p.session
+let bounds p = p.bounds
 
 (* Pessimistic mode: clamp every memoized estimate to the verifier's sound
    [lo, hi] interval before it reaches the cost model. *)
 let bound_of p ~pessimistic =
   if not pessimistic then None
-  else begin
-    let ctx =
-      Rdb_verify.Card_bound.create ~catalog:p.session.catalog
-        ~stats:p.session.stats p.q
-    in
+  else
     Some
       (fun s v ->
-        let v' = Rdb_verify.Card_bound.clamp ctx s v in
+        let v' = Rdb_verify.Card_bound.clamp p.bounds s v in
         if v' <> v then Rdb_obs.Metrics.incr "verify.clamped";
         v')
-  end
 
 let plan ?(checks = Checks.env ()) ?(pessimistic = false) ?uncertainty ?log p
     ~mode =
@@ -133,12 +132,8 @@ let certify ?transitions ?threshold ?estimator p plan =
           Estimator.create ~mode:Estimator.Default ~catalog:p.session.catalog
             ~stats:p.session.stats ~oracle:p.oracle p.q
       in
-      let ctx =
-        Rdb_verify.Card_bound.create ~catalog:p.session.catalog
-          ~stats:p.session.stats p.q
-      in
       Rdb_analysis.Resource.certify
-        ~bounds:(Rdb_verify.Card_bound.interval ctx)
+        ~bounds:(Rdb_verify.Card_bound.interval p.bounds)
         ?transitions ?threshold ~space:p.space ~catalog:p.session.catalog
         ~estimator p.q plan)
 
@@ -181,13 +176,10 @@ let feedback_mode ?(gated = false) p fb =
        intersection keeps the gate from rejecting plans over errors that
        provably cannot happen. *)
     let unconfirmed =
-      let bound_ctx =
-        Rdb_verify.Card_bound.create ~catalog ~stats:p.session.stats p.q
-      in
       Rdb_analysis.Sensitivity.intersect
         (Rdb_analysis.Sensitivity.q_envelope 32.0)
         (Rdb_analysis.Sensitivity.of_intervals
-           (Rdb_verify.Card_bound.interval bound_ctx))
+           (Rdb_verify.Card_bound.interval p.bounds))
     in
     let unconfirmed_pivots eff_lookup =
       let mode = Estimator.Feedback eff_lookup in

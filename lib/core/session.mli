@@ -59,6 +59,14 @@ val oracle : prepared -> Oracle.t
 val space : prepared -> Search_space.t
 val session : prepared -> t
 
+val bounds : prepared -> Rdb_verify.Card_bound.t
+(** The query's sound-bound context, created by {!prepare} and shared by
+    pessimistic planning, {!certify}, gated {!feedback_mode} and EXPLAIN:
+    its memo fills on first use and stays valid while the session's
+    statistics for the query's tables do not change. Like the oracle, it
+    is mutable and unsynchronized: a prepared query is confined to the
+    domain that prepared it. *)
+
 val plan :
   ?checks:Checks.check list ->
   ?pessimistic:bool ->

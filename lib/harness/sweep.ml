@@ -137,9 +137,9 @@ let verify ?queries ~threshold ~perfect_n ~gen ~seed lab =
   in
   let capped, workload =
     per_query ?queries lab (fun report q prepared ->
-        (* The bounds depend only on data and constraints, so one context
-           serves every configuration's plan. *)
-        let bounds = Card_bound.create ~catalog ~stats q in
+        (* The bounds depend only on data and constraints, so the prepared
+           query's one context serves every configuration's plan. *)
+        let bounds = Session.bounds prepared in
         List.iter
           (fun (config, pessimistic) ->
             let label =
@@ -269,9 +269,9 @@ let fragility ?queries ~envelope ~bounds ~corner_limit lab =
         let q_env = Sensitivity.q_envelope envelope in
         if not bounds then q_env
         else
-          let ctx = Card_bound.create ~catalog ~stats:(Session.stats session) q in
           Sensitivity.intersect q_env
-            (Sensitivity.of_intervals (Card_bound.interval ctx))
+            (Sensitivity.of_intervals
+               (Card_bound.interval (Session.bounds prepared)))
       in
       (* One interval interpretation and one set of corner replans per
          query: the envelope is fixed, only the trigger threshold is swept,

@@ -2,9 +2,11 @@ type t = {
   entries : (Value.t * float) list;
   by_value : (Value.t, float) Hashtbl.t;
   total : float;
+  complete : bool;
 }
 
-let empty = { entries = []; by_value = Hashtbl.create 1; total = 0.0 }
+let empty =
+  { entries = []; by_value = Hashtbl.create 1; total = 0.0; complete = false }
 
 let run_starts equal sorted =
   let starts = Rdb_util.Int_vec.create () in
@@ -35,7 +37,7 @@ let of_runs ?(slots = 100) ~n ~value starts =
     let by_value = Hashtbl.create (List.length entries) in
     List.iter (fun (v, f) -> Hashtbl.replace by_value v f) entries;
     let total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 entries in
-    { entries; by_value; total }
+    { entries; by_value; total; complete = Array.length frequent < slots }
   end
 
 let build ?slots values =
@@ -51,3 +53,4 @@ let entries t = t.entries
 let frequency t v = Hashtbl.find_opt t.by_value v
 let total_fraction t = t.total
 let count t = List.length t.entries
+let complete t = t.complete

@@ -31,3 +31,8 @@ val total_fraction : t -> float
 
 val count : t -> int
 (** Number of entries. *)
+
+val complete : t -> bool
+(** True when the list was built with a free slot left, so it holds every
+    value occurring at least twice. False for {!empty} and for a list cut
+    off at its slot count, whatever that count was. *)

@@ -7,30 +7,38 @@ module Mcv = Rdb_stats.Mcv
 module Plan = Rdb_plan.Plan
 module Finding = Rdb_analysis.Finding
 
-(* Sound [lo, hi] row-count intervals for every sub-join of a query,
-   propagated bottom-up from three kinds of ground truth:
+(* Sound [lo, hi] row-count intervals for every sub-join of a query, from
+   exact statistics, declared unique keys and declared NOT NULL foreign
+   keys (see the interface). Upper bounds use key absorption:
+   ub(S) <= ub(S \ r) * dup(r), where dup(r) is the largest number of
+   r-rows any single join-key value can match — 1 for a unique column, the
+   exact MCV max frequency otherwise. When removing r disconnects the
+   rest, components multiply. *)
 
-   - exact table row counts and ANALYZE statistics (this engine's ANALYZE
-     is a full scan: null fractions, MCV counts and max frequencies are
-     exact, guarded by a row-count freshness check);
-   - declared unique keys: joining through a unique column cannot multiply
-     cardinality, and an equality predicate on it matches at most one row;
-   - declared foreign keys: a NOT NULL foreign key into an unfiltered
-     parent joins every child row exactly once, preserving lower bounds.
+(* What every peel reads about one relation, built once per context on
+   first use: its scan interval, its neighbours, and per incident edge
+   (self-edges excluded, in edge order) the other end, the edge's dup
+   factor and whether the other end is a safe foreign key into it. *)
+type rel_facts = {
+  scan : float * float;
+  no_preds : bool;
+  nbrs : Relset.t;
+  incident : (int * float * bool) list;
+}
 
-   Upper bounds use key absorption: ub(S) <= ub(S \ r) * dup(r), where
-   dup(r) is the largest number of r-rows any single join-key value can
-   match — 1 for a unique column, the exact MCV max frequency otherwise.
-   When removing r disconnects the rest, components multiply. *)
+module Memo = Hashtbl.Make (Relset)
 
 type t = {
   catalog : Catalog.t;
   stats : Db_stats.t;
   q : Query.t;
-  memo : (Relset.t, float * float) Hashtbl.t;
+  memo : (float * float) Memo.t;
+  (* @confined a context is used by one domain at a time *)
+  mutable facts : rel_facts array option;
 }
 
-let create ~catalog ~stats q = { catalog; stats; q; memo = Hashtbl.create 64 }
+let create ~catalog ~stats q =
+  { catalog; stats; q; memo = Memo.create 64; facts = None }
 
 let table_of t rel = Catalog.table_exn t.catalog t.q.Query.rels.(rel).Query.table
 
@@ -50,19 +58,22 @@ let null_count (s : Col_stats.t) =
 
 let non_null (s : Col_stats.t) = s.Col_stats.row_count - null_count s
 
-(* ANALYZE builds MCVs with 100 slots everywhere in this codebase; a list
-   shorter than that provably holds every value occurring >= 2 times. *)
-let mcv_slots = 100
-
 let mcv_count (s : Col_stats.t) f = ri (f *. float_of_int (non_null s))
+
+(* Most rows one non-NULL value outside the MCV list can have: one when
+   the list is complete, else the smallest kept count. *)
+let unlisted_max (s : Col_stats.t) =
+  if Mcv.complete s.Col_stats.mcv then min 1 (non_null s)
+  else
+    match List.rev (Mcv.entries s.Col_stats.mcv) with
+    | (_, f) :: _ -> mcv_count s f
+    | [] -> non_null s
 
 (* Largest number of rows sharing one non-NULL value of the column. *)
 let max_frequency (s : Col_stats.t) =
   match Mcv.entries s.Col_stats.mcv with
   | (_, f) :: _ -> mcv_count s f
-  | [] ->
-    (* no value occurs twice (MCV keeps everything with count >= 2) *)
-    if non_null s > 0 then 1 else 0
+  | [] -> unlisted_max s
 
 (* Rows matching [col = v]. *)
 let eq_count t rel col v =
@@ -74,16 +85,7 @@ let eq_count t rel col v =
     | Some s ->
       (match Mcv.frequency s.Col_stats.mcv v with
        | Some f -> mcv_count s f
-       | None ->
-         let entries = Mcv.entries s.Col_stats.mcv in
-         if List.length entries < mcv_slots then
-           (* untruncated: any value outside the list occurs at most once *)
-           min 1 (non_null s)
-         else
-           (* truncated: bounded by the smallest kept frequency *)
-           (match List.rev entries with
-            | (_, f) :: _ -> mcv_count s f
-            | [] -> assert false))
+       | None -> unlisted_max s)
 
 (* Rows a single predicate can keep. *)
 let pred_bound t rel (col, (p : Predicate.t)) =
@@ -130,37 +132,6 @@ let scan_interval t rel =
     in
     (0.0, float_of_int hi)
 
-(* Connected components of [s] under the query's join edges. *)
-let components t s =
-  let rec grow comp frontier =
-    match frontier with
-    | [] -> comp
-    | r :: rest ->
-      let nbrs =
-        List.filter_map
-          (fun { Query.l; r = rr } ->
-            let a = l.Query.rel and b = rr.Query.rel in
-            if a = r && Relset.mem b s && not (Relset.mem b comp) then Some b
-            else if b = r && Relset.mem a s && not (Relset.mem a comp) then
-              Some a
-            else None)
-          t.q.Query.edges
-      in
-      let nbrs = List.sort_uniq compare nbrs in
-      grow
-        (List.fold_left (fun c b -> Relset.add b c) comp nbrs)
-        (nbrs @ rest)
-  in
-  let rec split remaining acc =
-    if Relset.is_empty remaining then List.rev acc
-    else begin
-      let seed = Relset.min_elt remaining in
-      let comp = grow (Relset.singleton seed) [ seed ] in
-      split (Relset.diff remaining comp) (comp :: acc)
-    end
-  in
-  split s []
-
 (* The connecting edge is a declared NOT NULL foreign key of [child_rel]
    into relation [r]'s unique key column: every child row joins exactly
    one r-row. *)
@@ -177,74 +148,105 @@ let fk_edge_safe t ~child_cr ~r_cr =
         | None -> false)
   | None -> false
 
+let build_facts t =
+  Array.init (Query.n_rels t.q) (fun r ->
+      let scan = scan_interval t r in
+      let dup (r_cr : Query.colref) =
+        if Schema.is_unique (schema_of t r) r_cr.Query.col then 1.0
+        else
+          match fresh_stats t r r_cr.Query.col with
+          | Some st -> float_of_int (max_frequency st)
+          | None -> snd scan
+      in
+      let incident =
+        List.map
+          (fun { Query.l; r = r_cr } ->
+            (l.Query.rel, dup r_cr, fk_edge_safe t ~child_cr:l ~r_cr))
+          (Query.edges_between t.q
+             (Relset.remove r (Query.all_rels t.q))
+             (Relset.singleton r))
+      in
+      {
+        scan;
+        no_preds = Query.preds_of_cols t.q r = [];
+        nbrs = Relset.of_list (List.map (fun (o, _, _) -> o) incident);
+        incident;
+      })
+
+(* Connected components of [s], each grown by a bitset flood fill from
+   the smallest member not yet covered, in ascending order of that seed. *)
+let components facts s =
+  let rec grow comp frontier =
+    if Relset.is_empty frontier then comp
+    else begin
+      let r = Relset.min_elt frontier in
+      let fresh = Relset.diff (Relset.inter facts.(r).nbrs s) comp in
+      grow (Relset.union comp fresh)
+        (Relset.union (Relset.remove r frontier) fresh)
+    end
+  in
+  let rec split remaining acc =
+    if Relset.is_empty remaining then List.rev acc
+    else begin
+      let seed = Relset.singleton (Relset.min_elt remaining) in
+      let comp = grow seed seed in
+      split (Relset.diff remaining comp) (comp :: acc)
+    end
+  in
+  split s []
+
 let rec interval t s =
-  match Hashtbl.find_opt t.memo s with
+  match Memo.find_opt t.memo s with
   | Some iv -> iv
   | None ->
     let iv = compute t s in
-    Hashtbl.replace t.memo s iv;
+    Memo.replace t.memo s iv;
     iv
 
+(* Factors are floored at one row, mirroring the estimator's own 1-row
+   floor: that only raises the bound, and keeps [estimate-exceeds-bound]
+   findings about real estimator violations. *)
 and compute t s =
+  let facts =
+    match t.facts with
+    | Some f -> f
+    | None ->
+      let f = build_facts t in
+      t.facts <- Some f;
+      f
+  in
   match Relset.cardinal s with
   | 0 -> invalid_arg "Card_bound.interval: empty set"
-  | 1 -> scan_interval t (Relset.min_elt s)
+  | 1 -> facts.(Relset.min_elt s).scan
   | _ ->
-    let members = Relset.to_list s in
-    (* Factors are floored at one row: the estimator clamps every subset
-       estimate to >= 1 (as PostgreSQL does), so a provably-empty member
-       still contributes one phantom row to its compositions. Mirroring
-       that floor here only raises the bound — it stays a sound upper
-       bound on the true cardinality — and keeps [estimate-exceeds-bound]
-       findings indicative of real estimator violations rather than of
-       the documented floor. *)
-    let hi =
-      List.fold_left
-        (fun best r ->
+    let lo, hi =
+      Relset.fold
+        (fun r (lo, hi) ->
+          let f = facts.(r) in
           let rest = Relset.remove r s in
+          let comps = components facts rest in
           let base =
             List.fold_left
               (fun acc comp -> acc *. Float.max 1.0 (snd (interval t comp)))
-              1.0 (components t rest)
+              1.0 comps
           in
-          let _, hi_r = interval t (Relset.singleton r) in
-          let connecting =
-            Query.edges_between t.q rest (Relset.singleton r)
-          in
-          let dup =
+          let dup, into, safe =
             List.fold_left
-              (fun acc { Query.l = _; r = r_cr } ->
-                let d =
-                  if Schema.is_unique (schema_of t r_cr.Query.rel) r_cr.Query.col
-                  then 1.0
-                  else
-                    match fresh_stats t r_cr.Query.rel r_cr.Query.col with
-                    | Some st -> float_of_int (max_frequency st)
-                    | None -> hi_r
-                in
-                Float.min acc d)
-              hi_r connecting
+              (fun ((dup, into, _) as acc) (other, d, safe) ->
+                if Relset.mem other rest then (Float.min dup d, into + 1, safe)
+                else acc)
+              (snd f.scan, 0, false) f.incident
           in
-          Float.min best (base *. Float.max 1.0 dup))
-        infinity members
-    in
-    let lo =
-      List.fold_left
-        (fun best r ->
-          let rest = Relset.remove r s in
-          match components t rest with
-          | [ _ ] when Query.preds_of_cols t.q r = [] ->
-            (match Query.edges_between t.q rest (Relset.singleton r) with
-             | [ { Query.l = child_cr; r = r_cr } ]
-               when fk_edge_safe t ~child_cr ~r_cr ->
-               Float.max best (fst (interval t rest))
-             | _ -> best)
-          | _ -> best)
-        0.0 members
+          let lo =
+            match comps with
+            | [ _ ] when f.no_preds && into = 1 && safe ->
+              Float.max lo (fst (interval t rest))
+            | _ -> lo
+          in
+          (lo, Float.min hi (base *. Float.max 1.0 dup)))
+        s (0.0, infinity)
     in
     (Float.min lo hi, hi)
-
-let upper t s = snd (interval t s)
 
 let clamp t s v =
   let lo, hi = interval t s in
@@ -252,10 +254,7 @@ let clamp t s v =
 
 (* ---- plan checking ---- *)
 
-let render_set t s =
-  "{"
-  ^ String.concat "," (Query.aliases t.q s)
-  ^ "}"
+let render_set t s = "{" ^ String.concat "," (Query.aliases t.q s) ^ "}"
 
 (* Absolute slack of half a row plus relative epsilon: estimates that sit
    exactly on the bound (exact MCV counts reproduce the bound to the ulp)
@@ -313,23 +312,21 @@ let check_constraints catalog =
         | Column.Ints cells -> Some cells
         | Column.Strs _ -> None
       in
-      let cell_null c row =
-        match Table.column tbl c with
-        | Column.Ints cells -> cells.(row) = Column.null_int
-        | Column.Strs _ -> false
-      in
       for c = 0 to Schema.arity schema - 1 do
         let cname = (Schema.column schema c).Schema.name in
         if Schema.is_not_null schema c then begin
-          let nulls = ref 0 in
-          for row = 0 to nrows - 1 do
-            if cell_null c row then incr nulls
-          done;
-          if !nulls > 0 then
+          let nulls =
+            match int_col c with
+            | Some cells ->
+              Array.fold_left
+                (fun n v -> if v = Column.null_int then n + 1 else n) 0 cells
+            | None -> 0
+          in
+          if nulls > 0 then
             add
               (Finding.error ~code:"constraint-not-null"
                  (Printf.sprintf "%s.%s declared NOT NULL but has %d NULLs"
-                    name cname !nulls))
+                    name cname nulls))
         end;
         if Schema.is_unique schema c then begin
           match int_col c with

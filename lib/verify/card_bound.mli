@@ -21,7 +21,11 @@ module Plan := Rdb_plan.Plan
 module Finding := Rdb_analysis.Finding
 
 type t
-(** Per-query context; intervals are memoized per relation subset. *)
+(** Per-query context. [create] is O(1); the first interval builds each
+    relation's scan bound, neighbour bitset and incident edges with their
+    dup factors and foreign-key flags, and every interval is memoized per
+    relation subset. Mutable and unsynchronized: use a context on one
+    domain, and create a new one once the statistics change. *)
 
 val create : catalog:Catalog.t -> stats:Db_stats.t -> Query.t -> t
 
@@ -29,8 +33,6 @@ val interval : t -> Relset.t -> float * float
 (** [lo, hi] bounds on the rows of the sub-join over the set (its
     relations, their predicates, and every internal edge). Raises
     [Invalid_argument] on the empty set. *)
-
-val upper : t -> Relset.t -> float
 
 val clamp : t -> Relset.t -> float -> float
 (** Clamp a point estimate into the interval — the "pessimistic" estimator

@@ -107,6 +107,18 @@ let test_mcv_ignores_null () =
   check (Alcotest.float 1e-9) "freq of 1" 1.0
     (Option.value ~default:0.0 (Mcv.frequency mcv (Value.Int 1)))
 
+(* A list is complete only when it kept fewer entries than its slots, so
+   it provably holds every value occurring twice or more. *)
+let test_mcv_complete () =
+  let ints l = List.map (fun i -> Value.Int i) l in
+  let three_pairs = ints [ 1; 1; 2; 2; 3; 3; 4 ] in
+  let complete slots vs = Mcv.complete (Mcv.build ~slots vs) in
+  check Alcotest.bool "a free slot: complete" true (complete 4 three_pairs);
+  check Alcotest.bool "every slot used: truncated" false (complete 3 three_pairs);
+  check Alcotest.bool "no slots: truncated" false (complete 0 three_pairs);
+  check Alcotest.bool "no repeats: complete" true (complete 3 (ints [ 1; 2 ]));
+  check Alcotest.bool "empty: not complete" false (Mcv.complete Mcv.empty)
+
 let prop_mcv_sorted_desc =
   QCheck.Test.make ~name:"mcv entries sorted by frequency" ~count:200
     QCheck.(list (int_range 0 10))
@@ -441,6 +453,7 @@ let () =
           Alcotest.test_case "frequencies" `Quick test_mcv_frequencies;
           Alcotest.test_case "total <= 1" `Quick test_mcv_total_le_one;
           Alcotest.test_case "ignores null" `Quick test_mcv_ignores_null;
+          Alcotest.test_case "complete" `Quick test_mcv_complete;
           qtest prop_mcv_sorted_desc;
         ] );
       ( "group_stats",
