@@ -353,10 +353,10 @@ module Ref_bound = struct
       (Float.min lo hi, hi)
 end
 
-(* A generated query, perturbed from the same seed: sometimes a duplicate
-   of an edge (either orientation) and a self-edge, and sometimes one
-   table's statistics made stale by a row-count mismatch, so the
-   propagation's no-statistics branches run. *)
+(* A generated query, perturbed from the same seed: each independently
+   half the time, a duplicate of an edge (either orientation), a
+   self-edge, and one table's statistics made stale by a row-count
+   mismatch, so the propagation's no-statistics branches run. *)
 let perturbed g stats seed =
   let rng = Prng.create seed in
   let q = Query_gen.gen g rng ~name:(Printf.sprintf "p%d" seed) in
