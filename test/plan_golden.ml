@@ -1,10 +1,11 @@
 (* Golden plans: every JOB query at scale 0.02, seed 42, planned under
-   Default, perfect-4 and robust planning at uncertainty 2 and 8. One line
-   per plan: query, configuration, DP pairs considered, subsets planned,
-   then the plan tree with each node's algorithm or access path and its
-   estimate and cost in exact hexadecimal. The test rule diffs this output
-   against plan_golden.expected, so no change to the DP, the cost rule or
-   the estimator can silently move a plan, an estimate or a cost.
+   Default, perfect-4 and robust planning at uncertainty 2, 4 and 8 (every
+   value the robust experiment runs). One line per plan: query,
+   configuration, DP pairs considered, subsets planned, then the plan tree
+   with each node's algorithm or access path and its estimate and cost in
+   exact hexadecimal. The test rule diffs this output against
+   plan_golden.expected, so no change to the DP, the cost rule or the
+   estimator can silently move a plan, an estimate or a cost.
 
    Then every query's re-optimization run at thresholds 2 and 32 under
    Default estimates: the CQNF fingerprint of the original query, one line
@@ -67,6 +68,7 @@ let () =
           ("default", Estimator.Default, None);
           ("perfect-4", Estimator.Perfect 4, None);
           ("robust-2", Estimator.Default, Some 2.0);
+          ("robust-4", Estimator.Default, Some 4.0);
           ("robust-8", Estimator.Default, Some 8.0);
         ])
     (Rdb_imdb.Job_queries.all catalog);
