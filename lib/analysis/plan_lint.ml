@@ -193,7 +193,7 @@ let check ~catalog ?estimator (q : Query.t) (plan : Plan.t) =
               (err ~code:"inl-inner-not-base"
                  "index nested loop inner input is not a single base \
                   relation"))
-       | Plan.Hash_join | Plan.Nested_loop | Plan.Merge_join -> ());
+       | Plan.Hash_join | Plan.Nested_loop -> ());
       (* Estimates. A corrupted plan can cover a disconnected subset the
          estimator refuses to price; the structural findings above already
          explain it, so record the refusal rather than aborting the lint. *)

@@ -69,11 +69,6 @@ let iadd a b = Interval.add a b
 let imul a b = iv (a.Interval.lo *. b.Interval.lo) (a.Interval.hi *. b.Interval.hi)
 let iscale a k = iv (a.Interval.lo *. k) (a.Interval.hi *. k)
 
-(* Upper bound on the executor's integer sort cost n*(1 + floor(log2 n))
-   for any n <= r; the extra +1 absorbs the float log's rounding. *)
-let sort_hi r =
-  if r <= 1.0 then r else r *. (2.0 +. Float.log (Float.max 1.0 r) /. Float.log 2.0)
-
 (* {1 MCV max-frequency}
 
    A sound per-value row-count bound for an (analyzed) column: the MCV
@@ -126,11 +121,11 @@ let key_freq stats tbl ~col ~key =
    - [mem]: interval on the peak resident slots while the subtree runs.
      The outer intermediate is live while the inner subtree executes, and
      both inputs plus the operator's transient structures (hash build
-     table: one entry per inner row; merge join: one key cell per row per
-     side) plus the output are live at the operator itself;
+     table: one entry per inner row) plus the output are live at the
+     operator itself;
    - [work]: interval on the executor's [spend] total. Emitted-row terms
-     equal the output cardinality (every probe match / merge group pair is
-     emitted); index fan-outs are bounded by MCV max-frequency. *)
+     equal the output cardinality (every probe match is emitted); index
+     fan-outs are bounded by MCV max-frequency. *)
 type acc = {
   rows : Interval.t;
   slots : Interval.t;
@@ -182,19 +177,6 @@ let interp ~bounds ~catalog ~stats (q : Query.t) plan =
            mem = blocking i i.rows;
            work =
              iadd (iadd o.work i.work) (iadd (iadd i.rows o.rows) out_rows);
-         }
-       | Plan.Merge_join ->
-         let i = go j.Plan.inner in
-         let sort_terms =
-           iv 0.0 (sort_hi o.rows.Interval.hi +. sort_hi i.rows.Interval.hi)
-         in
-         {
-           rows = out_rows;
-           slots = out_slots;
-           mem = blocking i (iadd o.rows i.rows);
-           work =
-             iadd (iadd o.work i.work)
-               (iadd (iadd o.rows i.rows) (iadd sort_terms out_rows));
          }
        | Plan.Nested_loop ->
          let i = go j.Plan.inner in

@@ -15,14 +15,13 @@
 
     - {b peak resident memory} in row-slots ([Rdb_exec.Executor.result.peak_rows]):
       live intermediates are [rows * width] slots, a hash join's build side
-      stays resident while it runs, a merge join holds one key cell per row
-      on each side, and along a left-deep pipeline the outer intermediate
-      is live while the inner subtree executes. Corner evaluation of these
+      stays resident while it runs, and along a left-deep pipeline the
+      outer intermediate is live while the inner subtree executes. Corner evaluation of these
       (monotone) recurrences over the cardinality intervals yields the
       exact interval image, as for {!Rdb_cost.Interval}.
     - {b total work units} ([Rdb_exec.Executor.result.work]): mirrors of the
       executor's [spend] arithmetic — scans, build+probe+emit, index-probe
-      fan-out bounded by MCV max-frequency, sort and cross-product terms.
+      fan-out bounded by MCV max-frequency, and cross-product terms.
     - {b worst-case replan count} for a re-opt-enabled execution, plus an
       abstract simulation of [Rdb_core.Reopt]'s trigger/materialize/replan
       loop that detects oscillation (the same plan shape re-planned twice —

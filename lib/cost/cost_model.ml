@@ -38,13 +38,3 @@ let index_nested_loop params ~outer ~out ~npreds =
 
 let nested_loop params ~outer ~inner ~out =
   (outer *. inner *. params.cpu_operator_cost) +. (out *. params.cpu_tuple_cost)
-
-let sort params ~rows =
-  let rows = Float.max 2.0 rows in
-  2.0 *. rows *. (log rows /. log 2.0) *. params.cpu_operator_cost
-
-let merge_join params ~outer ~inner ~out =
-  sort params ~rows:outer
-  +. sort params ~rows:inner
-  +. ((outer +. inner) *. params.cpu_operator_cost)
-  +. (out *. params.cpu_tuple_cost)

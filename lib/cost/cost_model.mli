@@ -38,9 +38,3 @@ val index_nested_loop : params -> outer:float -> out:float -> npreds:int -> floa
 
 val nested_loop : params -> outer:float -> inner:float -> out:float -> float
 (** Plain nested loop over a materialized inner. *)
-
-val sort : params -> rows:float -> float
-(** In-memory sort: [rows * log2 rows] comparison costs. *)
-
-val merge_join : params -> outer:float -> inner:float -> out:float -> float
-(** Sort both inputs, then a linear merge emitting [out] rows. *)

@@ -43,11 +43,11 @@ type ctx = {
   mutable obs : node_obs list;
   adaptive : bool;
   mutable switches : int;
-  (* Resident row-slots (one rowid or key cell each): live intermediates
-     plus the transient per-operator structures (hash build table, merge
-     key arrays). [peak] is the high-water mark, updated at operator
-     boundaries — the dynamic side of [Rdb_analysis.Resource]'s certified
-     memory interval, so the two must charge identical quantities. *)
+  (* Resident row-slots (one rowid or hash-table entry each): live
+     intermediates plus a hash join's transient build table. [peak] is the
+     high-water mark, updated at operator boundaries — the dynamic side of
+     [Rdb_analysis.Resource]'s certified memory interval, so the two must
+     charge identical quantities. *)
   mutable resident : int;
   mutable peak : int;
 }
@@ -280,68 +280,6 @@ let index_nl ctx (j : Plan.join) outer inner_rel inner_col =
   done;
   gather outer (Rowids inner_rel) pairs
 
-let merge_join ctx (j : Plan.join) outer inner =
-  let edges = j.Plan.join_edges in
-  let okeys = key_positions outer (fun e -> e.Query.l) edges in
-  let ikeys = key_positions inner (fun e -> e.Query.r) edges in
-  let extract inter keys =
-    spend ctx inter.nrows;
-    Array.init inter.nrows (fun i ->
-        Array.map (fun (pos, col) -> cell ctx inter pos col i) keys)
-  in
-  let okey = extract outer okeys and ikey = extract inner ikeys in
-  let non_null keys =
-    let out = Int_vec.create ~capacity:1024 () in
-    Array.iteri
-      (fun i key ->
-        if not (Array.exists (fun v -> v = Column.null_int) key) then
-          Int_vec.push out i)
-      keys;
-    Int_vec.to_array out
-  in
-  let cmp_key (a : int array) (b : int array) =
-    let rec go i =
-      if i >= Array.length a then 0
-      else
-        match Int.compare a.(i) b.(i) with 0 -> go (i + 1) | c -> c
-    in
-    go 0
-  in
-  let oidx = non_null okey and iidx = non_null ikey in
-  let sort_cost n =
-    let rec bits v acc = if v <= 1 then acc else bits (v lsr 1) (acc + 1) in
-    n * (1 + bits n 0)
-  in
-  spend ctx (sort_cost (Array.length oidx));
-  spend ctx (sort_cost (Array.length iidx));
-  Array.sort (fun a b -> cmp_key okey.(a) okey.(b)) oidx;
-  Array.sort (fun a b -> cmp_key ikey.(a) ikey.(b)) iidx;
-  let pairs = new_pairs () in
-  let no = Array.length oidx and ni = Array.length iidx in
-  let i = ref 0 and k = ref 0 in
-  while !i < no && !k < ni do
-    let c = cmp_key okey.(oidx.(!i)) ikey.(iidx.(!k)) in
-    if c < 0 then incr i
-    else if c > 0 then incr k
-    else begin
-      (* equal-key groups: emit the cross product *)
-      let key = okey.(oidx.(!i)) in
-      let i_end = ref !i in
-      while !i_end < no && cmp_key okey.(oidx.(!i_end)) key = 0 do incr i_end done;
-      let k_end = ref !k in
-      while !k_end < ni && cmp_key ikey.(iidx.(!k_end)) key = 0 do incr k_end done;
-      spend ctx ((!i_end - !i) * (!k_end - !k));
-      for a = !i to !i_end - 1 do
-        for b = !k to !k_end - 1 do
-          record pairs oidx.(a) iidx.(b)
-        done
-      done;
-      i := !i_end;
-      k := !k_end
-    end
-  done;
-  gather outer (Tuples inner) pairs
-
 let nested_loop ctx (j : Plan.join) outer inner =
   let edges = j.Plan.join_edges in
   let conds =
@@ -401,15 +339,13 @@ let rec exec ctx node =
     let j = { j with Plan.algo } in
     (* Charge the operator's transient structures and the two inputs for
        the duration of the join, then keep only the output resident. The
-       hash build table holds one entry per inner row; a merge join
-       extracts one key cell per row on each side. *)
+       hash build table holds one entry per inner row. *)
     let joined aux inner =
       alloc ctx aux;
       let inter =
         match j.Plan.algo with
         | Plan.Hash_join -> hash_join ctx j outer inner
         | Plan.Nested_loop -> nested_loop ctx j outer inner
-        | Plan.Merge_join -> merge_join ctx j outer inner
         | Plan.Index_nl _ -> invalid_arg "Executor: index NL is not blocking"
       in
       alloc ctx (slots inter);
@@ -424,9 +360,6 @@ let rec exec ctx node =
       | Plan.Nested_loop ->
         let inner = exec ctx j.Plan.inner in
         joined 0 inner
-      | Plan.Merge_join ->
-        let inner = exec ctx j.Plan.inner in
-        joined (outer.nrows + inner.nrows) inner
       | Plan.Index_nl { inner_col } ->
         let inner_rel =
           match j.Plan.inner with

@@ -29,14 +29,14 @@ type result = {
   switches : int;        (** adaptive operator demotions performed *)
 }
 (** [peak_rows] is the high-water mark of resident "row-slots" (one
-    base-table rowid or extracted key cell each), sampled at operator
-    boundaries: live intermediates are [nrows * width] slots, a hash join
-    additionally holds one build-table entry per inner row while it runs,
-    and a merge join one key cell per row on each side. This is the
-    deterministic memory analog of [work], and the quantity
-    [Rdb_analysis.Resource] certificates bound: certified executions
-    (non-adaptive — a demotion changes the operator mix underneath the
-    certificate) must observe [peak_rows] within the certified interval.
+    base-table rowid or hash-table entry each), sampled at operator
+    boundaries: live intermediates are [nrows * width] slots, and a hash
+    join additionally holds one build-table entry per inner row while it
+    runs. This is the deterministic memory analog of [work], and the
+    quantity [Rdb_analysis.Resource] certificates bound: certified
+    executions (non-adaptive — a demotion changes the operator mix
+    underneath the certificate) must observe [peak_rows] within the
+    certified interval.
     A join's probe phase records its matches as two transient int vectors
     (outer tuple, inner tuple or rowid) before one exact-size gather builds
     its output; like the slack of a growing vector, they are not charged,

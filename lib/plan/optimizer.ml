@@ -171,7 +171,6 @@ let plan ?space ?uncertainty ~catalog ~estimator (q : Query.t) =
       let orient eo ei edges =
         consider eo ei edges Plan.Hash_join;
         consider eo ei edges Plan.Nested_loop;
-        consider eo ei edges Plan.Merge_join;
         match inl_inner_col ~catalog q ei.plan edges with
         | Some inner_col -> consider eo ei edges (Plan.Index_nl { inner_col })
         | None -> ()

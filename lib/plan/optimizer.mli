@@ -1,7 +1,7 @@
 (** The dynamic-programming plan optimizer: bushy plans over DPccp's
     search space, no cartesian products, access-path selection (sequential
     vs. equality index scan) and join-algorithm selection (hash join,
-    index nested loop, nested loop, merge join) — the architecture of the
+    index nested loop, nested loop) — the architecture of the
     paper's PostgreSQL 10 baseline with foreign-key indexes added. *)
 
 module Query := Rdb_query.Query

@@ -10,7 +10,6 @@ type join_algo =
   | Hash_join
   | Index_nl of { inner_col : int }
   | Nested_loop
-  | Merge_join
 
 type t =
   | Scan of scan
@@ -58,9 +57,6 @@ let join_cost cp q algo ~inner ~edges ~outer_rows ~inner_rows ~out ~outer_cost
   | Nested_loop ->
     outer_cost +. inner_cost
     +. Cost_model.nested_loop cp ~outer:outer_rows ~inner:inner_rows ~out
-  | Merge_join ->
-    outer_cost +. inner_cost
-    +. Cost_model.merge_join cp ~outer:outer_rows ~inner:inner_rows ~out
   | Index_nl _ ->
     let inner_preds =
       match inner with
@@ -110,7 +106,6 @@ let algo_name = function
   | Hash_join -> "Hash Join"
   | Index_nl _ -> "Index Nested Loop"
   | Nested_loop -> "Nested Loop"
-  | Merge_join -> "Merge Join"
 
 let rec same_shape a b =
   match (a, b) with
@@ -134,8 +129,7 @@ let shape q t =
         (match j.algo with
          | Hash_join -> "HJ"
          | Index_nl _ -> "INL"
-         | Nested_loop -> "NL"
-         | Merge_join -> "MJ");
+         | Nested_loop -> "NL");
       Buffer.add_char buf ' ';
       go j.outer;
       Buffer.add_char buf ' ';

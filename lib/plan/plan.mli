@@ -19,8 +19,6 @@ type join_algo =
           [inner_col]. The inner input must be a single base relation. *)
   | Nested_loop
       (** Materialized inner, scanned per outer row. *)
-  | Merge_join
-      (** Sort both inputs on the join key(s), then merge. *)
 
 type t =
   | Scan of scan

@@ -40,8 +40,7 @@ let rec render q buf = function
          (match j.Plan.algo with
           | Plan.Hash_join -> "HJ"
           | Plan.Index_nl { inner_col } -> Printf.sprintf "INL@c%d" inner_col
-          | Plan.Nested_loop -> "NL"
-          | Plan.Merge_join -> "MJ")
+          | Plan.Nested_loop -> "NL")
          j.Plan.join_est j.Plan.join_cost);
     render q buf j.Plan.outer;
     Buffer.add_char buf ' ';

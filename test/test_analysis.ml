@@ -467,7 +467,6 @@ let prop_cost_model_monotone =
       <=. Cost_model.seq_scan cp ~rows:(a +. d) ~npreds
       && Cost_model.index_scan cp ~matches:a ~npreds
          <=. Cost_model.index_scan cp ~matches:(a +. d) ~npreds
-      && Cost_model.sort cp ~rows:a <=. Cost_model.sort cp ~rows:(a +. d)
       && Cost_model.hash_join cp ~build:a ~probe:b ~out:c
          <=. Cost_model.hash_join cp ~build:(a +. d) ~probe:b ~out:c
       && Cost_model.hash_join cp ~build:a ~probe:b ~out:c
@@ -480,12 +479,6 @@ let prop_cost_model_monotone =
          <=. Cost_model.nested_loop cp ~outer:a ~inner:(b +. d) ~out:c
       && Cost_model.nested_loop cp ~outer:a ~inner:b ~out:c
          <=. Cost_model.nested_loop cp ~outer:a ~inner:b ~out:(c +. d)
-      && Cost_model.merge_join cp ~outer:a ~inner:b ~out:c
-         <=. Cost_model.merge_join cp ~outer:(a +. d) ~inner:b ~out:c
-      && Cost_model.merge_join cp ~outer:a ~inner:b ~out:c
-         <=. Cost_model.merge_join cp ~outer:a ~inner:(b +. d) ~out:c
-      && Cost_model.merge_join cp ~outer:a ~inner:b ~out:c
-         <=. Cost_model.merge_join cp ~outer:a ~inner:b ~out:(c +. d)
       && Cost_model.index_nested_loop cp ~outer:a ~out:c ~npreds
          <=. Cost_model.index_nested_loop cp ~outer:(a +. d) ~out:c ~npreds
       && Cost_model.index_nested_loop cp ~outer:a ~out:c ~npreds
@@ -524,7 +517,6 @@ let prop_interval_brackets_point =
         [
           Plan.Hash_join;
           Plan.Nested_loop;
-          Plan.Merge_join;
           Plan.Index_nl { inner_col = 0 };
         ])
 

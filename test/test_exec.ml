@@ -79,13 +79,12 @@ let cells_gen =
       (small_list (pair (int_range 0 100) (int_range 0 10))))
 
 let prop_join_algorithms_agree =
-  QCheck.Test.make ~name:"hash = NL = index-NL = merge = naive count" ~count:300
+  QCheck.Test.make ~name:"hash = NL = index-NL = naive count" ~count:300
     cells_gen (fun (l, r) ->
       let expected = naive_join_count l r in
       let rows algo = (run_with algo l r).Executor.out_rows in
       rows Plan.Hash_join = expected
       && rows Plan.Nested_loop = expected
-      && rows Plan.Merge_join = expected
       && rows (Plan.Index_nl { inner_col = 1 }) = expected)
 
 let prop_join_null_keys_never_match =
@@ -97,8 +96,7 @@ let prop_join_null_keys_never_match =
       let expected = naive_join_count l r in
       List.for_all
         (fun algo -> (run_with algo l r).Executor.out_rows = expected)
-        [ Plan.Hash_join; Plan.Nested_loop; Plan.Merge_join;
-          Plan.Index_nl { inner_col = 1 } ])
+        [ Plan.Hash_join; Plan.Nested_loop; Plan.Index_nl { inner_col = 1 } ])
 
 let test_aggregates () =
   let l = [ (10, 1); (20, 1); (30, 2) ] in
@@ -413,7 +411,6 @@ let test_multi_edge_join () =
   in
   let hash = Executor.execute ~catalog:cat ~query:q (plan Plan.Hash_join) in
   let nl = Executor.execute ~catalog:cat ~query:q (plan Plan.Nested_loop) in
-  let merge = Executor.execute ~catalog:cat ~query:q (plan Plan.Merge_join) in
   (* probes the index on y.a; y.b is checked as the extra edge *)
   let inl =
     Executor.execute ~catalog:cat ~query:q (plan (Plan.Index_nl { inner_col = 0 }))
@@ -421,7 +418,6 @@ let test_multi_edge_join () =
   (* matches: (1,1) and (1,2) *)
   check Alcotest.int "hash composite" 2 hash.Executor.out_rows;
   check Alcotest.int "nl composite" 2 nl.Executor.out_rows;
-  check Alcotest.int "merge composite" 2 merge.Executor.out_rows;
   check Alcotest.int "index NL composite" 2 inl.Executor.out_rows
 
 let () =

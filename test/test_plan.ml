@@ -253,7 +253,6 @@ let exhaustive_best_cost ~catalog ~estimator (q : Query.t) =
             let edges = Query.edges_between q s1 s2 in
             let hash = c1 +. c2 +. Cost_model.hash_join cp ~build:r2 ~probe:r1 ~out in
             let nl = c1 +. c2 +. Cost_model.nested_loop cp ~outer:r1 ~inner:r2 ~out in
-            let merge = c1 +. c2 +. Cost_model.merge_join cp ~outer:r1 ~inner:r2 ~out in
             let inl =
               if Relset.cardinal s2 = 1 then begin
                 let inner_rel = Relset.min_elt s2 in
@@ -274,7 +273,7 @@ let exhaustive_best_cost ~catalog ~estimator (q : Query.t) =
               end
               else []
             in
-            List.iter (fun c -> if c < !costs then costs := c) (hash :: nl :: merge :: inl)
+            List.iter (fun c -> if c < !costs then costs := c) (hash :: nl :: inl)
           end);
       !costs
     end
