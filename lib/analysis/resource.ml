@@ -74,9 +74,12 @@ let iscale a k = iv (a.Interval.lo *. k) (a.Interval.hi *. k)
    A sound per-value row-count bound for an (analyzed) column: the MCV
    list keeps the most frequent values occurring at least twice, so an
    unlisted value's count never exceeds the top listed count, and an
-   empty list on an analyzed column (histogram present) means no value
-   occurs twice at all. Rows appended after ANALYZE (guarded by the live
-   vs. analyzed row-count delta) could each add one occurrence. *)
+   empty complete list ({!Mcv.complete}: built with a slot to spare) on
+   an analyzed column (histogram present) means no value occurs twice at
+   all. An empty list built with no slots says nothing, so the bound
+   falls back to the live row count. Rows appended after ANALYZE (guarded
+   by the live vs. analyzed row-count delta) could each add one
+   occurrence. *)
 let max_freq stats tbl ~col =
   let live = float_of_int (Table.nrows tbl) in
   match Db_stats.col stats ~table:(Table.name tbl) ~col with
@@ -88,8 +91,9 @@ let max_freq stats tbl ~col =
      | (_, f) :: _ -> Float.min live (ceil (f *. analyzed) +. appended)
      | [] ->
        (match cs.Col_stats.hist with
-        | Some _ -> Float.min live (1.0 +. appended)
-        | None -> live))
+        | Some _ when Mcv.complete cs.Col_stats.mcv ->
+          Float.min live (1.0 +. appended)
+        | Some _ | None -> live))
 
 (* As above, but for one specific key value: its exact MCV count when
    listed, otherwise the least listed count (the list is sorted most
@@ -108,7 +112,10 @@ let key_freq stats tbl ~col ~key =
       | None ->
         (match List.rev entries with
          | (_, f_min) :: _ -> ceil (f_min *. analyzed)
-         | [] -> (match cs.Col_stats.hist with Some _ -> 1.0 | None -> live))
+         | [] ->
+           (match cs.Col_stats.hist with
+            | Some _ when Mcv.complete cs.Col_stats.mcv -> 1.0
+            | Some _ | None -> live))
     in
     Float.min live (bound +. appended)
 

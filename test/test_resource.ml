@@ -164,6 +164,78 @@ let test_seq_scan_work_is_exact () =
   Alcotest.(check int) "replans bounded by rels - 1" 0
     cert.Resource.cert_replans_hi
 
+(* An empty MCV list says "no value repeats" only when it had a slot to
+   spare. After ANALYZE with 0 slots every list is empty although values
+   repeat, so the index fan-outs of a hand-built index nested loop (title
+   outer, movie_keyword probed on movie_id) and of an index scan on
+   movie_keyword's most frequent movie_id must still be certified. *)
+let test_mcv_slots_sound () =
+  let catalog, session = imdb () in
+  let mk = Catalog.table_exn catalog "movie_keyword" in
+  let movie_id = Schema.find_exn (Table.schema mk) "movie_id" in
+  let top_movie =
+    let counts = Hashtbl.create 1024 in
+    for row = 0 to Table.nrows mk - 1 do
+      let v = Table.int_cell mk ~row ~col:movie_id in
+      Hashtbl.replace counts v
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
+    done;
+    let most v c (bv, bc) = if c > bc then (v, c) else (bv, bc) in
+    fst (Hashtbl.fold most counts (0, 0))
+  in
+  let join =
+    parse catalog ~name:"inl"
+      "SELECT COUNT(*) FROM movie_keyword AS mk, title AS t WHERE t.id = \
+       mk.movie_id AND t.production_year > 2000"
+  in
+  let lookup =
+    parse catalog ~name:"index"
+      (Printf.sprintf
+         "SELECT COUNT(*) FROM movie_keyword AS mk WHERE mk.movie_id = %d"
+         top_movie)
+  in
+  let scan rel access =
+    { Plan.scan_rel = rel; access; scan_est = 1.0; scan_cost = 1.0 }
+  in
+  let rel_of (q : Query.t) alias =
+    let rec go i = if Query.rel_alias q i = alias then i else go (i + 1) in
+    go 0
+  in
+  let inl_plan =
+    let t = rel_of join "t" and m = rel_of join "mk" in
+    Plan.Join
+      {
+        Plan.algo = Plan.Index_nl { inner_col = movie_id };
+        outer = Plan.Scan (scan t Plan.Seq_scan);
+        inner = Plan.Scan (scan m Plan.Seq_scan);
+        join_est = 1.0;
+        join_cost = 1.0;
+        join_edges =
+          List.map
+            (fun (e : Query.edge) ->
+              if e.Query.l.Query.rel = t then e
+              else { Query.l = e.Query.r; r = e.Query.l })
+            join.Query.edges;
+      }
+  in
+  let index_plan =
+    Plan.Scan (scan 0 (Plan.Index_scan { col = movie_id; key = top_movie }))
+  in
+  List.iter
+    (fun slots ->
+      Session.analyze ~mcv_slots:slots session;
+      List.iter
+        (fun (q, plan) ->
+          let prepared = Session.prepare session q in
+          let cert = Session.certify prepared plan in
+          let res = Session.execute prepared plan in
+          let hi = cert.Resource.cert_work.Interval.hi in
+          if float_of_int res.Executor.work > hi +. 0.5 then
+            Alcotest.failf "%d MCV slots, %s: work %d above certified hi %.1f"
+              slots q.Query.name res.Executor.work hi)
+        [ (join, inl_plan); (lookup, index_plan) ])
+    [ 0; 10 ]
+
 let test_reopt_steps_within_bound () =
   let _, session = Lazy.force lazy_db in
   let queries = Job_queries.all (Session.catalog session) in
@@ -293,6 +365,8 @@ let () =
           gen_soundness_case;
           Alcotest.test_case "seq-scan work certificate is exact" `Quick
             test_seq_scan_work_is_exact;
+          Alcotest.test_case "index fan-out sound at 0 and 10 MCV slots"
+            `Quick test_mcv_slots_sound;
         ] );
       ( "reopt",
         [
