@@ -2,8 +2,7 @@ module Relset = Rdb_util.Relset
 module Query = Rdb_query.Query
 module Predicate = Rdb_query.Predicate
 
-let colref_name (q : Query.t) (cr : Query.colref) catalog_name =
-  ignore catalog_name;
+let colref_name (q : Query.t) (cr : Query.colref) =
   Printf.sprintf "%s.c%d" (Query.rel_alias q cr.Query.rel) cr.Query.col
 
 let render ?actuals ?notes (q : Query.t) plan =
@@ -57,7 +56,7 @@ let render ?actuals ?notes (q : Query.t) plan =
         String.concat " AND "
           (List.map
              (fun { Query.l; r } ->
-               Printf.sprintf "%s = %s" (colref_name q l "") (colref_name q r ""))
+               Printf.sprintf "%s = %s" (colref_name q l) (colref_name q r))
              j.Plan.join_edges)
       in
       Buffer.add_string buf

@@ -16,8 +16,6 @@ let make (q : Query.t) =
 
 let n t = t.n
 
-let neighbors_of t i = t.adj.(i)
-
 let neighbors t s =
   Relset.diff (Relset.fold (fun i acc -> Relset.union t.adj.(i) acc) s Relset.empty) s
 

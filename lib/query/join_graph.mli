@@ -12,9 +12,6 @@ val make : Query.t -> t
 
 val n : t -> int
 
-val neighbors_of : t -> int -> Relset.t
-(** Vertices adjacent to a single vertex. *)
-
 val neighbors : t -> Relset.t -> Relset.t
 (** Vertices adjacent to (but outside) the set. *)
 

@@ -191,8 +191,3 @@ let serve ?(host = "127.0.0.1") ~port service =
         ts)
   in
   List.iter Thread.join to_join
-
-let port_of_env ?(default = 7878) var =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (try int_of_string (String.trim s) with Failure _ -> default)

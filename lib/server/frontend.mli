@@ -19,7 +19,3 @@ val serve : ?host:string -> port:int -> Service.t -> unit
     threads, and return. The caller still owns the service (call
     {!Service.shutdown} afterwards). Raises [Unix.Unix_error] when the
     address is unavailable. *)
-
-val port_of_env : ?default:int -> string -> int
-(** Read a port from an environment variable, falling back on [default]
-    (7878) when unset or malformed — CI convenience. *)

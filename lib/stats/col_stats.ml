@@ -19,8 +19,6 @@ let trivial ~row_count =
     hist = None;
   }
 
-let non_null_rows t = float_of_int t.row_count *. (1.0 -. t.null_frac)
-
 let pp fmt t =
   Format.fprintf fmt
     "rows=%d null_frac=%.3f n_distinct=%d mcvs=%d hist=%s"

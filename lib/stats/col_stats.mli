@@ -16,7 +16,4 @@ val trivial : row_count:int -> t
 (** Statistics claiming one distinct value and no detail; placeholder for
     columns that were never analyzed. *)
 
-val non_null_rows : t -> float
-(** Estimated number of non-NULL cells. *)
-
 val pp : Format.formatter -> t -> unit

@@ -54,18 +54,3 @@ let fraction_between t ~lo ~hi =
   else
     let below_lo = if lo = min_int then 0.0 else fraction_le t (lo - 1) in
     Float.max 0.0 (fraction_le t hi -. below_lo)
-
-let eq_fraction t v =
-  let b = t.bounds in
-  let nb = n_buckets t in
-  if v < b.(0) || v > b.(nb) then 0.0
-  else begin
-    let lo = ref 0 and hi = ref (nb - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if b.(mid) <= v then lo := mid else hi := mid - 1
-    done;
-    let i = !lo in
-    let width = float_of_int (b.(i + 1) - b.(i)) +. 1.0 in
-    1.0 /. float_of_int nb /. width
-  end

@@ -23,8 +23,3 @@ val fraction_le : t -> int -> float
 
 val fraction_between : t -> lo:int -> hi:int -> float
 (** Estimated fraction of values in the inclusive range, in [\[0,1\]]. *)
-
-val eq_fraction : t -> int -> float
-(** Uniformity-based estimate of the fraction equal to [v]: the mass of
-    [v]'s bucket divided by the bucket's width. Used only as a fallback when
-    a value is not in the MCV list. *)

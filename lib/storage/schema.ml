@@ -62,11 +62,3 @@ let is_unique t i = t.unique.(i)
 let is_not_null t i = t.not_null.(i)
 let fk_of t i = List.find_opt (fun f -> f.fk_col = i) t.fks
 let fks t = t.fks
-
-let pp fmt t =
-  Format.fprintf fmt "(%s)"
-    (String.concat ", "
-       (Array.to_list
-          (Array.map
-             (fun c -> c.name ^ " " ^ Value.ty_to_string c.ty)
-             t.cols)))

@@ -47,5 +47,3 @@ val fk_of : t -> int -> fk option
 (** The foreign-key declaration on a column, if any. *)
 
 val fks : t -> fk list
-
-val pp : Format.formatter -> t -> unit

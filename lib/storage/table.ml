@@ -37,6 +37,3 @@ let of_rows ~name ~schema rows =
         Column.of_values ty (List.map (fun r -> r.(c)) rows))
   in
   create ~name ~schema cols
-
-let pp_brief fmt t =
-  Format.fprintf fmt "%s%a [%d rows]" t.name Schema.pp t.schema t.nrows

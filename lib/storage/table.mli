@@ -21,5 +21,3 @@ val row : t -> int -> Value.t array
 
 val of_rows : name:string -> schema:Schema.t -> Value.t array list -> t
 (** Build from row-major values, e.g. when materializing a temp table. *)
-
-val pp_brief : Format.formatter -> t -> unit
