@@ -96,7 +96,8 @@ let prop_join_null_keys_never_match =
       let expected = naive_join_count l r in
       List.for_all
         (fun algo -> (run_with algo l r).Executor.out_rows = expected)
-        [ Plan.Hash_join; Plan.Nested_loop; Plan.Index_nl { inner_col = 1 } ])
+        [ Plan.Hash_join; Plan.Nested_loop;
+          Plan.Index_nl { inner_col = 1 } ])
 
 let test_aggregates () =
   let l = [ (10, 1); (20, 1); (30, 2) ] in
