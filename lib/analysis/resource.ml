@@ -80,6 +80,9 @@ let iscale a k = iv (a.Interval.lo *. k) (a.Interval.hi *. k)
    falls back to the live row count. Rows appended after ANALYZE (guarded
    by the live vs. analyzed row-count delta) could each add one
    occurrence. *)
+let no_repeats (cs : Col_stats.t) =
+  Option.is_some cs.Col_stats.hist && Mcv.complete cs.Col_stats.mcv
+
 let max_freq stats tbl ~col =
   let live = float_of_int (Table.nrows tbl) in
   match Db_stats.col stats ~table:(Table.name tbl) ~col with
@@ -89,11 +92,7 @@ let max_freq stats tbl ~col =
     let appended = Float.max 0.0 (live -. analyzed) in
     (match Mcv.entries cs.Col_stats.mcv with
      | (_, f) :: _ -> Float.min live (ceil (f *. analyzed) +. appended)
-     | [] ->
-       (match cs.Col_stats.hist with
-        | Some _ when Mcv.complete cs.Col_stats.mcv ->
-          Float.min live (1.0 +. appended)
-        | Some _ | None -> live))
+     | [] -> if no_repeats cs then Float.min live (1.0 +. appended) else live)
 
 (* As above, but for one specific key value: its exact MCV count when
    listed, otherwise the least listed count (the list is sorted most
@@ -112,10 +111,7 @@ let key_freq stats tbl ~col ~key =
       | None ->
         (match List.rev entries with
          | (_, f_min) :: _ -> ceil (f_min *. analyzed)
-         | [] ->
-           (match cs.Col_stats.hist with
-            | Some _ when Mcv.complete cs.Col_stats.mcv -> 1.0
-            | Some _ | None -> live))
+         | [] -> if no_repeats cs then 1.0 else live)
     in
     Float.min live (bound +. appended)
 

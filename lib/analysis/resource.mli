@@ -16,9 +16,10 @@
     - {b peak resident memory} in row-slots ([Rdb_exec.Executor.result.peak_rows]):
       live intermediates are [rows * width] slots, a hash join's build side
       stays resident while it runs, and along a left-deep pipeline the
-      outer intermediate is live while the inner subtree executes. Corner evaluation of these
-      (monotone) recurrences over the cardinality intervals yields the
-      exact interval image, as for {!Rdb_cost.Interval}.
+      outer intermediate is live while the inner subtree executes. Corner
+      evaluation of these (monotone) recurrences over the cardinality
+      intervals yields the exact interval image, as for
+      {!Rdb_cost.Interval}.
     - {b total work units} ([Rdb_exec.Executor.result.work]): mirrors of the
       executor's [spend] arithmetic — scans, build+probe+emit, index-probe
       fan-out bounded by MCV max-frequency, and cross-product terms.
