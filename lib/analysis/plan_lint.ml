@@ -224,8 +224,10 @@ let check ~catalog ?estimator (q : Query.t) (plan : Plan.t) =
           (err ~code:"cost-not-finite"
              (Printf.sprintf "join %s has cost %g" (render_set su) cost))
       else begin
+        (* Free operators price no predicate, so none need counting. *)
         let floor =
-          Plan.join_cost free_operators q j.Plan.algo ~inner:j.Plan.inner
+          Plan.join_cost free_operators ~npreds:(fun _ -> 0) j.Plan.algo
+            ~inner:j.Plan.inner
             ~edges:j.Plan.join_edges ~outer_rows:0.0 ~inner_rows:0.0 ~out:0.0
             ~outer_cost:(Plan.cost j.Plan.outer)
             ~inner_cost:(Plan.cost j.Plan.inner)

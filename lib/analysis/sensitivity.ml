@@ -91,6 +91,7 @@ type report = {
    post-order. *)
 let interp ~envelope (q : Query.t) plan =
   let cp = Cost_model.default in
+  let npreds = Array.get (Query.pred_counts q) in
   let nodes = ref [] and mismatches = ref [] in
   let push n = nodes := n :: !nodes in
   let rec go p =
@@ -122,7 +123,7 @@ let interp ~envelope (q : Query.t) plan =
       let box (lo, hi) = Interval.make lo hi in
       let o_rows = box o_iv and i_rows = box i_iv and out = box out_iv in
       let cost_at ~outer_rows ~inner_rows ~out ~outer_cost ~inner_cost =
-        Plan.join_cost cp q j.Plan.algo ~inner:j.Plan.inner
+        Plan.join_cost cp ~npreds j.Plan.algo ~inner:j.Plan.inner
           ~edges:j.Plan.join_edges ~outer_rows ~inner_rows ~out ~outer_cost
           ~inner_cost
       in

@@ -22,6 +22,10 @@ type t = {
       (* sound-interval clamp (the verifier's "pessimistic" mode): applied
          to every memoized estimate before the 1-row floor *)
   memo : (Relset.t, float) Hashtbl.t;
+  edges : Query.edge array;
+  edge_sel : float array;
+      (* [2k] and [2k+1]: the selectivity of edge k oriented as stated and
+         flipped, nan until first asked for *)
   implied : (Query.colref, Value.t) Hashtbl.t;
       (* equality constants propagated through join equivalence classes,
          as PostgreSQL's equivalence-class machinery does: a predicate
@@ -63,6 +67,8 @@ let create ?log ?bound ~mode ~catalog ~stats ?oracle q =
     log;
     bound;
     memo = Hashtbl.create 64;
+    edges = Array.of_list q.Query.edges;
+    edge_sel = Array.make (2 * List.length q.Query.edges) Float.nan;
     implied = compute_implied q;
   }
 
@@ -130,10 +136,27 @@ let base_default t rel =
   let rows = float_of_int (Table.nrows table) in
   Float.max 1.0 (rows *. combined_selectivity t rel stats_preds)
 
-let edge_selectivity t { Query.l; r } =
-  Join_sel.eq_join
-    (col_stats t l.Query.rel l.Query.col)
-    (col_stats t r.Query.rel r.Query.col)
+(* The selectivity of edge [k] oriented from [l] to [r] ([slot] 2k) or
+   from [r] to [l] ([slot] 2k+1), computed once. A join clause whose
+   equivalence class is pinned to a constant is implied by the base
+   restrictions on both sides: selectivity 1. *)
+let edge_selectivity t k ~flip =
+  let slot = (2 * k) + Bool.to_int flip in
+  let sel = t.edge_sel.(slot) in
+  if not (Float.is_nan sel) then sel
+  else begin
+    let { Query.l; r } = t.edges.(k) in
+    let l, r = if flip then (r, l) else (l, r) in
+    let sel =
+      if Hashtbl.mem t.implied l then 1.0
+      else
+        Join_sel.eq_join
+          (col_stats t l.Query.rel l.Query.col)
+          (col_stats t r.Query.rel r.Query.col)
+    in
+    t.edge_sel.(slot) <- sel;
+    sel
+  end
 
 let oracle_exn t =
   match t.oracle with
@@ -176,17 +199,17 @@ and compute_default t s =
   else begin
     let r = Join_graph.removable t.graph s in
     let rest = Relset.remove r s in
-    let connecting = Query.edges_between t.q rest (Relset.singleton r) in
-    let sel =
-      List.fold_left
-        (fun acc e ->
-          (* A join clause whose equivalence class is pinned to a constant
-             is implied by the base restrictions on both sides. *)
-          if Hashtbl.mem t.implied e.Query.l then acc
-          else acc *. edge_selectivity t e)
-        1.0 connecting
-    in
-    card t rest *. card t (Relset.singleton r) *. sel
+    (* The edges connecting [rest] to [r], in [q.edges] order, each
+       oriented from [rest] to [r]. *)
+    let sel = ref 1.0 in
+    Array.iteri
+      (fun k { Query.l; r = r' } ->
+        if Relset.mem l.Query.rel rest && r'.Query.rel = r then
+          sel := !sel *. edge_selectivity t k ~flip:false
+        else if Relset.mem r'.Query.rel rest && l.Query.rel = r then
+          sel := !sel *. edge_selectivity t k ~flip:true)
+      t.edges;
+    card t rest *. card t (Relset.singleton r) *. !sel
   end
 
 let base_card t rel = card t (Relset.singleton rel)

@@ -63,10 +63,6 @@ val card : t -> Relset.t -> float
 val base_card : t -> int -> float
 (** Estimated cardinality of one relation after its predicates. *)
 
-val edge_selectivity : t -> Query.edge -> float
-(** Estimated selectivity of a single join edge (from base-column
-    statistics). *)
-
 val pred_selectivity : t -> rel:int -> col:int -> Rdb_query.Predicate.t -> float
 (** Estimated selectivity of a single predicate; the optimizer uses this to
     size equality index scans. *)

@@ -175,23 +175,39 @@ let analyze_classes (q : Query.t) =
     ports;
   (!acyclic, ports)
 
-let create catalog q =
+let create ?carry catalog q =
   let tree, ports = analyze_classes q in
-  {
-    catalog;
-    q;
-    graph = Join_graph.make q;
-    cards = Hashtbl.create 256;
-    tuples = Hashtbl.create 64;
-    filtered = Array.make (Query.n_rels q) None;
-    ensured = 0;
-    materialized_rows = 0;
-    tree;
-    ports;
-    msg_single_memo = Hashtbl.create 64;
-    msg_set_memo = Hashtbl.create 64;
-    port_keys = Hashtbl.create 16;
-  }
+  let t =
+    {
+      catalog;
+      q;
+      graph = Join_graph.make q;
+      cards = Hashtbl.create 256;
+      tuples = Hashtbl.create 64;
+      filtered = Array.make (Query.n_rels q) None;
+      ensured = 0;
+      materialized_rows = 0;
+      tree;
+      ports;
+      msg_single_memo = Hashtbl.create 64;
+      msg_set_memo = Hashtbl.create 64;
+      port_keys = Hashtbl.create 16;
+    }
+  in
+  (match carry with
+   | None -> ()
+   | Some (prev, same_as) ->
+     Array.iteri
+       (fun rel old ->
+         if old >= 0 then begin
+           t.filtered.(rel) <- prev.filtered.(old);
+           Hashtbl.iter
+             (fun (r, col) keys ->
+               if r = old then Hashtbl.replace t.port_keys (rel, col) keys)
+             prev.port_keys
+         end)
+       same_as);
+  t
 
 let query t = t.q
 

@@ -54,7 +54,13 @@ end
 
 type t
 
-val create : Catalog.t -> Query.t -> t
+val create : ?carry:t * int array -> Catalog.t -> Query.t -> t
+(** [carry] is [(prev, same_as)]: relation [i] of the query is relation
+    [same_as.(i)] of [prev]'s query, over the same table with the same
+    predicates, or [same_as.(i) < 0]. Whatever [prev] has already
+    computed for such a relation, its filtered row ids and its join-key
+    arrays, is shared rather than computed again. A re-optimization step
+    keeps every relation outside the materialized set in just this way. *)
 
 val query : t -> Query.t
 

@@ -68,12 +68,16 @@ let needed_cols (q : Query.t) set =
     [ { Query.rel; col = 0 } ]
   | _ -> cols
 
+(* The relations a rewrite keeps, in order: those outside [set]. *)
+let outside (q : Query.t) set =
+  List.filter
+    (fun i -> not (Relset.mem i set))
+    (List.init (Query.n_rels q) Fun.id)
+
 let rewrite (q : Query.t) ~set ~temp_name ~temp_cols =
   let n = Query.n_rels q in
   let classes = inner_classes q set in
-  let keep =
-    List.filter (fun i -> not (Relset.mem i set)) (List.init n Fun.id)
-  in
+  let keep = outside q set in
   let remap = Array.make n (-1) in
   List.iteri (fun new_idx old_idx -> remap.(old_idx) <- new_idx) keep;
   let temp_idx = List.length keep in
@@ -195,11 +199,11 @@ let run ?(checks = Checks.env ()) ?work_budget ?deadline_ms ?(cleanup = true)
      over phases of (live temp cells + the phase executor's peak). *)
   let live_slots = ref 0 in
   let peak = ref 0 in
-  let rec loop q origin steps plan_times step_count =
+  let rec loop ?carry q origin steps plan_times step_count =
     let prepared =
       match initial with
       | Some p when step_count = 0 && Session.query p == q -> p
-      | Some _ | None -> Session.prepare session q
+      | Some _ | None -> Session.prepare ?carry session q
     in
     let plan, pstats, _estimator =
       if step_count = 0 then Session.plan ~checks prepared ~mode
@@ -278,17 +282,17 @@ let run ?(checks = Checks.env ()) ?work_budget ?deadline_ms ?(cleanup = true)
       (* The materialization just paid for a true cardinality; remember it
          under the original query's signature. *)
       learn_card origin set (Table.nrows table);
-      let keep =
-        List.filter
-          (fun i -> not (Relset.mem i set))
-          (List.init (Query.n_rels q) Fun.id)
-      in
+      (* [rewrite] keeps the relations outside [set], in order, with their
+         tables and predicates, and appends the temp relation. *)
+      let keep = Array.of_list (outside q set @ [ -1 ]) in
       let origin' =
-        Array.append
-          (Array.of_list (List.map (fun i -> origin.(i)) keep))
-          [| map_set origin set |]
+        Array.map
+          (fun i -> if i >= 0 then origin.(i) else map_set origin set)
+          keep
       in
-      loop q' origin' (step :: steps) plan_times (step_count + 1)
+      loop
+        ~carry:(Session.oracle prepared, keep)
+        q' origin' (step :: steps) plan_times (step_count + 1)
   in
   let cleanup_temps () = List.iter (Session.drop_temp session) !temp_names in
   match loop q0 (Array.init (Query.n_rels q0) Relset.singleton) [] [] 0 with

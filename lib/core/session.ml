@@ -66,7 +66,7 @@ type prepared = {
   bounds : Rdb_verify.Card_bound.t;
 }
 
-let prepare t q =
+let prepare ?carry t q =
   Trace.span "session.prepare"
     ~attrs:[ ("query", q.Query.name) ]
     (fun () ->
@@ -77,7 +77,7 @@ let prepare t q =
       {
         session = t;
         q;
-        oracle = Oracle.create t.catalog q;
+        oracle = Oracle.create ?carry t.catalog q;
         space = Search_space.build graph;
         bounds =
           Rdb_verify.Card_bound.create ~catalog:t.catalog ~stats:t.stats q;

@@ -50,9 +50,11 @@ val drop_temp : t -> string -> unit
 
 type prepared
 
-val prepare : t -> Query.t -> prepared
+val prepare : ?carry:Oracle.t * int array -> t -> Query.t -> prepared
 (** Validates the query and builds its shared oracle and search space.
-    Raises [Invalid_argument] when validation fails. *)
+    Raises [Invalid_argument] when validation fails. [carry] is passed to
+    {!Rdb_card.Oracle.create}: the new oracle shares what the given one
+    already computed for the relations the map says are unchanged. *)
 
 val query : prepared -> Query.t
 val oracle : prepared -> Oracle.t

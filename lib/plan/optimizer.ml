@@ -66,29 +66,30 @@ let scan_plan ~cp ~catalog ~estimator (q : Query.t) rel =
   Plan.Scan { Plan.scan_rel = rel; access; scan_est = est; scan_cost = cost }
 
 (* Index-nested-loop applies when the inner side is a single base relation
-   with a hash index on one of the connecting join columns. *)
-let inl_inner_col ~catalog (q : Query.t) inner_plan edges =
+   with a hash index on one of the connecting join columns; [indexed.(rel)]
+   lists the indexed columns of relation [rel]'s table. *)
+let inl_inner_col indexed inner_plan edges =
   match inner_plan with
   | Plan.Scan { Plan.scan_rel; _ } ->
-    let table_name = q.Query.rels.(scan_rel).Query.table in
     List.find_map
       (fun e ->
         let col = e.Query.r.Query.col in
-        match Catalog.index catalog ~table:table_name ~col with
-        | Some _ -> Some col
-        | None -> None)
+        if List.mem col indexed.(scan_rel) then Some col else None)
       edges
   | Plan.Join _ -> None
 
+module Memo = Hashtbl.Make (Relset)
+
 (* One memo entry per planned subset: its best plan, the subset's output
    rows in every scenario (computed once, when the subset is first
-   reached) and the plan's cost in every scenario. [costs] stays empty
-   until the subset's first candidate is recorded. *)
+   reached) and the plan's cost in every scenario, written in place. A
+   subset is [priced] once its first candidate is recorded. *)
 type entry = {
   rows : float array;
   mutable plan : Plan.t;
-  mutable costs : float array;
+  costs : float array;
   mutable worst : float;
+  mutable priced : bool;
 }
 
 (* A scenario scales every k-relation estimate by gamma^(k-1). Point
@@ -118,42 +119,65 @@ let plan ?space ?uncertainty ~catalog ~estimator (q : Query.t) =
     let k = float_of_int (Relset.cardinal s - 1) in
     Array.map (fun g -> Float.max 1.0 (card *. (g ** k))) gammas
   in
-  let best : (Relset.t, entry) Hashtbl.t = Hashtbl.create 256 in
+  (* Per-query tables, read by every pair: each edge in both orientations,
+     each relation's indexed columns and its predicate count. *)
+  let edges = Array.of_list q.Query.edges in
+  let flipped =
+    Array.map (fun { Query.l; r } -> { Query.l = r; r = l }) edges
+  in
+  let indexed =
+    Array.map (fun (r : Query.rel) -> Catalog.indexes_on catalog r.Query.table)
+      q.Query.rels
+  in
+  let npreds = Array.get (Query.pred_counts q) in
+  let best = Memo.create 256 in
   for rel = 0 to n - 1 do
     let s = Relset.singleton rel in
     let plan = scan_plan ~cp ~catalog ~estimator q rel in
     let cost = Plan.cost plan in
-    Hashtbl.replace best s
-      { rows = rows_of s; plan; costs = Array.make n_scen cost; worst = cost }
+    Memo.replace best s
+      {
+        rows = rows_of s;
+        plan;
+        costs = Array.make n_scen cost;
+        worst = cost;
+        priced = true;
+      }
   done;
   let scratch = Array.make n_scen 0.0 in
   let pairs = ref 0 in
   Search_space.iter space (fun s1 s2 ->
       incr pairs;
       let su = Relset.union s1 s2 in
-      let e1 = Hashtbl.find best s1 and e2 = Hashtbl.find best s2 in
+      let e1 = Memo.find best s1 and e2 = Memo.find best s2 in
       let eu =
-        match Hashtbl.find_opt best su with
+        match Memo.find_opt best su with
         | Some e -> e
         | None ->
           let e =
-            { rows = rows_of su; plan = e1.plan; costs = [||]; worst = 0.0 }
+            {
+              rows = rows_of su;
+              plan = e1.plan;
+              costs = Array.make n_scen 0.0;
+              worst = 0.0;
+              priced = false;
+            }
           in
-          Hashtbl.replace best su e;
+          Memo.replace best su e;
           e
       in
       let consider eo ei edges algo =
         let worst = ref neg_infinity in
         for i = 0 to n_scen - 1 do
           let c =
-            Plan.join_cost cp q algo ~inner:ei.plan ~edges
+            Plan.join_cost cp ~npreds algo ~inner:ei.plan ~edges
               ~outer_rows:eo.rows.(i) ~inner_rows:ei.rows.(i) ~out:eu.rows.(i)
               ~outer_cost:eo.costs.(i) ~inner_cost:ei.costs.(i)
           in
           scratch.(i) <- c;
           worst := Float.max !worst c
         done;
-        if Array.length eu.costs = 0 || !worst < eu.worst then begin
+        if (not eu.priced) || !worst < eu.worst then begin
           eu.plan <-
             Plan.Join
               {
@@ -164,31 +188,45 @@ let plan ?space ?uncertainty ~catalog ~estimator (q : Query.t) =
                 join_cost = scratch.(point);
                 join_edges = edges;
               };
-          eu.costs <- Array.copy scratch;
-          eu.worst <- !worst
+          Array.blit scratch 0 eu.costs 0 n_scen;
+          eu.worst <- !worst;
+          eu.priced <- true
         end
       in
       let orient eo ei edges =
         consider eo ei edges Plan.Hash_join;
         consider eo ei edges Plan.Nested_loop;
-        match inl_inner_col ~catalog q ei.plan edges with
+        match inl_inner_col indexed ei.plan edges with
         | Some inner_col -> consider eo ei edges (Plan.Index_nl { inner_col })
         | None -> ()
       in
-      let edges12 = Query.edges_between q s1 s2 in
-      orient e1 e2 edges12;
-      orient e2 e1
-        (List.map (fun { Query.l; r } -> { Query.l = r; r = l }) edges12));
+      (* The connecting edges in [q.edges] order, oriented from s1 to s2
+         and from s2 to s1. *)
+      let edges12 = ref [] and edges21 = ref [] in
+      for k = Array.length edges - 1 downto 0 do
+        let { Query.l; r } = edges.(k) in
+        let l = l.Query.rel and r = r.Query.rel in
+        if Relset.mem l s1 && Relset.mem r s2 then begin
+          edges12 := edges.(k) :: !edges12;
+          edges21 := flipped.(k) :: !edges21
+        end
+        else if Relset.mem r s1 && Relset.mem l s2 then begin
+          edges12 := flipped.(k) :: !edges12;
+          edges21 := edges.(k) :: !edges21
+        end
+      done;
+      orient e1 e2 !edges12;
+      orient e2 e1 !edges21);
   let elapsed = Clock.ms_since start in
   Rdb_obs.Metrics.incr "plan.built";
   Rdb_obs.Metrics.incr ~by:!pairs "plan.dp_pairs";
   Rdb_obs.Metrics.observe "plan.ms" elapsed;
-  match Hashtbl.find_opt best (Relset.full n) with
+  match Memo.find_opt best (Relset.full n) with
   | Some e ->
     ( e.plan,
       {
         pairs_considered = !pairs;
-        subsets_planned = Hashtbl.length best;
+        subsets_planned = Memo.length best;
         plan_ms = elapsed;
       } )
   | None -> invalid_arg "Optimizer: no plan found for full relation set"

@@ -48,8 +48,8 @@ let cost = function
    filtered by the inner's own predicates and every edge but the first,
    which is the index key. A join inner is a malformed plan that Plan_lint
    reports; it counts no predicates of its own. *)
-let join_cost cp q algo ~inner ~edges ~outer_rows ~inner_rows ~out ~outer_cost
-    ~inner_cost =
+let join_cost cp ~npreds algo ~inner ~edges ~outer_rows ~inner_rows ~out
+    ~outer_cost ~inner_cost =
   match algo with
   | Hash_join ->
     outer_cost +. inner_cost
@@ -59,9 +59,7 @@ let join_cost cp q algo ~inner ~edges ~outer_rows ~inner_rows ~out ~outer_cost
     +. Cost_model.nested_loop cp ~outer:outer_rows ~inner:inner_rows ~out
   | Index_nl _ ->
     let inner_preds =
-      match inner with
-      | Scan s -> List.length (Query.preds_of q s.scan_rel)
-      | Join _ -> 0
+      match inner with Scan s -> npreds s.scan_rel | Join _ -> 0
     in
     outer_cost
     +. Cost_model.index_nested_loop cp ~outer:outer_rows ~out

@@ -50,7 +50,7 @@ val cost : t -> float
 
 val join_cost :
   Rdb_cost.Cost_model.params ->
-  Query.t ->
+  npreds:(int -> int) ->
   join_algo ->
   inner:t ->
   edges:Query.edge list ->
@@ -64,12 +64,14 @@ val join_cost :
     algorithm's {!Rdb_cost.Cost_model} formula at the given row counts.
     Index nested loop drops [inner_cost] (it probes the inner base
     relation's index instead of running the subtree) and evaluates the
-    inner's own predicates plus all edges but the first on each match.
-    Monotone non-decreasing in every row and cost argument, so its values
-    at the all-lower and all-upper corners of a box bound it over the
-    box. The optimizer calls it once per scenario, the sensitivity
-    analyzer at the point estimates and the corners, and the plan linter
-    under all-zero parameters for the inputs' cost floor. *)
+    inner's own predicates plus all edges but the first on each match;
+    [npreds rel] is the number of predicates restricting relation [rel]
+    ({!Query.pred_counts}). Monotone non-decreasing in every row and cost
+    argument, so its values at the all-lower and all-upper corners of a
+    box bound it over the box. The optimizer calls it once per scenario,
+    the sensitivity analyzer at the point estimates and the corners, and
+    the plan linter under all-zero parameters for the inputs' cost
+    floor. *)
 
 val joins_bottom_up : t -> join list
 (** All join nodes, deepest-first (post-order); the order in which the

@@ -30,7 +30,12 @@ let preds_of_cols t rel =
     (fun { target; p } -> if target.rel = rel then Some (target.col, p) else None)
     t.preds
 
-let preds_of t rel = List.map snd (preds_of_cols t rel)
+let pred_counts t =
+  let counts = Array.make (n_rels t) 0 in
+  List.iter
+    (fun { target; _ } -> counts.(target.rel) <- counts.(target.rel) + 1)
+    t.preds;
+  counts
 
 let edges_between t s1 s2 =
   List.filter_map
@@ -78,6 +83,11 @@ let validate catalog t =
       let ty cr tbl = (Schema.column (Table.schema tbl) cr.col).Schema.ty in
       if ty l tl <> Value.Ty_int || ty r tr <> Value.Ty_int then
         Error "join edge: join columns must be integer-typed"
+      else if l.rel = r.rel then
+        (* No join applies such an edge, so it would be dropped silently. *)
+        Error
+          (Printf.sprintf "join edge: both sides are in relation %s"
+             t.rels.(l.rel).alias)
       else check_edges rest
   in
   let rec check_aggs = function

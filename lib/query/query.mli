@@ -30,11 +30,11 @@ type t = {
 
 val n_rels : t -> int
 
-val preds_of : t -> int -> Predicate.t list
-(** Predicates restricting a given relation, paired with columns. *)
-
 val preds_of_cols : t -> int -> (int * Predicate.t) list
 (** [(col, pred)] pairs restricting a given relation. *)
+
+val pred_counts : t -> int array
+(** The number of predicates restricting each relation. *)
 
 val edges_between : t -> Rdb_util.Relset.t -> Rdb_util.Relset.t -> edge list
 (** Join edges with one endpoint in each (disjoint) set, oriented so that
@@ -49,7 +49,8 @@ val aliases : t -> Rdb_util.Relset.t -> string list
 (** The set's aliases, in relation order. *)
 
 val validate : Catalog.t -> t -> (unit, string) result
-(** Check every relation exists, every column index is in range, and every
-    join column is integer-typed. *)
+(** Check every relation exists, every column index is in range, every
+    join column is integer-typed, and every join edge joins two different
+    relations. *)
 
 val all_rels : t -> Rdb_util.Relset.t

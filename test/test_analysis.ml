@@ -502,7 +502,9 @@ let prop_interval_brackets_point =
     (fun ((o_rows, i_rows, out), (o_cost, i_cost)) ->
       let _, q, _, j = Lazy.force fixture in
       let cost algo at =
-        Plan.join_cost Cost_model.default q algo ~inner:j.Plan.inner
+        Plan.join_cost Cost_model.default
+          ~npreds:(Array.get (Query.pred_counts q))
+          algo ~inner:j.Plan.inner
           ~edges:j.Plan.join_edges ~outer_rows:(at o_rows)
           ~inner_rows:(at i_rows) ~out:(at out) ~outer_cost:(at o_cost)
           ~inner_cost:(at i_cost)

@@ -6,6 +6,7 @@ module Executor = Rdb_exec.Executor
 module Session = Rdb_core.Session
 module Trigger = Rdb_core.Trigger
 module Reopt = Rdb_core.Reopt
+module Oracle = Rdb_card.Oracle
 
 let check = Alcotest.check
 
@@ -130,6 +131,76 @@ let test_reopt_cleanup () =
   let tables_after = List.map Table.name (Catalog.tables catalog) in
   check (Alcotest.list Alcotest.string) "temp tables dropped" tables_before
     tables_after
+
+(* A re-opt step's oracle shares the filtered rows and join keys of every
+   relation the rewrite keeps, and counts exactly what a fresh oracle of
+   the rewritten query counts. Every JOB query at thresholds 2 and 32:
+   each step's carried oracle is checked against a fresh one on every
+   connected subset, and a kept relation's filtered rows must be the very
+   array the previous step's oracle built, so a carry that stops
+   happening fails too. The first step carries from an oracle that has
+   counted every single relation and every pair, which gathers the join
+   keys of every edge's two ends. *)
+let test_reopt_oracle_carry () =
+  let catalog, session = make_session 0.02 in
+  let subsets q = Rdb_query.Join_graph.(connected_subsets (make q)) in
+  List.iter
+    (fun (q0 : Query.t) ->
+      let first = Oracle.create catalog q0 in
+      List.iter
+        (fun s ->
+          if Relset.cardinal s <= 2 then ignore (Oracle.true_card first s))
+        (subsets q0);
+      List.iter
+        (fun threshold ->
+          let outcome =
+            Reopt.run ~cleanup:false session
+              ~trigger:(Trigger.create threshold) ~mode:Estimator.Default q0
+          in
+          let prev = ref first and q = ref q0 in
+          List.iter
+            (fun (step : Reopt.step) ->
+              let set = step.Reopt.materialized_set in
+              let kept =
+                List.filter
+                  (fun i -> not (Relset.mem i set))
+                  (List.init (Query.n_rels !q) Fun.id)
+              in
+              let q' = step.Reopt.query_after in
+              let carried =
+                Oracle.create
+                  ~carry:(!prev, Array.of_list (kept @ [ -1 ]))
+                  catalog q'
+              in
+              let fresh = Oracle.create catalog q' in
+              List.iteri
+                (fun i old ->
+                  if
+                    Oracle.filtered_rowids carried i
+                    != Oracle.filtered_rowids !prev old
+                  then
+                    Alcotest.failf "%s reopt-%g: %s's rows not carried"
+                      q'.Query.name threshold (Query.rel_alias q' i))
+                kept;
+              List.iter
+                (fun s ->
+                  let got = Oracle.true_card carried s
+                  and want = Oracle.true_card fresh s in
+                  if got <> want then
+                    Alcotest.failf "%s reopt-%g {%s}: carried %d, fresh %d"
+                      q'.Query.name threshold
+                      (String.concat "," (Query.aliases q' s))
+                      got want)
+                (subsets q');
+              prev := carried;
+              q := q')
+            outcome.Reopt.steps;
+          List.iter
+            (fun (step : Reopt.step) ->
+              Session.drop_temp session step.Reopt.temp_name)
+            outcome.Reopt.steps)
+        [ 2.0; 32.0 ])
+    (Rdb_imdb.Job_queries.all catalog)
 
 let test_reopt_no_trigger_no_steps () =
   let catalog, session = make_session 0.02 in
@@ -778,6 +849,8 @@ let () =
           Alcotest.test_case "replan time per step" `Quick
             test_replan_ms_accounting;
           Alcotest.test_case "cleans up temp tables" `Quick test_reopt_cleanup;
+          Alcotest.test_case "carried oracle = fresh oracle" `Slow
+            test_reopt_oracle_carry;
           Alcotest.test_case "perfect estimates never trigger" `Quick
             test_reopt_no_trigger_no_steps;
           Alcotest.test_case "time accounting" `Quick test_reopt_accounting;

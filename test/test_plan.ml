@@ -127,17 +127,28 @@ let test_dpccp_chain_counts () =
         (Dpccp.count_pairs (Join_graph.make (chain n))))
     [ 2; 3; 5; 8 ]
 
-let test_search_space_sorted () =
-  let q = query_of_graph (6, [ 0; 0; 1; 2; 3 ], [ (4, 5) ]) in
-  let g = Join_graph.make q in
-  let space = Search_space.build g in
-  let last = ref 0 in
-  Search_space.iter space (fun s1 s2 ->
-      let size = Relset.cardinal (Relset.union s1 s2) in
-      if size < !last then Alcotest.fail "not sorted by union size";
-      last := size);
-  check Alcotest.int "count matches" (Dpccp.count_pairs g)
-    (Search_space.n_pairs space)
+(* The search space as it was first built: the pairs consed onto a list,
+   copied into a tuple array and sorted by the stdlib's [Array.sort] on
+   [|s1 ∪ s2|]. The DP keeps the first strict minimum, so the order of
+   equal-size pairs decides between equal-cost plans and must not move. *)
+let reference_pairs g =
+  let acc = ref [] in
+  Dpccp.iter_pairs g (fun s1 s2 -> acc := (s1, s2) :: !acc);
+  let pairs = Array.of_list !acc in
+  let key (s1, s2) = Relset.cardinal (Relset.union s1 s2) in
+  Array.sort (fun a b -> Int.compare (key a) (key b)) pairs;
+  Array.to_list pairs
+
+(* Every pair, sorted by union size, in the reference order. *)
+let prop_search_space_sorted =
+  QCheck.Test.make ~name:"sorted by union size" ~count:200 random_graph_query
+    (fun spec ->
+      let g = Join_graph.make (query_of_graph spec) in
+      let space = Search_space.build g in
+      let got = ref [] in
+      Search_space.iter space (fun s1 s2 -> got := (s1, s2) :: !got);
+      Search_space.n_pairs space = Dpccp.count_pairs g
+      && List.rev !got = reference_pairs g)
 
 (* ---- Optimizer on a concrete small database ---- *)
 
@@ -266,7 +277,8 @@ let exhaustive_best_cost ~catalog ~estimator (q : Query.t) =
                 in
                 if indexed then
                   let npreds =
-                    List.length (Query.preds_of q inner_rel) + List.length edges - 1
+                    List.length (Query.preds_of_cols q inner_rel)
+                    + List.length edges - 1
                   in
                   [ c1 +. Cost_model.index_nested_loop cp ~outer:r1 ~out ~npreds ]
                 else []
@@ -319,7 +331,7 @@ let () =
           qtest prop_dpccp_no_duplicates;
         ] );
       ( "search_space",
-        [ Alcotest.test_case "sorted by union size" `Quick test_search_space_sorted ] );
+        [ qtest prop_search_space_sorted ] );
       ( "optimizer",
         [
           Alcotest.test_case "covers all relations" `Quick

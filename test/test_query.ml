@@ -121,8 +121,8 @@ let mk_catalog_and_query () =
 let test_query_accessors () =
   let _, q = mk_catalog_and_query () in
   check Alcotest.int "n_rels" 3 (Query.n_rels q);
-  check Alcotest.int "preds of 0" 1 (List.length (Query.preds_of q 0));
-  check Alcotest.int "preds of 1" 0 (List.length (Query.preds_of q 1));
+  check Alcotest.int "preds of 0" 1 (Query.pred_counts q).(0);
+  check Alcotest.int "preds of 1" 0 (Query.pred_counts q).(1);
   check Alcotest.string "alias" "b" (Query.rel_alias q 1)
 
 let test_edges_between () =

@@ -164,6 +164,22 @@ let test_errors_counted_apart () =
   check Alcotest.int "no misses" 0 (delta before after "cache.misses");
   Service.shutdown service
 
+(* An equality between two columns of one relation gets an error: no join
+   would apply it, so the answer would silently ignore it. *)
+let test_same_relation_equality_errors () =
+  let _, service = make_service () in
+  let await = Rdb_util.Pool.await in
+  List.iter
+    (fun sql ->
+      match await (Service.submit service sql) with
+      | Ok _ -> Alcotest.failf "answered %s" sql
+      | Error _ -> ())
+    [
+      "SELECT COUNT(*) FROM title AS t WHERE t.id = t.kind_id";
+      "SELECT COUNT(*) FROM title AS t WHERE t.id = t.id";
+    ];
+  Service.shutdown service
+
 (* ---- LRU bound ---- *)
 
 let test_lru_bound_and_eviction () =
@@ -501,6 +517,8 @@ let () =
           Alcotest.test_case "hits skip DPccp" `Quick test_hits_skip_dpccp;
           Alcotest.test_case "errors counted apart" `Quick
             test_errors_counted_apart;
+          Alcotest.test_case "same-relation equality errors" `Quick
+            test_same_relation_equality_errors;
           Alcotest.test_case "LRU bound and eviction" `Quick
             test_lru_bound_and_eviction;
           Alcotest.test_case "reopt write-back" `Slow test_reopt_write_back;

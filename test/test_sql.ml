@@ -127,6 +127,23 @@ let test_binder_string_join_rejected () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bound string join"
 
+(* An equality between two columns of one relation is no join: nothing
+   would apply it, and the query would silently answer without it. *)
+let same_relation_equalities =
+  [
+    "SELECT COUNT(*) FROM title AS t WHERE t.id = t.kind_id";
+    "SELECT COUNT(*) FROM title AS t WHERE t.id = t.id";
+  ]
+
+let test_binder_same_relation_equality_rejected () =
+  List.iter
+    (fun sql ->
+      match bind sql with
+      | Error msg ->
+        check Alcotest.string sql "join edge: both sides are in relation t" msg
+      | Ok _ -> Alcotest.failf "bound %s" sql)
+    same_relation_equalities
+
 let test_like_shapes () =
   let shape pat =
     match Binder.like_shape pat with Ok p -> p | Error e -> Alcotest.fail e
@@ -283,6 +300,8 @@ let () =
           Alcotest.test_case "duplicate alias" `Quick test_binder_duplicate_alias;
           Alcotest.test_case "string join rejected" `Quick
             test_binder_string_join_rejected;
+          Alcotest.test_case "same-relation equality rejected" `Quick
+            test_binder_same_relation_equality_rejected;
           Alcotest.test_case "like shapes" `Quick test_like_shapes;
           Alcotest.test_case "aggregates bind and execute" `Quick
             test_binder_aggregates_and_exec;
