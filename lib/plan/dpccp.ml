@@ -12,18 +12,19 @@ let rec iter_csg_rec graph s x emit =
         iter_csg_rec graph s2 (Relset.union x candidates) emit)
 
 (* EnumerateCmp: all connected complements of [s1] that avoid the
-   duplicate-suppression prefix. *)
+   duplicate-suppression prefix, grown from [n]'s members high to low. *)
 let iter_cmp graph s1 f =
   let x = Relset.union (Relset.below (Relset.min_elt s1 + 1)) s1 in
   let n = Relset.diff (Join_graph.neighbors graph s1) x in
-  let members = List.rev (Relset.to_list n) in
-  List.iter
-    (fun i ->
+  let emit s2 = f s1 s2 in
+  for i = Join_graph.n graph - 1 downto 0 do
+    if Relset.mem i n then begin
       let v = Relset.singleton i in
-      f s1 v;
+      emit v;
       let smaller_neighbors = Relset.inter n (Relset.below (i + 1)) in
-      iter_csg_rec graph v (Relset.union x smaller_neighbors) (fun s2 -> f s1 s2))
-    members
+      iter_csg_rec graph v (Relset.union x smaller_neighbors) emit
+    end
+  done
 
 let iter_pairs graph f =
   let n = Join_graph.n graph in

@@ -16,8 +16,14 @@ let make (q : Query.t) =
 
 let n t = t.n
 
-let neighbors t s =
-  Relset.diff (Relset.fold (fun i acc -> Relset.union t.adj.(i) acc) s Relset.empty) s
+(* A bit loop: [Relset.fold] would allocate per call, once per subgraph. *)
+let neighbors t (s : Relset.t) =
+  let acc = ref Relset.empty and i = ref 0 in
+  while (s :> int) lsr !i <> 0 do
+    if ((s :> int) lsr !i) land 1 = 1 then acc := Relset.union t.adj.(!i) !acc;
+    incr i
+  done;
+  Relset.diff !acc s
 
 let is_connected t s =
   if Relset.is_empty s then false

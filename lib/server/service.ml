@@ -383,7 +383,11 @@ let handle t ?deadline_ms source =
         let sess = local_session t in
         let q =
           match source with
-          | `Bound q -> q
+          | `Bound q ->
+            (* Not bound by [Binder], so validated here, as the binder does. *)
+            (match Query.validate (Session.catalog sess) q with
+             | Ok () -> q
+             | Error msg -> failwith msg)
           | `Sql sql ->
             let name =
               Printf.sprintf "r%d" (Atomic.fetch_and_add t.next_request 1)

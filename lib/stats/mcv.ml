@@ -8,46 +8,52 @@ type t = {
 let empty =
   { entries = []; by_value = Hashtbl.create 1; total = 0.0; complete = false }
 
-let run_starts equal sorted =
-  let starts = Rdb_util.Int_vec.create () in
-  Array.iteri
-    (fun i v ->
-      if i = 0 || not (equal v sorted.(i - 1)) then
-        Rdb_util.Int_vec.push starts i)
-    sorted;
-  Rdb_util.Int_vec.to_array starts
-
-let of_runs ?(slots = 100) ~n ~value starts =
+let of_counts ?(slots = 100) ~n counts =
   if n = 0 then empty
   else begin
-    let runs = Array.length starts in
-    let count r = (if r + 1 < runs then starts.(r + 1) else n) - starts.(r) in
-    (* Runs come in ascending value order, so a stable sort on count alone
-       breaks ties by value. *)
-    let frequent =
-      Array.of_seq (Seq.filter (fun r -> count r >= 2) (Seq.init runs Fun.id))
+    (* The first [slots] entries by (count desc, value asc), kept sorted
+       by insertion; the [j] entries before [e] fill [min j slots]. Most
+       entries lose to the last kept one on count alone. *)
+    let before (v1, c1) (v2, c2) =
+      c1 > c2 || (c1 = c2 && Value.compare v1 v2 < 0)
     in
-    Array.stable_sort (fun a b -> Int.compare (count b) (count a)) frequent;
-    let nf = float_of_int n in
+    let top = Array.make slots (Value.Null, 0) in
+    List.iteri
+      (fun j e ->
+        if slots > 0 && (j < slots || before e top.(slots - 1)) then begin
+          let i = ref (Int.min j (slots - 1)) in
+          while !i > 0 && before e top.(!i - 1) do
+            top.(!i) <- top.(!i - 1);
+            decr i
+          done;
+          top.(!i) <- e
+        end)
+      counts;
+    let k = List.length counts and nf = float_of_int n in
     let entries =
-      List.init (Int.min slots (Array.length frequent)) (fun i ->
-          let r = frequent.(i) in
-          (value starts.(r), float_of_int (count r) /. nf))
+      List.init (Int.min slots k) (fun i ->
+          let v, c = top.(i) in
+          (v, float_of_int c /. nf))
     in
     let by_value = Hashtbl.create (List.length entries) in
     List.iter (fun (v, f) -> Hashtbl.replace by_value v f) entries;
     let total = List.fold_left (fun acc (_, f) -> acc +. f) 0.0 entries in
-    { entries; by_value; total; complete = Array.length frequent < slots }
+    { entries; by_value; total; complete = k < slots }
   end
 
 let build ?slots values =
-  let sorted =
-    Array.of_list (List.filter (fun v -> not (Value.is_null v)) values)
-  in
-  Array.sort Value.compare sorted;
-  of_runs ?slots ~n:(Array.length sorted)
-    ~value:(fun i -> sorted.(i))
-    (run_starts Value.equal sorted)
+  let counts = Hashtbl.create 64 and n = ref 0 in
+  List.iter
+    (fun v ->
+      if not (Value.is_null v) then begin
+        incr n;
+        Hashtbl.replace counts v
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts v))
+      end)
+    values;
+  of_counts ?slots ~n:!n
+    (Hashtbl.fold (fun v c acc -> if c >= 2 then (v, c) :: acc else acc)
+       counts [])
 
 let entries t = t.entries
 let frequency t v = Hashtbl.find_opt t.by_value v

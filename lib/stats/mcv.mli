@@ -8,15 +8,11 @@ val build : ?slots:int -> Value.t list -> t
     (default 100). A value must occur at least twice to be kept. Ties in
     frequency are ordered by {!Value.compare}. *)
 
-val run_starts : ('a -> 'a -> bool) -> 'a array -> int array
-(** [run_starts equal sorted]: the index of the first element of every
-    run of equal elements, ascending. *)
-
-val of_runs :
-  ?slots:int -> n:int -> value:(int -> Value.t) -> int array -> t
-(** {!build} from [n] non-NULL values already sorted ascending, given as
-    their {!run_starts}; [value i] is the value at sorted index [i],
-    called only for the kept entries. *)
+val of_counts : ?slots:int -> n:int -> (Value.t * int) list -> t
+(** {!build} from [n] non-NULL values already counted: [counts] holds
+    each value that occurs at least twice, once, with its count, in any
+    order. Ascending value order is the fastest: an entry then never
+    displaces a kept one of equal count. *)
 
 val empty : t
 

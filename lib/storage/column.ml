@@ -33,11 +33,11 @@ let of_values ty values =
       | Value.Null -> null_int
       | Value.Str _ -> invalid_arg "Column.of_values: string in int column"
     in
-    Ints (Array.of_list (List.map conv values))
+    Ints (Array.map conv values)
   | Value.Ty_str ->
     let conv = function
       | Value.Str s -> s
       | Value.Null -> ""
       | Value.Int _ -> invalid_arg "Column.of_values: int in string column"
     in
-    Strs (Array.of_list (List.map conv values))
+    Strs (Array.map conv values)

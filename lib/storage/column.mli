@@ -20,7 +20,7 @@ val get_int : t -> int -> int
 val get_str : t -> int -> string
 (** Raises [Invalid_argument] on an integer column. *)
 
-val of_values : Value.ty -> Value.t list -> t
+val of_values : Value.ty -> Value.t array -> t
 (** Build a column of the given type; values must match the type or be
     [Null] (strings use [""] to encode NULL, which the engine treats as a
     normal value — string columns in this system are never nullable). *)

@@ -30,10 +30,10 @@ let int_cell t ~row ~col = Column.get_int t.cols.(col) row
 let row t i = Array.init (Array.length t.cols) (fun c -> Column.get t.cols.(c) i)
 
 let of_rows ~name ~schema rows =
-  let arity = Schema.arity schema in
+  let rows = Array.of_list rows in
   let cols =
-    Array.init arity (fun c ->
-        let ty = (Schema.column schema c).Schema.ty in
-        Column.of_values ty (List.map (fun r -> r.(c)) rows))
+    Array.init (Schema.arity schema) (fun c ->
+        Column.of_values (Schema.column schema c).Schema.ty
+          (Array.map (fun r -> r.(c)) rows))
   in
   create ~name ~schema cols

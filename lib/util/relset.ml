@@ -23,25 +23,22 @@ let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
 let hash (s : t) = Hashtbl.hash s
 
+(* Bit walks: neither [min_elt] nor [iter] allocates per member. *)
 let min_elt s =
   if s = 0 then invalid_arg "Relset.min_elt: empty set";
-  (* Count trailing zeros via the isolated lowest bit. *)
-  let low = s land (-s) in
-  let rec go bit i = if bit = low then i else go (bit lsl 1) (i + 1) in
-  go 1 0
+  let rec go s i = if s land 1 = 1 then i else go (s lsr 1) (i + 1) in
+  go s 0
 
 let of_list l = List.fold_left (fun s i -> add i s) empty l
 
 let iter f s =
-  let rec go s =
+  let rec go s i =
     if s <> 0 then begin
-      let low = s land (-s) in
-      let rec idx bit i = if bit = low then i else idx (bit lsl 1) (i + 1) in
-      f (idx 1 0);
-      go (s land (s - 1))
+      if s land 1 = 1 then f i;
+      go (s lsr 1) (i + 1)
     end
   in
-  go s
+  go s 0
 
 let fold f s init =
   let acc = ref init in

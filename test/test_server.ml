@@ -180,6 +180,42 @@ let test_same_relation_equality_errors () =
     ];
   Service.shutdown service
 
+(* The same equality on a bound query, which skips the binder: the
+   service must refuse it rather than answer without the edge, alone or
+   beside a join, on a joined column or not. *)
+let test_bound_same_relation_equality_errors () =
+  let catalog, service = make_service () in
+  let col table name =
+    Schema.find_exn (Table.schema (Catalog.table_exn catalog table)) name
+  in
+  let t c = { Query.rel = 0; col = col "title" c }
+  and mc c = { Query.rel = 1; col = col "movie_companies" c } in
+  let bound rels edges =
+    {
+      Query.name = "self";
+      rels =
+        Array.of_list
+          (List.map (fun (alias, table) -> { Query.alias; table }) rels);
+      preds = [];
+      edges = List.map (fun (l, r) -> { Query.l; r }) edges;
+      select = [ Query.Count_star ];
+    }
+  in
+  let t_mc = [ ("t", "title"); ("mc", "movie_companies") ] in
+  List.iteri
+    (fun i q ->
+      match Service.query_bound service q with
+      | Ok _ -> Alcotest.failf "answered bound self-equality %d" i
+      | Error _ -> ())
+    [
+      bound [ ("t", "title") ] [ (t "id", t "kind_id") ];
+      bound t_mc [ (t "id", mc "movie_id"); (t "id", t "kind_id") ];
+      bound t_mc
+        [ (t "id", mc "movie_id"); (t "kind_id", t "production_year") ];
+      bound t_mc [ (t "id", t "kind_id"); (mc "movie_id", t "id") ];
+    ];
+  Service.shutdown service
+
 (* ---- LRU bound ---- *)
 
 let test_lru_bound_and_eviction () =
@@ -519,6 +555,8 @@ let () =
             test_errors_counted_apart;
           Alcotest.test_case "same-relation equality errors" `Quick
             test_same_relation_equality_errors;
+          Alcotest.test_case "bound same-relation equality errors" `Quick
+            test_bound_same_relation_equality_errors;
           Alcotest.test_case "LRU bound and eviction" `Quick
             test_lru_bound_and_eviction;
           Alcotest.test_case "reopt write-back" `Slow test_reopt_write_back;

@@ -304,45 +304,70 @@ let same_stats (r : ref_stats) (s : Col_stats.t) =
   && Mcv.count s.Col_stats.mcv = List.length r.r_mcv
   && Option.equal ( = ) r.r_hist (Option.map Histogram.bounds s.Col_stats.hist)
 
-(* An int column (NULLs, duplicates, negatives; sometimes all NULL) beside
-   a string column over a small alphabet, so duplicates and ties at the
-   MCV cut-off are common; empty tables included. *)
-let gen_table =
+(* An int column (NULLs, duplicates, negatives, the extremes [max_int] and
+   [min_int + 1] beside [-1] and [0], so the sign flip and the top radix
+   digit are exercised; sometimes all NULL) beside a string column over an
+   alphabet of 3 or 26 letters, so duplicates, unique values and ties at
+   the MCV cut-off all occur; empty tables included. *)
+let gen_table sizes =
   QCheck.Gen.(
-    let* n = oneof [ return 0; int_range 1 8; int_range 1 400 ] in
-    let* span = oneofl [ 3; 20; 1000; max_int / 4 ] in
+    let* n = sizes in
+    let* span = oneofl [ 3; 20; 1000; max_int / 4; max_int ] in
     let* null_pct = oneofl [ 0; 10; 50; 100 ] in
+    let* extreme_pct = oneofl [ 0; 5; 50 ] in
     let int_cell =
       let* r = int_range 0 99 in
       if r < null_pct then return Column.null_int
+      else if r < null_pct + extreme_pct then
+        oneofl [ max_int; min_int + 1; -1; 0 ]
       else int_range (-span) span
     in
     let* ints = array_size (return n) int_cell in
-    let* strs = array_size (return n) (string_size ~gen:(char_range 'a' 'c') (int_range 0 2)) in
+    let* last, len = oneofl [ ('c', 2); ('z', 1); ('z', 3) ] in
+    let* strs =
+      array_size (return n)
+        (string_size ~gen:(char_range 'a' last) (int_range 0 len))
+    in
     let* buckets = int_range 1 120 in
     let* mcv_slots = int_range 1 12 in
     return (ints, strs, buckets, mcv_slots))
 
+let analyze_matches_reference (ints, strs, buckets, mcv_slots) =
+  let tbl =
+    Table.create ~name:"q"
+      ~schema:
+        (Schema.make
+           [
+             { Schema.name = "i"; ty = Value.Ty_int };
+             { Schema.name = "s"; ty = Value.Ty_str };
+           ])
+      [| Column.Ints ints; Column.Strs strs |]
+  in
+  List.for_all
+    (fun c ->
+      same_stats
+        (ref_column ~buckets ~mcv_slots tbl c)
+        (Analyze.column ~buckets ~mcv_slots tbl c))
+    [ 0; 1 ]
+
+(* Mostly small tables, some above 256 rows (more than one value per
+   radix digit), and a few above 65,536 rows in a property of their own,
+   so tier-1 stays fast. *)
 let prop_analyze_matches_reference =
   QCheck.Test.make ~name:"analyze = boxed reference, bit for bit" ~count:500
-    (QCheck.make gen_table)
-    (fun (ints, strs, buckets, mcv_slots) ->
-      let tbl =
-        Table.create ~name:"q"
-          ~schema:
-            (Schema.make
-               [
-                 { Schema.name = "i"; ty = Value.Ty_int };
-                 { Schema.name = "s"; ty = Value.Ty_str };
-               ])
-          [| Column.Ints ints; Column.Strs strs |]
-      in
-      List.for_all
-        (fun c ->
-          same_stats
-            (ref_column ~buckets ~mcv_slots tbl c)
-            (Analyze.column ~buckets ~mcv_slots tbl c))
-        [ 0; 1 ])
+    (QCheck.make
+       (gen_table
+          QCheck.Gen.(
+            oneof
+              [
+                return 0; int_range 1 8; int_range 1 400; int_range 257 3000;
+              ])))
+    analyze_matches_reference
+
+let prop_analyze_matches_reference_large =
+  QCheck.Test.make ~name:"analyze = boxed reference, large tables" ~count:3
+    (QCheck.make (gen_table (QCheck.Gen.int_range 65_537 70_000)))
+    analyze_matches_reference
 
 let test_analyze_matches_reference_on_facts () =
   let tbl = mk_table () in
@@ -355,6 +380,38 @@ let test_analyze_matches_reference_on_facts () =
            (ref_column ~buckets:100 ~mcv_slots:100 tbl c)
            (Analyze.column tbl c)))
     [ 0; 1; 2 ]
+
+(* Real data: every base table of the scale-0.02 IMDB catalog, and every
+   temp table a threshold-2 and a threshold-32 re-optimization pass over
+   the JOB queries leaves behind. *)
+let test_analyze_matches_reference_on_imdb () =
+  let catalog = Rdb_imdb.Imdb_gen.generate ~scale:0.02 () in
+  let session = Rdb_core.Session.create catalog in
+  Rdb_core.Session.analyze session;
+  List.iter
+    (fun threshold ->
+      List.iter
+        (fun q ->
+          ignore
+            (Rdb_core.Reopt.run ~cleanup:false session
+               ~trigger:(Rdb_core.Trigger.create threshold)
+               ~mode:Rdb_card.Estimator.Default q))
+        (Rdb_imdb.Job_queries.all catalog))
+    [ 2.0; 32.0 ];
+  let tables = Catalog.tables catalog in
+  check Alcotest.bool "temp tables left" true
+    (List.length tables > List.length Rdb_imdb.Imdb_schema.tables);
+  List.iter
+    (fun tbl ->
+      for c = 0 to Schema.arity (Table.schema tbl) - 1 do
+        check Alcotest.bool
+          (Printf.sprintf "%s column %d" (Table.name tbl) c)
+          true
+          (same_stats
+             (ref_column ~buckets:100 ~mcv_slots:100 tbl c)
+             (Analyze.column tbl c))
+      done)
+    tables
 
 (* ---- Group_stats + Cords ---- *)
 
@@ -478,5 +535,8 @@ let () =
           Alcotest.test_case "reference on facts" `Quick
             test_analyze_matches_reference_on_facts;
           qtest prop_analyze_matches_reference;
+          qtest prop_analyze_matches_reference_large;
+          Alcotest.test_case "reference on IMDB and temp tables" `Quick
+            test_analyze_matches_reference_on_imdb;
         ] );
     ]

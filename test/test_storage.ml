@@ -70,7 +70,7 @@ let test_column_null_sentinel () =
 
 let test_column_of_values_roundtrip () =
   let vals = [ Value.Int 1; Value.Null; Value.Int 7 ] in
-  let c = Column.of_values Value.Ty_int vals in
+  let c = Column.of_values Value.Ty_int (Array.of_list vals) in
   check Alcotest.int "length" 3 (Column.length c);
   List.iteri
     (fun i v -> check Alcotest.bool "roundtrip" true (Value.equal v (Column.get c i)))
@@ -79,7 +79,7 @@ let test_column_of_values_roundtrip () =
 let test_column_type_mismatch () =
   Alcotest.check_raises "string in int column"
     (Invalid_argument "Column.of_values: string in int column") (fun () ->
-      ignore (Column.of_values Value.Ty_int [ Value.Str "x" ]))
+      ignore (Column.of_values Value.Ty_int [| Value.Str "x" |]))
 
 (* ---- Table ---- *)
 
