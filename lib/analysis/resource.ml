@@ -55,20 +55,6 @@ type cert = {
   cert_reopt : reopt_report option;
 }
 
-(* {1 Interval arithmetic over non-negative quantities}
-
-   Every memory/work recurrence below is a composition of sums, products
-   and maxima of terms monotone (non-decreasing) in each cardinality
-   input, so corner evaluation — the formula at all-lower and at all-upper
-   endpoints — is the exact interval image, the same argument
-   [Rdb_cost.Interval] rests on. *)
-
-let iv lo hi = { Interval.lo; hi }
-let imax a b = iv (Float.max a.Interval.lo b.Interval.lo) (Float.max a.Interval.hi b.Interval.hi)
-let iadd a b = Interval.add a b
-let imul a b = iv (a.Interval.lo *. b.Interval.lo) (a.Interval.hi *. b.Interval.hi)
-let iscale a k = iv (a.Interval.lo *. k) (a.Interval.hi *. k)
-
 (* {1 MCV max-frequency}
 
    A sound per-value row-count bound for an (analyzed) column: the MCV
@@ -79,141 +65,99 @@ let iscale a k = iv (a.Interval.lo *. k) (a.Interval.hi *. k)
    all. An empty list built with no slots says nothing, so the bound
    falls back to the live row count. Rows appended after ANALYZE (guarded
    by the live vs. analyzed row-count delta) could each add one
-   occurrence. *)
+   occurrence. [freq_bound ~key] bounds one value: its exact MCV count
+   when listed, otherwise the least listed count (the list is sorted most
+   frequent first). *)
 let no_repeats (cs : Col_stats.t) =
   Option.is_some cs.Col_stats.hist && Mcv.complete cs.Col_stats.mcv
 
-let max_freq stats tbl ~col =
+let freq_bound ?key stats tbl ~col =
   let live = float_of_int (Table.nrows tbl) in
   match Db_stats.col stats ~table:(Table.name tbl) ~col with
   | None -> live
   | Some cs ->
     let analyzed = float_of_int cs.Col_stats.row_count in
-    let appended = Float.max 0.0 (live -. analyzed) in
-    (match Mcv.entries cs.Col_stats.mcv with
-     | (_, f) :: _ -> Float.min live (ceil (f *. analyzed) +. appended)
-     | [] -> if no_repeats cs then Float.min live (1.0 +. appended) else live)
-
-(* As above, but for one specific key value: its exact MCV count when
-   listed, otherwise the least listed count (the list is sorted most
-   frequent first). *)
-let key_freq stats tbl ~col ~key =
-  let live = float_of_int (Table.nrows tbl) in
-  match Db_stats.col stats ~table:(Table.name tbl) ~col with
-  | None -> live
-  | Some cs ->
-    let analyzed = float_of_int cs.Col_stats.row_count in
-    let appended = Float.max 0.0 (live -. analyzed) in
-    let entries = Mcv.entries cs.Col_stats.mcv in
-    let bound =
-      match Mcv.frequency cs.Col_stats.mcv (Value.Int key) with
-      | Some f -> ceil (f *. analyzed)
-      | None ->
-        (match List.rev entries with
-         | (_, f_min) :: _ -> ceil (f_min *. analyzed)
-         | [] -> if no_repeats cs then 1.0 else live)
+    let freqs = List.map snd (Mcv.entries cs.Col_stats.mcv) in
+    let listed =
+      match key with
+      | None -> List.nth_opt freqs 0
+      | Some k ->
+        let f = Mcv.frequency cs.Col_stats.mcv (Value.Int k) in
+        if Option.is_some f then f else List.nth_opt (List.rev freqs) 0
     in
-    Float.min live (bound +. appended)
+    let bound =
+      match listed with
+      | Some f -> ceil (f *. analyzed)
+      | None -> if no_repeats cs then 1.0 else live
+    in
+    Float.min live (bound +. Float.max 0.0 (live -. analyzed))
 
 (* {1 The abstract interpreter}
 
-   One bottom-up walk mirrors the executor exactly. Per node:
-   - [rows]: the sound interval on true output rows (clamped non-negative
-     and, for scans, to the table size);
-   - [slots]: rows x width — the node's resident footprint once built;
-   - [mem]: interval on the peak resident slots while the subtree runs.
-     The outer intermediate is live while the inner subtree executes, and
-     both inputs plus the operator's transient structures (hash build
-     table: one entry per inner row) plus the output are live at the
-     operator itself;
-   - [work]: interval on the executor's [spend] total. Emitted-row terms
-     equal the output cardinality (every probe match is emitted); index
-     fan-outs are bounded by MCV max-frequency. *)
-type acc = {
-  rows : Interval.t;
-  slots : Interval.t;
-  mem : Interval.t;
-  work : Interval.t;
-}
+   [Plan.Usage], the rule the executor charges, evaluated once with every
+   input at its lower end and once at its upper end ([pick] is [fst] or
+   [snd]). The rule is monotone, so the two corners bound each quantity
+   exactly. The inputs are what a run counts: each node's output rows,
+   from [bounds] (clamped non-negative and, for scans, to the table size),
+   and the index fan-outs, bounded above by MCV frequencies and below by
+   the rows they emit, each from a distinct candidate. *)
+module U = Plan.Usage (Float)
+
+type corner = { rows : float; slots : float; mem : float; work : float }
 
 let interp ~bounds ~catalog ~stats (q : Query.t) plan =
   let table_of rel = Catalog.table_exn catalog q.Query.rels.(rel).Query.table in
   let rows_of set =
     let lo, hi = bounds set in
     let lo = Float.max 0.0 lo in
-    iv lo (Float.max lo hi)
+    (lo, Float.max lo hi)
   in
-  let rec go p =
-    match p with
-    | Plan.Scan s ->
-      let rel = s.Plan.scan_rel in
-      let tbl = table_of rel in
-      let n = float_of_int (Table.nrows tbl) in
-      let r = rows_of (Relset.singleton rel) in
-      let r = iv (Float.min r.Interval.lo n) (Float.min r.Interval.hi n) in
-      let work =
-        match s.Plan.access with
-        | Plan.Seq_scan -> iv n n
-        | Plan.Index_scan { col; key } ->
-          iv r.Interval.lo (Float.max r.Interval.lo (key_freq stats tbl ~col ~key))
-      in
-      { rows = r; slots = r; mem = r; work }
-    | Plan.Join j ->
-      let o = go j.Plan.outer in
-      let set =
-        Relset.union (Plan.rel_set j.Plan.outer) (Plan.rel_set j.Plan.inner)
-      in
-      let out_rows = rows_of set in
-      let out_slots = iscale out_rows (float_of_int (Relset.cardinal set)) in
-      (* Peak for a blocking join: the outer subtree alone, then the outer
-         result alive during the inner subtree, then both inputs + the
-         operator's transient structures + the output. *)
-      let blocking i aux =
-        imax o.mem (imax (iadd o.slots i.mem) (iadd (iadd o.slots i.slots) (iadd aux out_slots)))
-      in
-      (match j.Plan.algo with
-       | Plan.Hash_join ->
-         let i = go j.Plan.inner in
-         {
-           rows = out_rows;
-           slots = out_slots;
-           mem = blocking i i.rows;
-           work =
-             iadd (iadd o.work i.work) (iadd (iadd i.rows o.rows) out_rows);
-         }
-       | Plan.Nested_loop ->
-         let i = go j.Plan.inner in
-         {
-           rows = out_rows;
-           slots = out_slots;
-           mem = blocking i (iv 0.0 0.0);
-           work = iadd (iadd o.work i.work) (imul o.rows i.rows);
-         }
-       | Plan.Index_nl { inner_col } ->
-         (* The inner side is probed through its index, never materialized:
-            only the outer result and the accumulating output are resident.
-            Per outer row the executor charges that key's index fan-out,
-            bounded by the column's max frequency; every emitted row came
-            from a distinct candidate, so the fan-out total is also bounded
-            below by the output. *)
-         let inner_rel =
-           match j.Plan.inner with
-           | Plan.Scan s -> s.Plan.scan_rel
-           | Plan.Join _ -> invalid_arg "Resource: index NL over a join"
-         in
-         let fanout = max_freq stats (table_of inner_rel) ~col:inner_col in
-         {
-           rows = out_rows;
-           slots = out_slots;
-           mem = imax o.mem (iadd o.slots out_slots);
-           work =
-             iadd o.work
-               (iv
-                  (o.rows.Interval.lo +. out_rows.Interval.lo)
-                  (o.rows.Interval.hi *. (1.0 +. fanout)));
-         })
+  let corner pick =
+    let rec go = function
+      | Plan.Scan s ->
+        let tbl = table_of s.Plan.scan_rel in
+        let n = float_of_int (Table.nrows tbl) in
+        let lo, hi = rows_of (Relset.singleton s.Plan.scan_rel) in
+        let lo = Float.min lo n and hi = Float.min hi n in
+        let rows = pick (lo, hi) in
+        let work =
+          match s.Plan.access with
+          | Plan.Seq_scan -> U.seq_scan ~table_rows:n
+          | Plan.Index_scan { col; key } ->
+            let key_hi = freq_bound ~key stats tbl ~col in
+            U.lookup ~candidates:(pick (lo, Float.max lo key_hi))
+        in
+        let slots = U.slots ~rows ~width:1.0 in
+        { rows; slots; mem = slots; work }
+      | Plan.Join j as p ->
+        let o = go j.Plan.outer and i = go j.Plan.inner in
+        let set = Plan.rel_set p in
+        let rows = pick (rows_of set) in
+        let slots = U.slots ~rows ~width:(float_of_int (Relset.cardinal set)) in
+        let fanout =
+          match j.Plan.algo with
+          | Plan.Index_nl { inner_col } ->
+            let tbl = table_of (Plan.probed_rel j) in
+            pick (rows, o.rows *. freq_bound stats tbl ~col:inner_col)
+          | Plan.Hash_join | Plan.Nested_loop -> 0.0
+        in
+        {
+          rows;
+          slots;
+          mem =
+            U.join_peak j.Plan.algo ~outer_mem:o.mem ~outer_slots:o.slots
+              ~inner_mem:i.mem ~inner_slots:i.slots ~inner_rows:i.rows
+              ~out_slots:slots;
+          work =
+            U.join_work j.Plan.algo ~outer_work:o.work ~inner_work:i.work
+              ~outer_rows:o.rows ~inner_rows:i.rows ~out:rows ~fanout;
+        }
+    in
+    go plan
   in
-  go plan
+  let lo = corner fst and hi = corner snd in
+  let iv f = { Interval.lo = f lo; hi = f hi } in
+  (iv (fun c -> c.mem), iv (fun c -> c.work), iv (fun c -> c.rows))
 
 (* {1 Re-opt transition simulation}
 
@@ -232,55 +176,39 @@ let interp ~bounds ~catalog ~stats (q : Query.t) plan =
    distinct such columns bound it from above. *)
 let temp_width_hi (q : Query.t) set =
   let inside (cr : Query.colref) = Relset.mem cr.Query.rel set in
-  let cols = ref [] in
-  let add (cr : Query.colref) =
-    if
-      not
-        (List.exists
-           (fun (c : Query.colref) ->
-             c.Query.rel = cr.Query.rel && c.Query.col = cr.Query.col)
-           !cols)
-    then cols := cr :: !cols
+  let crossing ({ l; r } : Query.edge) =
+    match (inside l, inside r) with
+    | true, false -> [ l ]
+    | false, true -> [ r ]
+    | _ -> []
   in
-  List.iter
-    (fun ({ l; r } : Query.edge) ->
-      match (inside l, inside r) with
-      | true, false -> add l
-      | false, true -> add r
-      | _ -> ())
-    q.Query.edges;
-  List.iter
-    (function
-      | Query.Count_star -> ()
-      | Query.Count_col cr | Query.Min_col cr | Query.Max_col cr
-      | Query.Sum_col cr ->
-        if inside cr then add cr)
-    q.Query.select;
-  Int.max 1 (List.length !cols)
+  let agg = function
+    | Query.Count_star -> []
+    | Query.Count_col cr | Query.Min_col cr | Query.Max_col cr
+    | Query.Sum_col cr ->
+      if inside cr then [ cr ] else []
+  in
+  let cols =
+    List.concat_map crossing q.Query.edges @ List.concat_map agg q.Query.select
+  in
+  Int.max 1 (List.length (List.sort_uniq compare cols))
 
+(* The first [(shape, i, j)], by [i] then [j], where shape [i] returns at
+   [j] after some shape in between departed from it. *)
 let detect_oscillation shapes =
   let arr = Array.of_list shapes in
   let n = Array.length arr in
-  let found = ref None in
-  (try
-     for i = 0 to n - 1 do
-       for j = i + 1 to n - 1 do
-         if
-           !found = None
-           && String.equal arr.(i) arr.(j)
-           && (let departed = ref false in
-               for m = i + 1 to j - 1 do
-                 if not (String.equal arr.(m) arr.(i)) then departed := true
-               done;
-               !departed)
-         then begin
-           found := Some (arr.(i), i, j);
-           raise Exit
-         end
-       done
-     done
-   with Exit -> ());
-  !found
+  let rec departed i m =
+    m > i && ((not (String.equal arr.(m) arr.(i))) || departed i (m - 1))
+  in
+  let rec find i j =
+    if i >= n then None
+    else if j >= n then find (i + 1) (i + 2)
+    else if String.equal arr.(i) arr.(j) && departed i (j - 1) then
+      Some (arr.(i), i, j)
+    else find i (j + 1)
+  in
+  find 0 1
 
 let simulate ~bounds ~threshold ~max_steps ~space ~catalog ~estimator
     (q : Query.t) plan0 =
@@ -299,7 +227,6 @@ let simulate ~bounds ~threshold ~max_steps ~space ~catalog ~estimator
   in
   let confirmed = ref [] in
   let transitions = ref [] in
-  let shapes = ref [ Plan.shape q plan0 ] in
   let rec loop step plan =
     if step >= max_steps then false
     else begin
@@ -342,8 +269,6 @@ let simulate ~bounds ~threshold ~max_steps ~space ~catalog ~estimator
           | Some p' -> p'
           | None -> replan !confirmed
         in
-        let shape_before = Plan.shape q plan in
-        let shape_after = Plan.shape q plan' in
         let _, bhi = bounds set in
         transitions :=
           {
@@ -354,12 +279,11 @@ let simulate ~bounds ~threshold ~max_steps ~space ~catalog ~estimator
             tr_assumed = assumed;
             tr_temp_slots_hi =
               Float.max 0.0 bhi *. float_of_int (temp_width_hi q set);
-            tr_shape_before = shape_before;
-            tr_shape_after = shape_after;
+            tr_shape_before = Plan.shape q plan;
+            tr_shape_after = Plan.shape q plan';
             tr_useless = useless;
           }
           :: !transitions;
-        shapes := shape_after :: !shapes;
         loop (step + 1) plan'
     end
   in
@@ -370,7 +294,10 @@ let simulate ~bounds ~threshold ~max_steps ~space ~catalog ~estimator
     ro_transitions = transitions;
     ro_predicted_replans = List.length transitions;
     ro_stable = stable;
-    ro_thrashing = detect_oscillation (List.rev !shapes);
+    ro_thrashing =
+      detect_oscillation
+        (Plan.shape q plan0
+        :: List.map (fun t -> t.tr_shape_after) transitions);
     ro_temp_slots_hi =
       List.fold_left (fun acc t -> acc +. t.tr_temp_slots_hi) 0.0 transitions;
   }
@@ -385,7 +312,7 @@ let certify ?bounds ?(transitions = false) ?(threshold = 32.0) ?space
     match bounds with Some b -> b | None -> trivial_bounds ~catalog q
   in
   let stats = Estimator.db_stats estimator in
-  let a = interp ~bounds ~catalog ~stats q plan in
+  let cert_mem, cert_work, cert_out = interp ~bounds ~catalog ~stats q plan in
   (* Each re-opt step materializes a join of >= 2 relations, so the
      rewritten query has at least one relation fewer; a single-relation
      query has no joins to trigger on. *)
@@ -399,9 +326,9 @@ let certify ?bounds ?(transitions = false) ?(threshold = 32.0) ?space
   in
   {
     cert_shape = Plan.shape q plan;
-    cert_mem = a.mem;
-    cert_work = a.work;
-    cert_out = a.rows;
+    cert_mem;
+    cert_work;
+    cert_out;
     cert_replans_hi = replans_hi;
     cert_reopt;
   }

@@ -10,19 +10,13 @@
     (a mis-estimated low join exploding at runtime, §V-D) is precisely a
     resource blow-up the optimizer's point estimates hid.
 
-    Certified quantities, all in the executor's own deterministic units so
-    every bound is dynamically checkable against an actual run:
-
-    - {b peak resident memory} in row-slots ([Rdb_exec.Executor.result.peak_rows]):
-      live intermediates are [rows * width] slots, a hash join's build side
-      stays resident while it runs, and along a left-deep pipeline the
-      outer intermediate is live while the inner subtree executes. Corner
-      evaluation of these (monotone) recurrences over the cardinality
-      intervals yields the exact interval image, as for
-      {!Rdb_cost.Interval}.
-    - {b total work units} ([Rdb_exec.Executor.result.work]): mirrors of the
-      executor's [spend] arithmetic — scans, build+probe+emit, index-probe
-      fan-out bounded by MCV max-frequency, and cross-product terms.
+    Certified, in the executor's own units:
+    - {b peak resident row-slots} and {b work units}
+      ([Rdb_exec.Executor.result.peak_rows] and [work]):
+      {!Rdb_plan.Plan.Usage}, the rule the executor charges, evaluated at
+      both ends of the cardinality intervals. This module adds no term of
+      its own, only what a run counts: output rows from [bounds], and
+      index fan-outs bounded by MCV max-frequency;
     - {b worst-case replan count} for a re-opt-enabled execution, plus an
       abstract simulation of [Rdb_core.Reopt]'s trigger/materialize/replan
       loop that detects oscillation (the same plan shape re-planned twice —
@@ -52,10 +46,6 @@ module Json := Rdb_obs.Json
 type bounds = Relset.t -> float * float
 (** Sound interval on the true cardinality of a relation subset of the
     query: the true row count must lie within [[lo, hi]]. *)
-
-val trivial_bounds : catalog:Catalog.t -> Query.t -> bounds
-(** [[0, product of member table row counts]] — sound for any query, and
-    the fallback when no verifier context is available. *)
 
 type transition = {
   tr_set : Relset.t;            (** the join the trigger materializes *)
@@ -110,12 +100,13 @@ val certify :
   Query.t ->
   Plan.t ->
   cert
-(** Certify a plan. [bounds] defaults to {!trivial_bounds} (sound but very
-    loose — pass the verifier's intervals). [transitions] (default [false];
-    each simulated step costs up to three DP replans) runs the re-opt
-    transition analysis with trigger [threshold] (default 32, the paper's
-    sweet spot) for at most [cert_replans_hi] simulated steps. [space]
-    reuses a prebuilt search space across the replans. *)
+(** Certify a plan. [bounds] defaults to [[0, the product of the member
+    tables' rows]] (sound but very loose — pass the verifier's intervals).
+    [transitions] (default [false]; each simulated step costs up to three
+    DP replans) runs the re-opt transition analysis with trigger
+    [threshold] (default 32, the paper's sweet spot) for at most
+    [cert_replans_hi] simulated steps. [space] reuses a prebuilt search
+    space across the replans. *)
 
 val detect_oscillation : string list -> (string * int * int) option
 (** [(shape, i, j)] when the [i]-th shape of the sequence reappears at

@@ -2,7 +2,6 @@ type t = { lo : float; hi : float }
 
 let point v = { lo = v; hi = v }
 let make a b = if a <= b then { lo = a; hi = b } else { lo = b; hi = a }
-let add a b = { lo = a.lo +. b.lo; hi = a.hi +. b.hi }
 let union a b = { lo = Float.min a.lo b.lo; hi = Float.max a.hi b.hi }
 
 let contains iv v =

@@ -17,8 +17,6 @@ val point : float -> t
 val make : float -> float -> t
 (** Interval between the two values, in either order. *)
 
-val add : t -> t -> t
-
 val union : t -> t -> t
 (** Smallest interval containing both. *)
 

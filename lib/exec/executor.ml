@@ -43,14 +43,16 @@ type ctx = {
   mutable obs : node_obs list;
   adaptive : bool;
   mutable switches : int;
-  (* Resident row-slots (one rowid or hash-table entry each): live
-     intermediates plus a hash join's transient build table. [peak] is the
-     high-water mark, updated at operator boundaries — the dynamic side of
-     [Rdb_analysis.Resource]'s certified memory interval, so the two must
-     charge identical quantities. *)
-  mutable resident : int;
-  mutable peak : int;
 }
+
+(* Work charges and resident row-slots: [Plan.Usage] over actual rows,
+   the rule [Rdb_analysis.Resource] evaluates over intervals. A per-row
+   charge is its count times the term at one item (terms are linear), so
+   the row loops call nothing. *)
+module U = Plan.Usage (Int)
+
+let emit_unit = U.hash_emit ~matches:1
+let lookup_unit = U.lookup ~candidates:1
 
 (* The deadline clock is read on a geometric schedule: the first check
    fires after [initial_deadline_stride] work units so that millisecond
@@ -80,13 +82,7 @@ let spend ctx n =
     end
   | Some _ | None -> ()
 
-let slots inter = inter.nrows * inter.width
-
-let alloc ctx n =
-  ctx.resident <- ctx.resident + n;
-  if ctx.resident > ctx.peak then ctx.peak <- ctx.resident
-
-let release ctx n = ctx.resident <- ctx.resident - n
+let slots inter = U.slots ~rows:inter.nrows ~width:inter.width
 
 let pos_of_rel inter rel =
   let rec scan i =
@@ -114,7 +110,7 @@ let scan_node ctx (s : Plan.scan) =
   (match s.Plan.access with
    | Plan.Seq_scan ->
      let n = Table.nrows tbl in
-     spend ctx n;
+     spend ctx (U.seq_scan ~table_rows:n);
      for row = 0 to n - 1 do
        if keep row then Int_vec.push out row
      done
@@ -123,7 +119,7 @@ let scan_node ctx (s : Plan.scan) =
       | None -> invalid_arg "Executor: index scan without index"
       | Some index ->
         let candidates = Hash_index.lookup index key in
-        spend ctx (Array.length candidates);
+        spend ctx (U.lookup ~candidates:(Array.length candidates));
         for c = 0 to Array.length candidates - 1 do
           if keep candidates.(c) then Int_vec.push out candidates.(c)
         done));
@@ -201,20 +197,20 @@ let hash_join ctx (j : Plan.join) outer inner =
   (* build on the inner side, probe with the outer; NULL keys never match *)
   let join_on key_of has_null =
     let index = Hashtbl.create (Int.max 16 inner.nrows) in
-    spend ctx inner.nrows;
+    spend ctx (U.hash_build ~inner_rows:inner.nrows);
     for i = 0 to inner.nrows - 1 do
       let key = key_of inner ikeys i in
       if not (has_null key) then
         Hashtbl.replace index key
           (i :: Option.value ~default:[] (Hashtbl.find_opt index key))
     done;
-    spend ctx outer.nrows;
+    spend ctx (U.probe ~outer_rows:outer.nrows);
     for i = 0 to outer.nrows - 1 do
       let key = key_of outer okeys i in
       if not (has_null key) then
         match Hashtbl.find_opt index key with
         | Some ks ->
-          spend ctx (List.length ks);
+          spend ctx (emit_unit * List.length ks);
           emit_all i ks
         | None -> ()
     done
@@ -266,12 +262,12 @@ let index_nl ctx (j : Plan.join) outer inner_rel inner_col =
     && others_hold (e + 1) i row
   in
   let pairs = new_pairs () in
-  spend ctx outer.nrows;
+  spend ctx (U.probe ~outer_rows:outer.nrows);
   for i = 0 to outer.nrows - 1 do
     let key = cell ctx outer opos_key ocol_key i in
     if key <> Column.null_int then begin
       let candidates = Hash_index.lookup index key in
-      spend ctx (Array.length candidates);
+      spend ctx (lookup_unit * Array.length candidates);
       for c = 0 to Array.length candidates - 1 do
         let row = candidates.(c) in
         if others_hold 0 i row && keep row then record pairs i row
@@ -302,8 +298,9 @@ let nested_loop ctx (j : Plan.join) outer inner =
     && conds_hold (c + 1) i k
   in
   let pairs = new_pairs () in
+  let rescan = U.nl_rescan ~inner_rows:inner.nrows in
   for i = 0 to outer.nrows - 1 do
-    spend ctx inner.nrows;
+    spend ctx rescan;
     for k = 0 to inner.nrows - 1 do
       if conds_hold 0 i k then record pairs i k
     done
@@ -316,15 +313,16 @@ let nested_loop ctx (j : Plan.join) outer inner =
    fixed -- the limitation the paper notes for adaptive processing. *)
 let adaptive_switch_factor = 8.0
 
+(* [exec] returns the node's output and the peak resident row-slots while
+   its subtree ran. *)
 let rec exec ctx node =
   match node with
   | Plan.Scan s ->
     let inter = scan_node ctx s in
-    alloc ctx (slots inter);
     observe ctx node inter "Scan";
-    inter
+    (inter, slots inter)
   | Plan.Join j ->
-    let outer = exec ctx j.Plan.outer in
+    let outer, outer_mem = exec ctx j.Plan.outer in
     let algo =
       match j.Plan.algo with
       | (Plan.Index_nl _ | Plan.Nested_loop)
@@ -336,43 +334,24 @@ let rec exec ctx node =
         Plan.Hash_join
       | algo -> algo
     in
-    let j = { j with Plan.algo } in
-    (* Charge the operator's transient structures and the two inputs for
-       the duration of the join, then keep only the output resident. The
-       hash build table holds one entry per inner row. *)
-    let joined aux inner =
-      alloc ctx aux;
-      let inter =
-        match j.Plan.algo with
-        | Plan.Hash_join -> hash_join ctx j outer inner
-        | Plan.Nested_loop -> nested_loop ctx j outer inner
-        | Plan.Index_nl _ -> invalid_arg "Executor: index NL is not blocking"
-      in
-      alloc ctx (slots inter);
-      release ctx (aux + slots outer + slots inner);
-      inter
-    in
-    let inter =
-      match j.Plan.algo with
-      | Plan.Hash_join ->
-        let inner = exec ctx j.Plan.inner in
-        joined inner.nrows inner
-      | Plan.Nested_loop ->
-        let inner = exec ctx j.Plan.inner in
-        joined 0 inner
+    let inter, mem =
+      match algo with
+      | Plan.Hash_join | Plan.Nested_loop ->
+        let inner, inner_mem = exec ctx j.Plan.inner in
+        let join = if algo = Plan.Hash_join then hash_join else nested_loop in
+        let inter = join ctx j outer inner in
+        ( inter,
+          U.join_peak algo ~outer_mem ~outer_slots:(slots outer) ~inner_mem
+            ~inner_slots:(slots inner) ~inner_rows:inner.nrows
+            ~out_slots:(slots inter) )
       | Plan.Index_nl { inner_col } ->
-        let inner_rel =
-          match j.Plan.inner with
-          | Plan.Scan s -> s.Plan.scan_rel
-          | Plan.Join _ -> invalid_arg "Executor: index NL over a join"
-        in
-        let inter = index_nl ctx j outer inner_rel inner_col in
-        alloc ctx (slots inter);
-        release ctx (slots outer);
-        inter
+        let inter = index_nl ctx j outer (Plan.probed_rel j) inner_col in
+        ( inter,
+          U.pipelined_peak ~outer_mem ~outer_slots:(slots outer)
+            ~out_slots:(slots inter) )
     in
-    observe ctx node inter (Plan.algo_name j.Plan.algo);
-    inter
+    observe ctx node inter (Plan.algo_name algo);
+    (inter, mem)
 
 let make_ctx ?work_budget ?deadline_ms ?(adaptive = false) ~catalog ~query () =
   let tables =
@@ -398,8 +377,6 @@ let make_ctx ?work_budget ?deadline_ms ?(adaptive = false) ~catalog ~query () =
     obs = [];
     adaptive;
     switches = 0;
-    resident = 0;
-    peak = 0;
   }
 
 let eval_aggs ctx inter =
@@ -441,16 +418,16 @@ let eval_aggs ctx inter =
 
 let execute ?work_budget ?deadline_ms ?adaptive ~catalog ~query plan =
   let ctx = make_ctx ?work_budget ?deadline_ms ?adaptive ~catalog ~query () in
-  let inter = exec ctx plan in
+  let inter, peak = exec ctx plan in
   let aggs = eval_aggs ctx inter in
   Metrics.incr "exec.queries";
   Metrics.incr ~by:ctx.work "exec.work";
-  Metrics.observe "exec.peak_rows" (float_of_int ctx.peak);
+  Metrics.observe "exec.peak_rows" (float_of_int peak);
   {
     aggs;
     out_rows = inter.nrows;
     work = ctx.work;
-    peak_rows = ctx.peak;
+    peak_rows = peak;
     elapsed_ms = elapsed_ms ctx;
     observations = List.rev ctx.obs;
     switches = ctx.switches;
@@ -465,10 +442,13 @@ type materialization = {
 
 let materialize ?work_budget ?deadline_ms ~catalog ~query ~cols plan =
   let ctx = make_ctx ?work_budget ?deadline_ms ~catalog ~query () in
-  let inter = exec ctx plan in
-  (* The projected temp-table rows are resident alongside the final
-     intermediate while they are built: one slot per projected cell. *)
-  alloc ctx (inter.nrows * List.length cols);
+  let inter, mem = exec ctx plan in
+  (* The projected temp-table rows are built beside the final
+     intermediate: one slot per projected cell. *)
+  let peak =
+    U.pipelined_peak ~outer_mem:mem ~outer_slots:(slots inter)
+      ~out_slots:(U.slots ~rows:inter.nrows ~width:(List.length cols))
+  in
   let sources =
     Array.of_list
       (List.map (fun (cr : Query.colref) -> (pos_of_rel inter cr.Query.rel, cr.Query.col)) cols)
@@ -485,5 +465,5 @@ let materialize ?work_budget ?deadline_ms ~catalog ~query ~cols plan =
     rows := row :: !rows
   done;
   Metrics.incr ~by:ctx.work "exec.work";
-  { mat_rows = !rows; mat_work = ctx.work; mat_peak_rows = ctx.peak;
+  { mat_rows = !rows; mat_work = ctx.work; mat_peak_rows = peak;
     mat_elapsed_ms = elapsed_ms ctx }

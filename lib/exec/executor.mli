@@ -28,19 +28,14 @@ type result = {
   observations : node_obs list;  (** post-order, deepest join first *)
   switches : int;        (** adaptive operator demotions performed *)
 }
-(** [peak_rows] is the high-water mark of resident "row-slots" (one
-    base-table rowid or hash-table entry each), sampled at operator
-    boundaries: live intermediates are [nrows * width] slots, and a hash
-    join additionally holds one build-table entry per inner row while it
-    runs. This is the deterministic memory analog of [work], and the
-    quantity [Rdb_analysis.Resource] certificates bound: certified
-    executions (non-adaptive — a demotion changes the operator mix
-    underneath the certificate) must observe [peak_rows] within the
-    certified interval.
-    A join's probe phase records its matches as two transient int vectors
-    (outer tuple, inner tuple or rowid) before one exact-size gather builds
-    its output; like the slack of a growing vector, they are not charged,
-    so certificates and [BENCH_resources.json] are unchanged. *)
+(** [work] and [peak_rows] are {!Rdb_plan.Plan.Usage} over the run's
+    actual rows: [work] sums its charges, and [peak_rows] is its high-water
+    mark of resident "row-slots" (one base-table rowid or hash-table entry
+    each). [Rdb_analysis.Resource] evaluates the same rule over cardinality
+    intervals, so a non-adaptive run (a demotion changes the operator mix)
+    of a certified plan observes both within the certificate. A probe
+    phase's two transient match vectors are not charged, like the slack of
+    a growing vector. *)
 
 exception Work_budget_exceeded of { spent : int; elapsed_ms : float }
 (** Raised when the optional work budget runs out: the executor's guard

@@ -1,16 +1,6 @@
 module Relset = Rdb_util.Relset
 module Join_graph = Rdb_query.Join_graph
 
-(* Grow [s] into every connected superset reachable without touching [x],
-   emitting each exactly once (EnumerateCsgRec). *)
-let rec iter_csg_rec graph s x emit =
-  let candidates = Relset.diff (Join_graph.neighbors graph s) x in
-  if not (Relset.is_empty candidates) then
-    Relset.iter_subsets candidates (fun s' ->
-        let s2 = Relset.union s s' in
-        emit s2;
-        iter_csg_rec graph s2 (Relset.union x candidates) emit)
-
 (* EnumerateCmp: all connected complements of [s1] that avoid the
    duplicate-suppression prefix, grown from [n]'s members high to low. *)
 let iter_cmp graph s1 f =
@@ -22,7 +12,7 @@ let iter_cmp graph s1 f =
       let v = Relset.singleton i in
       emit v;
       let smaller_neighbors = Relset.inter n (Relset.below (i + 1)) in
-      iter_csg_rec graph v (Relset.union x smaller_neighbors) emit
+      Join_graph.iter_csg_rec graph v (Relset.union x smaller_neighbors) emit
     end
   done
 
@@ -31,7 +21,8 @@ let iter_pairs graph f =
   for i = n - 1 downto 0 do
     let v = Relset.singleton i in
     iter_cmp graph v f;
-    iter_csg_rec graph v (Relset.below (i + 1)) (fun s1 -> iter_cmp graph s1 f)
+    Join_graph.iter_csg_rec graph v (Relset.below (i + 1)) (fun s1 ->
+        iter_cmp graph s1 f)
   done
 
 let count_pairs graph =

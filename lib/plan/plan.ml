@@ -65,6 +65,59 @@ let join_cost cp ~npreds algo ~inner ~edges ~outer_rows ~inner_rows ~out
     +. Cost_model.index_nested_loop cp ~outer:outer_rows ~out
          ~npreds:(inner_preds + List.length edges - 1)
 
+module type ARITH = sig
+  type t
+  val zero : t
+  val add : t -> t -> t
+  val mul : t -> t -> t
+  val max : t -> t -> t
+end
+
+module Usage (N : ARITH) = struct
+  let seq_scan ~table_rows = table_rows
+  let lookup ~candidates = candidates
+  let probe ~outer_rows = outer_rows
+  let hash_build ~inner_rows = inner_rows
+  let hash_emit ~matches = matches
+  let hash_table ~inner_rows = inner_rows
+  let nl_rescan ~inner_rows = inner_rows
+  let slots ~rows ~width = N.mul rows width
+
+  let join_work algo ~outer_work ~inner_work ~outer_rows ~inner_rows ~out
+      ~fanout =
+    match algo with
+    | Hash_join ->
+      N.add (N.add outer_work inner_work)
+        (N.add
+           (N.add (hash_build ~inner_rows) (probe ~outer_rows))
+           (hash_emit ~matches:out))
+    | Nested_loop ->
+      N.add (N.add outer_work inner_work)
+        (N.mul outer_rows (nl_rescan ~inner_rows))
+    | Index_nl _ ->
+      N.add outer_work (N.add (probe ~outer_rows) (lookup ~candidates:fanout))
+
+  let pipelined_peak ~outer_mem ~outer_slots ~out_slots =
+    N.max outer_mem (N.add outer_slots out_slots)
+
+  let join_peak algo ~outer_mem ~outer_slots ~inner_mem ~inner_slots
+      ~inner_rows ~out_slots =
+    let blocking aux =
+      N.max outer_mem
+        (N.max (N.add outer_slots inner_mem)
+           (N.add (N.add outer_slots inner_slots) (N.add aux out_slots)))
+    in
+    match algo with
+    | Hash_join -> blocking (hash_table ~inner_rows)
+    | Nested_loop -> blocking N.zero
+    | Index_nl _ -> pipelined_peak ~outer_mem ~outer_slots ~out_slots
+end
+
+let probed_rel j =
+  match j.inner with
+  | Scan s -> s.scan_rel
+  | Join _ -> invalid_arg "Plan: index nested loop over a join"
+
 let joins_bottom_up t =
   let rec go acc = function
     | Scan _ -> acc

@@ -73,6 +73,62 @@ val join_cost :
     the plan linter under all-zero parameters for the inputs' cost
     floor. *)
 
+module type ARITH = sig
+  type t
+  val zero : t
+  val add : t -> t -> t
+  val mul : t -> t -> t
+  val max : t -> t -> t
+end
+
+(** The one rule for what running a plan costs: each operator's work units
+    and resident row-slots (one rowid or hash-table entry each). The
+    executor charges the [Int] terms where it does the work, so a budget
+    aborts at their running sum, and its peak is the [Int] recurrence over
+    actual rows. [Rdb_analysis.Resource] evaluates the same terms at both
+    ends of cardinality intervals; every term is a monotone sum, product or
+    maximum, so the two ends bound it exactly. Charges are linear in their
+    counts. *)
+module Usage (N : ARITH) : sig
+  (** Charges: a seq scan's table rows; every rowid an index returns
+      ([lookup]); a hash join's or index nested loop's outer rows
+      ([probe]); a hash join's inner rows and, per probe, its matches; a
+      nested loop's inner rows, per outer row. A hash join's build table
+      holds one entry per inner row; an intermediate, [rows * width]. *)
+
+  val seq_scan : table_rows:N.t -> N.t
+  val lookup : candidates:N.t -> N.t
+  val probe : outer_rows:N.t -> N.t
+  val hash_build : inner_rows:N.t -> N.t
+  val hash_emit : matches:N.t -> N.t
+  val nl_rescan : inner_rows:N.t -> N.t
+  val hash_table : inner_rows:N.t -> N.t
+  val slots : rows:N.t -> width:N.t -> N.t
+
+  val join_work :
+    join_algo -> outer_work:N.t -> inner_work:N.t -> outer_rows:N.t ->
+    inner_rows:N.t -> out:N.t -> fanout:N.t -> N.t
+  (** A join's subtree: its inputs, then its own charges; [out] rows are
+      emitted. An index nested loop never runs its inner input: it probes
+      the inner relation, whose lookups total [fanout]. *)
+
+  val join_peak :
+    join_algo -> outer_mem:N.t -> outer_slots:N.t -> inner_mem:N.t ->
+    inner_slots:N.t -> inner_rows:N.t -> out_slots:N.t -> N.t
+  (** From each input's own peak ([_mem]) and result ([_slots]): the outer
+      subtree, its result beside the running inner subtree, then both
+      results, the hash table and the output. An index nested loop is
+      {!pipelined_peak}. *)
+
+  val pipelined_peak : outer_mem:N.t -> outer_slots:N.t -> out_slots:N.t -> N.t
+  (** Building [out_slots] beside a finished input: an index nested loop's
+      output, or a result projected into a temp table. *)
+end
+
+val probed_rel : join -> int
+(** The base relation an index nested loop probes: its inner scan's.
+    Raises [Invalid_argument] when the inner is a join. *)
+
 val joins_bottom_up : t -> join list
 (** All join nodes, deepest-first (post-order); the order in which the
     re-optimizer looks for the "lowest" mis-estimated join. *)

@@ -58,22 +58,24 @@ let removable t s =
   in
   scan (List.rev (Relset.to_list s))
 
+let rec iter_csg_rec t s x emit =
+  let candidates = Relset.diff (neighbors t s) x in
+  let x = Relset.union x candidates in
+  let sub = ref candidates in
+  while not (Relset.is_empty !sub) do
+    let s2 = Relset.union s !sub in
+    emit s2;
+    iter_csg_rec t s2 x emit;
+    sub := Relset.next_subset candidates !sub
+  done
+
 (* EnumerateCsg of Moerkotte & Neumann (DPccp): every connected subgraph is
-   produced exactly once. [x] is the exclusion set preventing duplicate
-   emission. *)
+   produced exactly once. *)
 let iter_connected_subsets t f =
-  let rec enumerate_rec s x =
-    let candidates = Relset.diff (neighbors t s) x in
-    if not (Relset.is_empty candidates) then
-      Relset.iter_subsets candidates (fun s' ->
-          let s2 = Relset.union s s' in
-          f s2;
-          enumerate_rec s2 (Relset.union x candidates))
-  in
   for i = t.n - 1 downto 0 do
     let s = Relset.singleton i in
     f s;
-    enumerate_rec s (Relset.below (i + 1))
+    iter_csg_rec t s (Relset.below (i + 1)) f
   done
 
 let connected_subsets t =

@@ -30,6 +30,11 @@ val removable : t -> Relset.t -> int
     in the paper's perfect-(n) construction. Raises [Invalid_argument] on
     sets that are not connected or are empty. *)
 
+val iter_csg_rec : t -> Relset.t -> Relset.t -> (Relset.t -> unit) -> unit
+(** [iter_csg_rec g s x emit] grows the connected set [s] into every
+    connected superset reachable without touching [x] and emits each
+    exactly once (EnumerateCsgRec of DPccp), allocating no closure. *)
+
 val connected_subsets : t -> Relset.t list
 (** Every connected subset, each exactly once, ordered by cardinality
     (ties broken arbitrarily but deterministically). For JOB-like graphs

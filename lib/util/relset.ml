@@ -23,7 +23,7 @@ let equal (a : t) b = a = b
 let compare (a : t) b = Stdlib.compare a b
 let hash (s : t) = Hashtbl.hash s
 
-(* Bit walks: neither [min_elt] nor [iter] allocates per member. *)
+(* Bit walks: [min_elt], [iter] and [fold] allocate nothing of their own. *)
 let min_elt s =
   if s = 0 then invalid_arg "Relset.min_elt: empty set";
   let rec go s i = if s land 1 = 1 then i else go (s lsr 1) (i + 1) in
@@ -40,10 +40,11 @@ let iter f s =
   in
   go s 0
 
-let fold f s init =
-  let acc = ref init in
-  iter (fun i -> acc := f i !acc) s;
-  !acc
+let rec fold_from f s i acc =
+  if s = 0 then acc
+  else fold_from f (s lsr 1) (i + 1) (if s land 1 = 1 then f i acc else acc)
+
+let fold f s init = fold_from f s 0 init
 
 let to_list s = List.rev (fold (fun i acc -> i :: acc) s [])
 
@@ -55,18 +56,13 @@ let below i =
   assert (i >= 0 && i < 62);
   (1 lsl i) - 1
 
-(* Standard sub-mask enumeration: visits every non-empty submask of [s]. *)
-let iter_subsets s f =
-  if s <> 0 then begin
-    let sub = ref s in
-    let continue = ref true in
-    while !continue do
-      f !sub;
-      sub := (!sub - 1) land s;
-      if !sub = 0 then continue := false
-    done
-  end
+(* Standard sub-mask enumeration: every non-empty submask of [s], from
+   [s] itself down. *)
+let next_subset s sub = (sub - 1) land s
 
-let pp fmt s =
-  Format.fprintf fmt "{%s}"
-    (String.concat "," (List.map string_of_int (to_list s)))
+let iter_subsets s f =
+  let sub = ref s in
+  while !sub <> 0 do
+    f !sub;
+    sub := next_subset s !sub
+  done

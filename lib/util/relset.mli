@@ -43,4 +43,6 @@ val iter_subsets : t -> (t -> unit) -> unit
 (** Enumerate every non-empty subset of the given set, in an unspecified
     order. *)
 
-val pp : Format.formatter -> t -> unit
+val next_subset : t -> t -> t
+(** The subset of [s] that {!iter_subsets} visits after [sub], or the empty
+    set after the last: a loop over the subsets with no closure. *)

@@ -7,8 +7,10 @@
      executor's deterministic counters. Random queries whose certified peak
      is over the admission budget are certified but not run;
    - exactness anchors: a single-table seq-scan query's certified work is a
-     point interval equal to the executor's observed work, and the peak of
-     any run is at least the root intermediate's slots;
+     point interval equal to the executor's observed work; with true
+     cardinalities as bounds, certified work and peak of seq-scan, hash and
+     nested-loop plans are points equal to a run's; and the peak of any
+     run is at least the root intermediate's slots;
    - the re-opt side: observed replan steps never exceed the structural
      certificate bound, the transition simulation terminates and reports
      trajectories within it, and the thrashing detector (seeded-mutant
@@ -21,6 +23,7 @@ module Session = Rdb_core.Session
 module Reopt = Rdb_core.Reopt
 module Trigger = Rdb_core.Trigger
 module Estimator = Rdb_card.Estimator
+module Oracle = Rdb_card.Oracle
 module Executor = Rdb_exec.Executor
 module Plan = Rdb_plan.Plan
 module Prng = Rdb_util.Prng
@@ -163,6 +166,63 @@ let test_seq_scan_work_is_exact () =
   Alcotest.(check int) "observed work" n res.Executor.work;
   Alcotest.(check int) "replans bounded by rels - 1" 0
     cert.Resource.cert_replans_hi
+
+(* Given the true cardinality of every subset as a point bound, a plan of
+   seq scans, hash joins and nested loops leaves the certifier nothing to
+   bound: its work and peak are the points a run observes. The executor
+   and the certifier evaluate one rule, [Plan.Usage], over ints and at
+   interval ends over floats, so a difference in how the two group its
+   terms fails here.
+   Each JOB query of at most 6 relations, its Default plan rewritten twice:
+   every scan a seq scan and every join a hash join; then with a nested
+   loop wherever the true outer x inner rows are at most 10^6. *)
+let test_certificate_exact () =
+  let catalog, session = Lazy.force lazy_db in
+  let plans = ref 0 and loops = ref 0 in
+  List.iter
+    (fun (q : Query.t) ->
+      let prepared = Session.prepare session q in
+      let oracle = Session.oracle prepared in
+      let card s = float_of_int (Oracle.true_card oracle s) in
+      let rec rewrite ~loop = function
+        | Plan.Scan s -> Plan.Scan { s with Plan.access = Plan.Seq_scan }
+        | Plan.Join j ->
+          let outer = rewrite ~loop j.Plan.outer
+          and inner = rewrite ~loop j.Plan.inner in
+          let pairs = card (Plan.rel_set outer) *. card (Plan.rel_set inner) in
+          let nl = loop && pairs <= 1e6 in
+          if nl then incr loops;
+          Plan.Join
+            { j with Plan.outer; inner;
+              algo = (if nl then Plan.Nested_loop else Plan.Hash_join) }
+      in
+      let plan, _, estimator = Session.plan prepared ~mode:Estimator.Default in
+      List.iter
+        (fun loop ->
+          let plan = rewrite ~loop plan in
+          let cert =
+            Resource.certify ~bounds:(fun s -> (card s, card s)) ~catalog
+              ~estimator q plan
+          in
+          let res = Session.execute prepared plan in
+          let point label (i : Interval.t) v =
+            let v = float_of_int v in
+            if not (i.Interval.lo = v && i.Interval.hi = v) then
+              Alcotest.failf
+                "%s %s: certified %s [%.17g, %.17g], observed %.17g"
+                q.Query.name (Plan.shape q plan) label i.Interval.lo
+                i.Interval.hi v
+          in
+          point "work" cert.Resource.cert_work res.Executor.work;
+          point "peak memory" cert.Resource.cert_mem res.Executor.peak_rows;
+          incr plans)
+        [ false; true ])
+    (List.filter
+       (fun q -> Query.n_rels q <= 6)
+       (Job_queries.all catalog));
+  if !plans < 40 || !loops = 0 then
+    Alcotest.failf "%d plans, %d nested loops: the sweep lost its cases"
+      !plans !loops
 
 (* An empty MCV list says "no value repeats" only when it had a slot to
    spare. After ANALYZE with 0 slots every list is empty although values
@@ -367,6 +427,8 @@ let () =
             test_seq_scan_work_is_exact;
           Alcotest.test_case "index fan-out sound at 0 and 10 MCV slots"
             `Quick test_mcv_slots_sound;
+          Alcotest.test_case "true-cardinality certificates are exact" `Quick
+            test_certificate_exact;
         ] );
       ( "reopt",
         [
