@@ -44,5 +44,6 @@ val iter_subsets : t -> (t -> unit) -> unit
     order. *)
 
 val next_subset : t -> t -> t
-(** The subset of [s] that {!iter_subsets} visits after [sub], or the empty
-    set after the last: a loop over the subsets with no closure. *)
+(** [next_subset s sub] is the subset of [s] that {!iter_subsets} visits
+    after [sub], or the empty set after the last: a loop over the subsets
+    with no closure. *)
