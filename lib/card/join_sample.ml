@@ -137,6 +137,7 @@ let extend t parent r =
   (match indexed with
    | Some (e, index) ->
      let opos = pos_of parent e.Query.l.Query.rel in
+     let rows = Hash_index.rows index and starts = Hash_index.starts index in
      for i = 0 to parent.nrows - 1 do
        let base = i * parent.width in
        let key =
@@ -144,13 +145,13 @@ let extend t parent r =
            ~row:parent.data.(base + opos)
            ~col:e.Query.l.Query.col
        in
-       if key <> Column.null_int then begin
-         let candidates = Hash_index.lookup index key in
-         t.probes <- t.probes + Array.length candidates;
-         Array.iter
-           (fun row ->
-             if row_ok row && check_other_edges base row then emit base row)
-           candidates
+       let b = Hash_index.find index key in
+       if b >= 0 then begin
+         t.probes <- t.probes + (starts.(b + 1) - starts.(b));
+         for c = starts.(b) to starts.(b + 1) - 1 do
+           let row = rows.(c) in
+           if row_ok row && check_other_edges base row then emit base row
+         done
        end
      done
    | None ->

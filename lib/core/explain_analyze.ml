@@ -41,8 +41,9 @@ let render ?trigger ?(bounds = false) prepared plan (res : Executor.result) =
     | Some o ->
       let actual = float_of_int o.Executor.obs_actual in
       let base =
-        Printf.sprintf "(actual rows=%d q-error=%.1f)" o.Executor.obs_actual
+        Printf.sprintf "(actual rows=%d q-error=%.1f time=%.3fms)" o.Executor.obs_actual
           (Stat_utils.q_error ~est:o.Executor.obs_est ~actual)
+          o.Executor.obs_ms
       in
       let switch =
         match Hashtbl.find_opt planned set with

@@ -1,6 +1,7 @@
 (** EXPLAIN ANALYZE rendering: the plan tree annotated with what actually
-    happened when it ran — per-operator actual rows and Q-error from the
-    executor's observations, adaptive operator switches (planned vs
+    happened when it ran — per-operator actual rows, Q-error and own time
+    ([time=...ms], excluding the operator's inputs) from the executor's
+    observations, adaptive operator switches (planned vs
     executed algorithm), and, when a trigger is supplied, a marker on the
     join the re-optimizer would materialize (chosen exactly as
     {!Reopt.find_trigger} does: fewest relations, then deepest, then

@@ -11,6 +11,7 @@ type node_obs = {
   obs_est : float;
   obs_actual : int;
   obs_label : string;
+  obs_ms : float;
 }
 
 type result = {
@@ -25,9 +26,30 @@ type result = {
 
 exception Work_budget_exceeded of { spent : int; elapsed_ms : float }
 
-(* An intermediate relation: [width] base-table row ids per tuple, one per
-   member of [rels] (in that order). *)
-type inter = { rels : int array; width : int; data : int array; nrows : int }
+(* An intermediate relation, factorized: each of its [nrows] tuples joins
+   one row of every member of [rels] (in that order), yet no join copies a
+   tuple. A scan holds its rowids; a join holds its two match vectors,
+   whose [k]th entries name the outer tuple and the inner tuple (for an
+   index NL, the inner relation's rowid) that output tuple [k] joins. A
+   member's rowid column is composed through the vectors when an operator
+   first reads it, and kept in [cols]. Match vectors may be longer than
+   [nrows]; only their first [nrows] entries are meaningful. *)
+type inter = {
+  rels : int array;
+  nrows : int;
+  src : src;
+  cols : int array array;  (* per member, [no_col] until composed *)
+}
+
+and src =
+  | Scanned of int array
+  | Joined of { outer : inter; inner : inner; outer_of : int array; inner_of : int array }
+
+(* The inner side of a join: the tuples of an intermediate, or the rowids
+   of one base relation probed through its index. *)
+and inner = Tuples of inter | Rowids
+
+let no_col : int array = [||]
 
 type ctx = {
   catalog : Catalog.t;
@@ -82,23 +104,68 @@ let spend ctx n =
     end
   | Some _ | None -> ()
 
-let slots inter = U.slots ~rows:inter.nrows ~width:inter.width
+let width inter = Array.length inter.rels
+
+let slots inter = U.slots ~rows:inter.nrows ~width:(width inter)
 
 let pos_of_rel inter rel =
   let rec scan i =
-    if i >= inter.width then invalid_arg "Executor: relation not in intermediate"
+    if i >= width inter then invalid_arg "Executor: relation not in intermediate"
     else if inter.rels.(i) = rel then i
     else scan (i + 1)
   in
   scan 0
 
-let observe ctx node inter label =
+(* [src.(idx.(k))] for [k < n]: a member's rowids carried one join up. *)
+let compose src idx n =
+  let a = Array.make n 0 in
+  for k = 0 to n - 1 do
+    a.(k) <- src.(idx.(k))
+  done;
+  a
+
+(* Member [p]'s rowid column: entry [i] is the rowid tuple [i] joins. *)
+let rec rowids inter p =
+  let c = inter.cols.(p) in
+  if c != no_col || inter.nrows = 0 then c
+  else begin
+    let c =
+      match inter.src with
+      | Scanned rows -> rows
+      | Joined { outer; inner; outer_of; inner_of } ->
+        let ow = width outer in
+        if p < ow then compose (rowids outer p) outer_of inter.nrows
+        else (
+          match inner with
+          | Rowids -> inner_of
+          | Tuples t -> compose (rowids t (p - ow)) inner_of inter.nrows)
+    in
+    inter.cols.(p) <- c;
+    c
+  end
+
+let scanned rel rows =
+  { rels = [| rel |]; nrows = Array.length rows; src = Scanned rows; cols = [| no_col |] }
+
+(* The cells of an integer column (join keys always are). *)
+let int_col ctx rel col =
+  match Table.column ctx.tables.(rel) col with
+  | Column.Ints a -> a
+  | Column.Strs _ -> invalid_arg "Executor: join key on a string column"
+
+(* The rowids of (rel, col)'s relation in an intermediate, and the column's
+   cells: tuple [i]'s value is [cells.(rows.(i))]. *)
+let key_of ctx inter (c : Query.colref) =
+  (rowids inter (pos_of_rel inter c.Query.rel), int_col ctx c.Query.rel c.Query.col)
+
+let observe ctx node inter label t0 =
   ctx.obs <-
     {
       obs_set = Plan.rel_set node;
       obs_est = Plan.est_rows node;
       obs_actual = inter.nrows;
       obs_label = label;
+      obs_ms = Clock.ms_since t0;
     }
     :: ctx.obs
 
@@ -118,113 +185,90 @@ let scan_node ctx (s : Plan.scan) =
      (match Catalog.index ctx.catalog ~table:(Table.name tbl) ~col with
       | None -> invalid_arg "Executor: index scan without index"
       | Some index ->
-        let candidates = Hash_index.lookup index key in
-        spend ctx (U.lookup ~candidates:(Array.length candidates));
-        for c = 0 to Array.length candidates - 1 do
-          if keep candidates.(c) then Int_vec.push out candidates.(c)
+        let b = Hash_index.find index key in
+        let rows = Hash_index.rows index and starts = Hash_index.starts index in
+        let lo, hi = if b < 0 then (0, 0) else (starts.(b), starts.(b + 1)) in
+        spend ctx (U.lookup ~candidates:(hi - lo));
+        for c = lo to hi - 1 do
+          if keep rows.(c) then Int_vec.push out rows.(c)
         done));
-  let data = Int_vec.to_array out in
-  { rels = [| rel |]; width = 1; data; nrows = Array.length data }
+  scanned rel (Int_vec.to_array out)
 
-(* The value of (rel, col) for tuple [i] of an intermediate. *)
-let cell ctx inter pos col i =
-  let rowid = inter.data.((i * inter.width) + pos) in
-  Table.int_cell ctx.tables.(inter.rels.(pos)) ~row:rowid ~col
+(* A join's matches in emission order: match [k] joins outer tuple
+   [outer_of.(k)] with inner tuple (or rowid) [inner_of.(k)]. The vectors
+   grow by doubling and become the output's match vectors as they are. *)
+type matches = { mutable outer_of : int array; mutable inner_of : int array; mutable n : int }
 
-(* A join's probe phase records its matches as pairs, in emission order:
-   pair [k] joins outer tuple [outer_of.(k)] with inner tuple
-   [inner_of.(k)] — for index NL, with inner base-table rowid
-   [inner_of.(k)]. Two int pushes per match, whatever the tuple width. *)
-type pairs = { outer_of : Int_vec.t; inner_of : Int_vec.t }
+let new_matches () = { outer_of = Array.make 1024 0; inner_of = Array.make 1024 0; n = 0 }
 
-let new_pairs () =
-  { outer_of = Int_vec.create ~capacity:1024 (); inner_of = Int_vec.create ~capacity:1024 () }
-
-let record pairs o i =
-  Int_vec.push pairs.outer_of o;
-  Int_vec.push pairs.inner_of i
-
-(* The inner side of a join output: the tuples of an intermediate, or the
-   rowids of one base relation probed through its index. *)
-type inner = Tuples of inter | Rowids of int
-
-(* The join output, allocated at its exact size and filled pair by pair:
-   the outer tuple, then the inner tuple. The copies are plain loops over
-   [int array]s, which compile to bare stores; [Array.blit] into a
-   major-heap array would take the write barrier per cell. *)
-let gather outer inner pairs =
-  let n = Int_vec.length pairs.outer_of in
-  let os = Int_vec.unsafe_data pairs.outer_of and is = Int_vec.unsafe_data pairs.inner_of in
-  let ow = outer.width in
-  (* a rowid pair's inner "tuple" is its own cell of [is]: width 1 at [k] *)
-  let rels, iw, idata, rowids =
-    match inner with
-    | Tuples t -> (Array.append outer.rels t.rels, t.width, t.data, false)
-    | Rowids rel -> (Array.append outer.rels [| rel |], 1, is, true)
-  in
-  let width = ow + iw in
-  let data = Array.make (n * width) 0 in
-  let odata = outer.data in
-  for k = 0 to n - 1 do
-    let dst = k * width in
-    let osrc = os.(k) * ow in
-    for c = 0 to ow - 1 do data.(dst + c) <- odata.(osrc + c) done;
-    let isrc = if rowids then k else is.(k) * iw in
-    for c = 0 to iw - 1 do data.(dst + ow + c) <- idata.(isrc + c) done
-  done;
-  { rels; width; data; nrows = n }
-
-let key_positions inter side edges =
-  Array.of_list
-    (List.map
-       (fun e ->
-         let (c : Query.colref) = side e in
-         (pos_of_rel inter c.Query.rel, c.Query.col))
-       edges)
-
-let hash_join ctx (j : Plan.join) outer inner =
-  let edges = j.Plan.join_edges in
-  let okeys = key_positions outer (fun e -> e.Query.l) edges in
-  let ikeys = key_positions inner (fun e -> e.Query.r) edges in
-  let pairs = new_pairs () in
-  (* bucket lists hold inner tuple indexes, newest first *)
-  let rec emit_all i = function
-    | [] -> ()
-    | k :: rest ->
-      record pairs i k;
-      emit_all i rest
-  in
-  (* build on the inner side, probe with the outer; NULL keys never match *)
-  let join_on key_of has_null =
-    let index = Hashtbl.create (Int.max 16 inner.nrows) in
-    spend ctx (U.hash_build ~inner_rows:inner.nrows);
-    for i = 0 to inner.nrows - 1 do
-      let key = key_of inner ikeys i in
-      if not (has_null key) then
-        Hashtbl.replace index key
-          (i :: Option.value ~default:[] (Hashtbl.find_opt index key))
+(* A plain copy loop: [Array.blit] into a major-heap array would take the
+   write barrier per cell. *)
+let grow m =
+  let extend (a : int array) =
+    let b = Array.make (2 * Array.length a) 0 in
+    for k = 0 to m.n - 1 do
+      b.(k) <- a.(k)
     done;
-    spend ctx (U.probe ~outer_rows:outer.nrows);
-    for i = 0 to outer.nrows - 1 do
-      let key = key_of outer okeys i in
-      if not (has_null key) then
-        match Hashtbl.find_opt index key with
-        | Some ks ->
-          spend ctx (emit_unit * List.length ks);
-          emit_all i ks
-        | None -> ()
-    done
+    b
   in
-  (match okeys with
-   | [| _ |] ->
-     join_on
-       (fun inter keys i -> cell ctx inter (fst keys.(0)) (snd keys.(0)) i)
-       (fun key -> key = Column.null_int)
-   | _ ->
-     join_on
-       (fun inter keys i -> Array.map (fun (pos, col) -> cell ctx inter pos col i) keys)
-       (Array.exists (fun v -> v = Column.null_int)));
-  gather outer (Tuples inner) pairs
+  m.outer_of <- extend m.outer_of;
+  m.inner_of <- extend m.inner_of
+
+let record m o i =
+  if m.n = Array.length m.outer_of then grow m;
+  m.outer_of.(m.n) <- o;
+  m.inner_of.(m.n) <- i;
+  m.n <- m.n + 1
+
+let joined outer inner inner_rels m =
+  let rels = Array.append outer.rels inner_rels in
+  {
+    rels;
+    nrows = m.n;
+    src = Joined { outer; inner; outer_of = m.outer_of; inner_of = m.inner_of };
+    cols = Array.make (Array.length rels) no_col;
+  }
+
+(* Build a CSR table on the inner's first key column, probe it with the
+   outer's, and check the further keys on each candidate the way index NL
+   checks its other edges. Each bucket is walked newest first, so the
+   matches of an outer tuple come in descending inner order. NULL keys
+   never match. *)
+let hash_join ctx (j : Plan.join) outer inner =
+  let keys side inter =
+    Array.of_list (List.map (fun e -> key_of ctx inter (side e)) j.Plan.join_edges)
+  in
+  let okeys = keys (fun e -> e.Query.l) outer in
+  let ikeys = keys (fun e -> e.Query.r) inner in
+  let orows, ocells = okeys.(0) in
+  let irows, icells = ikeys.(0) in
+  spend ctx (U.hash_build ~inner_rows:inner.nrows);
+  let table =
+    Hash_index.of_keys (Array.init inner.nrows (fun k -> icells.(irows.(k))))
+  in
+  let bucket = Hash_index.rows table and starts = Hash_index.starts table in
+  (* outer tuple [i] and inner tuple [k] agree on keys [e] onwards *)
+  let rec keys_hold e i k =
+    e >= Array.length okeys
+    ||
+    let orows, ocells = okeys.(e) and irows, icells = ikeys.(e) in
+    let ov = ocells.(orows.(i)) in
+    ov <> Column.null_int && ov = icells.(irows.(k)) && keys_hold (e + 1) i k
+  in
+  let m = new_matches () in
+  spend ctx (U.probe ~outer_rows:outer.nrows);
+  for i = 0 to outer.nrows - 1 do
+    let b = Hash_index.find table ocells.(orows.(i)) in
+    if b >= 0 then begin
+      let before = m.n in
+      for c = starts.(b + 1) - 1 downto starts.(b) do
+        let k = bucket.(c) in
+        if keys_hold 1 i k then record m i k
+      done;
+      spend ctx (emit_unit * (m.n - before))
+    end
+  done;
+  joined outer (Tuples inner) inner.rels m
 
 let index_nl ctx (j : Plan.join) outer inner_rel inner_col =
   let edges = j.Plan.join_edges in
@@ -242,70 +286,64 @@ let index_nl ctx (j : Plan.join) outer inner_rel inner_col =
     | None -> invalid_arg "Executor: index NL without index"
   in
   let keep = ctx.filters.(inner_rel) in
-  let opos_key = pos_of_rel outer key_edge.Query.l.Query.rel in
-  let ocol_key = key_edge.Query.l.Query.col in
+  let orows, ocells = key_of ctx outer key_edge.Query.l in
   let others =
     Array.of_list
       (List.map
          (fun e ->
-           (pos_of_rel outer e.Query.l.Query.rel, e.Query.l.Query.col, e.Query.r.Query.col))
+           let orows, ocells = key_of ctx outer e.Query.l in
+           (orows, ocells, int_col ctx inner_rel e.Query.r.Query.col))
          other_edges)
   in
   (* outer tuple [i] and inner row [row] agree on every non-key edge *)
   let rec others_hold e i row =
     e >= Array.length others
     ||
-    let opos, ocol, icol = others.(e) in
-    let ov = cell ctx outer opos ocol i in
-    ov <> Column.null_int
-    && ov = Table.int_cell tbl ~row ~col:icol
-    && others_hold (e + 1) i row
+    let orows, ocells, icells = others.(e) in
+    let ov = ocells.(orows.(i)) in
+    ov <> Column.null_int && ov = icells.(row) && others_hold (e + 1) i row
   in
-  let pairs = new_pairs () in
+  let rows = Hash_index.rows index and starts = Hash_index.starts index in
+  let m = new_matches () in
   spend ctx (U.probe ~outer_rows:outer.nrows);
   for i = 0 to outer.nrows - 1 do
-    let key = cell ctx outer opos_key ocol_key i in
-    if key <> Column.null_int then begin
-      let candidates = Hash_index.lookup index key in
-      spend ctx (lookup_unit * Array.length candidates);
-      for c = 0 to Array.length candidates - 1 do
-        let row = candidates.(c) in
-        if others_hold 0 i row && keep row then record pairs i row
+    let b = Hash_index.find index ocells.(orows.(i)) in
+    if b >= 0 then begin
+      spend ctx (lookup_unit * (starts.(b + 1) - starts.(b)));
+      for c = starts.(b) to starts.(b + 1) - 1 do
+        let row = rows.(c) in
+        if others_hold 0 i row && keep row then record m i row
       done
     end
   done;
-  gather outer (Rowids inner_rel) pairs
+  joined outer Rowids [| inner_rel |] m
 
 let nested_loop ctx (j : Plan.join) outer inner =
-  let edges = j.Plan.join_edges in
   let conds =
     Array.of_list
       (List.map
          (fun e ->
-           ( pos_of_rel outer e.Query.l.Query.rel,
-             e.Query.l.Query.col,
-             pos_of_rel inner e.Query.r.Query.rel,
-             e.Query.r.Query.col ))
-         edges)
+           let orows, ocells = key_of ctx outer e.Query.l in
+           let irows, icells = key_of ctx inner e.Query.r in
+           (orows, ocells, irows, icells))
+         j.Plan.join_edges)
   in
   let rec conds_hold c i k =
     c >= Array.length conds
     ||
-    let opos, ocol, ipos, icol = conds.(c) in
-    let ov = cell ctx outer opos ocol i in
-    ov <> Column.null_int
-    && ov = cell ctx inner ipos icol k
-    && conds_hold (c + 1) i k
+    let orows, ocells, irows, icells = conds.(c) in
+    let ov = ocells.(orows.(i)) in
+    ov <> Column.null_int && ov = icells.(irows.(k)) && conds_hold (c + 1) i k
   in
-  let pairs = new_pairs () in
+  let m = new_matches () in
   let rescan = U.nl_rescan ~inner_rows:inner.nrows in
   for i = 0 to outer.nrows - 1 do
     spend ctx rescan;
     for k = 0 to inner.nrows - 1 do
-      if conds_hold 0 i k then record pairs i k
+      if conds_hold 0 i k then record m i k
     done
   done;
-  gather outer (Tuples inner) pairs
+  joined outer (Tuples inner) inner.rels m
 
 (* Cuttlefish-style adaptive operator selection (paper SS II-D): once the
    outer input's true size is known, a nested-loop-family join whose outer
@@ -314,12 +352,14 @@ let nested_loop ctx (j : Plan.join) outer inner =
 let adaptive_switch_factor = 8.0
 
 (* [exec] returns the node's output and the peak resident row-slots while
-   its subtree ran. *)
+   its subtree ran. Each observation's time is the operator's own: it
+   starts once the node's inputs are built. *)
 let rec exec ctx node =
   match node with
   | Plan.Scan s ->
+    let t0 = Clock.now_ms () in
     let inter = scan_node ctx s in
-    observe ctx node inter "Scan";
+    observe ctx node inter "Scan" t0;
     (inter, slots inter)
   | Plan.Join j ->
     let outer, outer_mem = exec ctx j.Plan.outer in
@@ -334,23 +374,27 @@ let rec exec ctx node =
         Plan.Hash_join
       | algo -> algo
     in
-    let inter, mem =
+    let inter, mem, t0 =
       match algo with
       | Plan.Hash_join | Plan.Nested_loop ->
         let inner, inner_mem = exec ctx j.Plan.inner in
+        let t0 = Clock.now_ms () in
         let join = if algo = Plan.Hash_join then hash_join else nested_loop in
         let inter = join ctx j outer inner in
         ( inter,
           U.join_peak algo ~outer_mem ~outer_slots:(slots outer) ~inner_mem
             ~inner_slots:(slots inner) ~inner_rows:inner.nrows
-            ~out_slots:(slots inter) )
+            ~out_slots:(slots inter),
+          t0 )
       | Plan.Index_nl { inner_col } ->
+        let t0 = Clock.now_ms () in
         let inter = index_nl ctx j outer (Plan.probed_rel j) inner_col in
         ( inter,
           U.pipelined_peak ~outer_mem ~outer_slots:(slots outer)
-            ~out_slots:(slots inter) )
+            ~out_slots:(slots inter),
+          t0 )
     in
-    observe ctx node inter (Plan.algo_name algo);
+    observe ctx node inter (Plan.algo_name algo) t0;
     (inter, mem)
 
 let make_ctx ?work_budget ?deadline_ms ?(adaptive = false) ~catalog ~query () =
@@ -379,41 +423,63 @@ let make_ctx ?work_budget ?deadline_ms ?(adaptive = false) ~catalog ~query () =
     switches = 0;
   }
 
+(* The rowids of (rel, col)'s relation in the final intermediate, and the
+   column. *)
+let output_col ctx inter (cr : Query.colref) =
+  (rowids inter (pos_of_rel inter cr.Query.rel), Table.column ctx.tables.(cr.Query.rel) cr.Query.col)
+
+(* Aggregates read the typed cells; only the results are boxed. MIN and
+   MAX keep [Value.compare]'s order: NULLs skipped, ints by value, strings
+   by [String.compare]. *)
 let eval_aggs ctx inter =
-  let fold_col (cr : Query.colref) init f =
-    let pos = pos_of_rel inter cr.Query.rel in
-    let tbl = ctx.tables.(inter.rels.(pos)) in
-    let acc = ref init in
-    for i = 0 to inter.nrows - 1 do
-      let rowid = inter.data.((i * inter.width) + pos) in
-      acc := f !acc (Table.value tbl ~row:rowid ~col:cr.Query.col)
-    done;
-    !acc
-  in
-  let extreme cr keep =
-    fold_col cr Value.Null (fun best v ->
-        if Value.is_null v then best
-        else
-          match best with
-          | Value.Null -> v
-          | b -> if keep (Value.compare v b) then v else b)
+  let n = inter.nrows in
+  let extreme cr better =
+    match output_col ctx inter cr with
+    | rows, Column.Ints a ->
+      let best = ref Column.null_int in
+      for i = 0 to n - 1 do
+        let v = a.(rows.(i)) in
+        if v <> Column.null_int && (!best = Column.null_int || better (Int.compare v !best))
+        then best := v
+      done;
+      if !best = Column.null_int then Value.Null else Value.Int !best
+    | rows, Column.Strs a ->
+      if n = 0 then Value.Null
+      else begin
+        let best = ref a.(rows.(0)) in
+        for i = 1 to n - 1 do
+          let v = a.(rows.(i)) in
+          if better (String.compare v !best) then best := v
+        done;
+        Value.Str !best
+      end
   in
   List.map
     (fun agg ->
       match agg with
-      | Query.Count_star -> Value.Int inter.nrows
+      | Query.Count_star -> Value.Int n
       | Query.Count_col cr ->
-        Value.Int
-          (fold_col cr 0 (fun acc v -> if Value.is_null v then acc else acc + 1))
+        (match output_col ctx inter cr with
+         | rows, Column.Ints a ->
+           let c = ref 0 in
+           for i = 0 to n - 1 do
+             if a.(rows.(i)) <> Column.null_int then incr c
+           done;
+           Value.Int !c
+         | _, Column.Strs _ -> Value.Int n)
       | Query.Min_col cr -> extreme cr (fun c -> c < 0)
       | Query.Max_col cr -> extreme cr (fun c -> c > 0)
       | Query.Sum_col cr ->
-        Value.Int
-          (fold_col cr 0 (fun acc v ->
-               match v with
-               | Value.Int i -> acc + i
-               | Value.Null -> acc
-               | Value.Str _ -> invalid_arg "SUM over a string column")))
+        (match output_col ctx inter cr with
+         | rows, Column.Ints a ->
+           let s = ref 0 in
+           for i = 0 to n - 1 do
+             let v = a.(rows.(i)) in
+             if v <> Column.null_int then s := !s + v
+           done;
+           Value.Int !s
+         | _, Column.Strs _ ->
+           if n > 0 then invalid_arg "SUM over a string column" else Value.Int 0))
     ctx.q.Query.select
 
 let execute ?work_budget ?deadline_ms ?adaptive ~catalog ~query plan =
@@ -449,20 +515,17 @@ let materialize ?work_budget ?deadline_ms ~catalog ~query ~cols plan =
     U.pipelined_peak ~outer_mem:mem ~outer_slots:(slots inter)
       ~out_slots:(U.slots ~rows:inter.nrows ~width:(List.length cols))
   in
-  let sources =
-    Array.of_list
-      (List.map (fun (cr : Query.colref) -> (pos_of_rel inter cr.Query.rel, cr.Query.col)) cols)
+  let sources = Array.of_list (List.map (output_col ctx inter) cols) in
+  let value (rows, column) i =
+    match column with
+    | Column.Ints a ->
+      let v = a.(rows.(i)) in
+      if v = Column.null_int then Value.Null else Value.Int v
+    | Column.Strs a -> Value.Str a.(rows.(i))
   in
   let rows = ref [] in
   for i = inter.nrows - 1 downto 0 do
-    let row =
-      Array.map
-        (fun (pos, col) ->
-          let rowid = inter.data.((i * inter.width) + pos) in
-          Table.value ctx.tables.(inter.rels.(pos)) ~row:rowid ~col)
-        sources
-    in
-    rows := row :: !rows
+    rows := Array.map (fun src -> value src i) sources :: !rows
   done;
   Metrics.incr ~by:ctx.work "exec.work";
   { mat_rows = !rows; mat_work = ctx.work; mat_peak_rows = peak;

@@ -1,7 +1,11 @@
 (** The query executor: materializing, instrumented evaluation of physical
-    plans. Intermediate results are vectors of base-table row ids, one per
-    participating relation, so joins only ever shuffle integers and column
-    values are fetched from the columnar base tables on demand.
+    plans. Intermediate results are factorized: a scan's output is its
+    base-table row ids, and a join's output is its two match vectors,
+    which name the outer tuple and the inner tuple (or, for an index
+    nested loop, the inner base-table row id) of each output tuple. No join
+    copies a tuple. A member relation's row ids are composed through the
+    vectors when an operator first reads them, and column values are
+    fetched from the columnar base tables by row id.
 
     Every node records its true output cardinality — the information
     [EXPLAIN ANALYZE] gives the paper's re-optimization simulation — plus
@@ -17,6 +21,8 @@ type node_obs = {
   obs_est : float;      (** the optimizer's estimate *)
   obs_actual : int;     (** true rows produced *)
   obs_label : string;   (** operator name, for EXPLAIN ANALYZE output *)
+  obs_ms : float;       (** the operator's own time on {!Rdb_obs.Clock},
+                            excluding its children's *)
 }
 
 type result = {
@@ -33,9 +39,13 @@ type result = {
     mark of resident "row-slots" (one base-table rowid or hash-table entry
     each). [Rdb_analysis.Resource] evaluates the same rule over cardinality
     intervals, so a non-adaptive run (a demotion changes the operator mix)
-    of a certified plan observes both within the certificate. A probe
-    phase's two transient match vectors are not charged, like the slack of
-    a growing vector. *)
+    of a certified plan observes both within the certificate. The
+    row-slots are the rule's model, not the physical layout: an
+    intermediate of [n] rows over [w] relations counts [n * w] slots,
+    though it is held as two match vectors and the row-id columns composed
+    from them; a hash join's build table counts one entry per inner row,
+    whatever its buckets take; and a growing vector's slack is not
+    charged. *)
 
 exception Work_budget_exceeded of { spent : int; elapsed_ms : float }
 (** Raised when the optional work budget runs out: the executor's guard

@@ -133,33 +133,81 @@ let test_table_of_rows_roundtrip () =
 
 (* ---- Hash_index ---- *)
 
+let index_of_cells cells =
+  let schema = Schema.make [ { Schema.name = "k"; ty = Value.Ty_int } ] in
+  Hash_index.build (Table.create ~name:"x" ~schema [| Column.Ints cells |]) ~col:0
+
+(* The positions in a key's bucket range, in range order. *)
+let lookup index key =
+  let b = Hash_index.find index key in
+  if b < 0 then []
+  else
+    let rows = Hash_index.rows index and starts = Hash_index.starts index in
+    List.init (starts.(b + 1) - starts.(b)) (fun i -> rows.(starts.(b) + i))
+
+(* Reference: every row holding the key, ascending; NULL never matches. *)
+let naive_lookup cells key =
+  if key = Column.null_int then []
+  else
+    List.filter_map
+      (fun (i, v) -> if v = key then Some i else None)
+      (List.mapi (fun i v -> (i, v)) (Array.to_list cells))
+
+let naive_n_keys cells =
+  List.length
+    (List.sort_uniq Int.compare
+       (List.filter (fun v -> v <> Column.null_int) (Array.to_list cells)))
+
+(* [lookup], [count] and [n_keys] against the reference, for every key
+   present and the given absent ones. *)
+let index_agrees cells absent =
+  let index = index_of_cells cells in
+  List.for_all
+    (fun key ->
+      let expected = naive_lookup cells key in
+      lookup index key = expected && Hash_index.count index key = List.length expected)
+    (Array.to_list cells @ absent)
+  && Hash_index.n_keys index = naive_n_keys cells
+
+(* Small keys collide often; the rest are the edges of the int range, the
+   NULL sentinel, and multiples of 1024 below 2^16, which share home slot
+   0 in every table of up to 1024 slots. *)
+let key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, int_range (-20) 20);
+        (1, oneofl [ max_int; min_int + 1; Column.null_int; -1; 0 ]);
+        (2, map (fun k -> k * 1024) (int_range 0 63));
+      ])
+
 let prop_hash_index_complete =
-  QCheck.Test.make ~name:"index lookup = naive scan" ~count:200
-    QCheck.(pair (list (int_range 0 20)) (int_range 0 20))
-    (fun (cells, key) ->
-      let arr = Array.of_list cells in
-      let schema = Schema.make [ { Schema.name = "k"; ty = Value.Ty_int } ] in
-      let t = Table.create ~name:"x" ~schema [| Column.Ints arr |] in
-      let index = Hash_index.build t ~col:0 in
-      let via_index = Array.to_list (Hash_index.lookup index key) |> List.sort Int.compare in
-      let naive =
-        List.filteri (fun _ _ -> true) (Array.to_list arr)
-        |> List.mapi (fun i v -> (i, v))
-        |> List.filter_map (fun (i, v) -> if v = key then Some i else None)
-      in
-      via_index = naive)
+  QCheck.Test.make ~name:"index lookup = naive scan" ~count:300
+    QCheck.(pair (make Gen.(list_size (int_range 0 300) key_gen)) (make key_gen))
+    (fun (cells, key) -> index_agrees (Array.of_list cells) [ key ])
 
 let test_hash_index_skips_null () =
-  let schema = Schema.make [ { Schema.name = "k"; ty = Value.Ty_int } ] in
-  let t =
-    Table.create ~name:"x" ~schema
-      [| Column.Ints [| 1; Column.null_int; 1 |] |]
-  in
-  let index = Hash_index.build t ~col:0 in
-  check Alcotest.int "nulls not indexed" 0
-    (Array.length (Hash_index.lookup index Column.null_int));
+  let index = index_of_cells [| 1; Column.null_int; 1 |] in
+  check Alcotest.(list int) "nulls not indexed" [] (lookup index Column.null_int);
   check Alcotest.int "two ones" 2 (Hash_index.count index 1);
-  check Alcotest.int "one key" 1 (Hash_index.n_keys index)
+  check Alcotest.int "one key" 1 (Hash_index.n_keys index);
+  let all_null = index_of_cells (Array.make 5 Column.null_int) in
+  check Alcotest.int "all-NULL column: no keys" 0 (Hash_index.n_keys all_null);
+  check Alcotest.(list int) "all-NULL column: no rows" [] (lookup all_null Column.null_int)
+
+let test_hash_index_edge_keys () =
+  let cells = [| max_int; -7; min_int + 1; 0; -7; max_int; Column.null_int; min_int + 1 |] in
+  check Alcotest.bool "negative and extreme keys" true
+    (index_agrees cells [ 7; max_int - 1; min_int + 2; 1 ]);
+  check Alcotest.(list int) "max_int rows" [ 0; 5 ] (lookup (index_of_cells cells) max_int);
+  let dups = Array.init 5000 (fun i -> if i mod 1000 = 999 then 2 else 1) in
+  check Alcotest.bool "heavy duplicates" true (index_agrees dups [ 0; 3 ]);
+  check Alcotest.int "heavy duplicates: count" 4995
+    (Hash_index.count (index_of_cells dups) 1);
+  let shared = Array.init 600 (fun i -> (i mod 60) * 1024) in
+  check Alcotest.bool "keys sharing a home slot" true
+    (index_agrees shared [ 60 * 1024; 1024 * 1024; 1 ]);
+  check Alcotest.int "empty column" 0 (Hash_index.n_keys (Hash_index.of_keys [||]))
 
 (* ---- Catalog ---- *)
 
@@ -212,6 +260,7 @@ let () =
       ( "hash_index",
         [
           Alcotest.test_case "nulls skipped" `Quick test_hash_index_skips_null;
+          Alcotest.test_case "edge keys" `Quick test_hash_index_edge_keys;
           qtest prop_hash_index_complete;
         ] );
       ( "catalog",
