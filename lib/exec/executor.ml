@@ -229,32 +229,38 @@ let joined outer inner inner_rels m =
     cols = Array.make (Array.length rels) no_col;
   }
 
+(* A join's conditions between two intermediates, one per edge: the
+   outer's rowids and key cells, then the inner's. *)
+let conds ctx (j : Plan.join) outer inner =
+  Array.of_list
+    (List.map
+       (fun e ->
+         let orows, ocells = key_of ctx outer e.Query.l in
+         let irows, icells = key_of ctx inner e.Query.r in
+         (orows, ocells, irows, icells))
+       j.Plan.join_edges)
+
+(* Outer tuple [i] and inner tuple [k] meet conditions [c] onwards; NULL
+   keys never match. *)
+let rec conds_hold conds c i k =
+  c >= Array.length conds
+  ||
+  let orows, ocells, irows, icells = conds.(c) in
+  let ov = ocells.(orows.(i)) in
+  ov <> Column.null_int && ov = icells.(irows.(k)) && conds_hold conds (c + 1) i k
+
 (* Build a CSR table on the inner's first key column, probe it with the
-   outer's, and check the further keys on each candidate the way index NL
-   checks its other edges. Each bucket is walked newest first, so the
-   matches of an outer tuple come in descending inner order. NULL keys
-   never match. *)
+   outer's, and check the further conditions on each candidate. Each
+   bucket is walked newest first, so the matches of an outer tuple come in
+   descending inner order. *)
 let hash_join ctx (j : Plan.join) outer inner =
-  let keys side inter =
-    Array.of_list (List.map (fun e -> key_of ctx inter (side e)) j.Plan.join_edges)
-  in
-  let okeys = keys (fun e -> e.Query.l) outer in
-  let ikeys = keys (fun e -> e.Query.r) inner in
-  let orows, ocells = okeys.(0) in
-  let irows, icells = ikeys.(0) in
+  let conds = conds ctx j outer inner in
+  let orows, ocells, irows, icells = conds.(0) in
   spend ctx (U.hash_build ~inner_rows:inner.nrows);
   let table =
     Hash_index.of_keys (Array.init inner.nrows (fun k -> icells.(irows.(k))))
   in
   let bucket = Hash_index.rows table and starts = Hash_index.starts table in
-  (* outer tuple [i] and inner tuple [k] agree on keys [e] onwards *)
-  let rec keys_hold e i k =
-    e >= Array.length okeys
-    ||
-    let orows, ocells = okeys.(e) and irows, icells = ikeys.(e) in
-    let ov = ocells.(orows.(i)) in
-    ov <> Column.null_int && ov = icells.(irows.(k)) && keys_hold (e + 1) i k
-  in
   let m = new_matches () in
   spend ctx (U.probe ~outer_rows:outer.nrows);
   for i = 0 to outer.nrows - 1 do
@@ -263,7 +269,7 @@ let hash_join ctx (j : Plan.join) outer inner =
       let before = m.n in
       for c = starts.(b + 1) - 1 downto starts.(b) do
         let k = bucket.(c) in
-        if keys_hold 1 i k then record m i k
+        if conds_hold conds 1 i k then record m i k
       done;
       spend ctx (emit_unit * (m.n - before))
     end
@@ -319,28 +325,13 @@ let index_nl ctx (j : Plan.join) outer inner_rel inner_col =
   joined outer Rowids [| inner_rel |] m
 
 let nested_loop ctx (j : Plan.join) outer inner =
-  let conds =
-    Array.of_list
-      (List.map
-         (fun e ->
-           let orows, ocells = key_of ctx outer e.Query.l in
-           let irows, icells = key_of ctx inner e.Query.r in
-           (orows, ocells, irows, icells))
-         j.Plan.join_edges)
-  in
-  let rec conds_hold c i k =
-    c >= Array.length conds
-    ||
-    let orows, ocells, irows, icells = conds.(c) in
-    let ov = ocells.(orows.(i)) in
-    ov <> Column.null_int && ov = icells.(irows.(k)) && conds_hold (c + 1) i k
-  in
+  let conds = conds ctx j outer inner in
   let m = new_matches () in
   let rescan = U.nl_rescan ~inner_rows:inner.nrows in
   for i = 0 to outer.nrows - 1 do
     spend ctx rescan;
     for k = 0 to inner.nrows - 1 do
-      if conds_hold 0 i k then record m i k
+      if conds_hold conds 0 i k then record m i k
     done
   done;
   joined outer (Tuples inner) inner.rels m

@@ -25,6 +25,4 @@ let set t i v =
 
 let clear t = t.len <- 0
 
-let unsafe_data t = t.data
-
 let to_array t = Array.sub t.data 0 t.len

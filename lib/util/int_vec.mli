@@ -10,8 +10,5 @@ val get : t -> int -> int
 val set : t -> int -> int -> unit
 val clear : t -> unit
 
-val unsafe_data : t -> int array
-(** The backing store; only indexes [< length] are meaningful. *)
-
 val to_array : t -> int array
 (** A fresh, exactly-sized copy. *)
