@@ -224,6 +224,79 @@ let test_oracle_fallback_on_cyclic_classes () =
   check Alcotest.int "cyclic-class card" 3
     (Oracle.true_card oracle (Relset.full 2))
 
+(* The fallback engine against the brute-force Naive evaluator: a
+   generated query gets a second edge, on another pair of int columns that
+   share a value, between the two relations of one of its edges. The pair
+   then shares two join classes, so the class graph has a cycle. *)
+let gen_catalog = lazy (small_catalog ())
+
+let with_second_edge catalog prng (q : Query.t) =
+  let table (cr : Query.colref) =
+    Catalog.table_exn catalog q.Query.rels.(cr.Query.rel).Query.table
+  in
+  let other_int_cols (cr : Query.colref) =
+    let tbl = table cr in
+    List.filter_map
+      (fun c ->
+        match Table.column tbl c with
+        | Column.Ints cells when c <> cr.Query.col -> Some (c, cells)
+        | Column.Ints _ | Column.Strs _ -> None)
+      (List.init (Schema.arity (Table.schema tbl)) Fun.id)
+  in
+  let overlap a b =
+    let seen = Hashtbl.create (Array.length a) in
+    Array.iter (fun v -> if v <> Column.null_int then Hashtbl.replace seen v ()) a;
+    Array.exists (Hashtbl.mem seen) b
+  in
+  let pairs =
+    List.concat_map
+      (fun { Query.l; r } ->
+        List.concat_map
+          (fun (cl, a) ->
+            List.filter_map
+              (fun (cr, b) ->
+                if overlap a b then
+                  Some
+                    { Query.l = { l with Query.col = cl }; r = { r with Query.col = cr } }
+                else None)
+              (other_int_cols r))
+          (other_int_cols l))
+      q.Query.edges
+  in
+  match pairs with
+  | [] -> None
+  | _ ->
+    let e = List.nth pairs (Rdb_util.Prng.int prng (List.length pairs)) in
+    Some { q with Query.edges = q.Query.edges @ [ e ] }
+
+let prop_fallback_matches_naive =
+  QCheck.Test.make ~name:"fallback engine = Naive on every connected subset"
+    ~count:40 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let catalog = Lazy.force gen_catalog in
+      let g = Rdb_verify.Query_gen.create ~catalog in
+      let prng = Rdb_util.Prng.create seed in
+      (* Draw until a query has an edge whose ends carry another pair of
+         int columns that share a value. *)
+      let rec draw i =
+        let q = Rdb_verify.Query_gen.gen g prng ~name:(Printf.sprintf "c%d_%d" seed i) in
+        match with_second_edge catalog prng q with Some q -> q | None -> draw (i + 1)
+      in
+      let q = draw 0 in
+      let oracle = Oracle.create catalog q in
+      if Oracle.uses_tree_engine oracle then
+        QCheck.Test.fail_reportf "%s: class graph still a tree" q.Query.name;
+      List.for_all
+        (fun s ->
+          let want = Rdb_exec.Naive.count ~catalog q s in
+          let got = Oracle.true_card oracle s in
+          got = want
+          || QCheck.Test.fail_reportf "%s: subset {%s}: oracle %d, naive %d"
+               q.Query.name
+               (String.concat "," (List.map string_of_int (Relset.to_list s)))
+               got want)
+        (Join_graph.connected_subsets (Join_graph.make q)))
+
 let test_oracle_rejects_bad_sets () =
   let catalog = small_catalog () in
   let q = Rdb_imdb.Job_queries.find catalog "6d" in
@@ -560,6 +633,7 @@ let () =
           Alcotest.test_case "tree engine on JOB" `Quick test_oracle_tree_engine_used;
           Alcotest.test_case "fallback on cyclic classes" `Quick
             test_oracle_fallback_on_cyclic_classes;
+          qtest prop_fallback_matches_naive;
           Alcotest.test_case "rejects bad sets" `Quick test_oracle_rejects_bad_sets;
           Alcotest.test_case "base rows" `Quick test_oracle_base_rows;
           Alcotest.test_case "msg_map NULL key" `Quick test_msg_map_null_key;
