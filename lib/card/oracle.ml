@@ -21,17 +21,9 @@ module Predicate = Rdb_query.Predicate
 
    The fallback materializes each sub-join bottom-up, projected onto its
    boundary join columns. It is exact for arbitrary (cyclic-class)
-   queries but pays the full intermediate sizes. *)
+   queries but pays the full intermediate sizes. Join sampling runs the
+   same builder with a cap on the rows each sub-join keeps. *)
 (* ------------------------------------------------------------------ *)
-
-(* A materialized sub-join (fallback engine): [width] cells per tuple,
-   holding the values of the boundary columns [cols]. *)
-type inter = {
-  cols : (int * int) array;
-  width : int;
-  data : int array;
-  inter_rows : int;
-}
 
 (* Message maps: join-key value -> number of consistent join tuples. Open
    addressing with linear probing over a power-of-two table kept at most
@@ -123,15 +115,25 @@ module Msg_map = struct
       t.keys
 end
 
+(* A sub-join built bottom-up: [rows] tuples of the values of its boundary
+   join columns [cols] (the columns with an edge leaving the set), row
+   major in [data]. It stands for [rows *. scale] rows of the full
+   sub-join; [scale] exceeds 1 once a sample cap has dropped rows. *)
+type sub_join = {
+  cols : (int * int) array;
+  data : int array;
+  rows : int;
+  scale : float;
+}
+
 type t = {
   catalog : Catalog.t;
   q : Query.t;
   graph : Join_graph.t;
   cards : (Relset.t, int) Hashtbl.t;
-  tuples : (Relset.t, inter) Hashtbl.t;
+  tuples : (Relset.t, sub_join) Hashtbl.t;
   filtered : int array option array;
   mutable ensured : int;
-  mutable materialized_rows : int;
   (* class-tree machinery *)
   tree : bool;                         (* class graph is acyclic *)
   ports : (int * int) list array;      (* per rel: (class, col) pairs *)
@@ -139,6 +141,8 @@ type t = {
   msg_set_memo : (Relset.t * int, Msg_map.t) Hashtbl.t;
   port_keys : (int * int, int array) Hashtbl.t;
       (* (rel, col) -> the column's cells at the filtered rows *)
+  key_index : (int * int, Hash_index.t) Hashtbl.t;
+      (* (rel, col) -> its port keys indexed by key (fallback probes) *)
 }
 
 (* ---- class analysis ---- *)
@@ -186,27 +190,31 @@ let create ?carry catalog q =
       tuples = Hashtbl.create 64;
       filtered = Array.make (Query.n_rels q) None;
       ensured = 0;
-      materialized_rows = 0;
       tree;
       ports;
       msg_single_memo = Hashtbl.create 64;
       msg_set_memo = Hashtbl.create 64;
       port_keys = Hashtbl.create 16;
+      key_index = Hashtbl.create 16;
     }
   in
   (match carry with
    | None -> ()
    | Some (prev, same_as) ->
+     let share src dst =
+       Hashtbl.iter
+         (fun (old, col) v ->
+           Array.iteri
+             (fun rel o -> if o = old then Hashtbl.replace dst (rel, col) v)
+             same_as)
+         src
+     in
      Array.iteri
        (fun rel old ->
-         if old >= 0 then begin
-           t.filtered.(rel) <- prev.filtered.(old);
-           Hashtbl.iter
-             (fun (r, col) keys ->
-               if r = old then Hashtbl.replace t.port_keys (rel, col) keys)
-             prev.port_keys
-         end)
-       same_as);
+         if old >= 0 then t.filtered.(rel) <- prev.filtered.(old))
+       same_as;
+     share prev.port_keys t.port_keys;
+     share prev.key_index t.key_index);
   t
 
 let query t = t.q
@@ -454,7 +462,7 @@ let card_tree t s =
   let keys, maps = constrained t anchor ~cut:(-1) branches in
   weigh_rows ~n:(base_rows t anchor) ~keys ~maps ~group:None
 
-(* ---- materialization engine (fallback for non-tree class graphs) ---- *)
+(* ---- sub-join builder: the fallback engine, and join sampling ---- *)
 
 let boundary t s =
   let acc = ref [] in
@@ -469,173 +477,201 @@ let boundary t s =
     t.q.Query.edges;
   List.sort_uniq compare !acc |> Array.of_list
 
-let singleton_inter t i =
-  let s = Relset.singleton i in
-  let cols = boundary t s in
-  let rows = filtered_rowids t i in
-  let tbl = rel_table t i in
-  let width = Array.length cols in
-  let data = Array.make (Array.length rows * width) 0 in
-  Array.iteri
-    (fun idx row ->
-      Array.iteri
-        (fun c (_, col) -> data.((idx * width) + c) <- Table.int_cell tbl ~row ~col)
-        cols)
-    rows;
-  { cols; width; data; inter_rows = Array.length rows }
-
-let pos_of inter (rel, col) =
-  let rec scan i =
-    if i >= Array.length inter.cols then
-      invalid_arg "Oracle: column not in boundary projection"
-    else if inter.cols.(i) = (rel, col) then i
-    else scan (i + 1)
-  in
-  scan 0
-
-let extend t s' inter' r =
-  let s = Relset.add r s' in
-  let edges = Query.edges_between t.q s' (Relset.singleton r) in
-  assert (edges <> []);
-  let key_pos = Array.of_list (List.map (fun e -> pos_of inter' (e.Query.l.Query.rel, e.Query.l.Query.col)) edges) in
-  let key_cols = Array.of_list (List.map (fun e -> e.Query.r.Query.col) edges) in
-  let tbl = rel_table t r in
-  let r_rows = filtered_rowids t r in
-  let out_cols = boundary t s in
-  let width = Array.length out_cols in
-  let out_sources =
-    Array.map
-      (fun (rel, col) ->
-        if rel = r then -(col + 1) else pos_of inter' (rel, col))
-      out_cols
-  in
-  let out = Int_vec.create ~capacity:4096 () in
-  let rows = ref 0 in
-  let emit tuple_base r_row =
-    Array.iter
-      (fun src ->
-        if src < 0 then
-          Int_vec.push out (Table.int_cell tbl ~row:r_row ~col:(-src - 1))
-        else Int_vec.push out inter'.data.(tuple_base + src))
-      out_sources;
-    incr rows
-  in
-  (match key_cols with
-   | [| kc |] ->
-     let index = Hashtbl.create (Array.length r_rows) in
-     Array.iter
-       (fun row ->
-         let key = Table.int_cell tbl ~row ~col:kc in
-         if key <> Column.null_int then
-           Hashtbl.replace index key
-             (row :: Option.value ~default:[] (Hashtbl.find_opt index key)))
-       r_rows;
-     let kp = key_pos.(0) in
-     for i = 0 to inter'.inter_rows - 1 do
-       let base = i * inter'.width in
-       let key = inter'.data.(base + kp) in
-       if key <> Column.null_int then
-         match Hashtbl.find_opt index key with
-         | Some matches -> List.iter (emit base) matches
-         | None -> ()
-     done
-   | _ ->
-     let index = Hashtbl.create (Array.length r_rows) in
-     Array.iter
-       (fun row ->
-         let key = Array.map (fun col -> Table.int_cell tbl ~row ~col) key_cols in
-         if not (Array.exists (fun v -> v = Column.null_int) key) then
-           Hashtbl.replace index key
-             (row :: Option.value ~default:[] (Hashtbl.find_opt index key)))
-       r_rows;
-     for i = 0 to inter'.inter_rows - 1 do
-       let base = i * inter'.width in
-       let key = Array.map (fun p -> inter'.data.(base + p)) key_pos in
-       if not (Array.exists (fun v -> v = Column.null_int) key) then
-         match Hashtbl.find_opt index key with
-         | Some matches -> List.iter (emit base) matches
-         | None -> ()
-     done);
-  t.materialized_rows <- t.materialized_rows + !rows;
-  { cols = out_cols; width; data = Int_vec.to_array out; inter_rows = !rows }
-
-let rec tuples_of t s =
-  match Hashtbl.find_opt t.tuples s with
-  | Some inter -> inter
+(* A relation's port keys indexed by key: bucket positions are filtered
+   row positions, ascending. Built once, like the key arrays. *)
+let key_index t rel col =
+  match Hashtbl.find_opt t.key_index (rel, col) with
+  | Some index -> index
   | None ->
-    let inter =
-      if Relset.cardinal s = 1 then singleton_inter t (Relset.min_elt s)
+    let index = Hash_index.of_keys (port_keys t rel col) in
+    Hashtbl.replace t.key_index (rel, col) index;
+    index
+
+(* Where a boundary column of a sub-join sits in its tuples. *)
+let pos_in cols col =
+  let rec find i = if cols.(i) = col then i else find (i + 1) in
+  find 0
+
+(* One tuple of no columns: the sub-join of the empty set. *)
+let unit_join = { cols = [||]; data = [||]; rows = 1; scale = 1.0 }
+
+(* The matches of [parent], the sub-join of [s'], with [r]'s filtered
+   rows, as (parent tuple, row position) vectors in (parent tuple,
+   ascending position) order: probe [r]'s index on the first edge's key
+   and check the other edges per candidate. With no edge ([s'] empty),
+   every row matches. *)
+let matches t s' parent r =
+  match Array.of_list (Query.edges_between t.q s' (Relset.singleton r)) with
+  | [||] -> (Array.make (base_rows t r) 0, Array.init (base_rows t r) Fun.id)
+  | edges ->
+    let at =
+      Array.map
+        (fun { Query.l; _ } -> pos_in parent.cols (l.Query.rel, l.Query.col))
+        edges
+    in
+    let r_keys =
+      Array.map (fun { Query.r = r'; _ } -> port_keys t r r'.Query.col) edges
+    in
+    let index = key_index t r edges.(0).Query.r.Query.col in
+    let bucket_rows = Hash_index.rows index
+    and starts = Hash_index.starts index in
+    let pw = Array.length parent.cols in
+    let tuples = Int_vec.create ~capacity:1024 ()
+    and positions = Int_vec.create ~capacity:1024 () in
+    for i = 0 to parent.rows - 1 do
+      let base = i * pw in
+      let b = Hash_index.find index parent.data.(base + at.(0)) in
+      if b >= 0 then
+        for c = starts.(b) to starts.(b + 1) - 1 do
+          let p = bucket_rows.(c) in
+          let e = ref 1 in
+          while
+            !e < Array.length edges
+            &&
+            let v = parent.data.(base + at.(!e)) in
+            v <> Column.null_int && v = r_keys.(!e).(p)
+          do
+            incr e
+          done;
+          if !e = Array.length edges then begin
+            Int_vec.push tuples i;
+            Int_vec.push positions p
+          end
+        done
+    done;
+    (Int_vec.to_array tuples, Int_vec.to_array positions)
+
+(* The sub-join of [s' + r] from the sub-join [parent] of [s']. With
+   [cap = (size, prng)] and more than [size] matches, a shuffle picks
+   [size] of them and the scale grows by the dropped fraction; only the
+   picked matches are materialized. *)
+let join t ?cap s' parent r =
+  let tuples, positions = matches t s' parent r in
+  let n = Array.length positions in
+  let tuples, positions, scale =
+    match cap with
+    | Some (size, prng) when n > size ->
+      let chosen = Array.init n Fun.id in
+      Rdb_util.Prng.shuffle prng chosen;
+      let pick a = Array.init size (fun i -> a.(chosen.(i))) in
+      ( pick tuples,
+        pick positions,
+        parent.scale *. (float_of_int n /. float_of_int size) )
+    | _ -> (tuples, positions, parent.scale)
+  in
+  let rows = Array.length positions in
+  let cols = boundary t (Relset.add r s') in
+  let width = Array.length cols and pw = Array.length parent.cols in
+  let data = Array.make (rows * width) 0 in
+  Array.iteri
+    (fun k (rel, col) ->
+      if rel = r then begin
+        let keys = port_keys t r col in
+        for i = 0 to rows - 1 do
+          data.((i * width) + k) <- keys.(positions.(i))
+        done
+      end
+      else begin
+        let src = pos_in parent.cols (rel, col) in
+        for i = 0 to rows - 1 do
+          data.((i * width) + k) <- parent.data.((tuples.(i) * pw) + src)
+        done
+      end)
+    cols;
+  { cols; data; rows; scale }
+
+(* The sub-join of the connected set [s], memoized in [memo] with every
+   set it is built from: peel [Join_graph.removable] relations down to a
+   single one, then join them back in. *)
+let rec build t ?cap memo s =
+  match Hashtbl.find_opt memo s with
+  | Some j -> j
+  | None ->
+    let j =
+      if Relset.cardinal s = 1 then
+        join t ?cap Relset.empty unit_join (Relset.min_elt s)
       else begin
         let r = Join_graph.removable t.graph s in
         let s' = Relset.remove r s in
-        extend t s' (tuples_of t s') r
+        join t ?cap s' (build t ?cap memo s') r
       end
     in
-    Hashtbl.replace t.tuples s inter;
-    Hashtbl.replace t.cards s inter.inter_rows;
-    inter
+    Hashtbl.replace memo s j;
+    j
+
+(* Record the card of every sub-join the fallback holds, then release all
+   but those [keep] accepts. *)
+let release t ~keep =
+  let drop =
+    Hashtbl.fold
+      (fun s j acc ->
+        Hashtbl.replace t.cards s j.rows;
+        if keep s then acc else s :: acc)
+      t.tuples []
+  in
+  List.iter (Hashtbl.remove t.tuples) drop
 
 (* ---- public interface ---- *)
 
+let check_set who t s =
+  if Relset.is_empty s then invalid_arg (who ^ ": empty set");
+  if not (Join_graph.is_connected t.graph s) then
+    invalid_arg (who ^ ": disconnected set")
+
 let compute_card t s =
   if t.tree then begin
-    let v = card_tree t s in
-    let card = int_of_float (Float.round v) in
+    let card = int_of_float (Float.round (card_tree t s)) in
     Hashtbl.replace t.cards s card;
     card
   end
   else begin
-    let inter = tuples_of t s in
-    let to_drop =
-      Hashtbl.fold
-        (fun set _ acc -> if Relset.cardinal set > 1 then set :: acc else acc)
-        t.tuples []
-    in
-    List.iter (Hashtbl.remove t.tuples) to_drop;
-    inter.inter_rows
+    let j = build t t.tuples s in
+    release t ~keep:(fun s -> Relset.cardinal s = 1);
+    j.rows
   end
 
 let true_card t s =
-  if Relset.is_empty s then invalid_arg "Oracle.true_card: empty set";
-  if not (Join_graph.is_connected t.graph s) then
-    invalid_arg "Oracle.true_card: disconnected set";
+  check_set "Oracle.true_card" t s;
   match Hashtbl.find_opt t.cards s with
   | Some card -> card
   | None -> compute_card t s
 
+let sub_join t ?cap memo s =
+  check_set "Oracle.sub_join" t s;
+  build t ?cap memo s
+
+let scaled_rows j = float_of_int j.rows *. j.scale
+
 let ensure_up_to t size =
   if size > t.ensured then begin
-    let subsets = Join_graph.connected_subsets t.graph in
-    if t.tree then
-      List.iter
-        (fun s ->
-          if Relset.cardinal s <= size && not (Hashtbl.mem t.cards s) then
-            ignore (compute_card t s))
-        subsets
-    else begin
-      let by_size = Array.make (Join_graph.n t.graph + 1) [] in
-      List.iter
-        (fun s ->
-          let k = Relset.cardinal s in
-          by_size.(k) <- s :: by_size.(k))
-        subsets;
-      let max_k = Int.min size (Join_graph.n t.graph) in
-      for k = 1 to max_k do
-        List.iter (fun s -> ignore (tuples_of t s)) by_size.(k);
-        if k >= 2 then
-          List.iter (fun s -> Hashtbl.remove t.tuples s) by_size.(k - 1)
-      done;
-      List.iter (fun s -> Hashtbl.remove t.tuples s) by_size.(max_k)
-    end;
-    (* The cards are what callers need; the message maps and port keys
-       (tree engine) can be rebuilt on demand and would otherwise pin tens
+    (* [connected_subsets] is ordered by size: the fallback builds each
+       level from the one below and releases older levels as it goes. *)
+    let level = ref 1 in
+    List.iter
+      (fun s ->
+        let k = Relset.cardinal s in
+        if k > size then ()
+        else if t.tree then begin
+          if not (Hashtbl.mem t.cards s) then ignore (compute_card t s)
+        end
+        else begin
+          if k > !level then begin
+            let last = !level in
+            release t ~keep:(fun s' -> Relset.cardinal s' = last);
+            level := k
+          end;
+          ignore (build t t.tuples s)
+        end)
+      (Join_graph.connected_subsets t.graph);
+    release t ~keep:(fun s -> Relset.cardinal s = 1);
+    (* The cards are what callers need; the message maps, port keys and
+       key indexes can be rebuilt on demand and would otherwise pin tens
        of MB per query. *)
     Hashtbl.reset t.msg_single_memo;
     Hashtbl.reset t.msg_set_memo;
     Hashtbl.reset t.port_keys;
+    Hashtbl.reset t.key_index;
     t.ensured <- size
   end
-
-let stats t = (Hashtbl.length t.cards, t.materialized_rows)
 
 let uses_tree_engine t = t.tree

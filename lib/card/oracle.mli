@@ -12,10 +12,14 @@
     is built by one pass over a hub relation's filtered rows that reads
     each join key from an int array gathered once per (relation, column)
     and probes flat {!Msg_map}s, allocating nothing per row. Otherwise
-    sub-joins are materialized bottom-up, projected onto their "boundary"
-    join columns only, and cached. Cardinalities are cached permanently;
-    messages, key arrays and tuple buffers only until {!ensure_up_to}
-    releases them. *)
+    the one sub-join builder ({!sub_join}, also {!Join_sample}'s engine)
+    materializes sub-joins bottom-up, projected onto their "boundary" join
+    columns only: each relation's rows come from its filtered scan, and
+    each extension probes a hash index over the new relation's key array.
+    Cardinalities are cached permanently; messages, key arrays and key
+    indexes only until {!ensure_up_to} releases them, and materialized
+    sub-joins of more than one relation only until the count they serve
+    is taken. *)
 
 module Relset = Rdb_util.Relset
 module Query := Rdb_query.Query
@@ -79,14 +83,34 @@ val true_card : t -> Relset.t -> int
 
 val ensure_up_to : t -> int -> unit
 (** Precompute [true_card] for every connected subset of at most the given
-    size, bottom-up, releasing intermediate tuple memory along the way and
-    the tree engine's messages and key arrays at the end. *)
+    size, bottom-up, releasing materialized sub-joins level by level and
+    the messages, key arrays and key indexes at the end. *)
 
-val stats : t -> int * int
-(** (number of cached cardinalities, rows materialized so far); for tests
-    and diagnostics. *)
+type sub_join
+(** A sub-join's tuples, projected onto its boundary join columns, and
+    the factor by which a sample cap scaled them down. *)
+
+val sub_join :
+  t ->
+  ?cap:int * Rdb_util.Prng.t ->
+  (Relset.t, sub_join) Hashtbl.t ->
+  Relset.t ->
+  sub_join
+(** [sub_join t ?cap memo s] builds the sub-join of the connected,
+    non-empty set [s] (else [Invalid_argument]) by peeling
+    [Join_graph.removable] relations down to single ones, reusing and
+    filling [memo] along the way. Extensions emit in (parent tuple,
+    ascending row id) order. With [cap = (size, prng)], every sub-join
+    built keeps [size] of its tuples, drawn by [Prng.shuffle], when it has
+    more. The fallback engine is this builder with no cap. *)
+
+val scaled_rows : sub_join -> float
+(** The sub-join's tuple count times its scale: its exact size when no
+    cap dropped a tuple, else an estimate of it. *)
 
 val uses_tree_engine : t -> bool
 (** Whether the query's join-attribute class graph is a tree, enabling the
-    factorized sum-product counting engine; non-tree queries fall back to
-    bottom-up materialization of boundary projections. *)
+    factorized sum-product counting engine. Otherwise {!true_card} counts
+    with {!sub_join}, uncapped: exact for any class graph, at the price of
+    materializing every intermediate. No JOB query needs it; SQL with two
+    equalities between one pair of relations does. *)

@@ -117,7 +117,7 @@ let rec mode_of_config lab q = function
   | Sampling_est size ->
     Estimator.Sampling
       (Rdb_card.Join_sample.create ~sample_size:size
-         (Session.catalog lab.session) q)
+         (Session.oracle (prepared_of lab q)))
   | Perfect n | Perfect_reopt (n, _) ->
     Oracle.ensure_up_to (Session.oracle (prepared_of lab q)) n;
     Estimator.Perfect n

@@ -28,7 +28,7 @@ let () =
         (digest cards);
       List.iter
         (fun (size, max_rels) ->
-          let js = Join_sample.create ~sample_size:size catalog q in
+          let js = Join_sample.create ~sample_size:size oracle in
           let sets = List.filter (fun s -> Relset.cardinal s <= max_rels) subsets in
           let cards =
             List.map (fun s -> Printf.sprintf "%h" (Join_sample.card js s)) sets

@@ -58,12 +58,22 @@ let budget = 200_000_000
    0.02) and would exhaust the machine's memory if run. *)
 let gen_mem_budget = 10_000_000.0
 
-(* Certify [q]'s Default plan and check every interval is well-formed;
-   then, when the certified peak is within [mem_budget], execute it and
-   check the certificate against what ran. [None] when held back. *)
-let check_sound ?(mem_budget = infinity) ~what session (q : Query.t) =
+(* Plans certified and run with at least one hash join. *)
+let hash_plans = ref 0
+
+(* Certify [q]'s plan under [mode] (Default) and [uncertainty] and check
+   every interval is well-formed; then, when the certified peak is within
+   [mem_budget], execute it and check the certificate against what ran.
+   [None] when held back. *)
+let check_sound ?(mem_budget = infinity) ?(mode = Estimator.Default)
+    ?uncertainty ~what session (q : Query.t) =
   let prepared = Session.prepare session q in
-  let plan, _, estimator = Session.plan prepared ~mode:Estimator.Default in
+  let plan, _, estimator = Session.plan ?uncertainty prepared ~mode in
+  if
+    List.exists
+      (fun (j : Plan.join) -> j.Plan.algo = Plan.Hash_join)
+      (Plan.joins_bottom_up plan)
+  then incr hash_plans;
   let cert = Session.certify ~estimator prepared plan in
   let name = Printf.sprintf "%s/%s" what q.Query.name in
   List.iter
@@ -104,16 +114,30 @@ let check_sound ?(mem_budget = infinity) ~what session (q : Query.t) =
           spent cert.Resource.cert_work.Interval.hi;
       Some spent
 
+(* Default plans are almost all index nested loops; robust-4 and
+   perfect-4 plans bring the hash joins. *)
 let test_job_soundness () =
   let _, session = Lazy.force lazy_db in
   let queries = Job_queries.all (Session.catalog session) in
   Alcotest.(check int) "workload size" 113 (List.length queries);
-  let total =
-    List.fold_left
-      (fun acc q -> acc + Option.get (check_sound ~what:"job" session q))
-      0 queries
-  in
-  if total <= 0 then Alcotest.fail "JOB sweep did no work"
+  hash_plans := 0;
+  List.iter
+    (fun (label, mode, uncertainty) ->
+      let total =
+        List.fold_left
+          (fun acc q ->
+            let what = "job-" ^ label in
+            acc + Option.get (check_sound ~mode ?uncertainty ~what session q))
+          0 queries
+      in
+      if total <= 0 then Alcotest.failf "JOB %s sweep did no work" label)
+    [
+      ("default", Estimator.Default, None);
+      ("robust-4", Estimator.Default, Some 4.0);
+      ("perfect-4", Estimator.Perfect 4, None);
+    ];
+  if !hash_plans < 100 then
+    Alcotest.failf "only %d of 339 JOB plans have a hash join" !hash_plans
 
 (* Generated cases run and held back by admission, over one QCheck run. *)
 let gen_run = ref 0
