@@ -142,7 +142,7 @@ type t = {
   port_keys : (int * int, int array) Hashtbl.t;
       (* (rel, col) -> the column's cells at the filtered rows *)
   key_index : (int * int, Hash_index.t) Hashtbl.t;
-      (* (rel, col) -> its port keys indexed by key (fallback probes) *)
+      (* (rel, col) -> its port keys indexed by key (sub-join probes) *)
 }
 
 (* ---- class analysis ---- *)
@@ -201,20 +201,16 @@ let create ?carry catalog q =
   (match carry with
    | None -> ()
    | Some (prev, same_as) ->
-     let share src dst =
-       Hashtbl.iter
-         (fun (old, col) v ->
-           Array.iteri
-             (fun rel o -> if o = old then Hashtbl.replace dst (rel, col) v)
-             same_as)
-         src
-     in
      Array.iteri
        (fun rel old ->
-         if old >= 0 then t.filtered.(rel) <- prev.filtered.(old))
-       same_as;
-     share prev.port_keys t.port_keys;
-     share prev.key_index t.key_index);
+         if old >= 0 then begin
+           t.filtered.(rel) <- prev.filtered.(old);
+           Hashtbl.iter
+             (fun (r, col) keys ->
+               if r = old then Hashtbl.replace t.port_keys (rel, col) keys)
+             prev.port_keys
+         end)
+       same_as);
   t
 
 let query t = t.q
