@@ -29,9 +29,13 @@ let () =
       List.iter
         (fun (size, max_rels) ->
           let js = Join_sample.create ~sample_size:size oracle in
-          let sets = List.filter (fun s -> Relset.cardinal s <= max_rels) subsets in
+          let sets =
+            List.filter (fun s -> Relset.cardinal s <= max_rels) subsets
+          in
           let cards =
-            List.map (fun s -> Printf.sprintf "%h" (Join_sample.card js s)) sets
+            List.map
+              (fun s -> Printf.sprintf "%h" (Join_sample.card js s))
+              sets
           in
           Printf.printf "%s sample-%d %d %s\n" q.Query.name size
             (List.length sets) (digest cards))

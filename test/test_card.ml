@@ -245,7 +245,9 @@ let with_second_edge catalog prng (q : Query.t) =
   in
   let overlap a b =
     let seen = Hashtbl.create (Array.length a) in
-    Array.iter (fun v -> if v <> Column.null_int then Hashtbl.replace seen v ()) a;
+    Array.iter
+      (fun v -> if v <> Column.null_int then Hashtbl.replace seen v ())
+      a;
     Array.exists (Hashtbl.mem seen) b
   in
   let pairs =
@@ -257,7 +259,10 @@ let with_second_edge catalog prng (q : Query.t) =
               (fun (cr, b) ->
                 if overlap a b then
                   Some
-                    { Query.l = { l with Query.col = cl }; r = { r with Query.col = cr } }
+                    {
+                      Query.l = { l with Query.col = cl };
+                      r = { r with Query.col = cr };
+                    }
                 else None)
               (other_int_cols r))
           (other_int_cols l))
@@ -279,8 +284,11 @@ let prop_fallback_matches_naive =
       (* Draw until a query has an edge whose ends carry another pair of
          int columns that share a value. *)
       let rec draw i =
-        let q = Rdb_verify.Query_gen.gen g prng ~name:(Printf.sprintf "c%d_%d" seed i) in
-        match with_second_edge catalog prng q with Some q -> q | None -> draw (i + 1)
+        let name = Printf.sprintf "c%d_%d" seed i in
+        let q = Rdb_verify.Query_gen.gen g prng ~name in
+        match with_second_edge catalog prng q with
+        | Some q -> q
+        | None -> draw (i + 1)
       in
       let q = draw 0 in
       let oracle = Oracle.create catalog q in
@@ -311,7 +319,8 @@ let test_oracle_rejects_bad_sets () =
   let js = Rdb_card.Join_sample.create ~sample_size:64 oracle in
   Alcotest.check_raises "sampled, disconnected"
     (Invalid_argument "Oracle.sub_join: disconnected set")
-    (fun () -> ignore (Rdb_card.Join_sample.card js (Relset.of_list [ 2; 4 ])))
+    (fun () ->
+      ignore (Rdb_card.Join_sample.card js (Relset.of_list [ 2; 4 ])))
 
 let test_oracle_base_rows () =
   let catalog = small_catalog () in
