@@ -536,6 +536,133 @@ let test_admission_downgrades () =
     cold.Rdb_exec.Executor.aggs r.Service.r_aggs;
   Service.shutdown service
 
+(* ---- admission paths ----
+
+   Every way a request reaches its plan (a miss, a hit, a revalidated
+   hit), crossed with every admission outcome (no budget, admit, reject,
+   downgrade), with and without re-optimization. One row per request: the
+   response's label (or [rejected]) and re-opt step count, the admission
+   and cache counters it moved, and whether the cache then holds the
+   query's Default plan, another plan, or nothing. *)
+
+let serve_counters =
+  [ "serve.admitted"; "serve.rejected"; "serve.downgraded" ]
+
+let cache_counters =
+  [ "cache.hits"; "cache.misses"; "cache.insertions"; "cache.writebacks" ]
+
+let admission_path_rows ~reopt ~budget =
+  let catalog, twin = make_session ~scale:0.02 () in
+  let q = Job.find catalog "2a" in
+  let cqnf = Cqnf.of_query ~catalog q in
+  let key = Cqnf.fingerprint cqnf in
+  let canonical = Cqnf.to_query ~name:q.Query.name cqnf in
+  let default_shape =
+    let prepared = Session.prepare twin canonical in
+    let plan, _, _ = Session.plan prepared ~mode:Estimator.Default in
+    Plan.shape canonical plan
+  in
+  let mem_budget, downgrade =
+    match budget with
+    | `None -> (None, false)
+    | `Admit -> (Some 1e12, false)
+    | `Reject -> (Some 1.0, false)
+    | `Downgrade -> (Some 1.0, true)
+  in
+  let config =
+    { Service.default_config with reopt; mem_budget; downgrade;
+      revalidate = true }
+  in
+  let _, service = make_service ~scale:0.02 ~config () in
+  let row () =
+    let before = Metrics.snapshot () in
+    let outcome, steps =
+      match Service.query_bound service q with
+      | Ok r ->
+        (Service.cached_name r.Service.r_cached, r.Service.r_reopt_steps)
+      | Error _ -> ("rejected", 0)
+    in
+    let after = Metrics.snapshot () in
+    let holds =
+      match Plan_cache.plan_of (Service.cache service) ~key with
+      | None -> "none"
+      | Some plan when String.equal (Plan.shape canonical plan) default_shape ->
+        "default"
+      | Some _ -> "replanned"
+    in
+    let deltas names =
+      String.concat "/"
+        (List.map (fun name -> string_of_int (delta before after name)) names)
+    in
+    Printf.sprintf "%s steps=%d serve=%s cache=%s %s" outcome steps
+      (deltas serve_counters) (deltas cache_counters) holds
+  in
+  let miss = row () in
+  let hit = row () in
+  Service.touch_table service "title";
+  let revalidated = row () in
+  Service.shutdown service;
+  [ miss; hit; revalidated ]
+
+(* Each row: the label, the re-opt steps, the deltas of [serve_counters]
+   (admitted/rejected/downgraded) and of [cache_counters]
+   (hits/misses/insertions/write-backs), and what the cache holds. *)
+let test_admission_paths () =
+  List.iter
+    (fun (reopt, budget, name, expected) ->
+      check (Alcotest.list Alcotest.string) name expected
+        (admission_path_rows ~reopt ~budget))
+    [
+      ( None, `None, "no budget",
+        [
+          "miss steps=0 serve=0/0/0 cache=0/1/1/0 default";
+          "hit steps=0 serve=0/0/0 cache=1/0/0/0 default";
+          "revalidated steps=0 serve=0/0/0 cache=1/0/0/0 default";
+        ] );
+      ( None, `Admit, "admit",
+        [
+          "miss steps=0 serve=1/0/0 cache=0/1/1/0 default";
+          "hit steps=0 serve=1/0/0 cache=1/0/0/0 default";
+          "revalidated steps=0 serve=1/0/0 cache=1/0/0/0 default";
+        ] );
+      ( None, `Reject, "reject",
+        [
+          "rejected steps=0 serve=0/1/0 cache=0/1/1/0 default";
+          "rejected steps=0 serve=0/1/0 cache=1/0/0/0 default";
+          "rejected steps=0 serve=0/1/0 cache=1/0/0/0 default";
+        ] );
+      ( None, `Downgrade, "downgrade",
+        [
+          "miss steps=2 serve=0/0/1 cache=0/1/1/1 replanned";
+          "hit steps=2 serve=0/0/1 cache=1/0/0/1 replanned";
+          "revalidated steps=2 serve=0/0/1 cache=1/0/0/1 replanned";
+        ] );
+      ( Some 2.0, `None, "reopt, no budget",
+        [
+          "miss steps=2 serve=0/0/0 cache=0/1/1/1 replanned";
+          "hit steps=0 serve=0/0/0 cache=1/0/0/0 replanned";
+          "revalidated steps=0 serve=0/0/0 cache=1/0/0/0 replanned";
+        ] );
+      ( Some 2.0, `Admit, "reopt, admit",
+        [
+          "miss steps=2 serve=1/0/0 cache=0/1/1/1 replanned";
+          "hit steps=0 serve=1/0/0 cache=1/0/0/0 replanned";
+          "revalidated steps=0 serve=1/0/0 cache=1/0/0/0 replanned";
+        ] );
+      ( Some 2.0, `Reject, "reopt, reject",
+        [
+          "rejected steps=0 serve=0/1/0 cache=0/1/1/0 default";
+          "rejected steps=0 serve=0/1/0 cache=1/0/0/0 default";
+          "rejected steps=0 serve=0/1/0 cache=1/0/0/0 default";
+        ] );
+      ( Some 2.0, `Downgrade, "reopt, downgrade",
+        [
+          "miss steps=2 serve=0/0/1 cache=0/1/1/1 replanned";
+          "hit steps=2 serve=0/0/1 cache=1/0/0/1 replanned";
+          "revalidated steps=2 serve=0/0/1 cache=1/0/0/1 replanned";
+        ] );
+    ]
+
 let () =
   Alcotest.run "rdb_server"
     [
@@ -583,5 +710,6 @@ let () =
             `Quick test_admission_rejects_over_budget;
           Alcotest.test_case "downgrade runs the re-opt loop" `Quick
             test_admission_downgrades;
+          Alcotest.test_case "admission paths" `Quick test_admission_paths;
         ] );
     ]
