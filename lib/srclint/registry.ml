@@ -7,7 +7,7 @@ type t = { states : entry list; handlers : handler list; pinned : string list }
 let default =
   { states =
       [ { suffix = "util/pool.ml";
-          required = [ "deques"; "rr"; "stop"; "domains"; "state" ] };
+          required = [ "queue"; "stop"; "domains"; "state" ] };
         { suffix = "server/plan_cache.ml";
           required = [ "tbl"; "tick"; "plan"; "epoch"; "last_use"; "hits" ] };
         { suffix = "server/service.ml";

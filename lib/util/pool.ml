@@ -14,12 +14,10 @@ type task = Task : (unit -> 'a) * 'a future -> task
 
 type t = {
   size : int;
-  mu : Mutex.t;  (* guards deques, rr and stop *)
+  mu : Mutex.t;  (* guards queue, stop and domains *)
   cond : Condition.t;
   (* @guarded_by mu *)
-  deques : task list array;  (* head = newest (owner end), tail = steal end *)
-  (* @guarded_by mu *)
-  mutable rr : int;
+  queue : task Queue.t;  (* FIFO: tasks start in submission order *)
   (* @guarded_by mu *)
   mutable stop : bool;
   (* @guarded_by mu *)
@@ -41,40 +39,10 @@ let fulfil fut result =
       fut.state <- result;
       Condition.broadcast fut.fcond)
 
-(* @requires mu *)
-let pop_own t w =
-  match t.deques.(w) with
-  | task :: rest ->
-    t.deques.(w) <- rest;
-    Some task
-  | [] -> None
-
-(* @requires mu *)
-let steal t w =
-  let split_last l =
-    match List.rev l with
-    | [] -> None
-    | last :: rev_init -> Some (last, List.rev rev_init)
-  in
-  let rec scan k =
-    if k >= t.size then None
-    else
-      let victim = (w + k) mod t.size in
-      match split_last t.deques.(victim) with
-      | Some (task, rest) ->
-        t.deques.(victim) <- rest;
-        Some task
-      | None -> scan (k + 1)
-  in
-  scan 1
-
-let worker t w =
+let worker t =
   Mutex.lock t.mu;
   let rec loop () =
-    let next =
-      match pop_own t w with Some _ as task -> task | None -> steal t w
-    in
-    match next with
+    match Queue.take_opt t.queue with
     | Some (Task (f, fut)) ->
       Mutex.unlock t.mu;
       (* A task exception is routed through the future by [run_now]; the
@@ -104,15 +72,14 @@ let create size =
       size;
       mu = Mutex.create ();
       cond = Condition.create ();
-      deques = Array.make size [];
-      rr = 0;
+      queue = Queue.create ();
       stop = false;
       domains = [];
     }
   in
   if size > 1 then
     (* @race_ok written once before [t] escapes; [shutdown] re-reads under [mu] *)
-    t.domains <- List.init size (fun w -> Domain.spawn (fun () -> worker t w));
+    t.domains <- List.init size (fun _ -> Domain.spawn (fun () -> worker t));
   t
 
 let submit t f =
@@ -127,8 +94,7 @@ let submit t f =
   else begin
     Mutex.protect t.mu (fun () ->
         if t.stop then invalid_arg "Pool.submit: pool is shut down";
-        t.deques.(t.rr) <- Task (f, fut) :: t.deques.(t.rr);
-        t.rr <- (t.rr + 1) mod t.size;
+        Queue.push (Task (f, fut)) t.queue;
         Condition.broadcast t.cond);
     fut
   end

@@ -1,11 +1,11 @@
-(** A small work-stealing pool of OCaml 5 domains.
+(** A small pool of OCaml 5 domains sharing one FIFO task queue.
 
     Built for the experiment runner's coarse-grained tasks (one task = one
-    query planned and executed, milliseconds to seconds each): every worker
-    owns a deque, submissions are dealt round-robin, an idle worker steals
-    the oldest task of a busy peer. All deques hang off one pool lock —
-    contention is irrelevant at this granularity and the single lock keeps
-    the sleeping/waking protocol obviously correct.
+    query planned and executed, milliseconds to seconds each): an idle
+    worker takes the oldest queued task, so tasks start in submission
+    order. The queue hangs off one pool lock — contention is irrelevant at
+    this granularity and the single lock keeps the sleeping/waking
+    protocol obviously correct.
 
     A pool of [jobs = 1] spawns no domains at all: tasks run inline on the
     submitting domain, in submission order, so a 1-job pool is

@@ -142,6 +142,49 @@ let test_shutdown_drains () =
     (fun i fut -> check Alcotest.int "drained result" (i + 1) (Pool.await fut))
     futures
 
+(* A one-shot latch: [wait] blocks until [open_] has been called. *)
+let latch () = (Mutex.create (), Condition.create (), ref false)
+
+let open_ (mu, cond, opened) =
+  Mutex.protect mu (fun () ->
+      opened := true;
+      Condition.broadcast cond)
+
+let wait (mu, cond, opened) =
+  Mutex.protect mu (fun () ->
+      while not !opened do
+        Condition.wait cond mu
+      done)
+
+(* Queued tasks start in submission order: with both workers held, queue
+   eight tasks, free one worker, and it must start them first to last. *)
+let test_queued_tasks_start_in_order () =
+  let pool = Pool.create 2 in
+  let holds = List.init 2 (fun _ -> (latch (), latch ())) in
+  let held =
+    List.map
+      (fun (started, release) ->
+        Pool.submit pool (fun () ->
+            open_ started;
+            wait release))
+      holds
+  in
+  List.iter (fun (started, _) -> wait started) holds;
+  let order_mu = Mutex.create () and order = ref [] in
+  let queued =
+    List.init 8 (fun i ->
+        Pool.submit pool (fun () ->
+            Mutex.protect order_mu (fun () -> order := i :: !order)))
+  in
+  let (_, first), (_, second) = (List.nth holds 0, List.nth holds 1) in
+  open_ first;
+  List.iter Pool.await queued;
+  open_ second;
+  List.iter Pool.await held;
+  Pool.shutdown pool;
+  check (Alcotest.list Alcotest.int) "submission order" (List.init 8 Fun.id)
+    (List.rev !order)
+
 let () =
   Alcotest.run "rdb_pool"
     [
@@ -161,5 +204,7 @@ let () =
             test_concurrent_shutdown;
           Alcotest.test_case "failing task never wedges shutdown" `Quick
             test_failing_task_never_wedges_shutdown;
+          Alcotest.test_case "queued tasks start in submission order" `Quick
+            test_queued_tasks_start_in_order;
         ] );
     ]
