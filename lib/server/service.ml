@@ -11,6 +11,7 @@ module Card_bound = Rdb_verify.Card_bound
 module Finding = Rdb_analysis.Finding
 module Resource = Rdb_analysis.Resource
 module Pool = Rdb_util.Pool
+module Relset = Rdb_util.Relset
 module Metrics = Rdb_obs.Metrics
 module Trace = Rdb_obs.Trace
 module Clock = Rdb_obs.Clock
@@ -150,23 +151,6 @@ let revalidates sess canonical plan =
   in
   not (Finding.has_errors (Card_bound.check_plan bounds plan))
 
-let execute_plan t sess ?deadline_ms canonical plan =
-  let deadline_ms =
-    match deadline_ms with Some _ -> deadline_ms | None -> t.config.deadline_ms
-  in
-  let res =
-    Executor.execute ?work_budget:t.config.work_budget ?deadline_ms
-      ~catalog:(Session.catalog sess) ~query:canonical plan
-  in
-  (* Cache hits bypass Session.execute, so feed the feedback store here:
-     the canonical query is exactly what was executed, and the store is
-     shared across every worker clone. A later stats refresh bumps the
-     modification counters and retires what was learned. *)
-  (match Session.feedback sess with
-   | Some fb -> Rdb_core.Feedback.observe fb ~catalog:(Session.catalog sess) canonical res
-   | None -> ());
-  res
-
 (* ---- admission control ----
 
    With a memory budget configured, every plan the service would run is
@@ -188,28 +172,37 @@ let () =
     | Over_budget msg -> Some msg
     | _ -> None)
 
-let admission t (cert : Resource.cert) =
+(* The one admission decision: counts exactly one of [serve.admitted],
+   [serve.downgraded] and [serve.rejected] when a budget is configured,
+   and raises [Over_budget] on a rejection. *)
+let admit t (cert : Resource.cert) =
   match t.config.mem_budget with
   | None -> `Admit
   | Some budget ->
     let hi = Resource.mem_hi cert in
-    if hi <= budget then `Admit
-    else if t.config.downgrade then `Downgrade
-    else
-      `Reject
-        (Printf.sprintf
-           "over-budget: certified peak %.0f row-slots exceeds memory \
-            budget %.0f"
-           hi budget)
-
-let count_admitted t =
-  if Option.is_some t.config.mem_budget then Metrics.incr "serve.admitted"
+    if hi <= budget then begin
+      Metrics.incr "serve.admitted";
+      `Admit
+    end
+    else if t.config.downgrade then begin
+      Metrics.incr "serve.downgraded";
+      `Downgrade
+    end
+    else begin
+      Metrics.incr "serve.rejected";
+      raise
+        (Over_budget
+           (Printf.sprintf
+              "over-budget: certified peak %.0f row-slots exceeds memory \
+               budget %.0f"
+              hi budget))
+    end
 
 (* The re-optimizing execution path: run the loop, write the improved plan
    (replanned with the first materialized sub-join's now-known true
-   cardinality pinned through an [Estimator.Feedback] lookup) back to the
-   cache with a fresh certificate — so the next hit starts from what the
-   re-optimizer learned instead of re-triggering. *)
+   cardinality pinned) back to the cache with a fresh certificate — so the
+   next hit starts from what the re-optimizer learned instead of
+   re-triggering. *)
 let reopt_execute t sess ?deadline_ms ~prepared ~key ~cqnf ~epoch ~threshold
     canonical =
   let outcome =
@@ -224,21 +217,15 @@ let reopt_execute t sess ?deadline_ms ~prepared ~key ~cqnf ~epoch ~threshold
       (* [materialized_set] of the first step is in the canonical query's
          own numbering (later steps renumber), and [temp_rows] is its true
          cardinality — pin it and replan. *)
-      let overrides = Hashtbl.create 4 in
-      Hashtbl.replace overrides first.Reopt.materialized_set
-        (float_of_int (max 1 first.Reopt.temp_rows));
+      let pinned = float_of_int (max 1 first.Reopt.temp_rows) in
+      let lookup s =
+        if Relset.equal s first.Reopt.materialized_set then Some pinned
+        else None
+      in
       let plan, _, _ =
-        Session.plan prepared
-          ~mode:(Estimator.Feedback (Hashtbl.find_opt overrides))
+        Session.plan prepared ~mode:(Estimator.Feedback lookup)
       in
       Metrics.incr "cache.writebacks";
-      (* Reopt.run has already recorded the materialized true
-         cardinalities into the session's feedback store (re-keyed to
-         the canonical query), so the write-back is persistent: future
-         *similar* queries — not just this cached form — start from
-         them. Count those write-backs distinctly. *)
-      if Option.is_some (Session.feedback sess) then
-        Metrics.incr "feedback.writebacks";
       plan
   in
   let cert = Session.certify prepared plan in
@@ -255,114 +242,93 @@ let reopt_execute t sess ?deadline_ms ~prepared ~key ~cqnf ~epoch ~threshold
 let downgrade_threshold t =
   match t.config.reopt with Some th -> th | None -> 2.0
 
-(* A miss plans the canonical query, certifies the plan, and caches both. *)
-let plan_and_execute t sess ?deadline_ms ~key ~cqnf ~epoch canonical =
-  let prepared = Session.prepare sess canonical in
+(* The plan a request resolved to: a cached or freshly planned plan with
+   its certificate and the milliseconds spent planning it (0 on a hit),
+   or — for a re-optimizing miss without a memory budget — none, since
+   the re-opt loop at that threshold does its own planning. *)
+type resolved = Certified of Plan.t * Resource.cert * float | Unplanned of float
+
+(* A request's canonical query, how the cache served it, its prepared
+   context (forced only when the request runs the re-opt loop) and its
+   plan. A miss plans, certifies and caches before admission, even a plan
+   about to be rejected: planning cost is sunk, and the next request
+   resolves from the cache. *)
+let resolve t sess ~key ~cqnf ~epoch (q : Query.t) =
+  let miss () =
+    Metrics.incr "cache.misses";
+    let canonical = Cqnf.to_query ~name:q.Query.name cqnf in
+    let prepared = Session.prepare sess canonical in
+    match (t.config.reopt, t.config.mem_budget) with
+    | Some threshold, None ->
+      (Miss, canonical, Lazy.from_val prepared, Unplanned threshold)
+    | _ ->
+      let plan, pstats, estimator =
+        Session.plan prepared ~mode:Estimator.Default
+      in
+      let cert = Session.certify ~estimator prepared plan in
+      Plan_cache.insert t.cache ~key ~cqnf ~canonical ~plan ~cert ~epoch ();
+      ( Miss,
+        canonical,
+        Lazy.from_val prepared,
+        Certified (plan, cert, pstats.Optimizer.plan_ms) )
+  in
+  let hit label canonical plan cert =
+    Metrics.incr "cache.hits";
+    ( label,
+      canonical,
+      lazy (Session.prepare sess canonical),
+      Certified (plan, cert, 0.0) )
+  in
+  match Plan_cache.lookup t.cache ~key ~cqnf ~epoch with
+  | Plan_cache.Hit (canonical, plan, cert) -> hit Hit canonical plan cert
+  | Plan_cache.Stale (canonical, plan, cert) ->
+    if t.config.revalidate && revalidates sess canonical plan then begin
+      Plan_cache.refresh t.cache ~key ~epoch;
+      Metrics.incr "cache.revalidations";
+      hit Revalidated canonical plan cert
+    end
+    else begin
+      Plan_cache.remove t.cache ~key;
+      Metrics.incr "cache.invalidations";
+      miss ()
+    end
+  | Plan_cache.Miss -> miss ()
+
+let process t sess ?deadline_ms (q : Query.t) =
   let deadline_ms =
     match deadline_ms with Some _ -> deadline_ms | None -> t.config.deadline_ms
   in
-  match t.config.reopt with
-  | None ->
-    let plan, pstats, estimator =
-      Session.plan prepared ~mode:Estimator.Default
-    in
-    let cert = Session.certify ~estimator prepared plan in
-    (* Cache even a rejected plan: planning cost is sunk, the certificate
-       rides along, and the next request under a laxer budget — or the
-       next rejection — resolves from the cache. *)
-    Plan_cache.insert t.cache ~key ~cqnf ~canonical ~plan ~cert ~epoch ();
-    (match admission t cert with
-     | `Reject msg ->
-       Metrics.incr "serve.rejected";
-       raise (Over_budget msg)
-     | `Downgrade ->
-       Metrics.incr "serve.downgraded";
-       reopt_execute t sess ?deadline_ms ~prepared ~key ~cqnf ~epoch
-         ~threshold:(downgrade_threshold t) canonical
-     | `Admit ->
-       count_admitted t;
-       let res =
-         Session.execute ?work_budget:t.config.work_budget ?deadline_ms
-           prepared plan
-       in
-       (res, pstats.Optimizer.plan_ms, res.Executor.elapsed_ms, 0))
-  | Some threshold ->
-    (match t.config.mem_budget with
-     | Some _ ->
-       (* Budgeted: the re-opt loop's first materialization already
-          executes part of the default plan, so admission must hold the
-          *initial* plan's certificate against the budget before any
-          execution starts. *)
-       let plan, _, estimator = Session.plan prepared ~mode:Estimator.Default in
-       let cert = Session.certify ~estimator prepared plan in
-       (match admission t cert with
-        | `Reject msg ->
-          Plan_cache.insert t.cache ~key ~cqnf ~canonical ~plan ~cert ~epoch ();
-          Metrics.incr "serve.rejected";
-          raise (Over_budget msg)
-        | (`Admit | `Downgrade) as d ->
-          (* Re-optimizing execution already is the downgraded mode. *)
-          (match d with
-           | `Admit -> count_admitted t
-           | `Downgrade -> Metrics.incr "serve.downgraded");
-          reopt_execute t sess ?deadline_ms ~prepared ~key ~cqnf ~epoch
-            ~threshold canonical)
-     | None ->
-       reopt_execute t sess ?deadline_ms ~prepared ~key ~cqnf ~epoch
-         ~threshold canonical)
-
-let process t sess ?deadline_ms (q : Query.t) =
   let catalog = Session.catalog sess in
   let cqnf = Cqnf.of_query ~catalog q in
   let key = Cqnf.fingerprint cqnf in
   let epoch = epoch_of catalog q in
-  let miss () =
-    Metrics.incr "cache.misses";
-    let canonical = Cqnf.to_query ~name:q.Query.name cqnf in
-    let res, plan_ms, exec_ms, steps =
-      plan_and_execute t sess ?deadline_ms ~key ~cqnf ~epoch canonical
-    in
-    (res, Miss, plan_ms, exec_ms, steps)
+  let cached, canonical, prepared, resolved =
+    resolve t sess ~key ~cqnf ~epoch q
   in
-  (* A cached entry's certificate decides admission without planning; a
-     downgraded hit re-prepares and runs the re-opt loop instead of the
-     cached plan. *)
-  let cached_admit label canonical plan cert =
-    match admission t cert with
-    | `Reject msg ->
-      Metrics.incr "serve.rejected";
-      raise (Over_budget msg)
-    | `Downgrade ->
-      Metrics.incr "serve.downgraded";
-      let prepared = Session.prepare sess canonical in
-      let res, plan_ms, exec_ms, steps =
-        reopt_execute t sess ?deadline_ms ~prepared ~key ~cqnf ~epoch
-          ~threshold:(downgrade_threshold t) canonical
+  (* Admit the plan, then run it as it is or through the re-opt loop. A
+     budgeted re-optimizing miss holds its Default plan against the budget
+     before the loop's first materialization executes part of it; hits
+     run the cached plan as it is. *)
+  let run =
+    match resolved with
+    | Unplanned threshold -> `Reopt threshold
+    | Certified (plan, cert, plan_ms) -> (
+      match (admit t cert, t.config.reopt) with
+      | `Downgrade, _ -> `Reopt (downgrade_threshold t)
+      | `Admit, Some threshold when cached = Miss -> `Reopt threshold
+      | `Admit, _ -> `Execute (plan, plan_ms))
+  in
+  let res, plan_ms, exec_ms, steps =
+    match run with
+    | `Reopt threshold ->
+      reopt_execute t sess ?deadline_ms ~prepared:(Lazy.force prepared) ~key
+        ~cqnf ~epoch ~threshold canonical
+    | `Execute (plan, plan_ms) ->
+      let res =
+        Executor.execute ?work_budget:t.config.work_budget ?deadline_ms
+          ~catalog ~query:canonical plan
       in
-      (res, label, plan_ms, exec_ms, steps)
-    | `Admit ->
-      count_admitted t;
-      let res = execute_plan t sess ?deadline_ms canonical plan in
-      (res, label, 0.0, res.Executor.elapsed_ms, 0)
-  in
-  let res, cached, plan_ms, exec_ms, steps =
-    match Plan_cache.lookup t.cache ~key ~cqnf ~epoch with
-    | Plan_cache.Hit (canonical, plan, cert) ->
-      Metrics.incr "cache.hits";
-      cached_admit Hit canonical plan cert
-    | Plan_cache.Stale (canonical, plan, cert) ->
-      if t.config.revalidate && revalidates sess canonical plan then begin
-        Plan_cache.refresh t.cache ~key ~epoch;
-        Metrics.incr "cache.hits";
-        Metrics.incr "cache.revalidations";
-        cached_admit Revalidated canonical plan cert
-      end
-      else begin
-        Plan_cache.remove t.cache ~key;
-        Metrics.incr "cache.invalidations";
-        miss ()
-      end
-    | Plan_cache.Miss -> miss ()
+      (res, plan_ms, res.Executor.elapsed_ms, 0)
   in
   Metrics.observe "serve.plan_ms" plan_ms;
   Metrics.observe "serve.exec_ms" exec_ms;

@@ -19,28 +19,38 @@
     symbolic verifier's sound cardinality bounds under the new statistics
     cannot refute the plan (counted as [cache.revalidations]).
 
-    With [reopt] set, a miss runs the full mid-query re-optimization loop;
-    when re-optimization replaced the plan, an improved plan for the
-    canonical query — replanned with the materialized sub-join's true
+    Every request takes one path: it resolves to its canonical query and
+    a certified plan (a hit, a revalidated hit, or a miss that prepares,
+    plans with Default estimates, certifies and caches), is admitted, and
+    runs either the plan as it is or the mid-query re-optimization loop.
+    With [reopt] set, a miss runs the loop; without a memory budget it
+    goes straight there and the loop does its own planning. When
+    re-optimization replaced the plan, an improved plan for the canonical
+    query — replanned with the first materialized sub-join's true
     cardinality pinned — is written back to the cache
-    ([cache.writebacks]).
+    ([cache.writebacks]). Hits run the cached plan as it is.
 
-    With [mem_budget] set, every plan is held against its static resource
-    certificate before execution: admitted requests count
-    [serve.admitted], over-budget ones either fail with an [over-budget:]
-    error ([serve.rejected]) or — with [downgrade] — run through the
-    re-optimization loop instead ([serve.downgraded]). Certificates are
-    computed on every miss and cached with the plan, so hits decide
-    admission without planning.
+    With [mem_budget] set, every certificate is held against the budget
+    before execution: admitted requests count [serve.admitted],
+    over-budget ones either fail with an [over-budget:] error
+    ([serve.rejected]) or — with [downgrade] — run through the
+    re-optimization loop instead ([serve.downgraded]). Certificates travel
+    with the cached plan, so hits decide admission without planning.
+
+    The service never reads or writes the session's feedback store; only
+    {!Rdb_core.Reopt.run} records into it, as it does for any caller.
 
     Metrics (registry of {!Rdb_obs.Metrics}): [serve.requests],
     [serve.errors], [serve.stats_refreshes], the [serve.ms] /
-    [serve.plan_ms] / [serve.exec_ms] distributions, the
-    [serve.admitted] / [serve.rejected] / [serve.downgraded] admission
-    counters, and [cache.hits], [cache.misses], [cache.invalidations],
-    [cache.revalidations], [cache.writebacks]. Every request that reaches the cache decision
-    counts exactly one of [cache.hits] / [cache.misses] (a parse or bind
-    failure counts neither), so on an error-free run
+    [serve.plan_ms] / [serve.exec_ms] distributions; with a memory budget,
+    exactly one of [serve.admitted] / [serve.rejected] /
+    [serve.downgraded] per request that reaches admission; and
+    [cache.hits], [cache.misses], [cache.invalidations],
+    [cache.revalidations], [cache.writebacks] ({!Plan_cache} adds
+    [cache.insertions], [cache.evictions], [cache.key_collisions]). Every
+    request that reaches the cache decision counts exactly one of
+    [cache.hits] / [cache.misses] (a parse or bind failure counts
+    neither), so on an error-free run
     [cache.hits + cache.misses = serve.requests] holds exactly — the
     stress test's consistency invariant. *)
 
@@ -68,6 +78,8 @@ type config = {
   revalidate : bool;       (** try bound-revalidation before invalidating *)
   work_budget : int option;
   deadline_ms : float option;
+      (** every request's deadline unless {!submit} overrides it; it bounds
+          each execution phase, the re-optimization loop's included *)
   mem_budget : float option;
       (** admission control: reject (or downgrade) any plan whose certified
           peak memory ({!Rdb_analysis.Resource.mem_hi}, row-slots) exceeds

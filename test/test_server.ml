@@ -536,6 +536,86 @@ let test_admission_downgrades () =
     cold.Rdb_exec.Executor.aggs r.Service.r_aggs;
   Service.shutdown service
 
+(* A downgraded request runs the re-opt loop under the configured
+   deadline, on the miss and again on the hit that the cached plan and
+   certificate serve. *)
+let test_downgraded_hit_keeps_deadline () =
+  let config =
+    {
+      Service.default_config with
+      mem_budget = Some 1.0;
+      downgrade = true;
+      deadline_ms = Some 0.000001;
+    }
+  in
+  let catalog, service = make_service ~scale:0.02 ~config () in
+  let heavy = Job.find catalog "3a" in
+  List.iter
+    (fun label ->
+      let before = Metrics.snapshot () in
+      (match Service.query_bound service heavy with
+       | Ok _ -> Alcotest.failf "%s met an impossible deadline" label
+       | Error _ -> ());
+      let after = Metrics.snapshot () in
+      check Alcotest.int (label ^ " downgraded") 1
+        (delta before after "serve.downgraded");
+      check Alcotest.bool (label ^ " hit the deadline") true
+        (delta before after "exec.deadline_aborts" >= 1))
+    [ "miss"; "hit" ];
+  Service.shutdown service
+
+(* The service never writes to the session's feedback store: a hit runs
+   the cached plan and leaves the store as it found it. *)
+let test_hit_writes_no_feedback () =
+  let catalog = Rdb_imdb.Imdb_gen.generate ~seed:42 ~scale:0.01 () in
+  let feedback = Rdb_core.Feedback.create () in
+  let session = Session.create ~feedback catalog in
+  Session.analyze session;
+  let service = Service.create session in
+  let q = Job.find catalog "1a" in
+  ignore (ok_response "miss" (Service.query_bound service q));
+  Rdb_core.Feedback.clear feedback;
+  let r = ok_response "hit" (Service.query_bound service q) in
+  check Alcotest.bool "served from the cache" true
+    (r.Service.r_cached = Service.Hit);
+  check Alcotest.int "feedback store unchanged" 0
+    (Rdb_core.Feedback.size feedback);
+  Service.shutdown service
+
+(* A budgeted re-optimizing miss certifies and caches its Default plan
+   before admission, as a downgraded miss does, so a run the deadline
+   aborts still leaves that plan cached. *)
+let test_aborted_reopt_miss_keeps_plan () =
+  let config =
+    {
+      Service.default_config with
+      reopt = Some 2.0;
+      mem_budget = Some 1e12;
+      deadline_ms = Some 0.000001;
+    }
+  in
+  let catalog, service = make_service ~scale:0.02 ~config () in
+  let _, twin = make_session ~scale:0.02 () in
+  let heavy = Job.find catalog "3a" in
+  (match Service.query_bound service heavy with
+   | Ok _ -> Alcotest.fail "the deadline should have aborted the run"
+   | Error _ -> ());
+  let cqnf = Cqnf.of_query ~catalog heavy in
+  let canonical = Cqnf.to_query ~name:heavy.Query.name cqnf in
+  let default_plan =
+    let prepared = Session.prepare twin canonical in
+    let plan, _, _ = Session.plan prepared ~mode:Estimator.Default in
+    plan
+  in
+  match
+    Plan_cache.plan_of (Service.cache service) ~key:(Cqnf.fingerprint cqnf)
+  with
+  | None -> Alcotest.fail "aborted miss left nothing cached"
+  | Some plan ->
+    check Alcotest.string "the certified Default plan"
+      (Plan.shape canonical default_plan) (Plan.shape canonical plan);
+    Service.shutdown service
+
 (* ---- admission paths ----
 
    Every way a request reaches its plan (a miss, a hit, a revalidated
@@ -711,5 +791,11 @@ let () =
           Alcotest.test_case "downgrade runs the re-opt loop" `Quick
             test_admission_downgrades;
           Alcotest.test_case "admission paths" `Quick test_admission_paths;
+          Alcotest.test_case "downgraded hit keeps the deadline" `Quick
+            test_downgraded_hit_keeps_deadline;
+          Alcotest.test_case "hit writes no feedback" `Quick
+            test_hit_writes_no_feedback;
+          Alcotest.test_case "aborted re-opt miss keeps its plan" `Quick
+            test_aborted_reopt_miss_keeps_plan;
         ] );
     ]
