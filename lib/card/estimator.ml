@@ -17,7 +17,6 @@ type t = {
   catalog : Catalog.t;
   stats : Db_stats.t;
   oracle : Oracle.t option;
-  log : Estimate_log.t option;
   bound : (Relset.t -> float -> float) option;
       (* sound-interval clamp (the verifier's "pessimistic" mode): applied
          to every memoized estimate before the 1-row floor *)
@@ -52,7 +51,7 @@ let compute_implied (q : Query.t) =
     (Eq_classes.members classes);
   implied
 
-let create ?log ?bound ~mode ~catalog ~stats ?oracle q =
+let create ?bound ~mode ~catalog ~stats ?oracle q =
   (match mode, oracle with
    | Perfect _, None ->
      invalid_arg "Estimator.create: perfect modes require an oracle"
@@ -64,7 +63,6 @@ let create ?log ?bound ~mode ~catalog ~stats ?oracle q =
     catalog;
     stats;
     oracle;
-    log;
     bound;
     memo = Hashtbl.create 64;
     edges = Array.of_list q.Query.edges;
@@ -75,6 +73,7 @@ let create ?log ?bound ~mode ~catalog ~stats ?oracle q =
 let mode t = t.mode
 let db_stats t = t.stats
 let oracle t = t.oracle
+let memoized t = Hashtbl.fold (fun s _ acc -> s :: acc) t.memo []
 
 let col_stats t rel col =
   let table = Catalog.table_exn t.catalog t.q.Query.rels.(rel).Query.table in
@@ -174,9 +173,6 @@ let rec card t s =
     let v = match t.bound with Some f -> f s v | None -> v in
     let v = Float.max 1.0 v in
     Hashtbl.replace t.memo s v;
-    (match t.log with
-     | Some log -> Estimate_log.record log ~size:(Relset.cardinal s)
-     | None -> ());
     v
 
 and compute t s =

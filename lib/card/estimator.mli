@@ -34,7 +34,6 @@ type mode =
 type t
 
 val create :
-  ?log:Estimate_log.t ->
   ?bound:(Relset.t -> float -> float) ->
   mode:mode ->
   catalog:Catalog.t ->
@@ -56,6 +55,12 @@ val oracle : t -> Oracle.t option
 (** The true-cardinality oracle the estimator was built with, if any. The
     sensitivity analyzer uses it to rebuild an equivalent estimator with one
     subset's estimate pinned to a perturbed value. *)
+
+val memoized : t -> Relset.t list
+(** Every subset estimated so far, once each, in no particular order. An
+    optimizer run asks for each subset's estimate through {!card}, so
+    after planning this is the set of estimates the plan consulted — the
+    count Table I buckets by join size. *)
 
 val card : t -> Relset.t -> float
 (** Estimated cardinality of a connected relation subset; always >= 1. *)

@@ -100,13 +100,13 @@ let bound_of p ~pessimistic =
         if v' <> v then Rdb_obs.Metrics.incr "verify.clamped";
         v')
 
-let plan ?(checks = Checks.env ()) ?(pessimistic = false) ?uncertainty ?log p
-    ~mode =
+let plan ?(checks = Checks.env ()) ?(pessimistic = false) ?uncertainty p ~mode
+    =
   Trace.span "session.plan"
     ~attrs:[ ("query", p.q.Query.name) ]
     (fun () ->
       let estimator =
-        Estimator.create ?log ?bound:(bound_of p ~pessimistic) ~mode
+        Estimator.create ?bound:(bound_of p ~pessimistic) ~mode
           ~catalog:p.session.catalog ~stats:p.session.stats ~oracle:p.oracle
           p.q
       in

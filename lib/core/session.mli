@@ -8,7 +8,6 @@ module Query := Rdb_query.Query
 module Db_stats := Rdb_stats.Db_stats
 module Estimator := Rdb_card.Estimator
 module Oracle := Rdb_card.Oracle
-module Estimate_log := Rdb_card.Estimate_log
 module Plan := Rdb_plan.Plan
 module Optimizer := Rdb_plan.Optimizer
 module Search_space := Rdb_plan.Search_space
@@ -73,7 +72,6 @@ val plan :
   ?checks:Checks.check list ->
   ?pessimistic:bool ->
   ?uncertainty:float ->
-  ?log:Estimate_log.t ->
   prepared ->
   mode:Estimator.mode ->
   Plan.t * Optimizer.stats * Estimator.t

@@ -11,7 +11,6 @@ module Selectivity = Rdb_card.Selectivity
 module Join_sel = Rdb_card.Join_sel
 module Oracle = Rdb_card.Oracle
 module Estimator = Rdb_card.Estimator
-module Estimate_log = Rdb_card.Estimate_log
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -393,19 +392,20 @@ let test_estimator_overrides () =
       in
       check (Alcotest.float 1e-9) "pinned" 12345.0 (Estimator.card est s))
 
-let test_estimator_memoizes_and_logs () =
+let test_estimator_memoizes_once () =
   with_lab (fun catalog session ->
       let q = Rdb_imdb.Job_queries.find catalog "6d" in
-      let log = Estimate_log.create () in
       let est =
-        Estimator.create ~log ~mode:Estimator.Default ~catalog
+        Estimator.create ~mode:Estimator.Default ~catalog
           ~stats:(Rdb_core.Session.stats session) q
       in
       let s = Relset.of_list [ 0; 1 ] in
       let v1 = Estimator.card est s in
       let v2 = Estimator.card est s in
       check (Alcotest.float 1e-9) "memoized" v1 v2;
-      check Alcotest.int "logged once" 1 (Estimate_log.count log ~size:2))
+      check Alcotest.int "memoized once" 1
+        (List.length
+           (List.filter (Relset.equal s) (Estimator.memoized est))))
 
 let test_estimator_requires_oracle_for_perfect () =
   with_lab (fun catalog session ->
@@ -532,23 +532,6 @@ let test_estimator_uses_group_stats () =
   check Alcotest.bool "independence underestimates" true (independent < 100.0);
   check (Alcotest.float 5.0) "group stats exact" (float_of_int (n / 8)) grouped
 
-(* ---- Estimate_log ---- *)
-
-let test_estimate_log () =
-  let log = Estimate_log.create () in
-  Estimate_log.record log ~size:2;
-  Estimate_log.record log ~size:2;
-  Estimate_log.record log ~size:5;
-  check Alcotest.int "count 2" 2 (Estimate_log.count log ~size:2);
-  check Alcotest.int "total" 3 (Estimate_log.total log);
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "counts" [ (2, 2); (5, 1) ] (Estimate_log.counts log);
-  let into = Estimate_log.create () in
-  Estimate_log.add_into log ~into;
-  Estimate_log.add_into log ~into;
-  check Alcotest.int "merged" 6 (Estimate_log.total into)
-
 (* ---- Oracle.Msg_map against a Hashtbl model ---- *)
 
 module Msg_map = Oracle.Msg_map
@@ -665,7 +648,8 @@ let () =
           Alcotest.test_case "default misses planted skew" `Quick
             test_estimator_default_misestimates_skew;
           Alcotest.test_case "overrides pin estimates" `Quick test_estimator_overrides;
-          Alcotest.test_case "memoizes and logs" `Quick test_estimator_memoizes_and_logs;
+          Alcotest.test_case "memoizes each subset once" `Quick
+            test_estimator_memoizes_once;
           Alcotest.test_case "perfect requires oracle" `Quick
             test_estimator_requires_oracle_for_perfect;
           qtest prop_estimator_cards_at_least_one;
@@ -681,6 +665,4 @@ let () =
           Alcotest.test_case "estimator uses group stats" `Quick
             test_estimator_uses_group_stats;
         ] );
-      ( "estimate_log",
-        [ Alcotest.test_case "counting" `Quick test_estimate_log ] );
     ]
