@@ -26,8 +26,6 @@ let to_string f =
 
 let render fs = String.concat "\n" (List.map to_string fs)
 
-let pp ppf f = Format.pp_print_string ppf (to_string f)
-
 let add acc ctx fs = List.iter (fun f -> acc := (ctx, f) :: !acc) fs
 
 type summary = { lines : string; errors : int; warnings : int }

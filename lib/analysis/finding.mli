@@ -36,8 +36,6 @@ val to_string : t -> string
 val render : t list -> string
 (** One finding per line. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Collecting findings across a sweep}
 
     The analysis sweeps report every finding under a context — a query

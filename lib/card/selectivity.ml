@@ -3,8 +3,13 @@ module Mcv = Rdb_stats.Mcv
 module Histogram = Rdb_stats.Histogram
 module Predicate = Rdb_query.Predicate
 
+(* Fallback equality selectivity when statistics offer nothing. *)
 let default_eq = 0.005
+
+(* PostgreSQL's DEFAULT_INEQ_SEL. *)
 let default_range = 0.3333333333333333
+
+(* PostgreSQL's DEFAULT_MATCH_SEL, used for LIKE patterns. *)
 let default_match = 0.005
 
 let clamp = Rdb_util.Stat_utils.clamp ~lo:0.0 ~hi:1.0

@@ -12,12 +12,3 @@ val of_pred : Col_stats.t -> Rdb_query.Predicate.t -> float
 val of_preds : Col_stats.t list -> Rdb_query.Predicate.t list -> float
 (** Combined selectivity under the independence assumption (product),
     stats and predicates paired positionally. *)
-
-val default_eq : float
-(** Fallback equality selectivity when statistics offer nothing. *)
-
-val default_range : float
-(** PostgreSQL's DEFAULT_INEQ_SEL. *)
-
-val default_match : float
-(** PostgreSQL's DEFAULT_MATCH_SEL, used for LIKE patterns. *)

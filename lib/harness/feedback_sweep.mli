@@ -43,15 +43,6 @@ type report = {
   fr_lookup_bound : int;     (** [2*pairs + 2*rels]: demand-driven ceiling *)
 }
 
-val material_ratio : float
-val material_floor : int
-(** "Materially worse" means: capped when the baseline finished, or
-    [>= material_ratio] times the baseline's work with an absolute gap of
-    at least [material_floor] units. *)
-
-val materially_worse : Runner.measurement -> Runner.measurement -> bool
-val work_ratio : Runner.measurement -> Runner.measurement -> float
-
 val run : ?jobs:int -> ?perfect_n:int -> ?reopt_learn:float -> Runner.lab -> report
 (** Learn, freeze, measure. [perfect_n] (default 4) sizes the perfect-(n)
     yardstick; [reopt_learn] (default 32) is the learning pass's trigger

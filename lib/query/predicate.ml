@@ -111,5 +111,3 @@ let to_sql ~col t =
   | Like (Contains p) -> Printf.sprintf "%s LIKE '%%%s%%'" col p
   | Is_null -> col ^ " IS NULL"
   | Is_not_null -> col ^ " IS NOT NULL"
-
-let pp ~col fmt t = Format.pp_print_string fmt (to_sql ~col t)

@@ -39,5 +39,3 @@ val compile_filter : Table.t -> (int * t) list -> int -> bool
 
 val to_sql : col:string -> t -> string
 (** Render as a SQL condition on the given column expression. *)
-
-val pp : col:string -> Format.formatter -> t -> unit

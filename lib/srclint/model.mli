@@ -47,11 +47,9 @@ type file = {
 val qualify : string -> string -> string
 (** [qualify base name] is [name] if already dotted, else [base.name]. *)
 
-val of_source : path:string -> string -> file
-(** Parse and extract; never raises (syntax errors land in [parse_error]). *)
-
 val load : string -> file
-(** [of_source] over the contents of a file on disk. *)
+(** Parse a file on disk and extract; never raises on a syntax error (it
+    lands in [parse_error]). *)
 
 val suppressed : file -> waiver -> int -> bool
 (** Is line [n] covered by waiver [w] on the same or previous line? *)

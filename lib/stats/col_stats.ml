@@ -18,11 +18,3 @@ let trivial ~row_count =
     mcv = Mcv.empty;
     hist = None;
   }
-
-let pp fmt t =
-  Format.fprintf fmt
-    "rows=%d null_frac=%.3f n_distinct=%d mcvs=%d hist=%s"
-    t.row_count t.null_frac t.n_distinct (Mcv.count t.mcv)
-    (match t.hist with
-     | Some h -> string_of_int (Histogram.n_buckets h) ^ " buckets"
-     | None -> "none")

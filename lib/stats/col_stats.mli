@@ -15,5 +15,3 @@ type t = {
 val trivial : row_count:int -> t
 (** Statistics claiming one distinct value and no detail; placeholder for
     columns that were never analyzed. *)
-
-val pp : Format.formatter -> t -> unit

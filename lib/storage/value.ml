@@ -29,6 +29,4 @@ let to_string = function
   | Int i -> string_of_int i
   | Str s -> "'" ^ s ^ "'"
 
-let pp fmt v = Format.pp_print_string fmt (to_string v)
-
 let ty_to_string = function Ty_int -> "int" | Ty_str -> "text"

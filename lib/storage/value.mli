@@ -20,6 +20,4 @@ val equal : t -> t -> bool
 val is_null : t -> bool
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
-
 val ty_to_string : ty -> string
