@@ -831,9 +831,10 @@ let cmd_serve =
   in
   let run scale seed jobs cache reopt revalidate mem_budget downgrade host
       port =
-    (* The serving session carries a feedback store: executions behind cache
-       hits and re-opt write-backs observe true cardinalities as a side
-       effect of serving, so replans after invalidation start corrected. *)
+    (* The lab's session carries a feedback store, but serving does not
+       learn from it: the service plans every miss with Default estimates,
+       only the re-optimization loop records into the store, and it is
+       never saved. *)
     let session = Runner.session (Runner.create_lab ~seed ~scale ()) in
     let config =
       {
