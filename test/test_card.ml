@@ -532,6 +532,31 @@ let test_estimator_uses_group_stats () =
   check Alcotest.bool "independence underestimates" true (independent < 100.0);
   check (Alcotest.float 5.0) "group stats exact" (float_of_int (n / 8)) grouped
 
+(* ---- Table I counting ---- *)
+
+(* Table I buckets the estimator's memo by join size after planning. An
+   optimizer run asks for every connected subset once, so the buckets
+   are the join graph's subset counts. *)
+let test_table1_counting () =
+  with_lab (fun catalog session ->
+      let q = Rdb_imdb.Job_queries.find catalog "6d" in
+      let _, _, est =
+        Rdb_core.Session.plan
+          (Rdb_core.Session.prepare session q)
+          ~mode:Estimator.Default
+      in
+      let g = Join_graph.make q in
+      let expected = Join_graph.count_by_size g in
+      let counts = Array.make (Array.length expected) 0 in
+      List.iter
+        (fun s ->
+          let n = Relset.cardinal s in
+          counts.(n) <- counts.(n) + 1)
+        (Estimator.memoized est);
+      check
+        Alcotest.(array int)
+        "estimates by join size" expected counts)
+
 (* ---- Oracle.Msg_map against a Hashtbl model ---- *)
 
 module Msg_map = Oracle.Msg_map
@@ -665,4 +690,6 @@ let () =
           Alcotest.test_case "estimator uses group stats" `Quick
             test_estimator_uses_group_stats;
         ] );
+      ( "table1_count",
+        [ Alcotest.test_case "counting" `Quick test_table1_counting ] );
     ]
